@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotOnModel
 
-MODEL_TOL = 1e-12
+MODEL_TOL = 1e-10  # largest residual of the model equation accepted in a point
 
 
 class Kind(Enum):
@@ -72,12 +72,11 @@ def model_residual(geometry: Geometry, x) -> float:
     return res
 
 
-def check_on_model(geometry: Geometry, x, tol: float = MODEL_TOL):
+def check_on_model(geometry: Geometry, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (geometry.ambient_dim,):
         raise NotOnModel(f"expected shape ({geometry.ambient_dim},), got {x.shape}")
-    # model surfaces are quadrics: allow a slightly loose default tolerance
-    if model_residual(geometry, x) > max(tol, 1e-10):
+    if model_residual(geometry, x) > MODEL_TOL:
         raise NotOnModel(f"point {x} violates the {geometry.kind.value} model constraint")
     return x
 

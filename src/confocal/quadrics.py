@@ -7,8 +7,17 @@ the model surface of the pencils of cones
     sum_i x_i^2 / (a_i - lam) - x_0^2 / (b + lam) = 0      (spherical)
     sum_i x_i^2 / (a_i - lam) - x_0^2 / (b - lam) = 0      (hyperbolic, a_i < b)
 
+With poles D = a (E^n), (-b, a) (S^n) or (b, a) (H^n), and signature J
+all ones except J_0 = -1 in H^n, each is the secular equation
+
+    sum_j J_j x_j^2 / (D_j - lam) = c,   c = 1 in E^n and 0 in S^n, H^n.
+
 Through a generic model point pass n members of the family, one per class
 interval; their parameters are the elliptic coordinates of the point.
+Both directions of the coordinate map are exact identities, with no root
+search: the coordinates are the eigenvalues of D compressed to x^perp
+(Moser's spectral view of confocal quadrics), and the point comes back
+from its coordinates by Jacobi's product formula for x_j^2.
 """
 
 from __future__ import annotations
@@ -16,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegeneratePoint, InvalidParameters, NoRealPoint
-from .geometry import Geometry, Kind, check_on_model, euclidean, geodesic_distance
+from .geometry import Geometry, Kind, check_on_model, geodesic_distance
 
 DEGENERATE_TOL = 1e-12
 
@@ -60,39 +68,6 @@ class ConfocalFamily:
     def is_circular(self) -> bool:
         return self.geometry.kind is Kind.EUCLIDEAN and len(set(self.a)) == 1
 
-    def class_intervals(self):
-        """The n open lambda-intervals, ascending: index 0 is the lowest
-        (ellipsoid-like) class, index n-1 sits just below a_1."""
-        a = sorted(self.a)
-        if self.geometry.kind is Kind.SPHERICAL:
-            lo = -self.b
-        else:
-            lo = -np.inf
-        bounds = [lo] + a
-        return [(bounds[i], bounds[i + 1]) for i in range(self.n)]
-
-    def class_of(self, lam: float) -> int:
-        for k, (lo, hi) in enumerate(self.class_intervals()):
-            if lo <= lam <= hi:
-                return k
-        raise InvalidParameters(f"lambda={lam} outside the admissible range")
-
-
-@dataclass(frozen=True)
-class QuadricMember:
-    family: ConfocalFamily
-    lam: float
-
-    def __post_init__(self):
-        for ai in self.family.a:
-            if abs(self.lam - ai) < DEGENERATE_TOL and not self.family.is_circular:
-                raise InvalidParameters("lambda collides with a semiaxis parameter")
-        self.family.class_of(self.lam)
-
-    @property
-    def class_index(self) -> int:
-        return self.family.class_of(self.lam)
-
 
 @dataclass(frozen=True)
 class EllipticCoords:
@@ -104,131 +79,82 @@ class EllipticCoords:
     degenerate: tuple = field(default=())
 
 
-def _split_point(family: ConfocalFamily, point):
-    """Return (x0sq or None, spatial squares) for a model point."""
+def _poles(family: ConfocalFamily):
+    """Poles D and signature J of the secular equation of the family, one
+    entry per ambient coordinate (x0 first in the curved models)."""
+    a = np.asarray(family.a)
+    kind = family.geometry.kind
+    if kind is Kind.EUCLIDEAN:
+        return a, np.ones_like(a)
+    d = np.concatenate(([-family.b if kind is Kind.SPHERICAL else family.b], a))
+    sig = np.ones_like(d)
+    if kind is Kind.HYPERBOLIC:
+        sig[0] = -1.0
+    return d, sig
+
+
+def _model_point(family: ConfocalFamily, point) -> np.ndarray:
     x = np.asarray(point, dtype=float)
     if family.geometry.kind is Kind.EUCLIDEAN:
-        return None, x * x
-    x = check_on_model(family.geometry, x)
-    return x[0] * x[0], x[1:] * x[1:]
+        return x
+    return check_on_model(family.geometry, x)
 
 
 def confocal_equation(family: ConfocalFamily, lam, point):
-    """Rational confocal condition; zero when the lam-member passes through
-    the point.  Euclidean: sum - 1; curved: the cone form q_lam."""
-    x0sq, sq = _split_point(family, point)
-    a = np.asarray(family.a)
-    val = np.sum(sq / (a - lam))
-    if family.geometry.kind is Kind.EUCLIDEAN:
-        return val - 1.0
-    if family.geometry.kind is Kind.SPHERICAL:
-        return val - x0sq / (family.b + lam)
-    return val - x0sq / (family.b - lam)
-
-
-def _root_in_interval(g, lo, hi, expand_left=False):
-    """One root of g in (lo, hi); g -> -inf at lo+ and +inf at hi- (or,
-    with expand_left, g < 0 far to the left)."""
-    if expand_left:
-        width = max(1.0, abs(hi))
-        left = hi - width
-        while g(left) >= 0.0:
-            width *= 4.0
-            left = hi - width
-            if width > 1e18:
-                raise NoRealPoint("no sign change found expanding left")
-        lo = left
-        glo = g(lo)
-    else:
-        eps = (hi - lo) * 1e-9
-        while True:
-            glo = g(lo + eps)
-            if glo < 0.0:
-                lo = lo + eps
-                break
-            eps /= 16.0
-            if eps < (hi - lo) * 1e-18:
-                # root pinned at the left endpoint
-                return lo
-    eps = (hi - lo) * 1e-9
-    while True:
-        ghi = g(hi - eps)
-        if ghi > 0.0:
-            hi = hi - eps
-            break
-        eps /= 16.0
-        if eps < (hi - lo) * 1e-18:
-            return hi
-    return brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    """Left side minus right side of the secular equation; zero when the
+    lam-member passes through the point."""
+    x = _model_point(family, point)
+    d, sig = _poles(family)
+    rhs = 1.0 if family.geometry.kind is Kind.EUCLIDEAN else 0.0
+    return np.sum(sig * x * x / (d - lam)) - rhs
 
 
 def confocal_parameters(family: ConfocalFamily, point, strict: bool = False) -> EllipticCoords:
     """Elliptic coordinates of a point: the n confocal parameters through it.
 
-    Zero coordinates make a root collide with the matching semiaxis
-    parameter (or with -b / b for x0 = 0); by default those roots are
-    returned exactly and flagged, with strict=True they raise
-    DegeneratePoint instead.
+    They are the roots of the secular equation, computed as eigenvalues:
+    of diag(a) - x x^T in E^n, and of the pencil (B^T J D B, B^T J B) in
+    S^n and H^n, with B an orthonormal basis of the Euclidean x^perp.
+    B^T J B is the identity on S^n and positive definite on H^n (x is
+    timelike), so its Cholesky factor makes the pencil symmetric.
+
+    A zero coordinate x_j pins one parameter to its pole D_j (a_i, or -b
+    for x0 = 0 on S^n).  Such coordinates are dropped before the
+    eigenproblem, and their poles are returned exactly and listed in
+    `degenerate`; with strict=True they raise DegeneratePoint instead.
     """
     if family.is_circular:
         raise InvalidParameters("elliptic coordinates degenerate for circular families")
-    geo = family.geometry
-    x = np.asarray(point, dtype=float)
-    x0sq, sq = _split_point(family, x)
-    a = np.asarray(family.a)
-
-    # coordinates below the degeneracy scale pin a root to the matching pole
-    tiny = DEGENERATE_TOL ** 2
-    zero_sp = [i for i in range(family.n) if sq[i] <= tiny]
-    zero_x0 = geo.kind is not Kind.EUCLIDEAN and x0sq <= tiny
-    if strict and (zero_sp or zero_x0):
+    x = _model_point(family, point)
+    d, sig = _poles(family)
+    zero = x * x <= DEGENERATE_TOL ** 2
+    if strict and zero.any():
         raise DegeneratePoint("point has a vanishing coordinate")
-    if geo.kind is Kind.HYPERBOLIC and zero_x0:
-        raise DegeneratePoint("hyperbolic model points have x0 >= 1")
-
-    known = [a[i] for i in zero_sp]
-    if zero_x0 and geo.kind is Kind.SPHERICAL:
-        known.append(-family.b)
-
-    keep = [i for i in range(family.n) if i not in zero_sp]
-    ak = a[keep]
-    sqk = sq[keep]
-
-    def g(lam):
-        val = np.sum(sqk / (ak - lam))
-        if geo.kind is Kind.EUCLIDEAN:
-            return val - 1.0
-        if geo.kind is Kind.SPHERICAL:
-            return val if zero_x0 else val - x0sq / (family.b + lam)
-        return val - x0sq / (family.b - lam)
-
-    asc = np.sort(ak)
-    roots = []
-    # one root between each pair of consecutive surviving poles
-    for j in range(len(asc) - 1):
-        roots.append(_root_in_interval(g, asc[j], asc[j + 1]))
-    # the bottom root (absent when x0 = 0 on the sphere: only n'-1 roots)
-    if len(asc) > 0 and not zero_x0:
-        if geo.kind is Kind.SPHERICAL:
-            roots.append(_root_in_interval(g, -family.b, asc[0]))
-        else:
-            roots.append(_root_in_interval(g, -np.inf, asc[0], expand_left=True))
-
-    lam = tuple(sorted(roots + known, reverse=True))
-    if geo.kind is Kind.EUCLIDEAN:
-        signs = tuple(int(np.sign(v)) if v != 0 else 1 for v in x)
+    keep = ~zero
+    dk, sk, xk = d[keep], sig[keep], x[keep]
+    if family.geometry.kind is Kind.EUCLIDEAN:
+        roots = np.linalg.eigvalsh(np.diag(dk) - np.outer(xk, xk))
     else:
-        signs = tuple(int(np.sign(v)) if v != 0 else 1 for v in x)
-    return EllipticCoords(lam=lam, signs=signs, degenerate=tuple(sorted(known, reverse=True)))
+        basis = np.linalg.qr(xk[:, None], mode="complete")[0][:, 1:]
+        jb = sk[:, None] * basis
+        chol = np.linalg.cholesky(basis.T @ jb)
+        # eigenvalues of L^-1 (B^T J D B) L^-T, with B^T J B = L L^T
+        half = np.linalg.solve(chol, jb.T @ (dk[:, None] * basis))
+        roots = np.linalg.eigvalsh(np.linalg.solve(chol, half.T))
+    known = sorted(d[zero].tolist(), reverse=True)
+    lam = tuple(sorted(roots.tolist() + known, reverse=True))
+    signs = tuple(-1 if v < 0 else 1 for v in x)
+    return EllipticCoords(lam=lam, signs=signs, degenerate=tuple(known))
 
 
 def point_from_parameters(family: ConfocalFamily, coords: EllipticCoords | tuple,
                           signs=None) -> np.ndarray:
-    """Invert the elliptic coordinates: solve the linear-in-squares system.
+    """Invert the elliptic coordinates by Jacobi's product formula
 
-    The confocal condition is linear in the squared coordinates, so the n
-    parameters (plus the model constraint for curved geometries) determine
-    x_i^2 uniquely; signs pick the orthant.
+        J_j x_j^2 = c prod_k (D_j - lam_k) / prod_{l != j} (D_j - D_l),
+
+    c = 1 in E^n and S^n, c = -1 in H^n; signs pick the orthant.  A
+    negative square raises NoRealPoint.
     """
     if isinstance(coords, EllipticCoords):
         lam = np.asarray(coords.lam, dtype=float)
@@ -236,64 +162,22 @@ def point_from_parameters(family: ConfocalFamily, coords: EllipticCoords | tuple
             signs = coords.signs
     else:
         lam = np.asarray(coords, dtype=float)
-    geo = family.geometry
-    a = np.asarray(family.a)
-    m = geo.ambient_dim
-    if signs is None:
-        signs = (1,) * m
-    signs = tuple(signs)
-
-    # pair degenerate parameters with the coordinates they force to zero
-    forced = {}  # column index in the ambient ordering -> 0
-    free_lam = []
-    for lv in lam:
-        hit = None
-        for i, ai in enumerate(a):
-            if abs(lv - ai) < 1e-9:
-                hit = i + (0 if geo.kind is Kind.EUCLIDEAN else 1)
-                break
-        if hit is None and geo.kind is Kind.SPHERICAL and abs(lv + family.b) < 1e-9:
-            hit = 0
-        if hit is not None:
-            if hit in forced:
-                raise NoRealPoint("two parameters collide with the same semiaxis")
-            forced[hit] = 0.0
-        else:
-            free_lam.append(lv)
-
-    cols = [j for j in range(m) if j not in forced]
-    rows = []
-    rhs = []
-    for lv in free_lam:
-        row = []
-        for j in cols:
-            if geo.kind is Kind.EUCLIDEAN:
-                row.append(1.0 / (a[j] - lv))
-            elif j == 0:
-                denom = (family.b + lv) if geo.kind is Kind.SPHERICAL else (family.b - lv)
-                row.append(-1.0 / denom)
-            else:
-                row.append(1.0 / (a[j - 1] - lv))
-        rows.append(row)
-        rhs.append(1.0 if geo.kind is Kind.EUCLIDEAN else 0.0)
-    if geo.kind is Kind.SPHERICAL:
-        rows.append([1.0] * len(cols))
-        rhs.append(1.0)
-    elif geo.kind is Kind.HYPERBOLIC:
-        rows.append([-1.0 if j == 0 else 1.0 for j in cols])
-        rhs.append(-1.0)
-
-    if rows:
-        sol = np.linalg.solve(np.asarray(rows), np.asarray(rhs))
-    else:
-        sol = np.zeros(0)
-    squares = np.zeros(m)
-    for j, v in zip(cols, sol):
-        squares[j] = v
+    if family.is_circular:
+        raise InvalidParameters("elliptic coordinates degenerate for circular families")
+    if lam.shape != (family.n,):
+        raise InvalidParameters("need one parameter per class")
+    hyperbolic = family.geometry.kind is Kind.HYPERBOLIC
+    d, sig = _poles(family)
+    gaps = d[:, None] - d[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    squares = ((-1.0 if hyperbolic else 1.0) * sig
+               * np.prod(d[:, None] - lam[None, :], axis=1) / np.prod(gaps, axis=1))
     if np.min(squares) < -1e-10:
         raise NoRealPoint(f"negative squared coordinate: {squares}")
-    x = np.array(signs, dtype=float) * np.sqrt(np.clip(squares, 0.0, None))
-    if geo.kind is Kind.HYPERBOLIC:
+    if signs is None:
+        signs = (1,) * len(d)
+    x = np.asarray(signs, dtype=float) * np.sqrt(np.clip(squares, 0.0, None))
+    if hyperbolic:
         x[0] = abs(x[0])  # upper sheet
     return x
 

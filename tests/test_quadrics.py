@@ -1,10 +1,14 @@
 """Tests for confocal families and elliptic coordinates."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confocal import (
     ConfocalFamily,
+    Kind,
     confocal_parameters,
     euclidean,
     geodesic_distance,
@@ -29,6 +33,27 @@ FAMH2 = ConfocalFamily(hyperbolic(2), (1.0, 0.5), b=2.0)
 ALL_FAMS = [FAM2, FAM3, FAMS2, FAMH2]
 
 
+def _onto_model(fam, x):
+    """Put x back on the model: normalise on S^n, recompute x0 on H^n."""
+    x = np.array(x, dtype=float)
+    if fam.geometry.kind is Kind.SPHERICAL:
+        return x / np.linalg.norm(x)
+    if fam.geometry.kind is Kind.HYPERBOLIC:
+        x[0] = np.sqrt(1.0 + x[1:] @ x[1:])
+    return x
+
+
+def _near_pole_points(fam, rng):
+    """Random model points with one spatial coordinate set to +-1e-4 or
+    +-1e-5, so that one parameter lies within ~1e-8 to 1e-10 of its pole."""
+    m = fam.geometry.ambient_dim
+    for i in range(m - fam.n, m):
+        for v in (1e-4, -1e-4, 1e-5, -1e-5):
+            x = random_interior_point(fam, rng)
+            x[i] = v
+            yield _onto_model(fam, x)
+
+
 def test_family_validation():
     with pytest.raises(InvalidParameters):
         ConfocalFamily(euclidean(2), (1.0, 4.0))
@@ -45,6 +70,27 @@ def test_degenerate_axis_points():
     assert np.allclose(confocal_parameters(FAM2, (0.0, 1.0)).lam, (4.0, 0.0))
     with pytest.raises(DegeneratePoint):
         confocal_parameters(FAM2, (2.0, 0.0), strict=True)
+
+
+@pytest.mark.parametrize("fam, x, pole", [
+    (FAMS2, (0.0, 0.6, 0.8), -1.0),
+    (FAMS2, (0.6, 0.0, 0.8), 3.0),
+    (FAMS2, (0.6, 0.8, 0.0), 2.0),
+    (FAMH2, (np.sqrt(1.25), 0.0, 0.5), 1.0),
+    (FAMH2, (np.sqrt(1.25), 0.5, 0.0), 0.5),
+], ids=["S2-x0", "S2-x1", "S2-x2", "H2-x1", "H2-x2"])
+def test_degenerate_curved_points(fam, x, pole):
+    """A zero coordinate gives its pole exactly (a_i, or -b for x0 = 0 on
+    S^n), flagged; the other parameters still solve the secular equation."""
+    coords = confocal_parameters(fam, x)
+    assert coords.degenerate == (pole,)
+    assert pole in coords.lam
+    for lv in coords.lam:
+        if lv != pole:
+            assert abs(confocal_equation(fam, lv, x)) < 1e-12
+    assert np.max(np.abs(point_from_parameters(fam, coords) - x)) < 1e-12
+    with pytest.raises(DegeneratePoint):
+        confocal_parameters(fam, x, strict=True)
 
 
 def test_roundtrip_axis_points():
@@ -65,8 +111,9 @@ def test_interlacing_and_residual():
 def test_roundtrip_all_geometries():
     rng = np.random.default_rng(7)
     for fam in ALL_FAMS:
-        for _ in range(100):
-            x = random_interior_point(fam, rng)
+        points = [random_interior_point(fam, rng) for _ in range(100)]
+        points += _near_pole_points(fam, np.random.default_rng(29))
+        for x in points:
             coords = confocal_parameters(fam, x)
             y = point_from_parameters(fam, coords)
             assert np.max(np.abs(np.asarray(x) - y)) < 1e-9
@@ -89,6 +136,69 @@ def test_noreal_point():
     with pytest.raises(NoRealPoint):
         # two parameters in the same class interval
         point_from_parameters(FAM2, (0.5, 0.2))
+
+
+def test_point_from_parameters_bad_input():
+    with pytest.raises(InvalidParameters):
+        point_from_parameters(FAM2, (0.5,))
+    with pytest.raises(InvalidParameters):
+        point_from_parameters(ConfocalFamily(euclidean(2), (2.0, 2.0)), (1.0, 0.5))
+
+
+def test_focus_from_parameters():
+    # both degenerate members lam = a_2 pass through the focus (sqrt 3, 0)
+    focus = (np.sqrt(3.0), 0.0)
+    assert np.allclose(point_from_parameters(FAM2, (1.0, 1.0)), focus)
+    assert np.allclose(confocal_parameters(FAM2, focus).lam, (1.0, 1.0))
+
+
+def _secular_oracle(fam, x):
+    """Elliptic coordinates of x to 50 digits, descending: the roots of
+    sum_j J_j x_j^2 prod_{l != j} (D_j - lam) - c prod_j (D_j - lam), the
+    secular equation with denominators cleared."""
+    if fam.geometry.kind is Kind.EUCLIDEAN:
+        d, sig, c = list(fam.a), [1] * fam.n, 1
+    elif fam.geometry.kind is Kind.SPHERICAL:
+        d, sig, c = [-fam.b, *fam.a], [1] * (fam.n + 1), 0
+    else:
+        d, sig, c = [fam.b, *fam.a], [-1] + [1] * fam.n, 0
+    with mpmath.workdps(50):
+        d, x = ([mpmath.mpf(float(v)) for v in w] for w in (d, x))
+
+        def prod_without(skip):
+            p = [mpmath.mpf(1)]  # highest degree first, padded to degree m
+            for k, dk in enumerate(d):
+                if k != skip:
+                    p = [dk * v - u for u, v in zip(p + [0], [0] + p)]
+            return [0] * (len(d) + 1 - len(p)) + p
+
+        q = [-c * v for v in prod_without(None)]
+        for j in range(len(d)):
+            q = [s + sig[j] * x[j] ** 2 * t for s, t in zip(q, prod_without(j))]
+        while q[0] == 0:
+            q = q[1:]
+        roots = mpmath.polyroots(q, maxsteps=200, extraprec=200)
+        return sorted((float(mpmath.re(r)) for r in roots), reverse=True)
+
+
+_coordinate = st.builds(
+    lambda sign, size: sign * size,
+    st.sampled_from((-1.0, 1.0)),
+    st.one_of(st.floats(0.05, 1.5), st.floats(-11.0, -2.0).map(lambda e: 10.0 ** e)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fam=st.sampled_from([FAM3, FAMS2, FAMH2]),
+       raw=st.lists(_coordinate, min_size=3, max_size=3))
+def test_parameters_match_secular_oracle(fam, raw):
+    """Coordinates near a hyperplane (|x_i| down to 1e-11) put a parameter
+    within ~1e-22 of its pole; it must still match the 50-digit root."""
+    x = _onto_model(fam, raw)
+    lam = np.asarray(confocal_parameters(fam, x).lam)
+    oracle = np.asarray(_secular_oracle(fam, x))
+    assert len(oracle) == fam.n
+    assert np.all(np.abs(lam - oracle) <= 1e-13 * np.maximum(1.0, np.abs(oracle)))
 
 
 def test_tangent_line_vertex():
@@ -175,7 +285,6 @@ def _tangency_oracle(a, p, d):
     its discriminant with denominators cleared and prod_k (a_k - lam)
     divided out, sum_i d_i^2 P_i - sum_{i<j} (p_i d_j - p_j d_i)^2 P_ij,
     where P_S is prod_k (a_k - lam) over k not in S."""
-    mpmath = pytest.importorskip("mpmath")
     n = len(a)
     with mpmath.workdps(50):
         a, p, d = ([mpmath.mpf(float(v)) for v in w] for w in (a, p, d))
