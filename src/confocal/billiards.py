@@ -546,8 +546,13 @@ def _line_intersection(l1: OrientedLine, l2: OrientedLine) -> np.ndarray:
 
 
 def _hyperbola_root(family: ConfocalFamily, point) -> float:
+    return _hyperbola_class(
+        family, confocal_parameters(family, np.abs(np.asarray(point, dtype=float))).lam)
+
+
+def _hyperbola_class(family: ConfocalFamily, lam) -> float:
+    """The coordinate of the confocal hyperbola among a point's coordinates."""
     a1, a2 = family.a
-    lam = confocal_parameters(family, np.abs(np.asarray(point, dtype=float))).lam
     for lv in lam:
         if a2 - 1e-12 <= lv <= a1 + 1e-12:
             return lv
@@ -681,28 +686,25 @@ def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
         d = abs(i - j) % q
         return min(d, q - d)
 
+    # the elliptic coordinates of each point, computed once: the smaller
+    # is its confocal ellipse, the hyperbola-class one its confocal hyperbola
     concentric = {}
     radial = {}
     for (i, j), pt in points.items():
-        concentric.setdefault(sep(i, j), []).append(pt)
-        radial.setdefault((i + j) % q, []).append(pt)
-
-    a1, a2 = family.a
-
-    def ellipse_root(pt):
         lam = confocal_parameters(family, np.abs(pt)).lam
-        return min(lam)
+        concentric.setdefault(sep(i, j), []).append(lam)
+        radial.setdefault((i + j) % q, []).append(lam)
 
     conc_spread = {}
-    for d, pts in concentric.items():
-        roots = [ellipse_root(pt) for pt in pts]
+    for d, lams in concentric.items():
+        roots = [min(lam) for lam in lams]
         conc_spread[d] = float(np.max(roots) - np.min(roots))
     rad_spread = {}
-    for s, pts in radial.items():
-        if len(pts) < 2:
+    for s, lams in radial.items():
+        if len(lams) < 2:
             rad_spread[s] = 0.0
             continue
-        roots = [_hyperbola_root(family, pt) for pt in pts]
+        roots = [_hyperbola_class(family, lam) for lam in lams]
         rad_spread[s] = float(np.max(roots) - np.min(roots))
 
     # each grid cell is bounded by lines i, i+1, j, j+1 and is circumscribed

@@ -1,16 +1,22 @@
 """Liouville and Stackel metrics: separable geodesics and the Ivory property.
 
-A Stackel metric on a coordinate box is defined by a matrix of one-variable
-functions u_ij(q_i) (row i depends only on q_i):
+A Stackel metric on a coordinate box is given by an n x n matrix M(q) whose
+row i depends only on q_i.  Each row is stored as data: u_i(t) =
+num_i(t) / den_i(t), a table of n numerator polynomials (one per column)
+over one denominator polynomial, all coefficients from high to low degree
+as in np.polyval.  The derivative tables are taken once, at construction.
 
-    ds^2 = sum_i g_ii dq_i^2,   g_ii = (-1)^(1+i) det M / det M_i1,
+Everything follows from M^{-1} (indices from 0):
 
-where M_i1 deletes row i and column 1.  The Hamilton-Jacobi equation
-separates: p_i^2 = h_i(q_i, alpha) = 2 sum_j u_ij(q_i) alpha_j with the
-commuting integrals alpha = (1/2) M^{-1} (p_1^2, ..., p_n^2).  Geodesics
+    ds^2 = sum_i g_i dq_i^2,          g_i = 1 / (M^{-1})_0i,
+    alpha = (1/2) M^{-1} (p_0^2, ..., p_{n-1}^2),   alpha_0 = H,
+    dH/dq_i = -(M^{-1})_0i u_i'(q_i) . alpha,
+
+the last because only row i of M depends on q_i.  The Hamilton-Jacobi
+equation separates: p_i^2 = h_i(q_i, alpha) = 2 u_i(q_i) . alpha.  Geodesics
 between opposite corners of a coordinate box are found by solving the n-1
-quadrature constraints for alpha_2..alpha_n (alpha_1 = 1/2 for unit speed);
-the elapsed time of the first quadrature is the length.  All 2^(n-1) great
+quadrature constraints for alpha_1..alpha_{n-1} (alpha_0 = 1/2 for unit
+speed); the quadrature of column 0 is the length.  All 2^(n-1) great
 diagonals of a box share the same alpha and have equal lengths.
 """
 
@@ -23,82 +29,88 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
-    CornerHit,
     InvalidParameters,
     NoMonotoneDiagonal,
     SingularStaeckelMatrix,
     SolverDiverged,
 )
-from .geometry import Geometry, euclidean, geodesic_distance, spherical
+from .geometry import Geometry, euclidean, spherical
 
-_DET_TOL = 1e-14
+# M is refused as singular when its condition number, after scaling each
+# column to unit max-norm, reaches 1/eps: a test that does not depend on
+# the scale of the metric's parameters or coordinates, as |det M| does
+_COND_MAX = 1.0 / np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class ScalarFunction1D:
-    """One-variable smooth function with a derivative rule."""
+def _table(polys) -> np.ndarray:
+    """Coefficient sequences (high to low) left-padded with zeros to one
+    length, one per row of the result."""
+    polys = [np.atleast_1d(np.asarray(p, dtype=float)) for p in polys]
+    k = max(len(p) for p in polys)
+    return np.array([np.pad(p, (k - len(p), 0)) for p in polys])
 
-    f: Callable[[float], float]
-    df: Optional[Callable[[float], float]] = None
 
-    def __call__(self, t: float) -> float:
-        return self.f(t)
+def _polyval(c: np.ndarray, t):
+    """Every polynomial of a table at t, by Horner's rule over the last axis."""
+    y = 0.0
+    for k in range(c.shape[-1]):
+        y = y * t + c[..., k]
+    return y
 
-    def deriv(self, t: float) -> float:
-        if self.df is not None:
-            return self.df(t)
-        h = 1e-6
-        return (self.f(t + h) - self.f(t - h)) / (2.0 * h)
 
-    @staticmethod
-    def rational(num, den) -> "ScalarFunction1D":
-        """num(t)/den(t) for polynomial coefficient sequences (high->low)."""
-        pn, pd = np.poly1d(num), np.poly1d(den)
-        dn, dd = pn.deriv(), pd.deriv()
-
-        def f(t):
-            return pn(t) / pd(t)
-
-        def df(t):
-            d = pd(t)
-            return (dn(t) * d - pn(t) * dd(t)) / (d * d)
-
-        return ScalarFunction1D(f, df)
-
-    @staticmethod
-    def constant(c: float) -> "ScalarFunction1D":
-        return ScalarFunction1D(lambda t: c, lambda t: 0.0)
+def _polyder(c: np.ndarray) -> np.ndarray:
+    """Derivative of every polynomial of a table (np.polyder on the last axis)."""
+    return c[..., :-1] * np.arange(c.shape[-1] - 1, 0, -1)
 
 
 @dataclass
 class StaeckelMetric:
-    """Stackel matrix of one-variable entries plus a coordinate box."""
+    """Stackel matrix with rows num_i(q_i) / den_i(q_i), plus a coordinate box.
+
+    `rows` holds one (num, den) pair per row: num is a sequence of n
+    coefficient sequences, one per column, den a single one.
+    """
 
     n: int
-    u: Sequence[Sequence[ScalarFunction1D]]
+    rows: Sequence[tuple]
     box: Sequence[tuple]
     name: str = ""
     ambient: Optional[Callable] = None
     ambient_geometry: Optional[Geometry] = None
 
     def __post_init__(self):
-        if len(self.u) != self.n or any(len(row) != self.n for row in self.u):
+        n = self.n
+        if len(self.rows) != n or any(len(num) != n for num, _ in self.rows):
             raise InvalidParameters("Stackel matrix must be n x n")
-        if len(self.box) != self.n:
+        if len(self.box) != n:
             raise InvalidParameters("need one box interval per coordinate")
+        # num[i, j, :] and den[i, 0, :]: the singleton axis lets a row's
+        # denominator broadcast over its columns
+        self.num = _table([col for num, _ in self.rows for col in num]).reshape(n, n, -1)
+        self.den = _table([den for _, den in self.rows])[:, None, :]
+        self.dnum, self.dden = _polyder(self.num), _polyder(self.den)
+
+    def _entries(self, t, i=slice(None), deriv=False):
+        """Entries of row(s) i at t (columns on the last axis) and, with
+        deriv, their t-derivatives by the quotient rule."""
+        d = _polyval(self.den[i], t)
+        u = _polyval(self.num[i], t) / d
+        if not deriv:
+            return u
+        return u, (_polyval(self.dnum[i], t) - u * _polyval(self.dden[i], t)) / d
 
     def matrix(self, q) -> np.ndarray:
-        return np.array([[self.u[i][j](q[i]) for j in range(self.n)]
-                         for i in range(self.n)])
+        return self._entries(np.asarray(q, dtype=float)[:, None])
 
-    def row(self, i: int, qi: float) -> np.ndarray:
-        return np.array([self.u[i][j](qi) for j in range(self.n)])
+    def row(self, i: int, qi) -> np.ndarray:
+        """Row i at q_i; for an array of q_i the columns go last."""
+        return self._entries(np.asarray(qi, dtype=float)[..., None], i)
 
-    def row_deriv(self, i: int, qi: float) -> np.ndarray:
-        return np.array([self.u[i][j].deriv(qi) for j in range(self.n)])
+    def row_deriv(self, i: int, qi) -> np.ndarray:
+        return self._entries(np.asarray(qi, dtype=float)[..., None], i, deriv=True)[1]
 
-    def h(self, i: int, qi: float, alpha) -> float:
-        return 2.0 * float(self.row(i, qi) @ alpha)
+    def h(self, i: int, qi, alpha):
+        return 2.0 * (self.row(i, qi) @ alpha)
 
     def random_box(self, rng, max_span: float = 0.4):
         """A random coordinate sub-box of the metric's box (moderate spans,
@@ -113,26 +125,22 @@ class StaeckelMetric:
 
 @dataclass(frozen=True)
 class LiouvilleMetric:
-    """Planar metric (u1 - u2)(v1 dq1^2 + v2 dq2^2)."""
+    """Planar metric (u1 - u2)(v1 dq1^2 + v2 dq2^2); each of u1, u2, v1, v2
+    is a (num, den) pair of coefficient sequences."""
 
-    u1: ScalarFunction1D
-    u2: ScalarFunction1D
-    v1: ScalarFunction1D
-    v2: ScalarFunction1D
+    u1: tuple
+    u2: tuple
+    v1: tuple
+    v2: tuple
     box: Sequence[tuple]
 
     def to_staeckel(self) -> StaeckelMetric:
-        def prod(f, g, s):
-            return ScalarFunction1D(
-                lambda t: s * f(t) * g(t),
-                lambda t: s * (f.deriv(t) * g(t) + f(t) * g.deriv(t)))
-
-        def scal(g, s):
-            return ScalarFunction1D(lambda t: s * g(t), lambda t: s * g.deriv(t))
-
-        u = [[prod(self.u1, self.v1, 1.0), scal(self.v1, 1.0)],
-             [prod(self.u2, self.v2, -1.0), scal(self.v2, -1.0)]]
-        return StaeckelMetric(2, u, self.box, name="liouville")
+        (n1, d1), (n2, d2) = self.u1, self.u2
+        (m1, e1), (m2, e2) = self.v1, self.v2
+        # rows (u1 v1, v1) and -(u2 v2, v2), each over its own denominator
+        rows = [([np.convolve(n1, m1), np.convolve(d1, m1)], np.convolve(d1, e1)),
+                ([-np.convolve(n2, m2), -np.convolve(d2, m2)], np.convolve(d2, e2))]
+        return StaeckelMetric(2, rows, self.box, name="liouville")
 
 
 @dataclass
@@ -151,36 +159,39 @@ class SeparationData:
                          for i in range(self.metric.n)])
 
 
-def _minor_det(M: np.ndarray, i: int, j: int) -> float:
-    sub = np.delete(np.delete(M, i, axis=0), j, axis=1)
-    if sub.size == 0:
-        return 1.0
-    return float(np.linalg.det(sub))
+def _inverse(M: np.ndarray, q) -> np.ndarray:
+    """M^{-1}, or SingularStaeckelMatrix (1-norm condition number)."""
+    scale = np.max(np.abs(M), axis=0)
+    Ms = M / np.where(scale > 0.0, scale, 1.0)
+    try:
+        Minv = np.linalg.inv(Ms)
+        cond = np.abs(Ms).sum(axis=0).max() * np.abs(Minv).sum(axis=0).max()
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not cond < _COND_MAX:
+        raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {q}")
+    return Minv / scale[:, None]
 
 
 def metric_coeffs(metric: StaeckelMetric, q) -> np.ndarray:
-    M = metric.matrix(q)
-    det = float(np.linalg.det(M))
-    if abs(det) < _DET_TOL:
-        raise SingularStaeckelMatrix(f"det M = {det} at q = {q}")
-    g = np.empty(metric.n)
-    for i in range(metric.n):
-        g[i] = (-1.0) ** i * det / _minor_det(M, i, 0)
-    return g
-
-
-def hamiltonian(metric: StaeckelMetric, q, p) -> float:
-    g = metric_coeffs(metric, q)
-    p = np.asarray(p, dtype=float)
-    return float(0.5 * np.sum(p * p / g))
+    return 1.0 / _inverse(metric.matrix(q), q)[0]
 
 
 def integrals_alpha(metric: StaeckelMetric, q, p) -> np.ndarray:
-    M = metric.matrix(q)
-    if abs(np.linalg.det(M)) < _DET_TOL:
-        raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {q}")
     p = np.asarray(p, dtype=float)
-    return 0.5 * np.linalg.solve(M, p * p)
+    return 0.5 * (_inverse(metric.matrix(q), q) @ (p * p))
+
+
+def hamiltonian(metric: StaeckelMetric, q, p) -> float:
+    return float(integrals_alpha(metric, q, p)[0])
+
+
+def _hamilton_field(metric: StaeckelMetric, q, p):
+    """(dq/dt, dp/dt) = (dH/dp, -dH/dq), both through one M^{-1}."""
+    M, dM = metric._entries(q[:, None], deriv=True)
+    Minv = _inverse(M, q)
+    alpha = 0.5 * (Minv @ (p * p))
+    return Minv[0] * p, Minv[0] * (dM @ alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -190,35 +201,22 @@ def integrals_alpha(metric: StaeckelMetric, q, p) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
 
 
-def _half_integral(metric: StaeckelMetric, i: int, end: float, sign: float,
-                   smax: float, alpha, col: int) -> float:
+def _leg_integrals(metric: StaeckelMetric, i: int, a: float, b: float,
+                   alpha) -> np.ndarray:
+    """Integrals of u_ij / sqrt(h_i) over [a, b], for every column j at
+    once, robust to square-root vanishing of h_i at either endpoint (the
+    substitution q = end +/- s^2 on each half turns the inverse-square-root
+    singularity into a smooth integrand, then fixed-order Gauss-Legendre;
+    both halves share the nodes s)."""
+    smax = np.sqrt(0.5 * (b - a))
     s = 0.5 * smax * (_GL_NODES + 1.0)
-    w = 0.5 * smax * _GL_WEIGHTS
-    qv = end + sign * s * s
-    hv = 2.0 * sum(alpha[j] * np.asarray(metric.u[i][j](qv), dtype=float)
-                   for j in range(metric.n))
-    vals = (2.0 * s * np.asarray(metric.u[i][col](qv), dtype=float)
-            / np.sqrt(np.maximum(hv, 1e-300)))
-    return float(w @ vals)
+    w = np.tile(smax * s * _GL_WEIGHTS, 2)
+    U = metric.row(i, np.concatenate([a + s * s, b - s * s]))
+    return (w / np.sqrt(np.maximum(2.0 * (U @ alpha), 1e-300))) @ U
 
 
-def _leg_integral(metric: StaeckelMetric, i: int, a: float, b: float,
-                  alpha, col: int) -> float:
-    """Integral of u_i,col / sqrt(h_i) over [a, b], robust to square-root
-    vanishing of h_i at either endpoint (substitution q = end +/- s^2
-    turns the inverse-square-root singularity into a smooth integrand,
-    then fixed-order Gauss-Legendre on each half)."""
-    if b <= a:
-        return 0.0
-    mid = 0.5 * (a + b)
-    return (_half_integral(metric, i, a, 1.0, np.sqrt(mid - a), alpha, col)
-            + _half_integral(metric, i, b, -1.0, np.sqrt(b - mid), alpha, col))
-
-
-def _min_h_inside(metric: StaeckelMetric, i: int, a: float, b: float, alpha,
-                  samples: int = 64) -> float:
-    ts = np.linspace(a, b, samples)
-    return min(metric.h(i, t, alpha) for t in ts)
+def _min_h_inside(metric: StaeckelMetric, i: int, a: float, b: float, alpha) -> float:
+    return float(np.min(metric.h(i, np.linspace(a, b, 64), alpha)))
 
 
 def _chord_alpha(metric: StaeckelMetric, c0, c1) -> np.ndarray:
@@ -252,36 +250,22 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1,
     hi = np.maximum(c0, c1)
     signs = np.sign(c1 - c0)
 
-    if n == 1:
-        alpha = np.array([0.5])
-        length = abs(_leg_integral(metric, 0, lo[0], hi[0], alpha, 0))
-        return {"alpha": alpha, "signs": signs, "length": float(length),
-                "residual": 0.0,
-                "separation": SeparationData(metric, alpha, signs)}
+    def quadratures(bv):
+        # column 0 is the length, columns 1.. are the residuals
+        al = np.concatenate([[0.5], bv])
+        return sum(_leg_integrals(metric, i, lo[i], hi[i], al) for i in range(n))
 
-    alpha = _chord_alpha(metric, c0, c1)
-
-    def residuals(al):
-        cols = []
-        for j in range(1, n):
-            cols.append(sum(_leg_integral(metric, i, lo[i], hi[i], al, j)
-                            for i in range(n)))
-        return np.array(cols)
-
-    beta = alpha[1:].copy()
-
-    def wrap(bv):
-        return residuals(np.concatenate([[0.5], bv]))
-
-    F = wrap(beta)
+    beta = _chord_alpha(metric, c0, c1)[1:]
+    Q = quadratures(beta)
     for _ in range(max_iter):
-        if np.max(np.abs(F)) < residual_tol * 1e-2:
+        F = Q[1:]
+        if np.max(np.abs(F), initial=0.0) < residual_tol * 1e-2:
             break
         J = np.empty((n - 1, n - 1))
         for k in range(n - 1):
             hstep = 1e-7 * max(1.0, abs(beta[k]))
             bp = beta.copy(); bp[k] += hstep
-            J[:, k] = (wrap(bp) - F) / hstep
+            J[:, k] = (quadratures(bp)[1:] - F) / hstep
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
@@ -289,9 +273,9 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1,
         lam = 1.0
         for _ in range(30):
             bn = beta + lam * step
-            Fn = wrap(bn)
-            if np.linalg.norm(Fn) < np.linalg.norm(F):
-                beta, F = bn, Fn
+            Qn = quadratures(bn)
+            if np.linalg.norm(Qn[1:]) < np.linalg.norm(F):
+                beta, Q = bn, Qn
                 break
             lam *= 0.5
         else:
@@ -301,7 +285,7 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1,
                 raise NoMonotoneDiagonal(
                     "no monotone diagonal: h_i turns negative inside a leg")
             raise SolverDiverged("line search failed in separation solver")
-    resid = float(np.max(np.abs(F)))
+    resid = float(np.max(np.abs(Q[1:]), initial=0.0))
     if resid > residual_tol:
         raise SolverDiverged(f"separation residual {resid} > {residual_tol}")
     alpha = np.concatenate([[0.5], beta])
@@ -317,9 +301,7 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1,
                 if abs(dh) < 1e-10:
                     raise NoMonotoneDiagonal(
                         f"h_{i} has a double root at the endpoint {end}")
-    length = abs(sum(_leg_integral(metric, i, lo[i], hi[i], alpha, 0)
-                     for i in range(n)))
-    return {"alpha": alpha, "signs": signs, "length": float(length),
+    return {"alpha": alpha, "signs": signs, "length": float(abs(Q[0])),
             "residual": resid,
             "separation": SeparationData(metric, alpha, signs)}
 
@@ -346,33 +328,6 @@ def ivory_check(metric: StaeckelMetric, box, tol: float = 1e-8) -> dict:
 # billiards in coordinate boxes
 
 
-def _dH_dq(metric: StaeckelMetric, q, p) -> np.ndarray:
-    """Analytic partial of H in q through the row-derivative of det M."""
-    n = metric.n
-    M = metric.matrix(q)
-    det = float(np.linalg.det(M))
-    if abs(det) < _DET_TOL:
-        raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {q}")
-    minors = np.array([_minor_det(M, k, 0) for k in range(n)])
-    p2 = np.asarray(p) ** 2
-    grad = np.empty(n)
-    for i in range(n):
-        Mi = M.copy()
-        Mi[i] = metric.row_deriv(i, q[i])
-        ddet = float(np.linalg.det(Mi))
-        for_i = np.empty(n)
-        for k in range(n):
-            if k == i:
-                for_i[k] = 0.0
-            else:
-                sub = np.delete(np.delete(Mi, k, axis=0), 0, axis=1)
-                for_i[k] = float(np.linalg.det(sub))
-        grad[i] = 0.5 * sum((-1.0) ** k * p2[k]
-                            * (for_i[k] * det - minors[k] * ddet) / det ** 2
-                            for k in range(n))
-    return grad
-
-
 def staeckel_billiard_trajectory(metric: StaeckelMetric, walls, q0, p0,
                                  bounces: int, rtol: float = 1e-12) -> dict:
     """Billiard in the coordinate box `walls`: free geodesic motion with
@@ -384,9 +339,7 @@ def staeckel_billiard_trajectory(metric: StaeckelMetric, walls, q0, p0,
     alpha0 = integrals_alpha(metric, q, p)
 
     def rhs(t, y):
-        qv, pv = y[:n], y[n:]
-        g = metric_coeffs(metric, qv)
-        return np.concatenate([pv / g, -_dH_dq(metric, qv, pv)])
+        return np.concatenate(_hamilton_field(metric, y[:n], y[n:]))
 
     events = []
     for i in range(n):
@@ -446,11 +399,6 @@ def staeckel_billiard_trajectory(metric: StaeckelMetric, walls, q0, p0,
 # builtin metrics
 
 
-def _cubic(a, b, c):
-    """4(a-t)(b-t)(c-t) as a polynomial in t."""
-    return -4.0 * np.poly1d(np.poly(np.array([a, b, c])))
-
-
 def builtin_metric(name: str, params) -> StaeckelMetric:
     """Named Stackel metrics with analytic entries and ambient models.
 
@@ -458,16 +406,12 @@ def builtin_metric(name: str, params) -> StaeckelMetric:
     spheroconical_R3(a, b, c); ellipsoid_intrinsic(a, b, c);
     sphere_conical(a, b, c).
     """
-    R = ScalarFunction1D.rational
     if name == "elliptic_R2":
         a, b = map(float, params)
         if not a > b > 0:
             raise InvalidParameters("need a > b > 0")
-        # 4(a-t)(t-b) and 4(a-t)(b-t)
-        d1 = (4.0 * np.poly1d([-1.0, a]) * np.poly1d([1.0, -b])).coeffs
-        d2 = (4.0 * np.poly1d([-1.0, a]) * np.poly1d([-1.0, b])).coeffs
-        u = [[R([1.0, 0.0], d1), R([1.0], d1)],
-             [R([-1.0, 0.0], d2), R([-1.0], d2)]]
+        # both rows (t, 1) / 4(a-t)(t-b)
+        rows = [(np.eye(2), -4.0 * np.poly([a, b]))] * 2
         m = 0.02 * (a - b)
         box = [(b + m, a - m), (b - (a - b), b - m)]
 
@@ -477,7 +421,7 @@ def builtin_metric(name: str, params) -> StaeckelMetric:
             y = np.sqrt((lam - b) * (b - mu) / (a - b))
             return np.array([x, y])
 
-        return StaeckelMetric(2, u, box, name=name, ambient=ambient,
+        return StaeckelMetric(2, rows, box, name=name, ambient=ambient,
                               ambient_geometry=euclidean(2))
 
     if name in ("ellipsoidal_R3", "spheroconical_R3", "ellipsoid_intrinsic",
@@ -485,13 +429,13 @@ def builtin_metric(name: str, params) -> StaeckelMetric:
         a, b, c = map(float, params)
         if not a > b > c > 0:
             raise InvalidParameters("need a > b > c > 0")
-        hpoly = _cubic(a, b, c).coeffs
+        hpoly = -4.0 * np.poly([a, b, c])   # 4(a-t)(b-t)(c-t)
         m1 = 0.02 * (a - b)
         m2 = 0.02 * (b - c)
 
         if name == "ellipsoidal_R3":
-            u = [[R([1.0, 0.0, 0.0], hpoly), R([1.0, 0.0], hpoly), R([1.0], hpoly)]
-                 for _ in range(3)]
+            # every row (t^2, t, 1) / h
+            rows = [(np.eye(3), hpoly)] * 3
             box = [(b + m1, a - m1), (c + m2, b - m2), (c - (b - c), c - m2)]
 
             def ambient(q):
@@ -501,14 +445,13 @@ def builtin_metric(name: str, params) -> StaeckelMetric:
                 z2 = (c - lam) * (c - mu) * (c - nu) / ((c - a) * (c - b))
                 return np.sqrt(np.array([x2, y2, z2]))
 
-            return StaeckelMetric(3, u, box, name=name, ambient=ambient,
+            return StaeckelMetric(3, rows, box, name=name, ambient=ambient,
                                   ambient_geometry=euclidean(3))
 
         if name == "spheroconical_R3":
-            u = [[ScalarFunction1D.constant(1.0), R([-1.0], [1.0, 0.0, 0.0]),
-                  ScalarFunction1D.constant(0.0)],
-                 [ScalarFunction1D.constant(0.0), R([1.0, 0.0], hpoly), R([1.0], hpoly)],
-                 [ScalarFunction1D.constant(0.0), R([1.0, 0.0], hpoly), R([1.0], hpoly)]]
+            # rows (1, -1/r^2, 0) and (0, t, 1) / h, twice
+            rows = [([[1.0, 0.0, 0.0], [-1.0], [0.0]], [1.0, 0.0, 0.0])] \
+                + [([[0.0], [1.0, 0.0], [1.0]], hpoly)] * 2
             box = [(0.6, 1.8), (b + m1, a - m1), (c + m2, b - m2)]
 
             def ambient(q):
@@ -518,13 +461,13 @@ def builtin_metric(name: str, params) -> StaeckelMetric:
                 z2 = (c - lam) * (c - mu) / ((c - a) * (c - b))
                 return r * np.sqrt(np.array([x2, y2, z2]))
 
-            return StaeckelMetric(3, u, box, name=name, ambient=ambient,
+            return StaeckelMetric(3, rows, box, name=name, ambient=ambient,
                                   ambient_geometry=euclidean(3))
 
+        box = [(b + m1, a - m1), (c + m2, b - m2)]
         if name == "ellipsoid_intrinsic":
-            u = [[R([1.0, 0.0, 0.0], hpoly), R([1.0, 0.0], hpoly)],
-                 [R([1.0, 0.0, 0.0], hpoly), R([1.0, 0.0], hpoly)]]
-            box = [(b + m1, a - m1), (c + m2, b - m2)]
+            # both rows (t^2, t) / h
+            rows = [(np.eye(3)[:2], hpoly)] * 2
 
             def ambient(q):
                 lam, mu = q
@@ -533,13 +476,11 @@ def builtin_metric(name: str, params) -> StaeckelMetric:
                 z2 = c * (c - lam) * (c - mu) / ((c - a) * (c - b))
                 return np.sqrt(np.array([x2, y2, z2]))
 
-            return StaeckelMetric(2, u, box, name=name, ambient=ambient,
+            return StaeckelMetric(2, rows, box, name=name, ambient=ambient,
                                   ambient_geometry=euclidean(3))
 
-        # sphere_conical
-        u = [[R([1.0, 0.0], hpoly), R([1.0], hpoly)],
-             [R([1.0, 0.0], hpoly), R([1.0], hpoly)]]
-        box = [(b + m1, a - m1), (c + m2, b - m2)]
+        # sphere_conical: both rows (t, 1) / h
+        rows = [(np.eye(2), hpoly)] * 2
 
         def ambient(q):
             lam, mu = q
@@ -548,7 +489,7 @@ def builtin_metric(name: str, params) -> StaeckelMetric:
             z2 = (c - lam) * (c - mu) / ((c - a) * (c - b))
             return np.sqrt(np.array([x2, y2, z2]))
 
-        return StaeckelMetric(2, u, box, name=name, ambient=ambient,
+        return StaeckelMetric(2, rows, box, name=name, ambient=ambient,
                               ambient_geometry=spherical(2))
 
     raise InvalidParameters(f"unknown builtin metric {name!r}")
@@ -559,9 +500,10 @@ def induced_metric_on_face(metric: StaeckelMetric, i: int, c: float) -> Staeckel
     q_i = c, again in Stackel form.
 
     Setting p_i = 0 constrains sum_k u_ik(c) alpha_k = 0; eliminating one
-    alpha_k (k >= 2 with u_ik(c) != 0) from the remaining rows produces an
+    alpha_k (k >= 1 with u_ik(c) != 0) from the remaining rows produces an
     (n-1) x (n-1) Stackel matrix whose coefficients reproduce the ambient
-    g_jj restricted to the face.
+    g_jj restricted to the face.  Each new entry is a numerator
+    combination over its row's own denominator.
     """
     n = metric.n
     if not 0 <= i < n:
@@ -570,32 +512,21 @@ def induced_metric_on_face(metric: StaeckelMetric, i: int, c: float) -> Staeckel
     if not lo <= c <= hi:
         raise InvalidParameters("face value outside the box")
     row_c = metric.row(i, c)
-    k = None
-    for kk in range(n - 1, 0, -1):
-        if abs(row_c[kk]) > 1e-12:
-            k = kk
-            break
-    if k is None:
-        raise InvalidParameters("frozen row vanishes in all columns >= 2")
-    ratios = row_c / row_c[k]
-    rows = [j for j in range(n) if j != i]
-    cols = [jj for jj in range(n) if jj != k]
-
-    def entry(j, kp):
-        uj_kp = metric.u[j][kp]
-        uj_k = metric.u[j][k]
-        r = ratios[kp]
-        return ScalarFunction1D(
-            lambda t: uj_kp(t) - uj_k(t) * r,
-            lambda t: uj_kp.deriv(t) - uj_k.deriv(t) * r)
-
-    u_new = [[entry(j, kp) for kp in cols] for j in rows]
-    box_new = [metric.box[j] for j in rows]
+    nonzero = np.flatnonzero(np.abs(row_c[1:]) > 1e-12)
+    if not nonzero.size:
+        raise InvalidParameters("frozen row vanishes in all columns but the first")
+    k = nonzero[-1] + 1
+    keep = [j for j in range(n) if j != i]
+    cols = [j for j in range(n) if j != k]
+    num = metric.num[keep]
+    num = (num - num[:, [k]] * (row_c / row_c[k])[:, None])[:, cols]
+    rows = list(zip(num, metric.den[keep, 0]))
     amb = None
     if metric.ambient is not None:
         def amb(qface, _i=i, _c=c):
             qfull = list(qface)
             qfull.insert(_i, _c)
             return metric.ambient(np.asarray(qfull))
-    return StaeckelMetric(n - 1, u_new, box_new, name=f"{metric.name}|q{i}={c}",
+    return StaeckelMetric(n - 1, rows, [metric.box[j] for j in keep],
+                          name=f"{metric.name}|q{i}={c}",
                           ambient=amb, ambient_geometry=metric.ambient_geometry)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from confocal.errors import (
@@ -13,8 +15,8 @@ from confocal.errors import (
 from confocal.geometry import geodesic_distance
 from confocal.staeckel import (
     LiouvilleMetric,
-    ScalarFunction1D,
     StaeckelMetric,
+    _hamilton_field,
     builtin_metric,
     geodesic_between,
     hamiltonian,
@@ -56,33 +58,44 @@ def _solved_random_box(metric, rng, max_span=0.4, max_tries=50):
     raise AssertionError("no admissible random box found")
 
 
+# each closed-form test runs at three scales s, with the parameters and
+# the point multiplied by s: the coefficients scale, the singularity test
+# must not
+SCALES = (1.0, 1e3, 1e5)
+
+
 def test_metric_coeffs_elliptic_closed_form():
-    a, b = 4.0, 1.0
-    m = builtin_metric("elliptic_R2", (a, b))
-    lam, mu = 2.5, 0.3
-    g = metric_coeffs(m, (lam, mu))
-    assert abs(g[0] - (lam - mu) / (4.0 * (a - lam) * (lam - b))) < 1e-13
-    assert abs(g[1] - (lam - mu) / (4.0 * (a - mu) * (b - mu))) < 1e-13
+    for s in SCALES:
+        a, b = 4.0 * s, 1.0 * s
+        m = builtin_metric("elliptic_R2", (a, b))
+        lam, mu = 2.5 * s, 0.3 * s
+        g = metric_coeffs(m, (lam, mu))
+        expect = [(lam - mu) / (4.0 * (a - lam) * (lam - b)),
+                  (lam - mu) / (4.0 * (a - mu) * (b - mu))]
+        for gi, ei in zip(g, expect):
+            assert abs(gi - ei) < 1e-13 * abs(ei), s
 
 
 def test_metric_coeffs_ellipsoidal_closed_form():
-    a, b, c = 4.0, 2.0, 1.0
-    m = builtin_metric("ellipsoidal_R3", (a, b, c))
-    lam, mu, nu = 3.1, 1.4, 0.6
+    for s in SCALES:
+        a, b, c = 4.0 * s, 2.0 * s, 1.0 * s
+        m = builtin_metric("ellipsoidal_R3", (a, b, c))
+        lam, mu, nu = 3.1 * s, 1.4 * s, 0.6 * s
 
-    def h(t):
-        return 4.0 * (a - t) * (b - t) * (c - t)
+        def h(t):
+            return 4.0 * (a - t) * (b - t) * (c - t)
 
-    g = metric_coeffs(m, (lam, mu, nu))
-    assert abs(g[0] - (lam - mu) * (lam - nu) / h(lam)) < 1e-12
-    assert abs(g[1] + (lam - mu) * (mu - nu) / h(mu)) < 1e-12
-    assert abs(g[2] - (lam - nu) * (mu - nu) / h(nu)) < 1e-12
+        g = metric_coeffs(m, (lam, mu, nu))
+        expect = [(lam - mu) * (lam - nu) / h(lam), -(lam - mu) * (mu - nu) / h(mu),
+                  (lam - nu) * (mu - nu) / h(nu)]
+        for gi, ei in zip(g, expect):
+            assert abs(gi - ei) < 1e-12 * abs(ei), s
 
 
 def test_liouville_unit_v():
-    one = ScalarFunction1D.constant(1.0)
-    u1 = ScalarFunction1D(lambda t: t * t, lambda t: 2.0 * t)
-    u2 = ScalarFunction1D(lambda t: -t * t, lambda t: -2.0 * t)
+    one = ([1.0], [1.0])
+    u1 = ([1.0, 0.0, 0.0], [1.0])
+    u2 = ([-1.0, 0.0, 0.0], [1.0])
     m = LiouvilleMetric(u1, u2, one, one, [(1.0, 2.0), (0.1, 0.9)]).to_staeckel()
     q = (1.5, 0.4)
     uu = q[0] ** 2 + q[1] ** 2
@@ -176,13 +189,18 @@ def test_ivory_all_builtins():
 
 def test_surface_of_revolution_symmetry():
     # u2 constant: the metric is invariant under q2 translation, so the two
-    # diagonals of any box are congruent
-    one = ScalarFunction1D.constant(1.0)
-    u1 = ScalarFunction1D(lambda t: np.cosh(t), lambda t: np.sinh(t))
-    u2 = ScalarFunction1D.constant(-1.0)
-    m = LiouvilleMetric(u1, u2, one, one, [(0.0, 2.0), (-1.0, 1.0)]).to_staeckel()
-    rep = ivory_check(m, [(0.3, 1.1), (-0.5, 0.4)])
+    # diagonals of any box are congruent.  The surface (cosh t + 1)(dt^2 +
+    # dq2^2) is written in s = e^t: u1 = (s^2 + 1)/(2 s), v1 = 1/s^2
+    one = ([1.0], [1.0])
+    u1 = ([1.0, 0.0, 1.0], [2.0, 0.0])
+    v1 = ([1.0], [1.0, 0.0, 0.0])
+    u2 = ([-1.0], [1.0])
+    m = LiouvilleMetric(u1, u2, v1, one, [(1.0, np.exp(2.0)), (-1.0, 1.0)]).to_staeckel()
+    rep = ivory_check(m, [(np.exp(0.3), np.exp(1.1)), (-0.5, 0.4)])
     assert rep["spread"] < 1e-10
+    # the diagonal length in the coordinate t, with u1 = cosh t
+    for length in rep["lengths"]:
+        assert abs(length - 1.8186786765705738) < 1e-10
 
 
 def test_poisson_bracket_fd():
@@ -306,7 +324,7 @@ def test_face_of_elliptic_is_segment_length():
 
 
 def test_singular_matrix_raises():
-    row = [ScalarFunction1D.constant(1.0), ScalarFunction1D.constant(2.0)]
+    row = ([[1.0], [2.0]], [1.0])
     m = StaeckelMetric(2, [row, row], [(0.0, 1.0), (0.0, 1.0)])
     with pytest.raises(SingularStaeckelMatrix):
         metric_coeffs(m, (0.5, 0.5))
@@ -319,3 +337,93 @@ def test_builtin_validation():
         builtin_metric("elliptic_R2", (1.0, 4.0))
     with pytest.raises(InvalidParameters):
         builtin_metric("ellipsoidal_R3", (4.0, 1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the cofactor formulas, g_i = (-1)^i det M / det M_i0 and dH/dq from
+# the derivative of det M row by row, which the module used before it went
+# through M^{-1}
+
+
+def _minor_det(M, i, j):
+    sub = np.delete(np.delete(M, i, axis=0), j, axis=1)
+    if sub.size == 0:
+        return 1.0
+    return float(np.linalg.det(sub))
+
+
+def _cofactor_metric_coeffs(metric, q):
+    M = metric.matrix(q)
+    det = float(np.linalg.det(M))
+    return np.array([(-1.0) ** i * det / _minor_det(M, i, 0)
+                     for i in range(metric.n)])
+
+
+def _cofactor_dH_dq(metric, q, p):
+    n = metric.n
+    M = metric.matrix(q)
+    det = float(np.linalg.det(M))
+    minors = np.array([_minor_det(M, k, 0) for k in range(n)])
+    p2 = np.asarray(p) ** 2
+    grad = np.empty(n)
+    for i in range(n):
+        Mi = M.copy()
+        Mi[i] = metric.row_deriv(i, q[i])
+        ddet = float(np.linalg.det(Mi))
+        for_i = np.empty(n)
+        for k in range(n):
+            if k == i:
+                for_i[k] = 0.0
+            else:
+                sub = np.delete(np.delete(Mi, k, axis=0), 0, axis=1)
+                for_i[k] = float(np.linalg.det(sub))
+        grad[i] = 0.5 * sum((-1.0) ** k * p2[k]
+                            * (for_i[k] * det - minors[k] * ddet) / det ** 2
+                            for k in range(n))
+    return grad
+
+
+# the five builtins and the two faces of test_face_restriction_matches_named_metrics
+ORACLE_METRICS = [_metric(name) for name in ALL_NAMES] + [
+    induced_metric_on_face(builtin_metric("ellipsoidal_R3", (4.0, 2.0, 1.0)), 2, 0.0),
+    induced_metric_on_face(builtin_metric("spheroconical_R3", (4.0, 2.0, 1.0)), 0, 1.0),
+]
+
+
+def _assert_matches_cofactors(m, q, p):
+    g = metric_coeffs(m, q)
+    g_ref = _cofactor_metric_coeffs(m, q)
+    assert np.max(np.abs(g - g_ref) / np.abs(g_ref)) < 1e-12
+    dq, dp = _hamilton_field(m, q, p)
+    assert np.max(np.abs(dq * g_ref - p)) < 1e-12 * np.max(np.abs(p))
+    # dH/dq_i = -(M^-1)_0i u_i' . alpha is a sum whose terms cancel near the
+    # walls (both formulas then miss a 40-digit value by up to ~3e-12 of
+    # max |dH/dq|), so the force is compared relative to its terms' size
+    Minv = np.abs(np.linalg.inv(m.matrix(q)))
+    dM = np.array([m.row_deriv(i, q[i]) for i in range(m.n)])
+    terms = Minv[0] * (np.abs(dM) @ (0.5 * Minv @ (p * p)))
+    assert np.max(np.abs(-dp - _cofactor_dH_dq(m, q, p))) < 1e-12 * np.max(terms)
+
+
+@pytest.mark.parametrize("m", ORACLE_METRICS, ids=lambda m: m.name)
+def test_inverse_identities_match_cofactors(m):
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        _assert_matches_cofactors(m, _random_q(m, rng), rng.normal(size=m.n))
+
+
+# a point of the box as fractions of each interval: anywhere, or within
+# 1e-6..1e-1 of either wall
+_fraction = st.one_of(st.floats(0.0, 1.0),
+                      st.floats(-6.0, -1.0).map(lambda e: 10.0 ** e),
+                      st.floats(-6.0, -1.0).map(lambda e: 1.0 - 10.0 ** e))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(k=st.integers(0, len(ORACLE_METRICS) - 1),
+       frac=st.lists(_fraction, min_size=3, max_size=3),
+       p=st.lists(st.floats(0.1, 2.0) | st.floats(-2.0, -0.1), min_size=3, max_size=3))
+def test_inverse_identities_near_walls(k, frac, p):
+    m = ORACLE_METRICS[k]
+    q = np.array([lo + f * (hi - lo) for (lo, hi), f in zip(m.box, frac)])
+    _assert_matches_cofactors(m, q, np.array(p[:m.n]))
