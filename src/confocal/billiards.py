@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import ellipkinc
+import scipy
 
 from .errors import (
     DegenerateConfiguration,
@@ -215,7 +213,8 @@ class CausticChart:
             self.B = a2 - lam_c
             self.mpar = -(a1 - a2) / (a2 - lam_c)
             self.scale = 1.0 / np.sqrt(a2 - lam_c)
-            self.total = self.scale * float(ellipkinc(2.0 * np.pi, self.mpar))
+            self.total = self.scale * float(
+                scipy.special.ellipkinc(2.0 * np.pi, self.mpar))
         elif a2 < lam_c < a1:
             self.kind = CausticKind.HYPERBOLA
             self.A = a1 - lam_c      # > 0
@@ -227,14 +226,14 @@ class CausticChart:
                 return 1.0 / np.sqrt((c1 + s * s) * (c2 + s * s))
 
             self._dens = dens
-            half, _ = quad(dens, 0.0, np.inf, limit=200)
+            half, _ = scipy.integrate.quad(dens, 0.0, np.inf, limit=200)
             self.total = 2.0 * half
         else:
             raise InvalidParameters("caustic parameter collides with a focal value")
 
     # -- ellipse chart -----------------------------------------------------
     def _measure_theta(self, theta: float) -> float:
-        return self.scale * float(ellipkinc(theta, self.mpar))
+        return self.scale * float(scipy.special.ellipkinc(theta, self.mpar))
 
     def coordinate_of_point(self, point, branch_sign: int = 1) -> float:
         """Canonical coordinate of a point on the caustic."""
@@ -248,7 +247,7 @@ class CausticChart:
         a1, a2 = self.family.a
         mu = a1 + a2 - self.lam_c - x * x - y * y  # trace identity: mu + lam = a1 + a2 - x^2 - y^2
         t = np.sqrt(max(a2 - mu, 0.0))
-        cum, _ = quad(self._dens, 0.0, t, limit=200)
+        cum, _ = scipy.integrate.quad(self._dens, 0.0, t, limit=200)
         s = 1.0 if y >= 0.0 else -1.0
         return (s * cum / self.total) % 1.0
 
@@ -268,8 +267,8 @@ class CausticChart:
 
     def _theta_at(self, x: float) -> float:
         target = (x % 1.0) * self.total
-        return brentq(lambda th: self._measure_theta(th) - target, 0.0,
-                      2.0 * np.pi, xtol=1e-14)
+        return scipy.optimize.brentq(lambda th: self._measure_theta(th) - target,
+                                     0.0, 2.0 * np.pi, xtol=1e-14)
 
     def _branch_t_at(self, x: float):
         """Hyperbola branch: (t, half-sign) at canonical coordinate x."""
@@ -279,10 +278,11 @@ class CausticChart:
         if target >= self.total / 2.0:
             raise InvalidParameters("coordinate beyond the branch end")
         hi = 1.0
-        while quad(self._dens, 0.0, hi, limit=200)[0] < target:
+        while scipy.integrate.quad(self._dens, 0.0, hi, limit=200)[0] < target:
             hi *= 2.0
-        t = brentq(lambda tv: quad(self._dens, 0.0, tv, limit=200)[0] - target,
-                   0.0, hi, xtol=1e-14)
+        t = scipy.optimize.brentq(
+            lambda tv: scipy.integrate.quad(self._dens, 0.0, tv, limit=200)[0] - target,
+            0.0, hi, xtol=1e-14)
         return t, (1.0 if frac >= 0.0 else -1.0)
 
     def point_at(self, x: float) -> np.ndarray:
@@ -361,14 +361,16 @@ class CausticChart:
         if self.family.is_circular:
             return 2.0 * np.pi * self.radius
         sa, sb = np.sqrt(self.A), np.sqrt(self.B)
-        val, _ = quad(lambda th: np.hypot(sa * np.sin(th), sb * np.cos(th)),
-                      0.0, 2.0 * np.pi, limit=200)
+        val, _ = scipy.integrate.quad(
+            lambda th: np.hypot(sa * np.sin(th), sb * np.cos(th)),
+            0.0, 2.0 * np.pi, limit=200)
         return val
 
     def arc_length(self, th0: float, th1: float) -> float:
         sa, sb = np.sqrt(self.A), np.sqrt(self.B)
-        val, _ = quad(lambda th: np.hypot(sa * np.sin(th), sb * np.cos(th)),
-                      th0, th1, limit=200)
+        val, _ = scipy.integrate.quad(
+            lambda th: np.hypot(sa * np.sin(th), sb * np.cos(th)),
+            th0, th1, limit=200)
         return val
 
 
@@ -644,7 +646,7 @@ def poncelet_caustic_for_rotation(family: ConfocalFamily, outer_lam: float,
     flo, fhi = f(lo), f(hi)
     if flo * fhi > 0:
         raise NotBracketed("rotation number outside the achievable range")
-    return brentq(f, lo, hi, xtol=1e-13)
+    return scipy.optimize.brentq(f, lo, hi, xtol=1e-13)
 
 
 def poncelet_polygon(family: ConfocalFamily, outer_lam: float, lam_c: float,

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import eig
-from scipy.optimize import brentq
+import scipy
 
 from .errors import (
     ComplexRoots,
@@ -55,8 +53,8 @@ def point_potential(geometry: Geometry, r: float) -> float:
             raise DomainError(f"need 0 < r < pi, got {r}")
         if n == 3:
             return float(1.0 / np.tan(r))
-        val, _ = quad(lambda x: np.sin(x) ** (1 - n), r, np.pi / 2,
-                      epsabs=1e-13, epsrel=1e-13)
+        val, _ = scipy.integrate.quad(lambda x: np.sin(x) ** (1 - n), r,
+                                      np.pi / 2, epsabs=1e-13, epsrel=1e-13)
         return float(val)
     if geometry.kind is Kind.HYPERBOLIC:
         if r <= 0.0:
@@ -67,7 +65,8 @@ def point_potential(geometry: Geometry, r: float) -> float:
             # exp((1-n) log sinh x), stable for large x
             return np.exp((1 - n) * (x + np.log1p(-np.exp(-2.0 * x)) - np.log(2.0)))
 
-        val, _ = quad(integrand, r, np.inf, epsabs=1e-13, epsrel=1e-13)
+        val, _ = scipy.integrate.quad(integrand, r, np.inf,
+                                      epsabs=1e-13, epsrel=1e-13)
         return float(val)
     raise InvalidParameters("point potential defined on curved geometries")
 
@@ -288,7 +287,8 @@ def chord_segments(geometry: Geometry, x, v, homeoid: Homeoid,
 
     def refine(t_lo, t_hi, q_out):
         lev = homeoid.eps1 if q_out < homeoid.eps1 else homeoid.eps2
-        return brentq(lambda t: qval(t) - lev, t_lo, t_hi, xtol=1e-14)
+        return scipy.optimize.brentq(lambda t: qval(t) - lev, t_lo, t_hi,
+                                     xtol=1e-14)
 
     segments = []
     start_t = None
@@ -506,7 +506,7 @@ def simultaneous_diagonalize(p: QuadraticForm, q: QuadraticForm):
     """Common diagonalizing basis of two index-1 forms whose light cones
     are nested; columns of the returned basis diagonalize both."""
     A, B = q.matrix, p.matrix
-    vals, vecs = eig(A, B)
+    vals, vecs = scipy.linalg.eig(A, B)
     if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals))):
         raise ConeConditionViolated("generalized eigenvalues are not real")
     vals = vals.real
@@ -782,7 +782,8 @@ def curved_segment_sum(binary_coeffs, eps: float, geometry: Geometry) -> float:
                     f = lambda t: sum(b[k] * np.cos(t) ** (d - k)
                                       * np.sin(t) ** k
                                       for k in range(d + 1)) - shift
-                    out.append(brentq(f, ts[j], ts[j + 1], xtol=1e-14))
+                    out.append(scipy.optimize.brentq(f, ts[j], ts[j + 1],
+                                                     xtol=1e-14))
             if len(out) != d:
                 raise ComplexRoots(f"expected {d} circle roots, got {len(out)}")
             return np.array(out)

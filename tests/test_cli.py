@@ -1,11 +1,16 @@
 """Tests for the command-line front end and the SVG renderer."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from confocal.cli import load_config, main, run
+from confocal.cli import SCHEMAS, load_config, main, run
 from confocal.errors import ConfigError, EmptyScene, InvalidParameters
 from confocal.svgout import Scene, render_svg
 
@@ -51,6 +56,26 @@ def test_config_validation(tmp_path):
         load_config("ivory-check", _write(tmp_path, "b2.json", bad))
     with pytest.raises(ConfigError):
         load_config("ivory-check", str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_schema_is_valid(command):
+    # load_config validates against the schemas without checking them
+    jsonschema.Draft202012Validator.check_schema(SCHEMAS[command])
+
+
+@pytest.mark.parametrize("bad", [
+    dict(IVORY_CFG, extra_key=1),
+    {"a": [4.0, 1.0], "lam_e": [0.2, -0.5]},
+    dict(IVORY_CFG, a=[4.0]),
+    dict(IVORY_CFG, lam_h="wide", seed=-1),
+])
+def test_config_error_message_matches_validate(tmp_path, bad):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(bad, SCHEMAS["ivory-check"])
+    with pytest.raises(ConfigError) as got:
+        load_config("ivory-check", _write(tmp_path, "b.json", bad))
+    assert str(got.value) == f"config rejected: {want.value.message}"
 
 
 def test_newton_zero_samples_rejected(tmp_path):
@@ -152,6 +177,53 @@ def test_timings_separate_from_report(tmp_path):
     timings = json.loads((tmp_path / "out" / "timings.json").read_text())
     assert timings["compute_s"] >= 0.0
     assert "timings.json" not in report["artifacts"]
+
+
+# a fresh interpreter prints the SciPy submodules loaded after importing
+# confocal and after each `confocal <command> --config <path> --out <dir>`
+# whose three values follow in argv
+_IMPORT_PROBE = """
+import json, sys
+import confocal, confocal.cli
+
+def loaded():
+    return [m for m in ("scipy.integrate", "scipy.optimize", "scipy.special",
+                        "scipy.linalg") if m in sys.modules]
+
+seen = {"import": loaded()}
+args = sys.argv[1:]
+for k in range(0, len(args), 3):
+    command, config, out = args[k:k + 3]
+    confocal.cli.main([command, "--config", config, "--out", out])
+    seen[command] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_import_cost_guard(tmp_path):
+    configs = {
+        "ivory-check": IVORY_CFG,
+        "geodesic": {"metric": {"name": "elliptic_R2", "params": [4.0, 1.0]},
+                     "corner0": [2.2, 0.4], "corner1": [2.9, 0.8]},
+        "newton-check": {"surface": {"kind": "sphere", "geometry": "spherical",
+                                     "dim": 3, "radius": 0.6},
+                         "point": [1.0, 0.0, 0.0, 0.0], "expect": "zero",
+                         "N": 200, "seed": 1},
+        # positive control: the caustic chart calls scipy.special
+        "billiard-orbit": {"a": [4.0, 1.0], "outer_lam": 0.0, "lam_c": 0.5,
+                           "bounces": 3},
+    }
+    argv = []
+    for command, cfg in configs.items():
+        argv += [command, _write(tmp_path, f"{command}.json", cfg),
+                 str(tmp_path / command)]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    for stage in ("import", "ivory-check", "geodesic", "newton-check"):
+        assert seen[stage] == [], stage
+    assert "scipy.special" in seen["billiard-orbit"]
 
 
 # ---------------------------------------------------------------------------

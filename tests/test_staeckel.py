@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from confocal.errors import (
     InvalidParameters,
@@ -15,6 +15,7 @@ from confocal.errors import (
 from confocal.geometry import geodesic_distance
 from confocal.staeckel import (
     LiouvilleMetric,
+    SeparationData,
     StaeckelMetric,
     _hamilton_field,
     builtin_metric,
@@ -185,6 +186,41 @@ def test_ivory_all_builtins():
             rep = ivory_check(m, box)
             assert rep["spread"] < 1e-8, name
             assert len(rep["lengths"]) == 2 ** (m.n - 1)
+
+
+def _flown_diagonals(m, rep, box):
+    """Each great diagonal of the box flown from its first corner with the
+    reported alpha for the reported length: (end point, far corner) pairs.
+    alpha_0 = 1/2 is H, so the geodesic has unit speed and time = length."""
+    n = m.n
+
+    def rhs(t, y):
+        return np.concatenate(_hamilton_field(m, y[:n], y[n:]))
+
+    out = []
+    for k, bits in enumerate(np.ndindex(*(2,) * (n - 1))):
+        eps = (0,) + bits
+        c0 = np.array([box[i][eps[i]] for i in range(n)])
+        c1 = np.array([box[i][1 - eps[i]] for i in range(n)])
+        p0 = SeparationData(m, rep["alphas"][k], np.sign(c1 - c0)).momentum(c0)
+        sol = solve_ivp(rhs, (0.0, rep["lengths"][k]), np.concatenate([c0, p0]),
+                        method="DOP853", rtol=1e-12, atol=1e-12)
+        out.append((sol.y[:n, -1], c1))
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_ivory_diagonals_by_integration(name):
+    # independent of the separated quadratures: every great diagonal, with
+    # its own sign pattern, reaches its far corner after the common length
+    m = _metric(name)
+    rng = np.random.default_rng(29)
+    for _ in range(2):
+        box, _, _, _ = _solved_random_box(m, rng, max_span=0.35)
+        rep = ivory_check(m, box)
+        span = np.array([hi - lo for lo, hi in box])
+        for end, c1 in _flown_diagonals(m, rep, box):
+            assert np.all(np.abs(end - c1) <= 1e-9 * span), (name, end - c1)
 
 
 def test_surface_of_revolution_symmetry():
