@@ -364,22 +364,18 @@ def _run_potential_scan(cfg, rng):
     r = cfg["radii"]
     radii = np.linspace(r["start"], r["stop"], r["count"])
     phi, is_sph = (np.sin, True) if geom.kind is Kind.SPHERICAL else (np.sinh, False)
-    rows, flux_dev, closed_dev, anti_dev = [], 0.0, 0.0, 0.0
-    for rv in radii:
-        u = point_potential(geom, rv)
-        du = point_potential_derivative(geom, rv)
-        rows.append([rv, u, du])
-        flux_dev = max(flux_dev, abs(du * phi(rv) ** (geom.n - 1) + 1.0))
-        if geom.n == 3:
-            oracle = 1.0 / np.tan(rv) if is_sph else 1.0 / np.tanh(rv) - 1.0
-            closed_dev = max(closed_dev, abs(u - oracle))
-        if is_sph:
-            anti_dev = max(anti_dev, antisymmetry_check(geom, rv))
+    u = point_potential(geom, radii)
+    du = point_potential_derivative(geom, radii)
+    flux_dev = np.max(np.abs(du * phi(radii) ** (geom.n - 1) + 1.0))
     checks = [_check("flux_constancy", flux_dev, tol)]
     if geom.n == 3:
-        checks.append(_check("closed_form_agreement", closed_dev, tol))
+        # coth r - 1 written without cancellation at large r
+        oracle = 1.0 / np.tan(radii) if is_sph else 2.0 / np.expm1(2.0 * radii)
+        checks.append(_check("closed_form_agreement", np.max(np.abs(u - oracle)), tol))
     if is_sph:
-        checks.append(_check("antisymmetry", anti_dev, tol))
+        checks.append(_check("antisymmetry",
+                             np.max(antisymmetry_check(geom, radii)), tol))
+    rows = np.column_stack([radii, u, du]).tolist()
     return checks, {"scan": (["r", "u", "du"], rows)}, {}
 
 

@@ -58,10 +58,6 @@ class SolverDiverged(ConfocalError):
     """Separation-constant solver failed to converge."""
 
 
-class CornerHit(ConfocalError):
-    """Billiard trajectory hit a corner of the table."""
-
-
 class InvalidParameters(ConfocalError):
     """Bad metric or family parameters."""
 
@@ -104,10 +100,6 @@ class NotInHyperbolicityDomain(ConfocalError):
 
 class ConfigError(ConfocalError):
     """Invalid experiment configuration."""
-
-
-class CheckFailed(ConfocalError):
-    """A verification run finished with failing checks."""
 
 
 class EmptyScene(ConfocalError):

@@ -14,10 +14,9 @@ which reduces to root-sum identities via Vieta's formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
-import scipy
 
 from .errors import (
     ComplexRoots,
@@ -25,59 +24,81 @@ from .errors import (
     DomainError,
     InvalidParameters,
     NotInHyperbolicityDomain,
+    NotOnModel,
     NotOnSurface,
     OddDegreeHyperbolic,
     TooCloseToSurface,
     WrongComponentCount,
 )
-from .geometry import Geometry, Kind, geodesic_distance, minkowski_dot
+from .geometry import (
+    MODEL_TOL,
+    Geometry,
+    Kind,
+    check_on_model,
+    geodesic_distance,
+    minkowski_dot,
+)
 
 # ---------------------------------------------------------------------------
 # fundamental solutions
+
+# nodes and weights of the fixed rule for the radial potential
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def _phi(kind: Kind, x):
     return np.sin(x) if kind is Kind.SPHERICAL else np.sinh(x)
 
 
-def point_potential(geometry: Geometry, r: float) -> float:
-    """Potential of a unit point mass at geodesic distance r.
+def _eta(geometry: Geometry) -> np.ndarray:
+    """Signs of the ambient metric: all +1 around S^n, -1 first for H^n."""
+    eta = np.ones(geometry.n + 1)
+    if geometry.kind is Kind.HYPERBOLIC:
+        eta[0] = -1.0
+    return eta
+
+
+def point_potential(geometry: Geometry, r):
+    """Potential of a unit point mass at geodesic distance r (a float, or
+    an array giving an array).
 
     Spherical: int_r^{pi/2} dx/sin^{n-1}x.  Hyperbolic:
-    int_r^inf dx/sinh^{n-1}x (which for n = 3 equals coth r - 1: the
-    antiderivative -coth x evaluates to -1 at infinity).
+    int_r^inf dx/sinh^{n-1}x.  The substitutions sinh(theta) = cot x and
+    sinh(theta) = 1/sinh x turn both into u = int_0^T c^{n-2}(theta) dtheta,
+    with c = cosh and T = asinh(cot r) on S^n, c = sinh and
+    T = asinh(1/sinh r) in H^n: a smooth integrand on a finite interval,
+    summed by a fixed Gauss-Legendre rule.  At n = 3 this is cot r and
+    coth r - 1 = 2/expm1(2r); at n = 2, log cot(r/2) and log coth(r/2).
     """
-    n = geometry.n
+    r = np.asarray(r, dtype=float)
     if geometry.kind is Kind.SPHERICAL:
-        if not 0.0 < r < np.pi:
-            raise DomainError(f"need 0 < r < pi, got {r}")
-        if n == 3:
-            return float(1.0 / np.tan(r))
-        val, _ = scipy.integrate.quad(lambda x: np.sin(x) ** (1 - n), r,
-                                      np.pi / 2, epsabs=1e-13, epsrel=1e-13)
-        return float(val)
-    if geometry.kind is Kind.HYPERBOLIC:
-        if r <= 0.0:
-            raise DomainError(f"need r > 0, got {r}")
-        if n == 3:
-            return float(1.0 / np.tanh(r) - 1.0)
-        def integrand(x):
-            # exp((1-n) log sinh x), stable for large x
-            return np.exp((1 - n) * (x + np.log1p(-np.exp(-2.0 * x)) - np.log(2.0)))
-
-        val, _ = scipy.integrate.quad(integrand, r, np.inf,
-                                      epsabs=1e-13, epsrel=1e-13)
-        return float(val)
-    raise InvalidParameters("point potential defined on curved geometries")
+        bad = (r <= 0.0) | (r >= np.pi)
+        if np.any(bad):
+            raise DomainError(f"need 0 < r < pi, got {r[bad]}")
+        T, c = np.arcsinh(1.0 / np.tan(r)), np.cosh
+    elif geometry.kind is Kind.HYPERBOLIC:
+        if geometry.n < 2:
+            raise DomainError("the radial potential diverges in H^1")
+        if np.any(r <= 0.0):
+            raise DomainError(f"need r > 0, got {r[r <= 0.0]}")
+        # 1/sinh r = 2 e^-r / (1 - e^-2r), free of overflow and cancellation
+        T, c = np.arcsinh(2.0 * np.exp(-r) / -np.expm1(-2.0 * r)), np.sinh
+    else:
+        raise InvalidParameters("point potential defined on curved geometries")
+    theta = 0.5 * T[..., None] * (1.0 + _GL_NODES)
+    u = 0.5 * T * (c(theta) ** (geometry.n - 2) @ _GL_WEIGHTS)
+    return float(u) if u.ndim == 0 else u
 
 
-def point_potential_derivative(geometry: Geometry, r: float) -> float:
+def point_potential_derivative(geometry: Geometry, r):
     """u'(r) = -1/phi^{n-1}(r): the flux through the geodesic sphere of
-    radius r is independent of r."""
-    return float(-_phi(geometry.kind, r) ** (1 - geometry.n))
+    radius r is independent of r.  Takes a float or an array, like
+    point_potential."""
+    du = -_phi(geometry.kind, np.asarray(r, dtype=float)) ** (1 - geometry.n)
+    return float(du) if np.ndim(du) == 0 else du
 
 
-def antisymmetry_check(geometry: Geometry, r: float) -> float:
+def antisymmetry_check(geometry: Geometry, r):
     """|u(pi - r) + u(r)| on the sphere (a negative charge at the antipode
     acts like a positive charge at the point)."""
     if geometry.kind is not Kind.SPHERICAL:
@@ -145,52 +166,44 @@ class CurvedEllipsoid:
     def n(self) -> int:
         return self.geometry.n
 
-    def q(self, x, lam: float = 0.0) -> float:
-        """Confocal form q_lambda; lam = 0 gives the defining form."""
-        x = np.asarray(x, dtype=float)
+    def _coeffs(self, lam: float) -> np.ndarray:
+        """Diagonal of q_lambda: -1/(b +- lam) for x_0, then 1/(a_i - lam)."""
         s = self.b + lam if self.geometry.kind is Kind.SPHERICAL else self.b - lam
-        val = -x[0] ** 2 / s
-        for i, ai in enumerate(self.a):
-            val += x[1 + i] ** 2 / (ai - lam)
-        return float(val)
+        return np.concatenate([[-1.0 / s], 1.0 / (np.asarray(self.a) - lam)])
+
+    def q(self, x, lam: float = 0.0):
+        """Confocal form q_lambda at x, or at each point of a stack x; lam = 0
+        gives the defining form."""
+        x = np.asarray(x, dtype=float)
+        return (x * x) @ self._coeffs(lam)
 
     def form(self, lam: float = 0.0) -> QuadraticForm:
-        s = self.b + lam if self.geometry.kind is Kind.SPHERICAL else self.b - lam
-        d = np.concatenate([[-1.0 / s], 1.0 / (np.asarray(self.a) - lam)])
-        return QuadraticForm(np.diag(d))
+        return QuadraticForm(np.diag(self._coeffs(lam)))
 
     def grad_q(self, x, lam: float = 0.0) -> np.ndarray:
         """Gradient of q_lambda; in the hyperbolic case the Minkowski
         gradient (first component negated)."""
-        x = np.asarray(x, dtype=float)
-        s = self.b + lam if self.geometry.kind is Kind.SPHERICAL else self.b - lam
-        g = np.empty_like(x)
-        g[0] = -2.0 * x[0] / s
-        g[1:] = 2.0 * x[1:] / (np.asarray(self.a) - lam)
-        if self.geometry.kind is Kind.HYPERBOLIC:
-            g[0] = -g[0]
-        return g
+        return 2.0 * np.asarray(x, dtype=float) * self._coeffs(lam) * _eta(self.geometry)
 
-    def grad_norm(self, x, lam: float = 0.0) -> float:
+    def grad_norm(self, x, lam: float = 0.0):
         g = self.grad_q(x, lam)
-        if self.geometry.kind is Kind.SPHERICAL:
-            return float(np.linalg.norm(g))
-        return float(np.sqrt(minkowski_dot(g, g)))
+        return np.sqrt(np.sum(g * g * _eta(self.geometry), axis=-1))
 
     def point_from_direction(self, w) -> np.ndarray:
-        """Point of the ellipsoid over the unit direction w in (x_1..x_n)."""
+        """Point of the ellipsoid over the direction w in (x_1..x_n), or one
+        point per direction of a stack w: (sqrt(bm) rho, rho w) for unit w,
+        with m = sum w_i^2/a_i and rho = (kappa + bm)^(-1/2), kappa = +1 on
+        S^n and -1 in H^n."""
         w = np.asarray(w, dtype=float)
-        w = w / np.linalg.norm(w)
-        m = float(np.sum(w * w / np.asarray(self.a)))
-        if self.geometry.kind is Kind.SPHERICAL:
-            rho = 1.0 / np.sqrt(1.0 + self.b * m)
-        else:
-            rho = 1.0 / np.sqrt(self.b * m - 1.0)
-        x0 = np.sqrt(self.b * m) * rho
-        return np.concatenate([[x0], rho * w])
+        w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+        bm = self.b * np.sum(w * w / np.asarray(self.a), axis=-1)
+        rho = 1.0 / np.sqrt(self._kappa + bm)
+        return np.concatenate([(np.sqrt(bm) * rho)[..., None], rho[..., None] * w],
+                              axis=-1)
 
-    def contains_on_surface(self, x, tol: float = 1e-8) -> bool:
-        return abs(self.q(x)) < tol and x[0] > 0
+    @property
+    def _kappa(self) -> float:
+        return 1.0 if self.geometry.kind is Kind.SPHERICAL else -1.0
 
 
 def f_lambda(ellipsoid: CurvedEllipsoid, lam: float) -> np.ndarray:
@@ -247,62 +260,45 @@ def _geodesic_basis(geometry: Geometry, x, v):
     return e1, t / np.sqrt(minkowski_dot(t, t))
 
 
-def chord_segments(geometry: Geometry, x, v, homeoid: Homeoid,
-                   t_max: float = 12.0, samples: int = 4000):
+def chord_segments(geometry: Geometry, x, v, homeoid: Homeoid):
     """Arc lengths of the components of a geodesic's intersection with a
-    homeoid; by the equal-heights lemma two components have equal lengths."""
+    homeoid; by the equal-heights lemma two components have equal lengths.
+
+    Along the geodesic c(t) e1 + s(t) e2 the form q is quadratic in (c, s),
+    so q = mid + P cos 2t + Q sin 2t on S^n (period pi: the shell is
+    antipodally symmetric, and components are counted per half circle) and
+    q = mid + P cosh 2t + Q sinh 2t in H^n.  Each level of the shell is
+    crossed where an arccos, respectively an arccosh, puts it.
+    """
     e1, e2 = _geodesic_basis(geometry, x, v)
-    ell = homeoid.ellipsoid
-
+    E = np.stack([e1, e2])
+    (A, B), (_, C) = E @ homeoid.ellipsoid.form().matrix @ E.T
+    levels = np.array([homeoid.eps1, homeoid.eps2])
     if geometry.kind is Kind.SPHERICAL:
-        # q restricted to a great circle has period pi (the shell is
-        # antipodally symmetric), so segments are counted per half-circle
-        ts = np.linspace(0.0, np.pi, samples, endpoint=False)
-
-        def gamma(t):
-            return np.cos(t)[..., None] * e1 + np.sin(t)[..., None] * e2
-
-        period = np.pi
-    else:
-        ts = np.linspace(-t_max, t_max, samples)
-
-        def gamma(t):
-            return np.cosh(t)[..., None] * e1 + np.sinh(t)[..., None] * e2
-
-        period = None
-
-    def qval(t):
-        return ell.q(gamma(np.atleast_1d(np.asarray(t, dtype=float)))[0])
-
-    if period is not None:
-        # rotate the grid so that it starts outside the shell, making the
-        # periodic walk equivalent to the open-interval walk
-        qv0 = np.array([ell.q(p) for p in gamma(ts)])
-        out_idx = np.nonzero((qv0 < homeoid.eps1) | (qv0 > homeoid.eps2))[0]
-        if len(out_idx) == 0:
+        # q = mid + R cos(2t - t0): two components when both levels lie
+        # strictly between the extremes mid -+ R
+        mid, R = 0.5 * (A + C), np.hypot(0.5 * (A - C), B)
+        crossed = np.abs(levels - mid) < R
+        if np.all(crossed):
+            half = float(0.5 * np.diff(np.arccos((levels[::-1] - mid) / R))[0])
+            return half, half
+        if mid - R >= levels[0] and mid + R <= levels[1]:
             raise WrongComponentCount("geodesic lies entirely inside the shell")
-        ts = np.concatenate([ts[out_idx[0]:], ts[:out_idx[0]] + period])
-    qv = np.array([ell.q(p) for p in gamma(ts)])
-    inside = (qv >= homeoid.eps1) & (qv <= homeoid.eps2)
-
-    def refine(t_lo, t_hi, q_out):
-        lev = homeoid.eps1 if q_out < homeoid.eps1 else homeoid.eps2
-        return scipy.optimize.brentq(lambda t: qval(t) - lev, t_lo, t_hi,
-                                     xtol=1e-14)
-
-    segments = []
-    start_t = None
-    for k in range(1, len(ts)):
-        if inside[k] and not inside[k - 1]:
-            start_t = refine(ts[k - 1], ts[k], qv[k - 1])
-        if inside[k - 1] and not inside[k] and start_t is not None:
-            end_t = refine(ts[k - 1], ts[k], qv[k])
-            segments.append(end_t - start_t)
-            start_t = None
-    if len(segments) != 2:
         raise WrongComponentCount(
-            f"geodesic meets the shell in {len(segments)} components")
-    return tuple(segments)
+            f"geodesic meets the shell in {int(np.sum(crossed))} components")
+    mid, P, Q = 0.5 * (A - C), 0.5 * (A + C), B
+    if abs(P) <= abs(Q):
+        # q = mid + P e^{+-2t}, or mid + S sinh(2t - t0): monotone
+        raise WrongComponentCount("geodesic meets the shell in at most 1 component")
+    # q = mid + S cosh(2t - t0), S = +-sqrt(P^2 - Q^2) with the sign of P:
+    # two components when both levels lie strictly beyond the extreme mid + S
+    beta = (levels - mid) / (np.sign(P) * np.sqrt((P - Q) * (P + Q)))
+    crossed = beta > 1.0
+    if np.all(crossed):
+        half = float(0.5 * abs(np.diff(np.arccosh(beta))[0]))
+        return half, half
+    raise WrongComponentCount(
+        f"geodesic meets the shell in {int(np.sum(crossed))} components")
 
 
 # ---------------------------------------------------------------------------
@@ -332,37 +328,27 @@ def sample_ellipsoid(ellipsoid: CurvedEllipsoid, N: int, rng,
     """Radial-projection sampler: uniform directions on S^{n-1}, points of
     the ellipsoid above them, and weights combining the exact area element
     of the parametrization with the requested density."""
-    n = ellipsoid.n
-    geometry = ellipsoid.geometry
-    ws = rng.normal(size=(N, n))
+    if density not in ("homeoidal", "uniform"):
+        raise InvalidParameters(f"unknown density rule {density!r}")
+    a, b, kappa = np.asarray(ellipsoid.a), ellipsoid.b, ellipsoid._kappa
+    ws = rng.normal(size=(N, ellipsoid.n))
     ws /= np.linalg.norm(ws, axis=1, keepdims=True)
-    pts = np.array([ellipsoid.point_from_direction(w) for w in ws])
+    pts = ellipsoid.point_from_direction(ws)
+    # tangents of x(w) = (sqrt(bm) rho, rho w) along each frame vector e:
+    # dm = 2 sum w_i e_i / a_i, and rho^-2 = kappa + bm gives
+    # d rho = -b dm rho^3 / 2 and d x_0 = -kappa d rho / sqrt(bm)
     frames = _tangent_frame(ws)
-    h = 1e-6
-    grams = np.empty((N, n - 1, n - 1))
-    tangents = np.empty((N, n - 1, n + 1))
-    for k in range(n - 1):
-        wp = ws + h * frames[:, k]
-        wm = ws - h * frames[:, k]
-        dp = np.array([ellipsoid.point_from_direction(w) for w in wp])
-        dm = np.array([ellipsoid.point_from_direction(w) for w in wm])
-        tangents[:, k] = (dp - dm) / (2.0 * h)
-    sign = np.ones(n + 1)
-    if geometry.kind is Kind.HYPERBOLIC:
-        sign[0] = -1.0
-    for j in range(n - 1):
-        for k in range(j, n - 1):
-            g = np.sum(tangents[:, j] * tangents[:, k] * sign, axis=1)
-            grams[:, j, k] = g
-            grams[:, k, j] = g
+    bm = b * np.sum(ws * ws / a, axis=1)
+    rho = 1.0 / np.sqrt(kappa + bm)
+    drho = -b * np.einsum("ni,nki->nk", ws / a, frames) * rho[:, None] ** 3
+    tangents = np.concatenate(
+        [(-kappa * drho / np.sqrt(bm)[:, None])[..., None],
+         drho[..., None] * ws[:, None, :] + rho[:, None, None] * frames], axis=2)
+    grams = np.einsum("nki,nli->nkl", tangents * _eta(ellipsoid.geometry), tangents)
     areas = np.sqrt(np.maximum(np.linalg.det(grams), 0.0))
     if density == "homeoidal":
-        dens = np.array([1.0 / ellipsoid.grad_norm(p) for p in pts])
-    elif density == "uniform":
-        dens = np.ones(N)
-    else:
-        raise InvalidParameters(f"unknown density rule {density!r}")
-    return pts, areas * dens
+        return pts, areas / ellipsoid.grad_norm(pts)
+    return pts, areas
 
 
 @dataclass(frozen=True)
@@ -382,8 +368,7 @@ class GeodesicSphere:
             ws /= np.linalg.norm(ws, axis=1, keepdims=True)
             pts = np.cos(self.radius) * c + np.sin(self.radius) * ws
         else:
-            eta = np.ones(dim)
-            eta[0] = -1.0
+            eta = _eta(self.geometry)
             ws += (ws @ (eta * c))[:, None] * c
             ws /= np.sqrt(np.sum(ws * ws * eta, axis=1))[:, None]
             pts = np.cosh(self.radius) * c + np.sinh(self.radius) * ws
@@ -398,22 +383,34 @@ def _unit_tangent_toward(geometry: Geometry, x, ys, rs):
     return t / np.sinh(rs)[:, None]
 
 
-def _distances(geometry: Geometry, x, ys):
-    return np.array([geodesic_distance(geometry, x, y) for y in ys])
+def _distances(geometry: Geometry, x, ys) -> np.ndarray:
+    """Geodesic distances from the model point x to each row of ys, in the
+    forms of geodesic_distance: the half chord where x.y > 0 on S^n,
+    log1p of cosh d - 1 = <x-y, x-y>_M / 2 in H^n."""
+    x = check_on_model(geometry, x)
+    eta = _eta(geometry)
+    # <y, y> = +1 on S^n and -1 on the upper sheet of H^n
+    residual = np.abs((ys * ys) @ eta - eta[0])
+    off_sheet = geometry.kind is Kind.HYPERBOLIC and np.any(ys[:, 0] <= 0.0)
+    if np.max(residual) > MODEL_TOL or off_sheet:
+        raise NotOnModel(f"a sample violates the {geometry.kind.value} model "
+                         f"constraint by {np.max(residual)}")
+    diff = ys - x
+    if geometry.kind is Kind.SPHERICAL:
+        c = ys @ x
+        half_chord = np.minimum(np.sqrt(np.sum(diff * diff, axis=1)) / 2.0, 1.0)
+        return np.where(c > 0.0, 2.0 * np.arcsin(half_chord),
+                        np.arccos(np.clip(c, -1.0, 1.0)))
+    delta = np.maximum((diff * diff) @ eta / 2.0, 0.0)
+    return np.log1p(delta + np.sqrt(delta * (delta + 2.0)))
 
 
 def surface_potential(surface, x, N: int, rng) -> dict:
     """Monte-Carlo potential of a unit charge spread over the surface
     (curved ellipsoid with homeoidal density, or a round geodesic sphere
     with uniform density).  Returns the estimate with its standard error."""
-    if _surface_clearance(surface, x) < 1e-3:
-        raise TooCloseToSurface("evaluation point within 1e-3 of the surface")
-    geometry, pts, weights = _sample_surface(surface, N, rng)
-    x = np.asarray(x, dtype=float)
-    rs = _distances(geometry, x, pts)
-    if np.min(rs) < 1e-3:
-        raise TooCloseToSurface(f"min distance {np.min(rs)}")
-    us = np.array([point_potential(geometry, r) for r in rs])
+    geometry, pts, weights, rs = _sample_surface(surface, x, N, rng)
+    us = point_potential(geometry, rs)
     wbar = np.mean(weights)
     value = float(np.mean(us * weights) / wbar)
     resid = (us - value) * weights / wbar
@@ -426,9 +423,8 @@ def _tangent_basis(geometry: Geometry, x) -> np.ndarray:
     metric (Minkowski-orthonormal in the hyperbolic case)."""
     x = np.asarray(x, dtype=float)
     dim = x.size
-    eta = np.ones(dim)
+    eta = _eta(geometry)
     if geometry.kind is Kind.HYPERBOLIC:
-        eta[0] = -1.0
         xn = x / np.sqrt(-minkowski_dot(x, x))
     else:
         xn = x / np.linalg.norm(x)
@@ -452,20 +448,12 @@ def field_at(surface, x, N: int, rng) -> dict:
     """Monte-Carlo force field of the charged surface at x (differentiated
     integrand), expressed in an orthonormal tangent frame at x, with
     per-component standard errors."""
-    if _surface_clearance(surface, x) < 1e-3:
-        raise TooCloseToSurface("evaluation point within 1e-3 of the surface")
-    geometry, pts, weights = _sample_surface(surface, N, rng)
+    geometry, pts, weights, rs = _sample_surface(surface, x, N, rng)
     x = np.asarray(x, dtype=float)
-    rs = _distances(geometry, x, pts)
-    if np.min(rs) < 1e-3:
-        raise TooCloseToSurface(f"min distance {np.min(rs)}")
-    du = np.array([point_potential_derivative(geometry, r) for r in rs])
+    du = point_potential_derivative(geometry, rs)
     T = _unit_tangent_toward(geometry, x, pts, rs)
     basis = _tangent_basis(geometry, x)
-    eta = np.ones(x.size)
-    if geometry.kind is Kind.HYPERBOLIC:
-        eta[0] = -1.0
-    coords = (T * eta) @ basis.T
+    coords = (T * _eta(geometry)) @ basis.T
     wbar = np.mean(weights)
     contrib = -du[:, None] * coords * weights[:, None] / wbar
     fld = np.mean(contrib, axis=0)
@@ -488,14 +476,21 @@ def _surface_clearance(surface, x) -> float:
     return np.inf
 
 
-def _sample_surface(surface, N, rng):
+def _sample_surface(surface, x, N, rng):
+    """Samples of the surface, their weights and their geodesic distances
+    from x, refusing an x within 1e-3 of the surface or of a sample."""
+    if _surface_clearance(surface, x) < 1e-3:
+        raise TooCloseToSurface("evaluation point within 1e-3 of the surface")
     if isinstance(surface, CurvedEllipsoid):
         pts, weights = sample_ellipsoid(surface, N, rng)
-        return surface.geometry, pts, weights
-    if isinstance(surface, GeodesicSphere):
+    elif isinstance(surface, GeodesicSphere):
         pts, weights = surface.sample(N, rng)
-        return surface.geometry, pts, weights
-    raise InvalidParameters(f"cannot sample surface of type {type(surface)!r}")
+    else:
+        raise InvalidParameters(f"cannot sample surface of type {type(surface)!r}")
+    rs = _distances(surface.geometry, x, pts)
+    if np.min(rs) < 1e-3:
+        raise TooCloseToSurface(f"min distance {np.min(rs)}")
+    return surface.geometry, pts, weights, rs
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +501,10 @@ def simultaneous_diagonalize(p: QuadraticForm, q: QuadraticForm):
     """Common diagonalizing basis of two index-1 forms whose light cones
     are nested; columns of the returned basis diagonalize both."""
     A, B = q.matrix, p.matrix
-    vals, vecs = scipy.linalg.eig(A, B)
+    try:
+        vals, vecs = np.linalg.eig(np.linalg.solve(B, A))
+    except np.linalg.LinAlgError:
+        raise ConeConditionViolated("the form p is degenerate")
     if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals))):
         raise ConeConditionViolated("generalized eigenvalues are not real")
     vals = vals.real
@@ -601,40 +599,15 @@ def _plane_restriction(surface: HyperbolicSurface, e1, e2) -> np.ndarray:
     return np.linalg.solve(A, np.array(vals))
 
 
-def _sturm_count(coeffs_low_high: np.ndarray) -> int:
-    """Number of distinct real roots via a Sturm chain."""
-    p = np.poly1d(np.trim_zeros(coeffs_low_high[::-1], "f"))
-    if p.order == 0:
-        return 0
-    chain = [p, p.deriv()]
-    while chain[-1].order > 0:
-        rem = -np.polydiv(chain[-2].coeffs, chain[-1].coeffs)[1]
-        rem = np.trim_zeros(rem, "f")
-        if rem.size == 0:
-            # repeated roots: divide out the gcd and restart
-            g = chain[-1]
-            red, _ = np.polydiv(p.coeffs, g.coeffs)
-            return _sturm_count(np.poly1d(red).coeffs[::-1])
-        chain.append(np.poly1d(rem))
-
-    def changes(at_inf_sign):
-        signs = []
-        for c in chain:
-            lead = c.coeffs[0]
-            s = np.sign(lead) * (at_inf_sign ** c.order)
-            if s != 0:
-                signs.append(s)
-        return int(np.sum(np.diff(signs) != 0))
-
-    return changes(-1) - changes(1)
-
-
 def count_projective_real_roots(coeffs_low_high: np.ndarray, d: int,
                                 tol: float = 1e-8):
     """Real roots of a degree-d binary form given in an affine chart:
     returns (number of distinct real projective roots, multiplicity at
-    infinity, finite roots).  Companion-matrix roots cross-checked against
-    a Sturm count."""
+    infinity, finite real roots with multiplicity, sorted).  Leading
+    coefficients below tol times the largest are roots at infinity; a
+    companion-matrix root is real when its imaginary part is below tol
+    times the root scale, and two real roots are distinct when they differ
+    by more than that."""
     c = np.asarray(coeffs_low_high, dtype=float)
     if len(c) < d + 1:
         c = np.concatenate([c, np.zeros(d + 1 - len(c))])
@@ -651,10 +624,7 @@ def count_projective_real_roots(coeffs_low_high: np.ndarray, d: int,
     roots = np.roots(finite)
     rscale = max(1.0, np.max(np.abs(roots)))
     real = roots[np.abs(roots.imag) < tol * rscale].real
-    n_real_companion = len(np.unique(np.round(real / (tol * rscale)))) \
-        if len(real) else 0
-    n_real_sturm = _sturm_count(finite[::-1])
-    n_real = n_real_sturm if n_real_companion != n_real_sturm else n_real_companion
+    n_real = len(np.unique(np.round(real / (tol * rscale)))) if len(real) else 0
     return n_real + (1 if k_inf else 0), k_inf, np.sort(real)
 
 
@@ -675,18 +645,14 @@ def is_hyperbolic_at(surface: HyperbolicSurface, x, probes: int = 64,
             v = rng.normal(size=x.size)
             v /= np.linalg.norm(v)
             coeffs = _line_restriction(surface, x, v)
-            n_proj, k_inf, roots = count_projective_real_roots(coeffs, d)
+            # non-strict: real roots may coincide, and a double root splits
+            # by ~sqrt(machine eps) under rounding, so its cut is looser
+            n_proj, k_inf, roots = count_projective_real_roots(
+                coeffs, d, tol=1e-8 if strict else 1e-7)
             if strict:
                 ok = (n_proj == d) and k_inf <= 1
             else:
-                scale = np.max(np.abs(coeffs))
-                high = coeffs[::-1]
-                k = 0
-                while k <= d and abs(high[k]) < 1e-8 * scale:
-                    k += 1
-                rts = np.roots(high[k:]) if len(high[k:]) > 1 else np.array([])
-                rs = max(1.0, np.max(np.abs(rts))) if len(rts) else 1.0
-                ok = np.all(np.abs(rts.imag) < 1e-7 * rs) if len(rts) else True
+                ok = len(roots) + k_inf == d
             if not ok:
                 return False, v
         else:
@@ -712,32 +678,54 @@ def is_hyperbolic_at(surface: HyperbolicSurface, x, probes: int = 64,
     return True, None
 
 
+def _real_roots(coeffs_low_high) -> np.ndarray:
+    """Roots of a polynomial that must have only real ones, sorted."""
+    c = np.asarray(coeffs_low_high, dtype=float)
+    _, k_inf, real = count_projective_real_roots(c, len(c) - 1)
+    if len(real) + k_inf < len(c) - 1:
+        raise ComplexRoots("polynomial has non-real roots")
+    return real
+
+
 def vieta_segment_sum(coeffs_low_high, eps: float) -> float:
     """Sum of root displacements between p and p - eps; zero by Vieta
     (both polynomials share all coefficients except the constant)."""
     c = np.asarray(coeffs_low_high, dtype=float)
-
-    def real_roots(cc):
-        r = np.roots(cc[::-1])
-        scale = max(1.0, np.max(np.abs(r))) if len(r) else 1.0
-        if len(r) and np.max(np.abs(r.imag)) > 1e-8 * scale:
-            raise ComplexRoots("polynomial has non-real roots")
-        return np.sort(r.real)
-
-    t0 = real_roots(c)
     ce = c.copy()
     ce[0] -= eps
-    t1 = real_roots(ce)
-    return float(np.sum(t0) - np.sum(t1))
+    return float(np.sum(_real_roots(c)) - np.sum(_real_roots(ce)))
 
 
-def _positive_roots(coeffs_low_high) -> np.ndarray:
-    r = np.roots(np.trim_zeros(np.asarray(coeffs_low_high)[::-1], "f"))
-    scale = max(1.0, np.max(np.abs(r))) if len(r) else 1.0
-    real = r[np.abs(r.imag) < 1e-8 * scale].real
-    if len(real) < len(r):
-        raise ComplexRoots("restriction has non-real roots")
-    return np.sort(real[real > 0])
+def _geodesic_roots(binary_coeffs, shift: float, geometry: Geometry) -> np.ndarray:
+    """Arc-length parameters t of the d points where the binary form p of
+    degree d equals shift on a curved line: p(cos t, sin t) on the open half
+    circle t in (0, pi) of S^1, or p(e^t, e^-t) on the branch xy = 1 of H^1.
+
+    Both are the positive roots of one polynomial: on S^1 in u = tan(t/2),
+    (1 + u^2)^d (p - shift) = sum_k b_k (1 - u^2)^(d-k) (2u)^k
+    - shift (1 + u^2)^d; on H^1 in X = e^t, X^d (p - shift), which has only
+    even powers but the shift's X^d.
+    """
+    b = np.asarray(binary_coeffs, dtype=float)
+    d = len(b) - 1
+    P = np.polynomial.polynomial
+    form = np.zeros(2 * d + 1)
+    if geometry.kind is Kind.SPHERICAL:
+        for k in range(d + 1):
+            term = P.polymul(P.polypow([1.0, 0.0, -1.0], d - k),
+                             P.polypow([0.0, 2.0], k))
+            form[:len(term)] += b[k] * term
+        level, to_t = P.polypow([1.0, 0.0, 1.0], d), lambda u: 2.0 * np.arctan(u)
+    elif geometry.kind is Kind.HYPERBOLIC:
+        form[::2] = b[::-1]
+        level, to_t = np.eye(2 * d + 1)[d], np.log
+    else:
+        raise InvalidParameters("curved segment sums need S^1 or H^1")
+    _, _, roots = count_projective_real_roots(form - shift * level, 2 * d)
+    roots = roots[roots > 0]
+    if len(roots) != d:
+        raise ComplexRoots(f"expected {d} roots on the line, got {len(roots)}")
+    return to_t(roots)
 
 
 def curved_segment_sum(binary_coeffs, eps: float, geometry: Geometry) -> float:
@@ -748,52 +736,16 @@ def curved_segment_sum(binary_coeffs, eps: float, geometry: Geometry) -> float:
     Even d: sum(t_i - t_i^eps).  Odd d (spherical only): the symmetrized
     sum(t_i - (t_i^eps + t_i^{-eps})/2).
     """
-    b = np.asarray(binary_coeffs, dtype=float)
-    d = len(b) - 1
-    if geometry.kind is Kind.HYPERBOLIC:
-        if d % 2 == 1:
-            raise OddDegreeHyperbolic("no hyperbolic surfaces of odd degree")
-        # P(X) = X^d p(X, 1/X): only even monomials X^{2(d-k)}
-        def roots_t(shift):
-            P = np.zeros(2 * d + 1)
-            for k in range(d + 1):
-                P[2 * (d - k)] += b[k]
-            P[d] -= shift
-            xs = _positive_roots(P)
-            if len(xs) != d:
-                raise ComplexRoots(f"expected {d} positive roots, got {len(xs)}")
-            return np.log(xs)
+    d = len(binary_coeffs) - 1
+    if geometry.kind is Kind.HYPERBOLIC and d % 2 == 1:
+        raise OddDegreeHyperbolic("no hyperbolic surfaces of odd degree")
 
-        return float(np.sum(roots_t(0.0)) - np.sum(roots_t(eps)))
+    def total(shift):
+        return np.sum(_geodesic_roots(binary_coeffs, shift, geometry))
 
-    if geometry.kind is Kind.SPHERICAL:
-        def angles(shift):
-            # on the circle: p(cos t, sin t) - shift = 0; substitute
-            # u = tan(t/2) to cover the open half circle t in (0, pi)
-            M = 400
-            ts = np.linspace(1e-9, np.pi - 1e-9, M)
-            vals = np.array([sum(b[k] * np.cos(t) ** (d - k) * np.sin(t) ** k
-                                 for k in range(d + 1)) - shift for t in ts])
-            out = []
-            for j in range(M - 1):
-                if vals[j] == 0.0:
-                    out.append(ts[j])
-                elif vals[j] * vals[j + 1] < 0:
-                    f = lambda t: sum(b[k] * np.cos(t) ** (d - k)
-                                      * np.sin(t) ** k
-                                      for k in range(d + 1)) - shift
-                    out.append(scipy.optimize.brentq(f, ts[j], ts[j + 1],
-                                                     xtol=1e-14))
-            if len(out) != d:
-                raise ComplexRoots(f"expected {d} circle roots, got {len(out)}")
-            return np.array(out)
-
-        t0 = angles(0.0)
-        if d % 2 == 0:
-            return float(np.sum(t0) - np.sum(angles(eps)))
-        return float(np.sum(t0) - 0.5 * (np.sum(angles(eps))
-                                         + np.sum(angles(-eps))))
-    raise InvalidParameters("curved segment sums need S^1 or H^1")
+    if d % 2 == 0:
+        return float(total(0.0) - total(eps))
+    return float(total(0.0) - 0.5 * (total(eps) + total(-eps)))
 
 
 def arnold_field_check(surface: HyperbolicSurface, eps: float, x,

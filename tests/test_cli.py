@@ -181,9 +181,9 @@ def test_timings_separate_from_report(tmp_path):
 
 # a fresh interpreter prints the SciPy submodules loaded after importing
 # confocal and after each `confocal <command> --config <path> --out <dir>`
-# whose three values follow in argv
+# whose three values follow in argv, keyed by the name of <dir>
 _IMPORT_PROBE = """
-import json, sys
+import json, os, sys
 import confocal, confocal.cli
 
 def loaded():
@@ -195,34 +195,44 @@ args = sys.argv[1:]
 for k in range(0, len(args), 3):
     command, config, out = args[k:k + 3]
     confocal.cli.main([command, "--config", config, "--out", out])
-    seen[command] = loaded()
+    seen[os.path.basename(out)] = loaded()
 print(json.dumps(seen))
 """
 
 
 def test_import_cost_guard(tmp_path):
-    configs = {
-        "ivory-check": IVORY_CFG,
-        "geodesic": {"metric": {"name": "elliptic_R2", "params": [4.0, 1.0]},
-                     "corner0": [2.2, 0.4], "corner1": [2.9, 0.8]},
-        "newton-check": {"surface": {"kind": "sphere", "geometry": "spherical",
-                                     "dim": 3, "radius": 0.6},
-                         "point": [1.0, 0.0, 0.0, 0.0], "expect": "zero",
-                         "N": 200, "seed": 1},
+    sphere = {"kind": "sphere", "geometry": "spherical", "dim": 3, "radius": 0.6}
+    ellipsoid = {"kind": "ellipsoid", "geometry": "spherical",
+                 "a": [3.0, 2.0, 1.5], "b": 1.0}
+    runs = {
+        "ivory-check": ("ivory-check", IVORY_CFG),
+        "geodesic": ("geodesic", {
+            "metric": {"name": "elliptic_R2", "params": [4.0, 1.0]},
+            "corner0": [2.2, 0.4], "corner1": [2.9, 0.8]}),
+        "newton-check": ("newton-check", {
+            "surface": sphere, "point": [1.0, 0.0, 0.0, 0.0],
+            "expect": "zero", "N": 200, "seed": 1}),
+        "newton-check-ellipsoid": ("newton-check", {
+            "surface": ellipsoid, "point": [1.0, 0.0, 0.0, 0.0],
+            "expect": "zero", "N": 200, "seed": 1}),
+        "potential-scan-h4": ("potential-scan", {
+            "geometry": "hyperbolic", "dim": 4,
+            "radii": {"start": 0.2, "stop": 3.0, "count": 8}}),
         # positive control: the caustic chart calls scipy.special
-        "billiard-orbit": {"a": [4.0, 1.0], "outer_lam": 0.0, "lam_c": 0.5,
-                           "bounces": 3},
+        "billiard-orbit": ("billiard-orbit", {
+            "a": [4.0, 1.0], "outer_lam": 0.0, "lam_c": 0.5, "bounces": 3}),
     }
     argv = []
-    for command, cfg in configs.items():
-        argv += [command, _write(tmp_path, f"{command}.json", cfg),
-                 str(tmp_path / command)]
+    for label, (command, cfg) in runs.items():
+        argv += [command, _write(tmp_path, f"{label}.json", cfg),
+                 str(tmp_path / label)]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
-    for stage in ("import", "ivory-check", "geodesic", "newton-check"):
-        assert seen[stage] == [], stage
+    for stage in ("import", *runs):
+        if stage != "billiard-orbit":
+            assert seen[stage] == [], stage
     assert "scipy.special" in seen["billiard-orbit"]
 
 

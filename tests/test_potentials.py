@@ -1,7 +1,11 @@
 """Tests for potential theory on curved spaces and Arnold root sums."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from confocal.errors import (
@@ -9,6 +13,7 @@ from confocal.errors import (
     ConeConditionViolated,
     DomainError,
     NotInHyperbolicityDomain,
+    NotOnModel,
     NotOnSurface,
     OddDegreeHyperbolic,
     TooCloseToSurface,
@@ -22,6 +27,9 @@ from confocal.geometry import (
     spherical,
 )
 from confocal.potentials import (
+    _distances,
+    _geodesic_basis,
+    _geodesic_roots,
     CurvedEllipsoid,
     GeodesicSphere,
     Homeoid,
@@ -30,6 +38,7 @@ from confocal.potentials import (
     antisymmetry_check,
     arnold_field_check,
     chord_segments,
+    count_projective_real_roots,
     curved_segment_sum,
     f_lambda,
     field_at,
@@ -37,6 +46,7 @@ from confocal.potentials import (
     is_hyperbolic_at,
     point_potential,
     point_potential_derivative,
+    sample_ellipsoid,
     simultaneous_diagonalize,
     surface_potential,
     vieta_segment_sum,
@@ -114,6 +124,71 @@ def test_radial_harmonicity_and_flux():
             # quadrature potential differentiates to the analytic derivative
             du_fd, _ = _fd5(lambda t: point_potential(geom, t), r, 1e-2)
             assert abs(du_fd - u1) < 1e-4
+
+
+def _quad_potential(geometry, r):
+    """Oracle: the quadrature potential, int_r^{pi/2} dx/sin^{n-1}x or
+    int_r^inf dx/sinh^{n-1}x by scipy's adaptive quad."""
+    n = geometry.n
+    if geometry.kind.name == "SPHERICAL":
+        return quad(lambda x: np.sin(x) ** (1 - n), r, np.pi / 2,
+                    epsabs=1e-13, epsrel=1e-13)[0]
+
+    def integrand(x):
+        # exp((1-n) log sinh x), stable for large x
+        return np.exp((1 - n) * (x + np.log1p(-np.exp(-2.0 * x)) - np.log(2.0)))
+
+    return quad(integrand, r, np.inf, epsabs=1e-13, epsrel=1e-13)[0]
+
+
+def _mp_potential(geometry, r):
+    """Oracle: the potential to 50 digits.  S^n: quadrature of csc^{n-1}.
+    H^n: csch^{n-1}x = 2^{n-1} sum_k C(n-2+k, k) e^{-(n-1+2k)x} integrates
+    term by term to the hypergeometric series
+    2^{n-1} e^{-(n-1)r}/(n-1) 2F1(n-1, (n-1)/2; (n+1)/2; e^{-2r})."""
+    n = geometry.n
+    with mpmath.workdps(50):
+        r = mpmath.mpf(float(r))
+        if geometry.kind.name == "SPHERICAL":
+            val = mpmath.quad(lambda x: mpmath.csc(x) ** (n - 1), [r, mpmath.pi / 2])
+        else:
+            val = (2 ** (n - 1) * mpmath.exp(-(n - 1) * r) / (n - 1)
+                   * mpmath.hyp2f1(n - 1, mpmath.mpf(n - 1) / 2,
+                                   mpmath.mpf(n + 1) / 2, mpmath.exp(-2 * r)))
+        return float(val)
+
+
+def test_point_potential_matches_mpmath():
+    """n = 2..8, one batched call per geometry and dimension; in H^3 the
+    old coth r - 1 lost all digits by r = 19."""
+    for n in range(2, 9):
+        for geom, radii in (
+                (spherical(n), [0.01, 0.3, 1.0, 1.4, 2.0, 2.8, np.pi - 0.01]),
+                (hyperbolic(n), [1e-5, 0.01, 0.3, 1.0, 3.0, 10.0, 20.0, 30.0])):
+            u = point_potential(geom, np.array(radii))
+            oracle = np.array([_mp_potential(geom, r) for r in radii])
+            assert np.max(np.abs(u - oracle) / np.abs(oracle)) < 1e-12, geom
+    assert point_potential(H3, 20.0) > 0.0
+
+
+def test_point_potential_matches_quad_oracle():
+    radii = np.linspace(0.1, 3.0, 12)
+    for geom in (S2, spherical(4), spherical(5), H2, hyperbolic(4), hyperbolic(5)):
+        u = point_potential(geom, radii)
+        oracle = np.array([_quad_potential(geom, r) for r in radii])
+        assert np.max(np.abs(u - oracle) / np.abs(oracle)) < 1e-10, geom
+        # a scalar call returns a float agreeing with the batched call
+        u3 = point_potential(geom, radii[3])
+        assert isinstance(u3, float) and abs(u3 - u[3]) < 1e-14 * abs(u[3])
+
+
+def test_point_potential_domain_batched():
+    with pytest.raises(DomainError):
+        point_potential(S3, np.array([0.5, 3.5]))
+    with pytest.raises(DomainError):
+        point_potential(H3, np.array([0.5, 0.0]))
+    with pytest.raises(DomainError):
+        point_potential(hyperbolic(1), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +282,80 @@ def test_density_matches_level_spacing():
             assert abs(s_cross - delta * dens) / (delta * dens) < 1e-4
 
 
+def _direction_frame(w):
+    """Orthonormal tangent frame of the direction sphere at the unit w, by
+    Gram-Schmidt on the coordinate vectors."""
+    basis = []
+    for k in range(len(w)):
+        e = np.zeros(len(w))
+        e[k] = 1.0
+        e -= (e @ w) * w
+        for b in basis:
+            e -= (e @ b) * b
+        if np.linalg.norm(e) > 1e-6:
+            basis.append(e / np.linalg.norm(e))
+        if len(basis) == len(w) - 1:
+            break
+    return basis
+
+
+def _fd_sample_oracle(ell, ws, h=1e-6):
+    """Oracle: the finite-difference sampler.  Points over the directions
+    ws one at a time, and weights from central differences of
+    point_from_direction along a Gram-Schmidt frame (independent of the
+    sampler's own frame), times the homeoidal density."""
+    sign = np.ones(ell.n + 1)
+    if ell.geometry.kind.name == "HYPERBOLIC":
+        sign[0] = -1.0
+    pts, weights = [], []
+    for w in np.asarray(ws, dtype=float):
+        w = w / np.linalg.norm(w)
+        T = np.array([(ell.point_from_direction(w + h * e)
+                       - ell.point_from_direction(w - h * e)) / (2.0 * h)
+                      for e in _direction_frame(w)])
+        x = ell.point_from_direction(w)
+        pts.append(x)
+        weights.append(np.sqrt(np.linalg.det((T * sign) @ T.T)) / ell.grad_norm(x))
+    return np.array(pts), np.array(weights)
+
+
+class _Directions:
+    """Stands in for a generator whose normal() returns given directions."""
+
+    def __init__(self, ws):
+        self.ws = np.asarray(ws, dtype=float)
+
+    def normal(self, size):
+        return self.ws.reshape(size)
+
+
+@pytest.mark.parametrize("ell", [ELL_S2, ELL_H2, ELL_S3, ELL_H3],
+                         ids=["S2", "H2", "S3", "H3"])
+def test_sampler_matches_fd_oracle(ell):
+    pts, weights = sample_ellipsoid(ell, 400, np.random.default_rng(37))
+    ws = np.random.default_rng(37).normal(size=(400, ell.n))
+    o_pts, o_weights = _fd_sample_oracle(ell, ws)
+    assert np.max(np.abs(pts - o_pts)) < 1e-14
+    # the oracle's central differences are good to ~1e-10
+    assert np.max(np.abs(weights - o_weights) / o_weights) < 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(ell=st.sampled_from([ELL_S3, ELL_H3]),
+       w0=st.one_of(st.just(0.9), st.floats(0.9 - 1e-9, 0.9 + 1e-9),
+                    st.floats(0.85, 0.95)),
+       sign=st.sampled_from((-1.0, 1.0)), phi=st.floats(0.0, 2.0 * np.pi))
+def test_sampler_near_frame_switch(ell, w0, sign, phi):
+    """The sampler's frame changes its reference axis at |w_0| = 0.9; the
+    area element must not notice."""
+    s = np.sqrt(1.0 - w0 * w0)
+    w = [sign * w0, s * np.cos(phi), s * np.sin(phi)]
+    pts, weights = sample_ellipsoid(ell, 1, _Directions([w]))
+    o_pts, o_weights = _fd_sample_oracle(ell, [w])
+    assert np.max(np.abs(pts - o_pts)) < 1e-14
+    assert abs(weights[0] - o_weights[0]) < 1e-8 * o_weights[0]
+
+
 def test_homeoidal_pullback_ratio_constant():
     # the confocal map carries the homeoidal measure of E_lambda back to a
     # constant multiple of the homeoidal measure of E
@@ -218,18 +367,7 @@ def test_homeoidal_pullback_ratio_constant():
         for _ in range(25):
             w = rng.normal(size=ell.n)
             w /= np.linalg.norm(w)
-            # tangent frame on the direction sphere
-            basis = []
-            for k in range(ell.n):
-                e = np.zeros(ell.n)
-                e[k] = 1.0
-                e -= (e @ w) * w
-                for b in basis:
-                    e -= (e @ b) * b
-                if np.linalg.norm(e) > 1e-6:
-                    basis.append(e / np.linalg.norm(e))
-                if len(basis) == ell.n - 1:
-                    break
+            basis = _direction_frame(w)
             sign = np.ones(ell.n + 1)
             if ell.geometry.kind.name == "HYPERBOLIC":
                 sign[0] = -1.0
@@ -255,6 +393,72 @@ def test_homeoidal_pullback_ratio_constant():
 # chords and Monte-Carlo fields
 
 
+def _scan_chord_segments(geometry, x, v, homeoid, t_max=12.0, samples=4000):
+    """Oracle: the sampled chord scan.  q on a grid of the geodesic (one
+    half circle of S^n, |t| <= t_max in H^n), crossings refined by brentq.
+    On S^n the grid is rotated to start outside the shell but the walk is
+    not closed, so a component through the grid's end is lost: the scan
+    misses one whenever x lies inside the shell."""
+    e1, e2 = _geodesic_basis(geometry, x, v)
+    ell = homeoid.ellipsoid
+    if geometry.kind.name == "SPHERICAL":
+        ts = np.linspace(0.0, np.pi, samples, endpoint=False)
+        c, s = np.cos, np.sin
+    else:
+        ts = np.linspace(-t_max, t_max, samples)
+        c, s = np.cosh, np.sinh
+
+    def qval(t):
+        return ell.q(c(t)[..., None] * e1 + s(t)[..., None] * e2)
+
+    if geometry.kind.name == "SPHERICAL":
+        qv0 = qval(ts)
+        out_idx = np.nonzero((qv0 < homeoid.eps1) | (qv0 > homeoid.eps2))[0]
+        if len(out_idx) == 0:
+            raise WrongComponentCount("geodesic lies entirely inside the shell")
+        ts = np.concatenate([ts[out_idx[0]:], ts[:out_idx[0]] + np.pi])
+    qv = qval(ts)
+    inside = (qv >= homeoid.eps1) & (qv <= homeoid.eps2)
+
+    def refine(t_lo, t_hi, q_out):
+        lev = homeoid.eps1 if q_out < homeoid.eps1 else homeoid.eps2
+        return brentq(lambda t: qval(t) - lev, t_lo, t_hi, xtol=1e-14)
+
+    segments = []
+    start_t = None
+    for k in range(1, len(ts)):
+        if inside[k] and not inside[k - 1]:
+            start_t = refine(ts[k - 1], ts[k], qv[k - 1])
+        if inside[k - 1] and not inside[k] and start_t is not None:
+            segments.append(refine(ts[k - 1], ts[k], qv[k]) - start_t)
+            start_t = None
+    if len(segments) != 2:
+        raise WrongComponentCount(
+            f"geodesic meets the shell in {len(segments)} components")
+    return tuple(segments)
+
+
+def _chord_against_scan(geometry, p, v, hom):
+    """chord_segments at one draw, checked against the scan; returns whether
+    the draw met the shell in two components."""
+    try:
+        s = chord_segments(geometry, p, v, hom)
+    except WrongComponentCount:
+        with pytest.raises(WrongComponentCount):
+            _scan_chord_segments(geometry, p, v, hom)
+        return False
+    assert abs(s[0] - s[1]) < 1e-9
+    try:
+        oracle = _scan_chord_segments(geometry, p, v, hom)
+    except WrongComponentCount:
+        # the scan's blind spot, nothing else
+        assert geometry.kind.name == "SPHERICAL"
+        assert hom.eps1 <= hom.ellipsoid.q(p) <= hom.eps2
+        return True
+    assert np.max(np.abs(np.subtract(s, oracle))) < 1e-12
+    return True
+
+
 def test_chord_segments_equal():
     rng = np.random.default_rng(11)
     hom_s = Homeoid(ELL_S2, -0.05, 0.05)
@@ -263,24 +467,29 @@ def test_chord_segments_equal():
     for _ in range(300):
         p = rng.normal(size=3)
         p /= np.linalg.norm(p)
-        try:
-            s = chord_segments(S2, p, rng.normal(size=3), hom_s)
-        except WrongComponentCount:
-            continue
-        assert abs(s[0] - s[1]) < 1e-9
-        count += 1
+        count += _chord_against_scan(S2, p, rng.normal(size=3), hom_s)
     assert count > 100
     count = 0
     for _ in range(300):
         y = rng.normal(size=2) * 0.5
         p = np.array([np.sqrt(1.0 + y @ y), y[0], y[1]])
-        try:
-            s = chord_segments(H2, p, rng.normal(size=3), hom_h)
-        except WrongComponentCount:
-            continue
-        assert abs(s[0] - s[1]) < 1e-9
-        count += 1
+        count += _chord_against_scan(H2, p, rng.normal(size=3), hom_h)
     assert count > 100
+
+
+def test_chord_segments_from_the_ellipsoid():
+    """Base point on the ellipsoid, hence inside the shell: two equal
+    segments, as the scan finds them from a base point outside it."""
+    hom = Homeoid(ELL_S2, -0.05, 0.05)
+    x = ELL_S2.point_from_direction(np.array([0.6, 0.8]))
+    v = np.array([0.3, -1.0, 0.5])
+    s = chord_segments(S2, x, v, hom)
+    assert s[0] > 0.0 and abs(s[0] - s[1]) < 1e-12
+    e1, e2 = _geodesic_basis(S2, x, v)
+    t0 = np.pi / 2
+    y, w = np.cos(t0) * e1 + np.sin(t0) * e2, -np.sin(t0) * e1 + np.cos(t0) * e2
+    assert not hom.eps1 <= ELL_S2.q(y) <= hom.eps2
+    assert np.max(np.abs(np.subtract(s, _scan_chord_segments(S2, y, w, hom)))) < 1e-12
 
 
 def test_chord_segments_round_center():
@@ -289,6 +498,26 @@ def test_chord_segments_round_center():
     pole = np.array([1.0, 0.0, 0.0])
     s = chord_segments(S2, pole, np.array([0.0, 1.0, 0.3]), hom)
     assert abs(s[0] - s[1]) < 1e-12
+
+
+def test_distances_match_geodesic_distance():
+    rng = np.random.default_rng(41)
+    for surface, x in (
+            (GeodesicSphere(S3, np.array([1.0, 0.0, 0.0, 0.0]), 2.5),
+             np.array([np.cos(0.4), np.sin(0.4), 0.0, 0.0])),
+            (GeodesicSphere(H3, np.array([1.0, 0.0, 0.0, 0.0]), 0.8),
+             np.array([np.cosh(0.4), 0.0, np.sinh(0.4), 0.0])),
+            (ELL_H2, np.array([1.0, 0.0, 0.0]))):
+        pts = (surface.sample(500, rng)[0] if isinstance(surface, GeodesicSphere)
+               else sample_ellipsoid(surface, 500, rng)[0])
+        rs = _distances(surface.geometry, x, pts)
+        oracle = [geodesic_distance(surface.geometry, x, y) for y in pts]
+        assert np.max(np.abs(rs - oracle)) < 1e-14
+    pts[7, 0] *= 1.0 + 1e-8
+    with pytest.raises(NotOnModel):
+        _distances(H2, np.array([1.0, 0.0, 0.0]), pts)
+    with pytest.raises(NotOnModel):
+        _distances(H2, np.array([1.0, 0.0, 0.0]), -sample_ellipsoid(ELL_H2, 5, rng)[0])
 
 
 def test_newton_sphere_shell_s3():
@@ -468,6 +697,80 @@ def test_curved_segment_sum_s1():
             s = curved_segment_sum(_binary_from_angles_s1(angles), 1e-4,
                                    spherical(1))
             assert abs(s) < 1e-9
+
+
+def _scan_circle_angles(b, shift):
+    """Oracle: the angle scan.  Sign changes of p(cos t, sin t) - shift on
+    400 points of (0, pi), refined by brentq."""
+    d = len(b) - 1
+
+    def f(t):
+        return sum(b[k] * np.cos(t) ** (d - k) * np.sin(t) ** k
+                   for k in range(d + 1)) - shift
+
+    ts = np.linspace(1e-9, np.pi - 1e-9, 400)
+    vals = f(ts)
+    out = [ts[j] if vals[j] == 0.0 else brentq(f, ts[j], ts[j + 1], xtol=1e-14)
+           for j in range(len(ts) - 1)
+           if vals[j] == 0.0 or vals[j] * vals[j + 1] < 0]
+    return np.array(out)
+
+
+def test_circle_roots_match_scan_oracle():
+    rng = np.random.default_rng(19)
+    for d in (3, 4):
+        for _ in range(30):
+            angles = np.sort(rng.uniform(0.1, np.pi - 0.1, size=d))
+            while np.min(np.diff(angles)) < 0.15:
+                angles = np.sort(rng.uniform(0.1, np.pi - 0.1, size=d))
+            b = _binary_from_angles_s1(angles)
+            assert np.max(np.abs(_geodesic_roots(b, 0.0, spherical(1)) - angles)) < 1e-12
+            for shift in (1e-4, -1e-4, 1e-3):
+                roots = _geodesic_roots(b, shift, spherical(1))
+                assert np.max(np.abs(roots - _scan_circle_angles(b, shift))) < 1e-12
+
+
+def _mp_real_root_count(coeffs_high_low):
+    """Oracle: distinct real roots of the float polynomial, to 50 digits."""
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([mpmath.mpf(float(c)) for c in coeffs_high_low],
+                                 maxsteps=200, extraprec=200)
+        return sum(1 for r in roots if abs(mpmath.im(r)) < mpmath.mpf(10) ** -30)
+
+
+def _well_posed(roots, coeffs_high_low):
+    """Whether rounding the coefficients to doubles can change the count: at
+    each midpoint of adjacent real roots and at each complex pair's real
+    part, |p| must exceed 1e3 times that rounding, eps sum |c_k| |x|^k.
+    Below it no method working in doubles from the coefficients can tell a
+    near-double real root from a near-real complex pair."""
+    real = np.sort([r.real for r in roots if np.imag(r) == 0])
+    xs = list((real[1:] + real[:-1]) / 2) + [r.real for r in roots if np.imag(r) > 0]
+    eps = np.finfo(float).eps
+    return all(abs(np.prod([x - r for r in roots]))
+               > 1e3 * eps * np.polyval(np.abs(coeffs_high_low), abs(x)) for x in xs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(real=st.lists(st.floats(-3.0, 3.0), max_size=5),
+       gap=st.floats(-6.0, -1.0).map(lambda e: 10.0 ** e),
+       pairs=st.lists(st.tuples(st.floats(-3.0, 3.0),
+                                st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e)),
+                      max_size=2))
+def test_real_root_count_matches_mpmath(real, gap, pairs):
+    """Chosen real roots, the first one doubled at a distance down to 1e-6
+    (the hyperbolicity boundary), and complex pairs down to 1e-6 off the
+    axis, wherever doubles can still resolve them."""
+    roots = real + [real[0] + gap] if real else []
+    # closer real roots count as one: the counter's cut is 1e-8 of the scale
+    assume(len(roots) < 2 or np.min(np.diff(np.sort(roots))) >= 1e-6)
+    roots += [complex(a, s * b) for a, b in pairs for s in (1, -1)]
+    assume(len(roots) >= 1)
+    coeffs = np.real(np.poly(roots))
+    assume(_well_posed(roots, coeffs))
+    n_proj, k_inf, _ = count_projective_real_roots(coeffs[::-1], len(coeffs) - 1)
+    assert k_inf == 0
+    assert n_proj == _mp_real_root_count(coeffs)
 
 
 def test_arnold_quartic_layer():
