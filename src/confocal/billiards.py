@@ -11,11 +11,13 @@ reflections in confocal hyperbolas are reversals x -> c - x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import product
 
 import numpy as np
-import scipy
 
 from .errors import (
     DegenerateConfiguration,
@@ -155,9 +157,10 @@ def reflect(family: ConfocalFamily, lam: float, line: OrientedLine,
     """Billiard reflection of an oriented line in the lam-member.
 
     branch: 'forward' picks the nearest intersection at nonnegative ray
-    parameter (falling back to the earliest), 'exit' the latest, 'entry'
-    the earliest; a callable receives each candidate point and keeps those
-    where it is true.  Returns (reflected line, incidence point).
+    parameter (from the line's foot) and raises NoIntersection when both
+    lie behind it, 'exit' the latest, 'entry' the earliest; a callable
+    receives each candidate point and keeps those where it is true.
+    Returns (reflected line, incidence point).
     """
     _check_planar(family)
     try:
@@ -176,10 +179,129 @@ def reflect(family: ConfocalFamily, lam: float, line: OrientedLine,
         t = ts[0]
     else:
         pos = [tv for tv in ts if tv >= 0.0]
-        t = pos[0] if pos else ts[0]
+        if not pos:
+            raise NoIntersection("both intersections lie behind the line's foot")
+        t = pos[0]
     q = line.point_at(t)
     d2 = reflect_direction(family, lam, q, line.direction)
     return OrientedLine.from_point_direction(q, d2), q
+
+
+# ---------------------------------------------------------------------------
+# elliptic integrals by Carlson's duplication (DLMF 19.36), on Python floats
+
+_EPS = 2.0 ** -52
+# Carlson (1995): once 4^-n Q < |A_n| the truncated series is exact to
+# machine epsilon
+_RF_Q = (3.0 * _EPS) ** (-1.0 / 6.0)
+_RD_Q = (0.25 * _EPS) ** (-1.0 / 6.0)
+
+
+def _rf(x: float, y: float, z: float) -> float:
+    """Carlson's R_F(x, y, z); x, y, z >= 0, at most one of them zero."""
+    x0, y0 = x, y
+    a0 = (x + y + z) / 3.0
+    q = _RF_Q * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
+    a, f = a0, 1.0
+    while f * q >= abs(a):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        f *= 0.25
+    X = f * (a0 - x0) / a
+    Y = f * (a0 - y0) / a
+    Z = -(X + Y)
+    e2 = X * Y - Z * Z
+    e3 = X * Y * Z
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
+
+
+def _rd(x: float, y: float, z: float) -> float:
+    """Carlson's R_D(x, y, z); x, y >= 0, at most one of them zero, z > 0."""
+    x0, y0 = x, y
+    a0 = (x + y + 3.0 * z) / 5.0
+    q = _RD_Q * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
+    a, f, tail = a0, 1.0, 0.0
+    while f * q >= abs(a):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        tail += f / (sz * (z + lam))
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        f *= 0.25
+    X = f * (a0 - x0) / a
+    Y = f * (a0 - y0) / a
+    Z = -(X + Y) / 3.0
+    xy, zz = X * Y, Z * Z
+    e2 = xy - 6.0 * zz
+    e3 = (3.0 * xy - 8.0 * zz) * Z
+    e4 = 3.0 * (xy - zz) * zz
+    e5 = xy * Z * zz
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return f * series / (a * math.sqrt(a)) + 3.0 * tail
+
+
+# The kernels below take the complementary parameter mc = 1 - m > 0, so
+# that 1 - m sin^2 psi is the sum cos^2 psi + mc sin^2 psi, exact to
+# rounding also when m is close to 1; K(m) = R_F(0, mc, 1).
+
+def _ellipe(phi: float, mc: float) -> float:
+    """E(phi | 1 - mc), reduced by E(psi + k pi) = E(psi) + 2kE.
+
+    For m <= 0, sin psi R_F - (m/3) sin^3 psi R_D (DLMF 19.25.9); for
+    0 < m < 1, whose terms in that form cancel near psi = pi/2, the form
+    of DLMF 19.25.10.  Either way every term has the sign of psi."""
+    m = 1.0 - mc
+
+    def part(s, c):
+        d = c * c + mc * s * s
+        if m <= 0.0:
+            return s * _rf(c * c, d, 1.0) - m / 3.0 * s ** 3 * _rd(c * c, d, 1.0)
+        return (mc * s * _rf(c * c, d, 1.0) + m * mc / 3.0 * s ** 3 * _rd(c * c, 1.0, d)
+                + m * s * c / math.sqrt(d))
+
+    psi = math.remainder(phi, math.pi)
+    k = round((phi - psi) / math.pi)
+    val = part(math.sin(psi), math.cos(psi))
+    return val + 2 * k * part(1.0, 0.0) if k else val
+
+
+def _amplitude(u: float, mc: float, K: float):
+    """(sin phi, cos phi) of the amplitude phi with F(phi | 1 - mc) = u,
+    given K = K(m): Jacobi's sn u and cn u.
+
+    After the reduction u = r + 2kK with |r| <= K, phi = psi + k pi, and F
+    is odd in psi; on [0, pi/2] it is concave for mc >= 1 and convex for
+    mc < 1.  Newton's method started at 0 (concave) or at pi/2 (convex)
+    therefore moves monotonically towards the root.  Once a step fails to
+    move it on, it is at the root to rounding, and it takes further steps
+    only while they shrink.
+    """
+    k = round(u / (2.0 * K))
+    r = u - 2.0 * k * K
+    sign, r = math.copysign(1.0, r), abs(r)
+    concave = mc >= 1.0
+    ahead = 1.0 if concave else -1.0
+    psi = 0.0 if concave else 0.5 * math.pi
+    last = math.inf
+    while True:
+        s, c = math.sin(psi), math.cos(psi)
+        d = c * c + mc * s * s
+        nxt = psi + (r - s * _rf(c * c, d, 1.0)) * math.sqrt(d)
+        step = min(max(nxt, 0.0), 0.5 * math.pi) - psi
+        if step * ahead <= 0.0 or last < math.inf:
+            if step == 0.0 or abs(step) >= last:
+                flip = -1.0 if k % 2 else 1.0
+                return flip * sign * s, flip * c
+            last = abs(step)
+        psi += step
+
+
+def _branch_integral(tt: float, c1: float, c2: float) -> float:
+    """int_0^t ds / sqrt((c1 + s^2)(c2 + s^2)) at t = sqrt(tt), c1, c2 > 0:
+    t R_F(c1 c2, c2 (c1 + t^2), c1 (c2 + t^2)), whose limit at t = inf is
+    R_F(0, c2, c1)."""
+    return math.sqrt(tt) * _rf(c1 * c2, c2 * (c1 + tt), c1 * (c2 + tt))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +314,12 @@ class CausticChart:
     Ellipse caustics carry the separated measure dmu / (2 sqrt((a1-mu)
     (mu-a2)(mu-lam))) in the conjugate elliptic coordinate mu, which in the
     standard angle parametrization T = (sqrt(A) cos th, sqrt(B) sin th)
-    becomes an incomplete elliptic integral.  Hyperbola caustics use one
-    branch with its own normalized measure.
+    is proportional to F(th | m) with 1 - m = mc = A / B, so the coordinate
+    is F(th | m) / 4K(m).  Hyperbola caustics use one branch, parametrized
+    by t = sqrt(a2 - mu) from its vertex, with the measure
+    dt / sqrt((c1 + t^2)(c2 + t^2)), c1 = a1 - a2, c2 = lam - a2; in
+    t = sqrt(c2) tan psi that is dpsi / sqrt(c1 (1 - m sin^2 psi)) with
+    mc = c2 / c1, so the branch carries F(psi | m) / 2K(m).
     """
 
     def __init__(self, family: ConfocalFamily, lam_c: float):
@@ -211,45 +337,38 @@ class CausticChart:
             self.kind = CausticKind.ELLIPSE
             self.A = a1 - lam_c
             self.B = a2 - lam_c
-            self.mpar = -(a1 - a2) / (a2 - lam_c)
-            self.scale = 1.0 / np.sqrt(a2 - lam_c)
-            self.total = self.scale * float(
-                scipy.special.ellipkinc(2.0 * np.pi, self.mpar))
+            self.mc = self.A / self.B
         elif a2 < lam_c < a1:
             self.kind = CausticKind.HYPERBOLA
             self.A = a1 - lam_c      # > 0
             self.B = a2 - lam_c      # < 0
-            c1 = a1 - a2
-            c2 = lam_c - a2
-
-            def dens(s):
-                return 1.0 / np.sqrt((c1 + s * s) * (c2 + s * s))
-
-            self._dens = dens
-            half, _ = scipy.integrate.quad(dens, 0.0, np.inf, limit=200)
-            self.total = 2.0 * half
+            self.c1 = a1 - a2
+            self.c2 = lam_c - a2
+            self.mc = self.c2 / self.c1
         else:
             raise InvalidParameters("caustic parameter collides with a focal value")
 
-    # -- ellipse chart -----------------------------------------------------
-    def _measure_theta(self, theta: float) -> float:
-        return self.scale * float(scipy.special.ellipkinc(theta, self.mpar))
+    @cached_property
+    def K(self) -> float:
+        """K(m): a quarter of the ellipse's measure, half of the branch's."""
+        return _rf(0.0, self.mc, 1.0)
 
     def coordinate_of_point(self, point, branch_sign: int = 1) -> float:
         """Canonical coordinate of a point on the caustic."""
-        x, y = np.asarray(point, dtype=float)
+        x, y = (float(v) for v in point)
         if self.family.is_circular:
-            return (np.arctan2(y, x) / (2.0 * np.pi)) % 1.0
+            return (math.atan2(y, x) / (2.0 * math.pi)) % 1.0
         if self.kind is CausticKind.ELLIPSE:
-            theta = np.arctan2(y / np.sqrt(self.B), x / np.sqrt(self.A)) % (2.0 * np.pi)
-            return (self._measure_theta(theta) / self.total) % 1.0
-        # hyperbola branch: t^2 = a2 - mu, measured from the vertex
-        a1, a2 = self.family.a
-        mu = a1 + a2 - self.lam_c - x * x - y * y  # trace identity: mu + lam = a1 + a2 - x^2 - y^2
-        t = np.sqrt(max(a2 - mu, 0.0))
-        cum, _ = scipy.integrate.quad(self._dens, 0.0, t, limit=200)
-        s = 1.0 if y >= 0.0 else -1.0
-        return (s * cum / self.total) % 1.0
+            # F(th | m) at cos th : sin th = X : Y, with F(th + pi) = F(th) + 2K
+            X, Y = x / math.sqrt(self.A), y / math.sqrt(self.B)
+            f = Y * _rf(X * X, X * X + self.mc * Y * Y, X * X + Y * Y)
+            if X < 0.0:
+                f = math.copysign(2.0 * self.K, Y) - f
+            return (f / (4.0 * self.K)) % 1.0
+        # hyperbola branch: y^2 = c2 t^2 / c1
+        c1, c2 = self.c1, self.c2
+        w = math.sqrt(c1) * _branch_integral(y * y * c1 / c2, c1, c2)
+        return math.copysign(w / (2.0 * self.K), y) % 1.0
 
     def tangency_of_line(self, line: OrientedLine, tol: float = 1e-8) -> np.ndarray:
         tag = caustic_of_line(self.family, line)
@@ -265,25 +384,35 @@ class CausticChart:
     def coordinate_of_line(self, line: OrientedLine, tol: float = 1e-8) -> float:
         return self.coordinate_of_point(self.tangency_of_line(line, tol))
 
-    def _theta_at(self, x: float) -> float:
-        target = (x % 1.0) * self.total
-        return scipy.optimize.brentq(lambda th: self._measure_theta(th) - target,
-                                     0.0, 2.0 * np.pi, xtol=1e-14)
+    def _ellipse_at(self, x: float):
+        """(cos th, sin th) of the ellipse point at canonical coordinate x."""
+        s, c = _amplitude((x % 1.0) * 4.0 * self.K, self.mc, self.K)
+        return c, s
 
     def _branch_t_at(self, x: float):
         """Hyperbola branch: (t, half-sign) at canonical coordinate x."""
         frac = x % 1.0
         frac = frac if frac <= 0.5 else frac - 1.0
-        target = abs(frac) * self.total
-        if target >= self.total / 2.0:
+        K = self.K
+        w = 2.0 * K * abs(frac)
+        if w >= K:
             raise InvalidParameters("coordinate beyond the branch end")
-        hi = 1.0
-        while scipy.integrate.quad(self._dens, 0.0, hi, limit=200)[0] < target:
-            hi *= 2.0
-        t = scipy.optimize.brentq(
-            lambda tv: scipy.integrate.quad(self._dens, 0.0, tv, limit=200)[0] - target,
-            0.0, hi, xtol=1e-14)
+        # t -> sqrt(c1 c2) / t swaps the measure from the vertex with the
+        # measure to the end, so psi is solved for on the half where
+        # tan psi <= (c1 / c2)^(1/4), away from the pole of tan
+        if w <= 0.5 * K:
+            s, c = _amplitude(w, self.mc, K)
+            t = math.sqrt(self.c2) * s / c
+        else:
+            s, c = _amplitude(K - w, self.mc, K)
+            t = math.sqrt(self.c1) * c / s
         return t, (1.0 if frac >= 0.0 else -1.0)
+
+    def _branch_point(self, t: float, half: float) -> np.ndarray:
+        a1, a2 = self.family.a
+        X = np.sqrt(self.A * (a1 - a2 + t * t) / (a1 - a2))
+        Y = half * t * np.sqrt(-self.B / (a1 - a2))
+        return np.array([X, Y])
 
     def point_at(self, x: float) -> np.ndarray:
         """Caustic point at canonical coordinate x (mod 1)."""
@@ -291,14 +420,10 @@ class CausticChart:
             th = 2.0 * np.pi * (x % 1.0)
             return self.radius * np.array([np.cos(th), np.sin(th)])
         if self.kind is CausticKind.ELLIPSE:
-            th = self._theta_at(x)
-            return np.array([np.sqrt(self.A) * np.cos(th), np.sqrt(self.B) * np.sin(th)])
+            c, s = self._ellipse_at(x)
+            return np.array([np.sqrt(self.A) * c, np.sqrt(self.B) * s])
         # hyperbola: right branch by convention
-        t, half = self._branch_t_at(x)
-        a1, a2 = self.family.a
-        X = np.sqrt(self.A * (a1 - a2 + t * t) / (a1 - a2))
-        Y = half * t * np.sqrt(-self.B / (a1 - a2))
-        return np.array([X, Y])
+        return self._branch_point(*self._branch_t_at(x))
 
     def tangent_line_at(self, x: float) -> OrientedLine:
         """Tangent line at canonical coordinate x, oriented along
@@ -308,13 +433,13 @@ class CausticChart:
             pt = self.radius * np.array([np.cos(th), np.sin(th)])
             return OrientedLine.from_point_direction(pt, [-np.sin(th), np.cos(th)])
         if self.kind is CausticKind.ELLIPSE:
-            th = self._theta_at(x)
-            pt = np.array([np.sqrt(self.A) * np.cos(th), np.sqrt(self.B) * np.sin(th)])
-            d = np.array([-np.sqrt(self.A) * np.sin(th), np.sqrt(self.B) * np.cos(th)])
+            c, s = self._ellipse_at(x)
+            pt = np.array([np.sqrt(self.A) * c, np.sqrt(self.B) * s])
+            d = np.array([-np.sqrt(self.A) * s, np.sqrt(self.B) * c])
             return OrientedLine.from_point_direction(pt, d)
         t, half = self._branch_t_at(x)
         a1, a2 = self.family.a
-        pt = self.point_at(x)
+        pt = self._branch_point(t, half)
         dX = np.sqrt(self.A / (a1 - a2)) * t / np.sqrt(a1 - a2 + t * t)
         dY = half * np.sqrt(-self.B / (a1 - a2))
         # increasing coordinate runs with increasing t on the upper half
@@ -360,18 +485,14 @@ class CausticChart:
     def perimeter(self) -> float:
         if self.family.is_circular:
             return 2.0 * np.pi * self.radius
-        sa, sb = np.sqrt(self.A), np.sqrt(self.B)
-        val, _ = scipy.integrate.quad(
-            lambda th: np.hypot(sa * np.sin(th), sb * np.cos(th)),
-            0.0, 2.0 * np.pi, limit=200)
-        return val
+        return 4.0 * math.sqrt(self.A) * _ellipe(0.5 * math.pi, self.B / self.A)
 
     def arc_length(self, th0: float, th1: float) -> float:
-        sa, sb = np.sqrt(self.A), np.sqrt(self.B)
-        val, _ = scipy.integrate.quad(
-            lambda th: np.hypot(sa * np.sin(th), sb * np.cos(th)),
-            th0, th1, limit=200)
-        return val
+        """Length of T(th) = (sqrt(A) cos th, sqrt(B) sin th), th0 <= th <= th1:
+        ds = sqrt(A) sqrt(1 - m sin^2(th - pi/2)) dth with m = 1 - B/A."""
+        mc = self.B / self.A
+        return math.sqrt(self.A) * (_ellipe(th1 - 0.5 * math.pi, mc)
+                                    - _ellipe(th0 - 0.5 * math.pi, mc))
 
 
 def canonical_coordinate(family: ConfocalFamily, lam_c: float,
@@ -477,18 +598,18 @@ def _ray_hit_arc(family: ConfocalFamily, point, direction, mirror_lam: float,
     return min(hits, key=lambda h: h[0])[1]
 
 
-def four_periodic_family(family: ConfocalFamily, quad: dict, t: float) -> dict:
+def four_periodic_family(family: ConfocalFamily, ivory: dict, t: float) -> dict:
     """Member of the 4-periodic billiard family interpolating between the
     two diagonals of an Ivory quadrilateral (t=0: diagonal BD, t=1: AC)."""
-    lam_e1, lam_e2 = quad["lam_e"]
-    lam_h1, lam_h2 = quad["lam_h"]
+    lam_e1, lam_e2 = ivory["lam_e"]
+    lam_h1, lam_h2 = ivory["lam_h"]
     if t < 1e-12:
-        return {"P": quad["D"], "Q": quad["B"], "R": quad["B"], "S": quad["D"],
-                "perimeter": 2.0 * quad["BD"], "closure_gap": 0.0}
+        return {"P": ivory["D"], "Q": ivory["B"], "R": ivory["B"], "S": ivory["D"],
+                "perimeter": 2.0 * ivory["BD"], "closure_gap": 0.0}
     if t > 1.0 - 1e-12:
-        return {"P": quad["A"], "Q": quad["A"], "R": quad["C"], "S": quad["C"],
-                "perimeter": 2.0 * quad["AC"], "closure_gap": 0.0}
-    lam_g = 0.5 * (quad["lam_AC"] + quad["lam_BD"])
+        return {"P": ivory["A"], "Q": ivory["A"], "R": ivory["C"], "S": ivory["C"],
+                "perimeter": 2.0 * ivory["AC"], "closure_gap": 0.0}
+    lam_g = 0.5 * (ivory["lam_AC"] + ivory["lam_BD"])
     chart = CausticChart(family, lam_g)
     e_range = (lam_e1, lam_e2)
     h_range = (lam_h1, lam_h2)
@@ -617,15 +738,15 @@ def circumscribed_check(family: ConfocalFamily, A, B, lam_c: float) -> dict:
 # Poncelet
 
 
-def reflection_shift(family: ConfocalFamily, outer_lam: float, lam_c: float,
-                     x0: float = 0.13) -> float:
-    """Canonical-coordinate shift of the reflection in the outer ellipse
-    acting on lines tangent to the lam_c caustic, as a value in (0, 1/2)."""
-    chart = CausticChart(family, lam_c)
-    line = chart.tangent_line_at(x0)
-    out, _ = reflect(family, outer_lam, line, branch="exit")
-    c = abs(circ_diff(chart.coordinate_of_line(out, tol=1e-6), x0))
-    return c
+def _rotation_number(family: ConfocalFamily, outer_lam: float, lam_c: float) -> float:
+    """Rotation number of the billiard in the outer_lam ellipse on lines
+    tangent to the lam_c ellipse caustic, a ratio of elliptic periods:
+    X R_F(AB, B(A + X^2), A(B + X^2)) / 2 R_F(0, B, A) with A, B the
+    caustic's squared semi-axes and X^2 = lam_c - outer_lam.  It increases
+    from 0 at lam_c = outer_lam to 1/2 at the focal value a2."""
+    a1, a2 = family.a
+    A, B = a1 - lam_c, a2 - lam_c
+    return _branch_integral(lam_c - outer_lam, A, B) / (2.0 * _rf(0.0, B, A))
 
 
 def poncelet_caustic_for_rotation(family: ConfocalFamily, outer_lam: float,
@@ -642,11 +763,18 @@ def poncelet_caustic_for_rotation(family: ConfocalFamily, outer_lam: float,
         return a1 - (R * np.cos(np.pi * rho)) ** 2
     lo = outer_lam + 1e-9 * (a2 - outer_lam)
     hi = a2 - 1e-9 * (a2 - outer_lam)
-    f = lambda lv: reflection_shift(family, outer_lam, lv) - rho
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
+    if not (_rotation_number(family, outer_lam, lo) <= rho
+            <= _rotation_number(family, outer_lam, hi)):
         raise NotBracketed("rotation number outside the achievable range")
-    return scipy.optimize.brentq(f, lo, hi, xtol=1e-13)
+    # bisection to the last bit on the increasing rotation number
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if _rotation_number(family, outer_lam, mid) < rho:
+            lo = mid
+        else:
+            hi = mid
 
 
 def poncelet_polygon(family: ConfocalFamily, outer_lam: float, lam_c: float,
@@ -710,30 +838,20 @@ def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
         rad_spread[s] = float(np.max(roots) - np.min(roots))
 
     # each grid cell is bounded by lines i, i+1, j, j+1 and is circumscribed
-    # about a circle; measure the best tangent-circle residual per cell
-    from itertools import product as _product
-
-    def _tangent_circle_residual(lines):
-        best = np.inf
-        for signs in _product([1.0, -1.0], repeat=3):
-            sv = (1.0,) + signs
-            rows = [[ln.normal[0], ln.normal[1], -s] for ln, s in zip(lines, sv)]
-            rhs = [ln.p for ln in lines]
-            sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
-            c = sol[:2]
-            resid = max(abs((ln.normal @ c - ln.p) - s * sol[2])
-                        for ln, s in zip(lines, sv))
-            best = min(best, resid)
-        return float(best)
-
-    quad_residuals = []
-    for i in range(q):
-        for j in range(i + 1, q):
-            idx = {i, (i + 1) % q, j, (j + 1) % q}
-            if len(idx) < 4:
-                continue
-            quad_lines = [sides[i], sides[(i + 1) % q], sides[j], sides[(j + 1) % q]]
-            quad_residuals.append(_tangent_circle_residual(quad_lines))
+    # about a circle: for each sign pattern s (s_0 = 1) the least-squares
+    # (c, r) of <nu_k, c> - s_k r = p_k, and per cell the smallest residual
+    # over the patterns
+    cells = [(i, (i + 1) % q, j, (j + 1) % q) for i in range(q) for j in range(i + 1, q)]
+    cells = np.array([c for c in cells if len(set(c)) == 4], dtype=int).reshape(-1, 4)
+    normals = np.array([ln.normal for ln in sides])
+    rhs = np.array([ln.p for ln in sides])[cells][:, None, :, None]
+    signs = np.array([(1.0,) + s for s in product((1.0, -1.0), repeat=3)])
+    rows = np.empty((len(cells), len(signs), 4, 3))
+    rows[..., :2] = normals[cells][:, None]
+    rows[..., 2] = -signs
+    sol = np.linalg.pinv(rows) @ rhs
+    resid = np.abs(rows @ sol - rhs).max(axis=(2, 3))
+    quad_residuals = resid.min(axis=1).tolist()
 
     return {"lam_c": lam_c, "vertices": verts, "closure_gap": gap,
             "points": points, "concentric_spread": conc_spread,

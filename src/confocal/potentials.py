@@ -14,6 +14,7 @@ which reduces to root-sum identities via Vieta's formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -696,6 +697,20 @@ def vieta_segment_sum(coeffs_low_high, eps: float) -> float:
     return float(np.sum(_real_roots(c)) - np.sum(_real_roots(ce)))
 
 
+@lru_cache(maxsize=None)
+def _half_angle_basis(d: int) -> np.ndarray:
+    """Read-only rows k = 0..d: the coefficients, low to high and padded to
+    2d + 1, of (1 - u^2)^(d-k) (2u)^k; row d + 1: those of (1 + u^2)^d."""
+    P = np.polynomial.polynomial
+    basis = np.zeros((d + 2, 2 * d + 1))
+    for k in range(d + 1):
+        term = P.polymul(P.polypow([1.0, 0.0, -1.0], d - k), P.polypow([0.0, 2.0], k))
+        basis[k, :len(term)] = term
+    basis[d + 1] = P.polypow([1.0, 0.0, 1.0], d)
+    basis.flags.writeable = False
+    return basis
+
+
 def _geodesic_roots(binary_coeffs, shift: float, geometry: Geometry) -> np.ndarray:
     """Arc-length parameters t of the d points where the binary form p of
     degree d equals shift on a curved line: p(cos t, sin t) on the open half
@@ -708,14 +723,12 @@ def _geodesic_roots(binary_coeffs, shift: float, geometry: Geometry) -> np.ndarr
     """
     b = np.asarray(binary_coeffs, dtype=float)
     d = len(b) - 1
-    P = np.polynomial.polynomial
     form = np.zeros(2 * d + 1)
     if geometry.kind is Kind.SPHERICAL:
+        basis = _half_angle_basis(d)
         for k in range(d + 1):
-            term = P.polymul(P.polypow([1.0, 0.0, -1.0], d - k),
-                             P.polypow([0.0, 2.0], k))
-            form[:len(term)] += b[k] * term
-        level, to_t = P.polypow([1.0, 0.0, 1.0], d), lambda u: 2.0 * np.arctan(u)
+            form += b[k] * basis[k]
+        level, to_t = basis[d + 1], lambda u: 2.0 * np.arctan(u)
     elif geometry.kind is Kind.HYPERBOLIC:
         form[::2] = b[::-1]
         level, to_t = np.eye(2 * d + 1)[d], np.log

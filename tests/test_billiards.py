@@ -1,13 +1,23 @@
 """Tests for planar confocal billiards."""
 
+import math
+from itertools import product
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confocal import ConfocalFamily, euclidean
 from confocal.billiards import (
     CausticChart,
     CausticKind,
     OrientedLine,
+    _ellipe,
+    _rd,
+    _rf,
+    _rotation_number,
     canonical_coordinate,
     caustic_of_line,
     circ_diff,
@@ -22,7 +32,7 @@ from confocal.billiards import (
     reflect,
     string_length,
 )
-from confocal.errors import InsideCaustic, NoIntersection
+from confocal.errors import InsideCaustic, NoIntersection, NotBracketed
 
 FAM = ConfocalFamily(euclidean(2), (4.0, 1.0))
 CIRC = ConfocalFamily(euclidean(2), (2.0, 2.0))
@@ -86,6 +96,17 @@ def test_reflect_through_focus():
 def test_reflect_no_intersection():
     with pytest.raises(NoIntersection):
         reflect(FAM, 0.0, OrientedLine(0.0, 5.0))
+
+
+def test_reflect_forward_both_behind():
+    # the foot lies outside the ellipse and both intersections behind it
+    ln = OrientedLine(np.pi / 4.0, 1.4)
+    ts = line_conic_intersections(FAM, 0.0, ln)
+    assert len(ts) == 2 and max(ts) < 0.0
+    with pytest.raises(NoIntersection):
+        reflect(FAM, 0.0, ln)
+    _, pt = reflect(FAM, 0.0, ln, branch="exit")
+    assert np.allclose(pt, ln.point_at(ts[-1]))
 
 
 def test_caustic_kinds():
@@ -301,6 +322,178 @@ def test_poncelet_grid():
 def test_poncelet_grid_q7():
     g = poncelet_grid(FAM, 0.0, 7, 2)
     assert max(g["concentric_spread"].values()) < 1e-8
+
+
+def _tangent_circle_residual(lines):
+    """Per-cell loop oracle for poncelet_grid's quad_residuals."""
+    best = np.inf
+    for signs in product([1.0, -1.0], repeat=3):
+        sv = (1.0,) + signs
+        rows = [[ln.normal[0], ln.normal[1], -s] for ln, s in zip(lines, sv)]
+        rhs = [ln.p for ln in lines]
+        sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
+        c = sol[:2]
+        resid = max(abs((ln.normal @ c - ln.p) - s * sol[2]) for ln, s in zip(lines, sv))
+        best = min(best, resid)
+    return float(best)
+
+
+@pytest.mark.parametrize("q", [9, 41])
+def test_poncelet_grid_residuals_match_loop(q):
+    g = poncelet_grid(FAM, -0.2, q, 2, 0.37)
+    verts = g["vertices"]
+    sides = [OrientedLine.from_point_direction(verts[i], verts[(i + 1) % q] - verts[i])
+             for i in range(q)]
+    expect = []
+    for i in range(q):
+        for j in range(i + 1, q):
+            idx = [i, (i + 1) % q, j, (j + 1) % q]
+            if len(set(idx)) == 4:
+                expect.append(_tangent_circle_residual([sides[k] for k in idx]))
+    assert len(g["quad_residuals"]) == len(expect)
+    assert max(abs(a - b) for a, b in zip(g["quad_residuals"], expect)) < 1e-12
+
+
+def reflection_shift(family, outer_lam, lam_c, x0=0.13):
+    """Oracle for the rotation number: the canonical-coordinate shift of
+    one reflection in the outer ellipse, as a value in (0, 1/2)."""
+    chart = CausticChart(family, lam_c)
+    line = chart.tangent_line_at(x0)
+    out, _ = reflect(family, outer_lam, line, branch="exit")
+    return abs(circ_diff(chart.coordinate_of_line(out, tol=1e-6), x0))
+
+
+def test_rotation_number_matches_reflection_shift():
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        outer = rng.uniform(-1.0, 0.9)
+        lam_c = outer + rng.uniform(0.02, 0.98) * (1.0 - outer)
+        rho = _rotation_number(FAM, outer, lam_c)
+        assert 0.0 < rho < 0.5
+        assert abs(rho - reflection_shift(FAM, outer, lam_c)) < 1e-12
+
+
+def test_poncelet_caustic_has_the_rotation_number():
+    # solved to the last bit: p/q lies between rho at the neighbouring doubles
+    for p, q in [(1, 3), (2, 9), (2, 41), (18, 41)]:
+        lam_c = poncelet_caustic_for_rotation(FAM, -0.2, p, q)
+        below, above = (_rotation_number(FAM, -0.2, math.nextafter(lam_c, to))
+                        for to in (-math.inf, math.inf))
+        assert below <= p / q <= above
+    # rho tends to 1/2 only logarithmically at the focal value
+    with pytest.raises(NotBracketed):
+        poncelet_caustic_for_rotation(FAM, -0.2, 19, 41)
+
+
+# -- elliptic integrals against 50-digit mpmath -----------------------------
+
+def _rel(value, exact):
+    return abs(mpmath.mpf(value) - exact) / abs(exact)
+
+
+_EXPONENT = st.floats(-8.0, 8.0)
+# amplitudes in [0, 2pi): anywhere, at k pi/2, and within 1e-16..1e-3 of it
+_AMPLITUDE = st.one_of(
+    st.floats(1e-200, 2.0 * math.pi, exclude_max=True),
+    st.integers(0, 3).map(lambda k: k * math.pi / 2.0),
+    st.tuples(st.integers(1, 4), st.floats(-16.0, -3.0)).map(
+        lambda kd: kd[0] * math.pi / 2.0 - 10.0 ** kd[1]),
+    st.tuples(st.integers(0, 3), st.floats(-16.0, -3.0)).map(
+        lambda kd: kd[0] * math.pi / 2.0 + 10.0 ** kd[1]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.tuples(_EXPONENT, _EXPONENT, _EXPONENT), st.booleans())
+def test_carlson_kernels_match_mpmath(exponents, zero):
+    x, y, z = (10.0 ** e for e in exponents)
+    x = 0.0 if zero else x
+    with mpmath.workdps(50):
+        assert _rel(_rf(x, y, z), mpmath.elliprf(x, y, z)) < 1e-14
+        assert _rel(_rd(x, y, z), mpmath.elliprd(x, y, z)) < 1e-14
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_EXPONENT, st.one_of(_AMPLITUDE, _AMPLITUDE.map(lambda a: a + 2.0 * math.pi),
+                            _AMPLITUDE.map(lambda a: -a)))
+def test_k_and_e_match_mpmath(exponent, phi):
+    mc = 10.0 ** exponent
+    with mpmath.workdps(50):
+        m = 1 - mpmath.mpf(mc)
+        assert _rel(_rf(0.0, mc, 1.0), mpmath.ellipk(m)) < 1e-14
+        if phi != 0.0:
+            assert _rel(_ellipe(phi, mc), mpmath.ellipe(phi, m)) < 1e-14
+
+
+# caustics from 3 to 1e-8 below (ellipse) or above (hyperbola) the focal
+# value a2 = 1 of FAM: mc = A/B up to about 3e8, and c2/c1 down to 3e-9
+_FOCAL_GAP = st.floats(-8.0, math.log10(2.9)).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_FOCAL_GAP, _AMPLITUDE)
+def test_ellipse_chart_f_matches_mpmath(gap, phi):
+    """coordinate_of_point is F(phi | m) / 4K(m), m = 1 - A/B."""
+    chart = CausticChart(FAM, 1.0 - gap)
+    point = (math.sqrt(chart.A) * math.cos(phi), math.sqrt(chart.B) * math.sin(phi))
+    with mpmath.workdps(50):
+        m = 1 - mpmath.mpf(chart.mc)
+        exact = mpmath.ellipf(phi, m) / (4 * mpmath.ellipk(m))
+        err = abs(circ_diff(chart.coordinate_of_point(point), float(exact)))
+        assert err <= 1e-14 * exact
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_FOCAL_GAP, st.one_of(st.floats(1e-200, 1.0, exclude_max=True),
+                             st.sampled_from([0.0, 0.25, 0.5, 0.75, 1e-12, 0.5 - 1e-12,
+                                              1.0 - 1e-12])))
+def test_ellipse_chart_inverse_matches_mpmath(gap, x):
+    chart = CausticChart(FAM, 1.0 - gap)
+    c, s = chart._ellipse_at(x)
+    phi = math.atan2(s, c) % (2.0 * math.pi)
+    with mpmath.workdps(50):
+        m = 1 - mpmath.mpf(chart.mc)
+        target = x * 4 * mpmath.ellipk(m)
+        exact = mpmath.findroot(lambda f: mpmath.ellipf(f, m) - target, phi)
+        assert abs(phi - exact) <= 1e-14 * exact
+
+
+def _branch_measure(chart, t):
+    """mpmath: the branch measure from the vertex to t, as a share of the
+    whole branch, F(arctan(t / sqrt(c2)) | 1 - c2/c1) / 2K."""
+    c1, c2 = mpmath.mpf(chart.c1), mpmath.mpf(chart.c2)
+    m = 1 - c2 / c1
+    return mpmath.ellipf(mpmath.atan(t / mpmath.sqrt(c2)), m) / (2 * mpmath.ellipk(m))
+
+
+_BRANCH_T = st.floats(-6.0, 4.0).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_FOCAL_GAP, _BRANCH_T, st.sampled_from([1.0, -1.0]))
+def test_hyperbola_chart_matches_mpmath(gap, t, half):
+    """The branch coordinate at t from 1e-6 (near the vertex) to 1e4, and
+    the inverse: the measure at the returned t is the one asked for."""
+    chart = CausticChart(FAM, 1.0 + gap)
+    y = chart._branch_point(t, half)[1]
+    with mpmath.workdps(50):
+        t_y = abs(mpmath.mpf(y)) * mpmath.sqrt(mpmath.mpf(chart.c1) / mpmath.mpf(chart.c2))
+        exact = _branch_measure(chart, t_y)
+        x = chart.coordinate_of_point((chart._branch_point(t, half)[0], y))
+        assert abs(circ_diff(x, half * float(exact))) <= 1e-14 * exact
+        x = float(exact)
+        t_back, sign = chart._branch_t_at(x)
+        assert sign == 1.0
+        assert _rel(x, _branch_measure(chart, mpmath.mpf(t_back))) < 1e-14
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_FOCAL_GAP, st.sampled_from([1.0, -1.0]), st.floats(0.0, 1.0, exclude_max=True))
+def test_chart_round_trip(gap, side, x):
+    chart = CausticChart(FAM, 1.0 - side * gap)
+    if chart.kind is CausticKind.HYPERBOLA and abs(circ_diff(x, 0.5)) < 1e-3:
+        x = 0.25    # the branch ends at x = 1/2
+    assert abs(circ_diff(chart.coordinate_of_point(chart.point_at(x)), x)) < 1e-13
 
 
 # -- string construction ----------------------------------------------------

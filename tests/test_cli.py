@@ -218,9 +218,18 @@ def test_import_cost_guard(tmp_path):
         "potential-scan-h4": ("potential-scan", {
             "geometry": "hyperbolic", "dim": 4,
             "radii": {"start": 0.2, "stop": 3.0, "count": 8}}),
-        # positive control: the caustic chart calls scipy.special
         "billiard-orbit": ("billiard-orbit", {
             "a": [4.0, 1.0], "outer_lam": 0.0, "lam_c": 0.5, "bounces": 3}),
+        "poncelet-grid": ("poncelet-grid", {
+            "a": [4.0, 1.0], "outer_lam": -0.2, "q": 9, "p": 2}),
+        "inscribed-circles": ("inscribed-circles", {
+            "a": [4.0, 1.0], "outer_lam": 0.05, "lam_c": 0.5,
+            "theta_a": 0.7, "theta_b": 2.1}),
+        # positive control, run last: the box billiard calls solve_ivp
+        "staeckel-billiard": ("staeckel-billiard", {
+            "metric": {"name": "elliptic_R2", "params": [4.0, 1.0]},
+            "walls": [[2.2, 2.9], [0.3, 0.7]], "q0": [2.5, 0.5],
+            "p0": [0.8, 0.6], "bounces": 8, "tolerance": 1e-8}),
     }
     argv = []
     for label, (command, cfg) in runs.items():
@@ -231,9 +240,9 @@ def test_import_cost_guard(tmp_path):
                           capture_output=True, text=True, timeout=120, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
     for stage in ("import", *runs):
-        if stage != "billiard-orbit":
+        if stage != "staeckel-billiard":
             assert seen[stage] == [], stage
-    assert "scipy.special" in seen["billiard-orbit"]
+    assert "scipy.integrate" in seen["staeckel-billiard"]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from confocal.potentials import (
     _distances,
     _geodesic_basis,
     _geodesic_roots,
+    _half_angle_basis,
     CurvedEllipsoid,
     GeodesicSphere,
     Homeoid,
@@ -728,6 +729,29 @@ def test_circle_roots_match_scan_oracle():
             for shift in (1e-4, -1e-4, 1e-3):
                 roots = _geodesic_roots(b, shift, spherical(1))
                 assert np.max(np.abs(roots - _scan_circle_angles(b, shift))) < 1e-12
+
+
+def test_half_angle_basis_keeps_roots_bit_identical():
+    """The cached basis against the products it replaces: the roots from
+    the per-call polypow/polymul construction are the same doubles."""
+    P = np.polynomial.polynomial
+    rng = np.random.default_rng(23)
+    for d in (3, 4):
+        assert not _half_angle_basis(d).flags.writeable
+        for _ in range(20):
+            angles = np.sort(rng.uniform(0.1, np.pi - 0.1, size=d))
+            while np.min(np.diff(angles)) < 0.15:
+                angles = np.sort(rng.uniform(0.1, np.pi - 0.1, size=d))
+            b = _binary_from_angles_s1(angles)
+            form = np.zeros(2 * d + 1)
+            for k in range(d + 1):
+                term = P.polymul(P.polypow([1.0, 0.0, -1.0], d - k), P.polypow([0.0, 2.0], k))
+                form[:len(term)] += b[k] * term
+            for shift in (0.0, 1e-3):
+                level = P.polypow([1.0, 0.0, 1.0], d)
+                _, _, roots = count_projective_real_roots(form - shift * level, 2 * d)
+                expect = 2.0 * np.arctan(roots[roots > 0])
+                assert np.array_equal(_geodesic_roots(b, shift, spherical(1)), expect)
 
 
 def _mp_real_root_count(coeffs_high_low):
