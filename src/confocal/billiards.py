@@ -199,6 +199,9 @@ _RD_Q = (0.25 * _EPS) ** (-1.0 / 6.0)
 
 def _rf(x: float, y: float, z: float) -> float:
     """Carlson's R_F(x, y, z); x, y, z >= 0, at most one of them zero."""
+    if (x == 0.0) + (y == 0.0) + (z == 0.0) > 1:
+        # R_F diverges there, and the duplication would never shrink
+        raise InvalidParameters("R_F with two zero arguments diverges")
     x0, y0 = x, y
     a0 = (x + y + z) / 3.0
     q = _RF_Q * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
@@ -218,6 +221,8 @@ def _rf(x: float, y: float, z: float) -> float:
 
 def _rd(x: float, y: float, z: float) -> float:
     """Carlson's R_D(x, y, z); x, y >= 0, at most one of them zero, z > 0."""
+    if x == 0.0 and y == 0.0:
+        raise InvalidParameters("R_D with two zero arguments diverges")
     x0, y0 = x, y
     a0 = (x + y + 3.0 * z) / 5.0
     q = _RD_Q * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))

@@ -324,13 +324,10 @@ def _tangent_frame(ws: np.ndarray) -> list:
     raise InvalidParameters("samplers implemented for n = 2, 3")
 
 
-def sample_ellipsoid(ellipsoid: CurvedEllipsoid, N: int, rng,
-                     density: str = "homeoidal"):
+def sample_ellipsoid(ellipsoid: CurvedEllipsoid, N: int, rng):
     """Radial-projection sampler: uniform directions on S^{n-1}, points of
     the ellipsoid above them, and weights combining the exact area element
-    of the parametrization with the requested density."""
-    if density not in ("homeoidal", "uniform"):
-        raise InvalidParameters(f"unknown density rule {density!r}")
+    of the parametrization with the homeoidal density."""
     a, b, kappa = np.asarray(ellipsoid.a), ellipsoid.b, ellipsoid._kappa
     ws = rng.normal(size=(N, ellipsoid.n))
     ws /= np.linalg.norm(ws, axis=1, keepdims=True)
@@ -347,9 +344,7 @@ def sample_ellipsoid(ellipsoid: CurvedEllipsoid, N: int, rng,
          drho[..., None] * ws[:, None, :] + rho[:, None, None] * frames], axis=2)
     grams = np.einsum("nki,nli->nkl", tangents * _eta(ellipsoid.geometry), tangents)
     areas = np.sqrt(np.maximum(np.linalg.det(grams), 0.0))
-    if density == "homeoidal":
-        return pts, areas / ellipsoid.grad_norm(pts)
-    return pts, areas
+    return pts, areas / ellipsoid.grad_norm(pts)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from .errors import (
     InvalidParameters,
@@ -186,14 +185,6 @@ def hamiltonian(metric: StaeckelMetric, q, p) -> float:
     return float(integrals_alpha(metric, q, p)[0])
 
 
-def _hamilton_field(metric: StaeckelMetric, q, p):
-    """(dq/dt, dp/dt) = (dH/dp, -dH/dq), both through one M^{-1}."""
-    M, dM = metric._entries(q[:, None], deriv=True)
-    Minv = _inverse(M, q)
-    alpha = 0.5 * (Minv @ (p * p))
-    return Minv[0] * p, Minv[0] * (dM @ alpha)
-
-
 # ---------------------------------------------------------------------------
 # separable quadratures
 
@@ -324,70 +315,248 @@ def ivory_check(metric: StaeckelMetric, box, tol: float = 1e-8) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# billiards in coordinate boxes
+# billiards in coordinate boxes, by the separated flow
+#
+# Write p_i = s_i sqrt(h_i(q_i, alpha)).  Between two events each q_i runs
+# monotonically over a segment from q_i to its endpoint e_i ahead: a wall,
+# or a turning point where h_i = 0.  There s_i flips.  Along the flight
+# dq_i / p_i = |dq_i| / sqrt(h_i), so the Abel integrals of a path are
+# those of `_leg_integrals` (`_abel`), and by Jacobi's theorem their sums
+# over the coordinates move linearly: phi_0 = t, phi_j constant for j >= 1.
+# A piece of flight ends when the first coordinate reaches its endpoint.
+
+# relative rounding bound of a sum of the 2 x 80 positive terms of an Abel
+# integral (gamma_N); Abel sums that agree to it are one value
+_SUM_ROUNDING = 2 * _GL_NODES.size * np.finfo(float).eps
+
+
+def _abel(metric: StaeckelMetric, i: int, a: float, x: float, alpha, turns) -> np.ndarray:
+    """Abel integrals of coordinate i over its path from a to x: the rule of
+    `_leg_integrals`, with two changes that keep its digits next to a
+    turning point.  h_i is taken as prod(t - r) quot(t) / den(t) over the
+    real roots r of its numerator (`turns`), each factor as (c - r) +/- s^2,
+    where sum_j alpha_j u_ij(t) has lost its relative digits to
+    cancellation.  And each half of the path is substituted, t = c +/- s^2,
+    about the root beyond its end when one lies within half the path (else
+    about the end), so that a turning point just outside the path leaves
+    the integrand smooth in s."""
+    lo, hi = min(a, x), max(a, x)
+    if lo == hi:
+        return np.zeros(metric.n)
+    r, _, quot = turns
+    half = 0.5 * (hi - lo)
+    ca = max([v for v in r if lo - half < v <= lo], default=lo)
+    cb = min([v for v in r if hi <= v < hi + half], default=hi)
+    sa0, sb0 = np.sqrt(lo - ca), np.sqrt(cb - hi)
+    # s1 - s0 = half / (s1 + s0), without the cancellation
+    da = half / (np.sqrt(lo - ca + half) + sa0)
+    db = half / (np.sqrt(cb - hi + half) + sb0)
+    frac = 0.5 * (_GL_NODES + 1.0)
+    sa, sb = sa0 + da * frac, sb0 + db * frac
+    sa2, sb2 = sa * sa, sb * sb
+    w = np.concatenate([da * sa * _GL_WEIGHTS, db * sb * _GL_WEIGHTS])
+    t = np.concatenate([ca + sa2, cb - sb2])
+    den = _polyval(metric.den[i, 0], t)
+    U = _polyval(metric.num[i], t[:, None]) / den[:, None]
+    h = 2.0 * _polyval(quot, t) / den
+    for v in r:
+        h = h * np.concatenate([(ca - v) + sa2, (cb - v) - sb2])
+    return (w / np.sqrt(np.maximum(h, 1e-300))) @ U
+
+
+def _turning_points(metric: StaeckelMetric, i: int, alpha):
+    """Real roots r of h_i(., alpha), which are those of its numerator
+    N = sum_j alpha_j num_ij, the sign of h_i' at each, and the quotient of
+    N by prod(t - r)."""
+    N = np.trim_zeros(alpha @ metric.num[i], "f")
+    r = np.roots(N)
+    r = r[r.imag == 0.0].real
+    slope = np.sign(_polyval(_polyder(N), r) * _polyval(metric.den[i, 0], r))
+    quot = list(N)
+    for v in r:   # synthetic division by t - v, dropping the remainder
+        for k in range(1, len(quot) - 1):
+            quot[k] += v * quot[k - 1]
+        quot.pop()
+    return tuple(r.tolist()), slope, np.array(quot)
+
+
+def _next_end(qi: float, si: float, wall, turns):
+    """Endpoint ahead of q_i moving in direction s_i, and whether it is a
+    wall: the nearest root strictly before the wall where h_i turns
+    negative, else the wall."""
+    end = wall[1] if si > 0 else wall[0]
+    ahead = [v for v, sl in zip(*turns[:2])
+             if si * (v - qi) > 0 and si * (end - v) > 0 and si * sl < 0]
+    if ahead:
+        return min(ahead, key=lambda v: abs(v - qi)), False
+    return end, True
+
+
+def _partner(metric: StaeckelMetric, k: int, a: float, e: float, alpha, turns,
+             target: float, full: float):
+    """The point x between a and e where |Abel integral of column 1| from a
+    reaches target (full at e), and the integrals from a to x.
+
+    Safeguarded Newton on the distance d = |x - a|: the derivative is
+    |u_k1| / sqrt(h_k), every evaluation narrows a bisection bracket, and
+    the loop stops when a step no longer moves d."""
+    lo, hi = 0.0, abs(e - a)
+    s = np.sign(e - a)
+    d = hi * target / full
+    while True:
+        x = a + s * d
+        A = _abel(metric, k, a, x, alpha, turns)
+        g = abs(A[1]) - target
+        if g > 0:
+            hi = d
+        else:
+            lo = d
+        u = metric.row(k, x)
+        dn = d - g * np.sqrt(max(2.0 * (u @ alpha), 0.0)) / abs(u[1])
+        if dn == d:
+            return x, A
+        if not lo < dn < hi:
+            dn = 0.5 * (lo + hi)
+            if not lo < dn < hi:
+                return x, A
+        d = dn
+
+
+def _pinned(metric: StaeckelMetric, alpha, turns, q, s, e, F, i: int, theta):
+    """Positions of the other coordinates when coordinate i reaches e_i with
+    phi_1.. unchanged, the flight time, and whether that was solved.
+
+    Newton with sigma_i pinned: the Jacobian rows of phi in the unfolded
+    sigma are u_k / sqrt(h_k), so a step is dsigma = sqrt(h) M^-T dphi, with
+    dphi_0 chosen so that dsigma_i = 0.  A step that would leave a segment
+    goes halfway to its end instead, and a step that does not lower the
+    residual is halved; the loop stops when a step no longer moves sigma.
+    Each column of the residual is measured in what one ulp of every
+    partner's position changes it by at the first guess."""
+    partners = [k for k in range(metric.n) if k != i]
+    D = np.abs(e - q)
+    sig = np.where((theta > 0.0) & (theta < 1.0), theta, 0.5) * D
+    sig[i] = D[i]
+    unit = None
+    best, lam, base, step = np.inf, 1.0, sig, np.zeros_like(sig)
+    xb, Ab, rb = q.copy(), F, np.full(metric.n - 1, np.inf)
+    while True:
+        x = q + s * sig
+        x[i] = e[i]
+        A = F.copy()
+        for k in partners:
+            A[k] = _abel(metric, k, q[k], x[k], alpha, turns[k])
+        r = A[:, 1:].sum(axis=0)
+        M = metric.matrix(x)
+        sqrt_h = np.sqrt(np.maximum(2.0 * (M @ alpha), 0.0))
+        if unit is None:
+            unit = _SUM_ROUNDING * np.abs(F[:, 1:]).sum(axis=0) + \
+                (np.spacing(x[partners]) / sqrt_h[partners]) @ np.abs(M[partners, 1:])
+        rho = float(np.max(np.abs(r) / unit))
+        if rho < best:
+            best, lam, base, xb, Ab, rb = rho, 1.0, sig, x, A, r
+            Minv = _inverse(M, x)
+            dphi = np.concatenate([[Minv[1:, i] @ r / Minv[0, i]], -r])
+            step = sqrt_h * (Minv.T @ dphi)
+            step[i] = 0.0
+        else:
+            lam *= 0.5
+        new = base + lam * step
+        new = np.where(new >= D, 0.5 * (base + D), np.where(new <= 0.0, 0.5 * base, new))
+        if np.array_equal(new, base):
+            break
+        sig = new
+    # solved: no larger residual than the rounding of the sums, plus what
+    # moving each partner by one ulp changes
+    floor = _SUM_ROUNDING * np.abs(Ab[:, 1:]).sum(axis=0)
+    for k in partners:
+        prev = _abel(metric, k, q[k], np.nextafter(xb[k], q[k]), alpha, turns[k])
+        floor += np.abs(Ab[k, 1:] - prev[1:])
+    # a coordinate that stops within rounding of its endpoint reaches it
+    at_end = D - base <= _SUM_ROUNDING * D
+    xb[at_end] = e[at_end]
+    return xb, float(Ab[:, 0].sum()), bool(np.all(np.abs(rb) <= floor))
+
+
+def _flight(metric: StaeckelMetric, alpha, turns, q, s, e):
+    """One piece of flight from q to the first endpoint: the positions at
+    its end, where every coordinate that reached its endpoint equals it
+    exactly, and the time taken."""
+    if np.any(q == e):
+        return q.copy(), 0.0
+    n = metric.n
+    F = np.array([_abel(metric, i, q[i], e[i], alpha, turns[i]) for i in range(n)])
+    if n == 2:
+        # phi_1 stays 0, so F[0, 1] and F[1, 1] have opposite signs, and the
+        # coordinate with the smaller |F[i, 1]| reaches its endpoint first
+        i = int(np.argmin(np.abs(F[:, 1])))
+        k = 1 - i
+        target, full = abs(F[i, 1]), abs(F[k, 1])
+        x = e.copy()
+        if full - target > _SUM_ROUNDING * full:   # else a corner
+            x[k], F[k] = _partner(metric, k, q[k], e[k], alpha, turns[k], target, full)
+        return x, float(F[:, 0].sum())
+    # the linearised partner fractions theta (A_k ~ theta_k F_k) order the
+    # candidates: the one whose partners all stay in their segments first
+    cands = []
+    for i in range(n):
+        others = [k for k in range(n) if k != i]
+        try:
+            th = np.linalg.solve(F[others, 1:].T, -F[i, 1:])
+        except np.linalg.LinAlgError:
+            th = np.full(n - 1, np.inf)
+        key = np.max(np.where(th >= 0.0, th, np.inf))
+        cands.append((key, i, np.insert(th, i, 1.0)))
+    # a candidate solved to rounding keeps every partner inside its segment
+    # up to t, and each sigma_k grows with t, so it is the earliest event
+    for _, i, theta in sorted(cands, key=lambda c: c[0]):
+        x, dt, solved = _pinned(metric, alpha, turns, q, s, e, F, i, theta)
+        if solved:
+            return x, dt
+    raise SolverDiverged("no coordinate reaches its endpoint first")
 
 
 def staeckel_billiard_trajectory(metric: StaeckelMetric, walls, q0, p0,
-                                 bounces: int, rtol: float = 1e-12) -> dict:
+                                 bounces: int) -> dict:
     """Billiard in the coordinate box `walls`: free geodesic motion with
-    sign flips of p_i at the walls q_i = const.  Simultaneous wall hits
-    (corners) are resolved by composing the reflections."""
+    sign flips of p_i at the walls q_i = const, flown event by event on the
+    separated quadratures with alpha fixed by the start.  Turning points
+    flip s_i too but are not bounces; a corner flips every coordinate that
+    reaches its wall and counts once, in `corner_hits`."""
     n = metric.n
+    walls = np.asarray(walls, dtype=float)
     q = np.asarray(q0, dtype=float).copy()
     p = np.asarray(p0, dtype=float).copy()
+    if np.any(q < walls[:, 0]) or np.any(q > walls[:, 1]):
+        raise InvalidParameters("the start lies outside the walls")
     alpha0 = integrals_alpha(metric, q, p)
-
-    def rhs(t, y):
-        return np.concatenate(_hamilton_field(metric, y[:n], y[n:]))
-
-    events = []
-    for i in range(n):
-        for side in range(2):
-            def ev(t, y, i=i, side=side):
-                return y[i] - walls[i][side]
-            ev.terminal = True
-            events.append(ev)
+    if not alpha0[0] > 0.0:
+        raise InvalidParameters("the start has no kinetic energy")
+    turns = [_turning_points(metric, i, alpha0) for i in range(n)]
+    # where p_i = 0 the coordinate leaves towards growing h_i
+    dh = np.array([metric.row_deriv(i, q[i]) @ alpha0 for i in range(n)])
+    s = np.where(p != 0.0, np.sign(p), np.where(dh >= 0.0, 1.0, -1.0))
+    if not any(_next_end(q[i], si, walls[i], turns[i])[1]
+               for i in range(n) for si in (1.0, -1.0)):
+        raise InvalidParameters("every coordinate turns inside the walls")
 
     t_total = 0.0
     bounce_times = []
     states = [(0.0, q.copy(), p.copy())]
     corner_hits = 0
-    done = 0
-    t_eps = 1e-7
-    while done < bounces:
-        y0 = np.concatenate([q, p])
-        if done > 0:
-            # leave the wall before re-arming the terminal events, so the
-            # just-resolved reflection does not retrigger at time zero
-            burn = scipy.integrate.solve_ivp(rhs, (0.0, t_eps), y0,
-                                             method="DOP853", rtol=rtol, atol=1e-14)
-            y0 = burn.y[:, -1]
-            t_total += t_eps
-        sol = scipy.integrate.solve_ivp(rhs, (0.0, 1e6), y0, method="DOP853",
-                                        events=events, rtol=rtol, atol=1e-14,
-                                        dense_output=False)
-        hit_times = [ev[0] for ev in sol.t_events if len(ev)]
-        if not hit_times:
-            raise SolverDiverged("no wall hit found")
-        t_hit = min(hit_times)
-        y = sol.y[:, -1]
-        q, p = y[:n].copy(), y[n:].copy()
-        flipped = []
-        for i in range(n):
-            for side in range(2):
-                ev_t = sol.t_events[2 * i + side]
-                if len(ev_t) and abs(ev_t[0] - t_hit) < 1e-9:
-                    if i not in flipped:
-                        flipped.append(i)
-                    q[i] = walls[i][side]
-        for i in flipped:
-            p[i] = -p[i]
-        if len(flipped) > 1:
-            corner_hits += 1
-        t_total += t_hit
-        bounce_times.append(t_total)
-        states.append((t_total, q.copy(), p.copy()))
-        done += 1
+    while len(bounce_times) < bounces:
+        ends = [_next_end(q[i], s[i], walls[i], turns[i]) for i in range(n)]
+        e = np.array([end for end, _ in ends])
+        q, dt = _flight(metric, alpha0, turns, q, s, e)
+        t_total += dt
+        hit = q == e
+        s[hit] = -s[hit]
+        wall_hits = int(np.sum(hit & np.array([w for _, w in ends])))
+        if wall_hits:
+            p = s * np.sqrt(np.maximum(2.0 * (metric.matrix(q) @ alpha0), 0.0))
+            corner_hits += wall_hits > 1
+            bounce_times.append(t_total)
+            states.append((t_total, q.copy(), p))
     alpha1 = integrals_alpha(metric, q, p)
     return {"q": q, "p": p, "time": t_total, "bounce_times": bounce_times,
             "states": states, "alpha_start": alpha0, "alpha_end": alpha1,

@@ -32,7 +32,7 @@ from confocal.billiards import (
     reflect,
     string_length,
 )
-from confocal.errors import InsideCaustic, NoIntersection, NotBracketed
+from confocal.errors import InsideCaustic, InvalidParameters, NoIntersection, NotBracketed
 
 FAM = ConfocalFamily(euclidean(2), (4.0, 1.0))
 CIRC = ConfocalFamily(euclidean(2), (2.0, 2.0))
@@ -383,6 +383,17 @@ def test_poncelet_caustic_has_the_rotation_number():
     # rho tends to 1/2 only logarithmically at the focal value
     with pytest.raises(NotBracketed):
         poncelet_caustic_for_rotation(FAM, -0.2, 19, 41)
+
+
+def test_rotation_number_at_the_focal_value_raises():
+    # R_F(0, 0, A) diverges; the duplication used to loop forever on it
+    with pytest.raises(InvalidParameters):
+        _rotation_number(FAM, -0.2, FAM.a[1])
+    for args in [(0.0, 0.0, 1.0), (0.0, 2.0, 0.0), (3.0, 0.0, 0.0)]:
+        with pytest.raises(InvalidParameters):
+            _rf(*args)
+    with pytest.raises(InvalidParameters):
+        _rd(0.0, 0.0, 1.0)
 
 
 # -- elliptic integrals against 50-digit mpmath -----------------------------

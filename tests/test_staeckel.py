@@ -1,10 +1,13 @@
 """Tests for separable metrics: coefficients, geodesics, Ivory, billiards."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
+
+import confocal.staeckel as staeckel
 
 from confocal.errors import (
     InvalidParameters,
@@ -17,7 +20,8 @@ from confocal.staeckel import (
     LiouvilleMetric,
     SeparationData,
     StaeckelMetric,
-    _hamilton_field,
+    _inverse,
+    _turning_points,
     builtin_metric,
     geodesic_between,
     hamiltonian,
@@ -38,6 +42,16 @@ def _metric(name):
     if name == "elliptic_R2":
         return builtin_metric(name, (4.0, 1.0))
     return builtin_metric(name, (4.0, 2.0, 1.0))
+
+
+def _hamilton_field(metric, q, p):
+    """(dq/dt, dp/dt) = (dH/dp, -dH/dq), both through one M^{-1}: the
+    field the box billiard integrated with DOP853 before it flew on the
+    separated quadratures, kept here as the oracle."""
+    M, dM = metric._entries(q[:, None], deriv=True)
+    Minv = _inverse(M, q)
+    alpha = 0.5 * (Minv @ (p * p))
+    return Minv[0] * p, Minv[0] * (dM @ alpha)
 
 
 def _random_q(metric, rng):
@@ -304,6 +318,211 @@ def test_billiard_diagonal_family_period():
             assert abs((t_b - t_a) - 2.0 * sol["length"]) < 1e-7
             assert np.max(np.abs(q_b - q_a)) < 1e-7
             assert np.max(np.abs(p_b - p_a)) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# box billiard: the separated flow against DOP853 and 30-digit quadrature
+
+
+def _ode_next_bounce(m, walls, q, p):
+    """The next wall hit from (q, p) by DOP853 on Hamilton's equations: the
+    time taken and the state there, with the hit momentum flipped.  A wall's
+    event fires only on an outward crossing, so a start on a wall moving
+    inwards does not trigger it."""
+    n = m.n
+
+    def rhs(t, y):
+        return np.concatenate(_hamilton_field(m, y[:n], y[n:]))
+
+    events = []
+    for i in range(n):
+        for side, direction in ((0, -1.0), (1, 1.0)):
+            def ev(t, y, i=i, side=side):
+                return y[i] - walls[i][side]
+            ev.terminal, ev.direction = True, direction
+            events.append(ev)
+    sol = solve_ivp(rhs, (0.0, 1e3), np.concatenate([q, p]), method="DOP853",
+                    events=events, rtol=1e-13, atol=1e-15)
+    assert sol.status == 1
+    q1, p1 = sol.y[:n, -1], sol.y[n:, -1].copy()
+    for k, te in enumerate(sol.t_events):
+        if len(te):
+            p1[k // 2] = -p1[k // 2]
+    return sol.t[-1], q1, p1
+
+
+def _assert_matches_ode(m, walls, out):
+    """Restart DOP853 from each bounce of the flow: the next bounce time and
+    state agree to 1e-10 (positions per unit of the box span)."""
+    span = np.array([hi - lo for lo, hi in walls])
+    for (t0, q0, p0), (t1, q1, p1) in zip(out["states"], out["states"][1:]):
+        dt, q, p = _ode_next_bounce(m, walls, q0, p0)
+        assert abs(t1 - t0 - dt) < 1e-10, (t1 - t0, dt)
+        assert np.all(np.abs(q1 - q) <= 1e-10 * span), (q1, q)
+        assert np.all(np.abs(p1 - p) <= 1e-10 * np.max(np.abs(p))), (p1, p)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_billiard_matches_ode_piece_by_piece(name):
+    m = _metric(name)
+    rng = np.random.default_rng(43)
+    for _ in range(2):
+        walls = m.random_box(rng, max_span=0.6)
+        q0 = np.array([lo + rng.uniform(0.1, 0.9) * (hi - lo) for lo, hi in walls])
+        out = staeckel_billiard_trajectory(m, walls, q0, rng.normal(size=m.n), 4)
+        assert out["alpha_drift"] < 1e-12
+        _assert_matches_ode(m, walls, out)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(k=st.integers(0, len(ALL_NAMES) - 1),
+       near=st.sampled_from(["wall", "corner", "turning point"]),
+       frac=st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3),
+       p=st.lists(st.floats(0.1, 2.0) | st.floats(-2.0, -0.1), min_size=3, max_size=3),
+       gap=st.floats(-12.0, -9.0).map(lambda e: 10.0 ** e),
+       j=st.integers(0, 2), upper=st.booleans())
+def test_billiard_starts_near_walls_corners_and_turning_points(k, near, frac, p, gap,
+                                                                j, upper):
+    """Starts within 1e-12..1e-9 of the span from a wall or a corner, or
+    about 1e-9 of it from a turning point of one coordinate.  Nearer to a
+    turning point the first turn is ill-conditioned: a change of alpha by
+    one ulp moves the root by ~1e-16, and the time to reach it by about
+    1e-16 / sqrt(distance), which DOP853 and the flow each see differently."""
+    m = _metric(ALL_NAMES[k])
+    n, j = m.n, j % m.n
+    walls = [(lo + 0.1 * (hi - lo), hi - 0.2 * (hi - lo)) for lo, hi in m.box]
+    span = np.array([hi - lo for lo, hi in walls])
+    frac, p = np.array(frac[:n]), np.array(p[:n])
+    if near == "wall":
+        frac[j] = 1.0 - gap if upper else gap
+    if near == "corner":
+        frac = np.where(np.arange(n) % 2 == upper, gap, 1.0 - gap)
+    q0 = np.array([lo for lo, _ in walls]) + frac * span
+    if near == "turning point":
+        # p_j^2 = |h_j'| 1e-9 span puts the turning point about 1e-9 span away
+        p[j] = 0.0
+        dh = 2.0 * m.row_deriv(j, q0[j]) @ integrals_alpha(m, q0, p)
+        p[j] = np.sqrt(abs(dh) * 1e-9 * span[j]) * (1.0 if upper else -1.0)
+    out = staeckel_billiard_trajectory(m, walls, q0, p, 3)
+    assert out["alpha_drift"] < 1e-12
+    _assert_matches_ode(m, walls, out)
+
+
+def _flown_pieces(monkeypatch, m, walls, q0, p0, bounces):
+    """Every piece of flight between two events: (alpha, start, end, time)."""
+    pieces = []
+    flight = staeckel._flight
+
+    def record(metric, alpha, turns, q, s, e):
+        x, dt = flight(metric, alpha, turns, q, s, e)
+        pieces.append((alpha, q.copy(), x.copy(), dt))
+        return x, dt
+
+    monkeypatch.setattr(staeckel, "_flight", record)
+    staeckel_billiard_trajectory(m, walls, q0, p0, bounces)
+    return pieces
+
+
+def _mp_abel(m, i, alpha, a, b):
+    """Abel integrals of coordinate i between a and b in 30 digits.  An end
+    at a turning point is moved to the exact root, and each half of the path
+    is substituted, t = c -/+ x^2, about the nearest root at or beyond its
+    end (else the end), so that the integrand is smooth in x."""
+    with mpmath.workdps(30):
+        al = [mpmath.mpf(v) for v in alpha]
+
+        def poly(c, t):
+            y = mpmath.mpf(0)
+            for ck in c:
+                y = y * t + mpmath.mpf(ck)
+            return y
+
+        def N(t):
+            return sum(al[j] * poly(m.num[i, j], t) for j in range(m.n))
+
+        def f(t, j):
+            u = [poly(m.num[i, c], t) / poly(m.den[i, 0], t) for c in range(m.n)]
+            return u[j] / mpmath.sqrt(2 * sum(uc * ac for uc, ac in zip(u, al)))
+
+        float_roots = _turning_points(m, i, alpha)[0]
+        roots = [mpmath.findroot(N, mpmath.mpf(v)) for v in float_roots]
+        lo, hi = (roots[list(float_roots).index(v)] if v in float_roots else mpmath.mpf(v)
+                  for v in sorted((a, b)))
+        mid = (lo + hi) / 2
+        c_lo = max([r for r in roots if r <= lo], default=lo)
+        c_hi = min([r for r in roots if r >= hi], default=hi)
+        out = []
+        for j in range(m.n):
+            below = mpmath.quad(lambda x: 2 * x * f(c_lo + x * x, j),
+                                [mpmath.sqrt(lo - c_lo), mpmath.sqrt(mid - c_lo)],
+                                method="gauss-legendre")
+            above = mpmath.quad(lambda x: 2 * x * f(c_hi - x * x, j),
+                                [mpmath.sqrt(c_hi - hi), mpmath.sqrt(c_hi - mid)],
+                                method="gauss-legendre")
+            out.append(below + above)
+        return out
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_billiard_pieces_keep_the_abel_sums(name, monkeypatch):
+    """Jacobi: on every piece, sum_i int u_ij / sqrt(h_i) |dq_i| is the time
+    for j = 0 and 0 for j >= 1, against 30-digit quadrature."""
+    m = _metric(name)
+    rng = np.random.default_rng(47)
+    walls = m.random_box(rng, max_span=0.6)
+    q0 = np.array([lo + rng.uniform(0.1, 0.9) * (hi - lo) for lo, hi in walls])
+    pieces = _flown_pieces(monkeypatch, m, walls, q0, rng.normal(size=m.n), 3)
+    for alpha, q, x, dt in pieces:
+        sums = np.zeros(m.n)
+        for i in range(m.n):
+            if x[i] != q[i]:
+                sums += np.array([float(v) for v in _mp_abel(m, i, alpha, q[i], x[i])])
+        sums[0] -= dt
+        assert np.max(np.abs(sums)) < 1e-13, (name, sums)
+
+
+@pytest.mark.parametrize("name, box", [
+    ("elliptic_R2", [(2.0, 3.0), (0.2, 0.8)]),
+    ("ellipsoidal_R3", [(2.2, 2.6), (1.6, 1.8), (0.6, 0.8)]),
+])
+def test_billiard_along_ivory_diagonal(name, box):
+    """Ivory's diagonal as a billiard orbit: from corner c0 with the solved
+    diagonal's momentum the flight reaches the far corner c1 at t = length,
+    flips every momentum there, and comes back along the diagonal.  The
+    corner is hit only when alpha is the diagonal's to rounding, so the
+    boxes are ones where the separation solver ends at that residual."""
+    m = _metric(name)
+    c0 = np.array([lo for lo, _ in box])
+    c1 = np.array([hi for _, hi in box])
+    sol = geodesic_between(m, c0, c1)
+    assert sol["residual"] <= 1e-15
+    out = staeckel_billiard_trajectory(m, box, c0, sol["separation"].momentum(c0), 2)
+    assert out["corner_hits"] == 2
+    (t1, q1, p1), (t2, q2, p2) = out["states"][1:]
+    assert abs(t1 - sol["length"]) < 1e-10 and abs(t2 - 2.0 * sol["length"]) < 1e-10
+    assert np.array_equal(q1, c1) and np.array_equal(q2, c0)
+    back = SeparationData(m, sol["alpha"], -sol["signs"])
+    assert np.max(np.abs(p1 - back.momentum(c1))) < 1e-12
+    assert np.max(np.abs(p2 - sol["separation"].momentum(c0))) < 1e-12
+
+
+def test_billiard_rejects_bad_starts():
+    m = _metric("elliptic_R2")
+    walls = [(2.0, 3.0), (0.2, 0.8)]
+    with pytest.raises(InvalidParameters):
+        staeckel_billiard_trajectory(m, walls, [1.9, 0.5], [0.3, 0.4], 3)
+    with pytest.raises(InvalidParameters):
+        staeckel_billiard_trajectory(m, walls, [2.5, 0.5], [0.0, 0.0], 3)
+    # (2 - x^2 - y^2)(dx^2 + dy^2): from the origin with p = (0.6, 0.8), x
+    # turns at +-0.85 and y at +-1.13, both inside walls at +-1.2, so the
+    # orbit never meets a wall
+    u1 = ([-1.0, 0.0, 1.0], [1.0])
+    u2 = ([1.0, 0.0, -1.0], [1.0])
+    one = ([1.0], [1.0])
+    box = [(-1.2, 1.2), (-1.2, 1.2)]
+    conf = LiouvilleMetric(u1, u2, one, one, box).to_staeckel()
+    with pytest.raises(InvalidParameters):
+        staeckel_billiard_trajectory(conf, box, [0.0, 0.0], [0.6, 0.8], 1)
 
 
 def test_face_restriction_matches_named_metrics():
