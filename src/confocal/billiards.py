@@ -358,7 +358,7 @@ class CausticChart:
         """K(m): a quarter of the ellipse's measure, half of the branch's."""
         return _rf(0.0, self.mc, 1.0)
 
-    def coordinate_of_point(self, point, branch_sign: int = 1) -> float:
+    def coordinate_of_point(self, point) -> float:
         """Canonical coordinate of a point on the caustic."""
         x, y = (float(v) for v in point)
         if self.family.is_circular:

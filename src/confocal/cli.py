@@ -325,7 +325,7 @@ def _run_staeckel_ivory(cfg, rng):
     box = [tuple(b) for b in cfg["box"]]
     if len(box) != metric.n:
         raise ConfigError(f"box must have {metric.n} coordinate intervals")
-    res = ivory_check(metric, box, tol=tol)
+    res = ivory_check(metric, box)
     checks = [_check("diagonal_spread", res["spread"], tol)]
     rows = [[k, length] for k, length in enumerate(res["lengths"])]
     return checks, {"diagonals": (["diagonal", "length"], rows)}, {}

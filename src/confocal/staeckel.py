@@ -191,44 +191,41 @@ def hamiltonian(metric: StaeckelMetric, q, p) -> float:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
 
+# h_i is floored where it is <= 0 (alpha outside the admissible set), high
+# enough that h_i^(-3/2) stays finite
+_H_FLOOR = 1e-100
+# acceptance gate of the separation residual, and the cap on Newton steps
+_RESIDUAL_GATE, _MAX_NEWTON = 1e-9, 60
+
 
 def _leg_integrals(metric: StaeckelMetric, i: int, a: float, b: float,
-                   alpha) -> np.ndarray:
+                   alpha) -> tuple:
     """Integrals of u_ij / sqrt(h_i) over [a, b], for every column j at
     once, robust to square-root vanishing of h_i at either endpoint (the
     substitution q = end +/- s^2 on each half turns the inverse-square-root
     singularity into a smooth integrand, then fixed-order Gauss-Legendre;
-    both halves share the nodes s)."""
+    both halves share the nodes s), and their exact Jacobian in alpha on
+    the same nodes: dh_i/dalpha_k = 2 u_ik, so entry (j, k) is
+    -int u_ij u_ik / h_i^(3/2)."""
     smax = np.sqrt(0.5 * (b - a))
     s = 0.5 * smax * (_GL_NODES + 1.0)
     w = np.tile(smax * s * _GL_WEIGHTS, 2)
     U = metric.row(i, np.concatenate([a + s * s, b - s * s]))
-    return (w / np.sqrt(np.maximum(2.0 * (U @ alpha), 1e-300))) @ U
+    h = np.maximum(2.0 * (U @ alpha), _H_FLOOR)
+    f = w / np.sqrt(h)
+    return f @ U, -(U.T * (f / h)) @ U
 
 
 def _min_h_inside(metric: StaeckelMetric, i: int, a: float, b: float, alpha) -> float:
     return float(np.min(metric.h(i, np.linspace(a, b, 64), alpha)))
 
 
-def _chord_alpha(metric: StaeckelMetric, c0, c1) -> np.ndarray:
-    """Initial guess: momenta of the straight coordinate chord at the box
-    midpoint, rescaled to energy 1/2."""
-    c0 = np.asarray(c0, dtype=float)
-    c1 = np.asarray(c1, dtype=float)
-    qm = 0.5 * (c0 + c1)
-    g = metric_coeffs(metric, qm)
-    v = c1 - c0
-    p = g * v
-    alpha = integrals_alpha(metric, qm, p)
-    if alpha[0] <= 0:
-        raise SolverDiverged("chord guess has nonpositive energy")
-    return alpha * (0.5 / alpha[0])
-
-
-def geodesic_between(metric: StaeckelMetric, corner0, corner1,
-                     residual_tol: float = 1e-9, max_iter: int = 60) -> dict:
+def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
     """Geodesic joining opposite corners of a coordinate box, monotone in
-    every coordinate, via the separation constants."""
+    every coordinate, via the separation constants: Newton on the n-1
+    quadrature constraints with their exact Jacobian and a halving line
+    search, until a step no longer moves alpha (the residual is then at
+    rounding)."""
     c0 = np.asarray(corner0, dtype=float)
     c1 = np.asarray(corner1, dtype=float)
     n = metric.n
@@ -237,52 +234,53 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1,
                 "residual": 0.0, "separation": None}
     if np.any(c0 == c1):
         raise InvalidParameters("corners must differ in every coordinate")
-    lo = np.minimum(c0, c1)
-    hi = np.maximum(c0, c1)
+    lo, hi = np.minimum(c0, c1), np.maximum(c0, c1)
     signs = np.sign(c1 - c0)
 
     def quadratures(bv):
         # column 0 is the length, columns 1.. are the residuals
-        al = np.concatenate([[0.5], bv])
-        return sum(_leg_integrals(metric, i, lo[i], hi[i], al) for i in range(n))
+        legs = [_leg_integrals(metric, i, lo[i], hi[i], np.r_[0.5, bv]) for i in range(n)]
+        return sum(Q for Q, _ in legs), sum(J for _, J in legs)
 
-    beta = _chord_alpha(metric, c0, c1)[1:]
-    Q = quadratures(beta)
-    for _ in range(max_iter):
-        F = Q[1:]
-        if np.max(np.abs(F), initial=0.0) < residual_tol * 1e-2:
-            break
-        J = np.empty((n - 1, n - 1))
-        for k in range(n - 1):
-            hstep = 1e-7 * max(1.0, abs(beta[k]))
-            bp = beta.copy(); bp[k] += hstep
-            J[:, k] = (quadratures(bp)[1:] - F) / hstep
+    def fail(why):
+        if any(_min_h_inside(metric, i, lo[i], hi[i], np.r_[0.5, beta]) < 0.0
+               for i in range(n)):
+            raise NoMonotoneDiagonal("no monotone diagonal: h_i turns negative inside a leg")
+        raise SolverDiverged(why)
+
+    # first guess: the momenta of the straight coordinate chord at the box
+    # midpoint, rescaled to energy 1/2
+    qm = 0.5 * (c0 + c1)
+    alpha = integrals_alpha(metric, qm, metric_coeffs(metric, qm) * (c1 - c0))
+    if alpha[0] <= 0:
+        raise SolverDiverged("chord guess has nonpositive energy")
+    beta = alpha[1:] * (0.5 / alpha[0])
+    Q, J = quadratures(beta)
+    for _ in range(_MAX_NEWTON):
         try:
-            step = np.linalg.solve(J, -F)
+            step = np.linalg.solve(J[1:, 1:], -Q[1:])
         except np.linalg.LinAlgError as exc:
             raise SolverDiverged("singular quadrature Jacobian") from exc
-        lam = 1.0
-        for _ in range(30):
+        if not np.all(np.isfinite(step)):
+            break
+        for lam in 0.5 ** np.arange(30):
             bn = beta + lam * step
-            Qn = quadratures(bn)
-            if np.linalg.norm(Qn[1:]) < np.linalg.norm(F):
-                beta, Q = bn, Qn
+            if np.array_equal(bn, beta):
                 break
-            lam *= 0.5
+            Qn, Jn = quadratures(bn)
+            if np.linalg.norm(Qn[1:]) < np.linalg.norm(Q[1:]):
+                break
         else:
-            alpha_cur = np.concatenate([[0.5], beta])
-            if any(_min_h_inside(metric, i, lo[i], hi[i], alpha_cur) < 0.0
-                   for i in range(n)):
-                raise NoMonotoneDiagonal(
-                    "no monotone diagonal: h_i turns negative inside a leg")
-            raise SolverDiverged("line search failed in separation solver")
+            fail("line search failed in separation solver")
+        if np.array_equal(bn, beta):
+            break
+        beta, Q, J = bn, Qn, Jn
     resid = float(np.max(np.abs(Q[1:]), initial=0.0))
-    if resid > residual_tol:
-        raise SolverDiverged(f"separation residual {resid} > {residual_tol}")
+    if resid > _RESIDUAL_GATE:
+        fail(f"separation residual {resid} > {_RESIDUAL_GATE}")
     alpha = np.concatenate([[0.5], beta])
     for i in range(n):
-        inner = _min_h_inside(metric, i, lo[i], hi[i], alpha)
-        if inner < -1e-12:
+        if _min_h_inside(metric, i, lo[i], hi[i], alpha) < -1e-12:
             raise NoMonotoneDiagonal(f"h_{i} vanishes inside the leg")
         # a double root of h_i at an endpoint makes the approach asymptotic
         # (logarithmically divergent time); refuse to integrate through it
@@ -297,7 +295,7 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1,
             "separation": SeparationData(metric, alpha, signs)}
 
 
-def ivory_check(metric: StaeckelMetric, box, tol: float = 1e-8) -> dict:
+def ivory_check(metric: StaeckelMetric, box) -> dict:
     """Separation constants and lengths of the 2^(n-1) great diagonals of
     the box, and the spread of the lengths.
 
@@ -309,9 +307,8 @@ def ivory_check(metric: StaeckelMetric, box, tol: float = 1e-8) -> dict:
     """
     sol = geodesic_between(metric, [b[0] for b in box], [b[1] for b in box])
     k = 2 ** (metric.n - 1)
-    spread = 0.0    # the lengths are one number
     return {"lengths": [sol["length"]] * k, "alphas": [sol["alpha"]] * k,
-            "spread": spread, "passed": spread < tol}
+            "spread": 0.0}    # the lengths are one number
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +395,9 @@ def _partner(metric: StaeckelMetric, k: int, a: float, e: float, alpha, turns,
     reaches target (full at e), and the integrals from a to x.
 
     Safeguarded Newton on the distance d = |x - a|: the derivative is
-    |u_k1| / sqrt(h_k), every evaluation narrows a bisection bracket, and
-    the loop stops when a step no longer moves d."""
+    |u_k1| / sqrt(h_k), and every evaluation narrows a bisection bracket.
+    The loop stops once g is within the rounding of the Abel sums (the
+    bound `_flight` takes for a corner), or when a step no longer moves d."""
     lo, hi = 0.0, abs(e - a)
     s = np.sign(e - a)
     d = hi * target / full
@@ -407,6 +405,8 @@ def _partner(metric: StaeckelMetric, k: int, a: float, e: float, alpha, turns,
         x = a + s * d
         A = _abel(metric, k, a, x, alpha, turns)
         g = abs(A[1]) - target
+        if abs(g) <= _SUM_ROUNDING * full:
+            return x, A
         if g > 0:
             hi = d
         else:

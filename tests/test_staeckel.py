@@ -15,7 +15,8 @@ from confocal.errors import (
     SingularStaeckelMatrix,
     SolverDiverged,
 )
-from confocal.geometry import geodesic_distance
+from confocal.geometry import euclidean, geodesic_distance
+from confocal.quadrics import ConfocalFamily, confocal_parameters
 from confocal.staeckel import (
     LiouvilleMetric,
     SeparationData,
@@ -162,7 +163,7 @@ def test_geodesic_matches_euclidean_oracle():
     for _ in range(25):
         _, c0, c1, sol = _solved_random_box(m, rng)
         d = geodesic_distance(m.ambient_geometry, m.ambient(c0), m.ambient(c1))
-        assert abs(sol["length"] - d) < 1e-9
+        assert abs(sol["length"] - d) < 1e-13 * d
 
 
 def test_geodesic_matches_great_circle_oracle():
@@ -171,7 +172,7 @@ def test_geodesic_matches_great_circle_oracle():
     for _ in range(25):
         _, c0, c1, sol = _solved_random_box(m, rng)
         d = geodesic_distance(m.ambient_geometry, m.ambient(c0), m.ambient(c1))
-        assert abs(sol["length"] - d) < 1e-9
+        assert abs(sol["length"] - d) < 1e-13 * d
 
 
 def test_geodesic_ellipsoidal_oracle():
@@ -180,7 +181,21 @@ def test_geodesic_ellipsoidal_oracle():
     for _ in range(8):
         _, c0, c1, sol = _solved_random_box(m, rng, max_span=0.3)
         d = np.linalg.norm(m.ambient(c0) - m.ambient(c1))
-        assert abs(sol["length"] - d) < 1e-9
+        assert abs(sol["length"] - d) < 1e-13 * d
+
+
+def test_geodesic_no_monotone_diagonal():
+    # the straight chord between the ambient corners, the only geodesic
+    # between them, overshoots mu = 0.5 (it reaches 0.507), so no geodesic
+    # of the box runs monotonically in both coordinates
+    m = builtin_metric("elliptic_R2", (4.0, 1.0))
+    c0, c1 = np.array([2.0, 0.1]), np.array([3.9, 0.5])
+    x0, x1 = m.ambient(c0), m.ambient(c1)
+    fam = ConfocalFamily(euclidean(2), (4.0, 1.0))
+    mu = [confocal_parameters(fam, x0 + t * (x1 - x0)).lam[1] for t in np.linspace(0, 1, 101)]
+    assert max(mu) > 0.505
+    with pytest.raises(NoMonotoneDiagonal):
+        geodesic_between(m, c0, c1)
 
 
 def test_geodesic_degenerate():
@@ -200,6 +215,31 @@ def test_ivory_all_builtins():
             rep = ivory_check(m, box)
             assert rep["spread"] < 1e-8, name
             assert len(rep["lengths"]) == 2 ** (m.n - 1)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_billiard_from_corner_hits_the_far_corner(name):
+    """The solved alpha is the diagonal's to rounding: a billiard flown from
+    c0 with the solved momentum meets c1 exactly, as one corner, at t =
+    length."""
+    m = _metric(name)
+    rng = np.random.default_rng(29)
+    flown = 0
+    for _ in range(40):
+        box = m.random_box(rng, max_span=0.35)
+        c0 = np.array([lo for lo, _ in box])
+        c1 = np.array([hi for _, hi in box])
+        try:
+            sol = geodesic_between(m, c0, c1)
+        except (NoMonotoneDiagonal, SolverDiverged):
+            continue
+        out = staeckel_billiard_trajectory(m, box, c0, sol["separation"].momentum(c0), 1)
+        t, q, _ = out["states"][1]
+        assert out["corner_hits"] == 1, (name, box)
+        assert np.array_equal(q, c1), (name, q - c1)
+        assert abs(t - sol["length"]) < 1e-10
+        flown += 1
+    assert flown >= 20
 
 
 def _flown_diagonals(m, rep, box):
@@ -488,9 +528,7 @@ def test_billiard_pieces_keep_the_abel_sums(name, monkeypatch):
 def test_billiard_along_ivory_diagonal(name, box):
     """Ivory's diagonal as a billiard orbit: from corner c0 with the solved
     diagonal's momentum the flight reaches the far corner c1 at t = length,
-    flips every momentum there, and comes back along the diagonal.  The
-    corner is hit only when alpha is the diagonal's to rounding, so the
-    boxes are ones where the separation solver ends at that residual."""
+    flips every momentum there, and comes back along the diagonal."""
     m = _metric(name)
     c0 = np.array([lo for lo, _ in box])
     c1 = np.array([hi for _, hi in box])
