@@ -30,7 +30,12 @@ from .errors import (
     TangentHit,
 )
 from .geometry import Kind
-from .quadrics import ConfocalFamily, confocal_parameters, point_from_parameters
+from .quadrics import (
+    DEGENERATE_TOL,
+    ConfocalFamily,
+    confocal_parameters,
+    point_from_parameters,
+)
 
 # ---------------------------------------------------------------------------
 # oriented lines
@@ -809,38 +814,33 @@ def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
     verts, gap = poncelet_polygon(family, outer_lam, lam_c, q, start_x)
     sides = [OrientedLine.from_point_direction(verts[i], verts[(i + 1) % q] - verts[i])
              for i in range(q)]
-    points = {}
-    for i in range(q):
-        for j in range(i + 1, q):
-            try:
-                points[(i, j)] = _line_intersection(sides[i], sides[j])
-            except DegenerateConfiguration:
-                continue
+    normals = np.array([ln.normal for ln in sides])
+    offsets = np.array([ln.p for ln in sides])
 
-    def sep(i, j):
-        d = abs(i - j) % q
-        return min(d, q - d)
+    # every pair of sides meets where its stacked 2x2 system says, but for
+    # the parallel pairs that _line_intersection refuses
+    i, j = np.triu_indices(q, 1)
+    system = np.stack([normals[i], normals[j]], axis=1)
+    meets = np.abs(np.linalg.det(system)) >= 1e-12
+    i, j, system = i[meets], j[meets], system[meets]
+    pts = np.linalg.solve(system, np.stack([offsets[i], offsets[j]], axis=1)[..., None])[..., 0]
+    points = dict(zip(zip(i.tolist(), j.tolist()), pts))
 
-    # the elliptic coordinates of each point, computed once: the smaller
-    # is its confocal ellipse, the hyperbola-class one its confocal hyperbola
-    concentric = {}
-    radial = {}
-    for (i, j), pt in points.items():
-        lam = confocal_parameters(family, np.abs(pt)).lam
-        concentric.setdefault(sep(i, j), []).append(lam)
-        radial.setdefault((i + j) % q, []).append(lam)
-
-    conc_spread = {}
-    for d, lams in concentric.items():
-        roots = [min(lam) for lam in lams]
-        conc_spread[d] = float(np.max(roots) - np.min(roots))
+    # the elliptic coordinates of all points at once, eigenvalues of
+    # diag(a) - x x^T as in confocal_parameters, which also pins a zero
+    # coordinate to its pole: the smaller is the point's confocal ellipse,
+    # the hyperbola-class one its confocal hyperbola
+    x = np.abs(pts)
+    x[x * x <= DEGENERATE_TOL ** 2] = 0.0
+    lams = np.linalg.eigvalsh(np.diag(family.a) - x[:, :, None] * x[:, None, :])[:, ::-1]
+    ring = np.minimum((j - i) % q, (i - j) % q)
+    spoke = (i + j) % q
+    conc_spread = {int(d): float(np.ptp(lams[ring == d, -1])) for d in np.unique(ring)}
     rad_spread = {}
-    for s, lams in radial.items():
-        if len(lams) < 2:
-            rad_spread[s] = 0.0
-            continue
-        roots = [_hyperbola_class(family, lam) for lam in lams]
-        rad_spread[s] = float(np.max(roots) - np.min(roots))
+    for k in np.unique(spoke).tolist():
+        on = lams[spoke == k]
+        rad_spread[k] = (0.0 if len(on) < 2 else
+                         float(np.ptp([_hyperbola_class(family, lam) for lam in on])))
 
     # each grid cell is bounded by lines i, i+1, j, j+1 and is circumscribed
     # about a circle: for each sign pattern s (s_0 = 1) the least-squares
@@ -848,8 +848,7 @@ def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
     # over the patterns
     cells = [(i, (i + 1) % q, j, (j + 1) % q) for i in range(q) for j in range(i + 1, q)]
     cells = np.array([c for c in cells if len(set(c)) == 4], dtype=int).reshape(-1, 4)
-    normals = np.array([ln.normal for ln in sides])
-    rhs = np.array([ln.p for ln in sides])[cells][:, None, :, None]
+    rhs = offsets[cells][:, None, :, None]
     signs = np.array([(1.0,) + s for s in product((1.0, -1.0), repeat=3)])
     rows = np.empty((len(cells), len(signs), 4, 3))
     rows[..., :2] = normals[cells][:, None]

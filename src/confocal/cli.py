@@ -7,6 +7,10 @@ artifacts into the output directory, and exits 0 iff every check passed.
 Outputs are deterministic for a fixed config and seed; wall-clock timings
 go to a separate ``timings.json`` so the primary artifacts stay
 byte-identical across runs.
+
+A run loads numpy and the one layer its subcommand needs: the layer is
+imported when the subcommand runs, and configs are validated here without
+a JSON Schema library.
 """
 
 from __future__ import annotations
@@ -16,39 +20,13 @@ import csv
 import json
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
-from .billiards import (
-    CausticChart,
-    caustic_of_line,
-    circumscribed_check,
-    ivory_quadrilateral,
-    poncelet_grid,
-    reflect,
-)
 from .errors import ConfigError, ConfocalError
 from .geometry import Kind, euclidean, hyperbolic, spherical
-from .potentials import (
-    CurvedEllipsoid,
-    GeodesicSphere,
-    HyperbolicSurface,
-    antisymmetry_check,
-    arnold_field_check,
-    field_at,
-    point_potential,
-    point_potential_derivative,
-)
-from .quadrics import ConfocalFamily
-from .staeckel import (
-    builtin_metric,
-    geodesic_between,
-    ivory_check,
-    staeckel_billiard_trajectory,
-)
-from .svgout import Scene, palette, render_svg
 
 # ---------------------------------------------------------------------------
 # config schemas
@@ -143,6 +121,67 @@ _DEFAULT_TOL = {
 }
 
 
+# JSON Schema (draft 2020-12) validation of the keywords SCHEMAS uses.  The
+# messages, and the choice of one error among several, are those of the
+# Python reference validator 4.26, which the tests use as the oracle
+_IS = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and x.is_integer()),
+}
+# the instance type each keyword applies to; others pass it unchecked
+_APPLIES_TO = {"minimum": "number", "exclusiveMinimum": "number",
+               "minItems": "array", "maxItems": "array", "items": "array",
+               "properties": "object", "required": "object",
+               "additionalProperties": "object"}
+
+
+def _violations(schema, x, path=()):
+    """(path, message) of every violation, in the reference validator's
+    order: keyword by keyword as the schema lists them, depth first."""
+    for key, rule in schema.items():
+        if key in _APPLIES_TO and not _IS[_APPLIES_TO[key]](x):
+            continue
+        if key == "type" and not _IS[rule](x):
+            yield path, f"{x!r} is not of type {rule!r}"
+        elif key == "enum" and x not in rule:
+            yield path, f"{x!r} is not one of {rule!r}"
+        elif key == "minimum" and x < rule:
+            yield path, f"{x!r} is less than the minimum of {rule!r}"
+        elif key == "exclusiveMinimum" and x <= rule:
+            yield path, f"{x!r} is less than or equal to the minimum of {rule!r}"
+        elif key == "minItems" and len(x) < rule:
+            yield path, f"{x!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif key == "maxItems" and len(x) > rule:
+            yield path, f"{x!r} {'is expected to be empty' if rule == 0 else 'is too long'}"
+        elif key == "items":
+            for k, item in enumerate(x):
+                yield from _violations(rule, item, path + (k,))
+        elif key == "properties":
+            for name, sub in rule.items():
+                if name in x:
+                    yield from _violations(sub, x[name], path + (name,))
+        elif key == "required":
+            yield from ((path, f"{name!r} is a required property")
+                        for name in rule if name not in x)
+        elif key == "additionalProperties" and rule is False:
+            extra = sorted({k for k in x if k not in schema.get("properties", {})}, key=str)
+            if extra:
+                yield path, ("Additional properties are not allowed (%s %s unexpected)"
+                             % (", ".join(map(repr, extra)),
+                                "was" if len(extra) == 1 else "were"))
+
+
+def _first_violation(schema, cfg):
+    """The message of the error the reference validator's best_match picks,
+    or None: the shallowest path, then the greatest, then the first found
+    (errors at one path share their schema, so its other keys tie)."""
+    best = max(_violations(schema, cfg), key=lambda v: (-len(v[0]), v[0]), default=None)
+    return None if best is None else best[1]
+
+
 def load_config(command: str, path, seed=None, tolerance=None) -> dict:
     """Read, schema-validate, and normalize a run config."""
     try:
@@ -157,12 +196,10 @@ def load_config(command: str, path, seed=None, tolerance=None) -> dict:
     if tolerance is not None:
         cfg["tolerance"] = tolerance
     # the schemas are fixed, so they are checked against the metaschema by
-    # the tests rather than on every run; best_match picks the error that
-    # jsonschema.validate would raise
-    validator = jsonschema.Draft202012Validator(SCHEMAS[command])
-    error = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config rejected: {error.message}")
+    # the tests rather than on every run
+    message = _first_violation(SCHEMAS[command], cfg)
+    if message is not None:
+        raise ConfigError(f"config rejected: {message}")
     if command in STOCHASTIC and "seed" not in cfg:
         raise ConfigError(f"{command} is stochastic: a seed is required")
     cfg.setdefault("tolerance", _DEFAULT_TOL[command])
@@ -186,7 +223,7 @@ def _write_csv(path: Path, header, rows):
                         and not isinstance(v, bool) else str(v) for v in row])
 
 
-def _ellipse_outline(family: ConfocalFamily, lam: float):
+def _ellipse_outline(family, lam: float):
     a1, a2 = family.a
     return np.array([a1 - lam, a2 - lam]) ** 0.5
 
@@ -207,6 +244,10 @@ def _stat_check(name: str, value: float, stderr: float, nsigma=3.0) -> dict:
 
 
 def _run_ivory_check(cfg, rng):
+    from .billiards import ivory_quadrilateral
+    from .quadrics import ConfocalFamily
+    from .svgout import Scene, palette
+
     fam = ConfocalFamily(euclidean(2), cfg["a"])
     tol = cfg["tolerance"]
     quad = ivory_quadrilateral(fam, cfg["lam_e"][0], cfg["lam_e"][1],
@@ -232,6 +273,10 @@ def _run_ivory_check(cfg, rng):
 
 
 def _run_billiard_orbit(cfg, rng):
+    from .billiards import CausticChart, caustic_of_line, reflect
+    from .quadrics import ConfocalFamily
+    from .svgout import Scene, palette
+
     fam = ConfocalFamily(euclidean(2), cfg["a"])
     tol = cfg["tolerance"]
     chart = CausticChart(fam, cfg["lam_c"])
@@ -257,11 +302,21 @@ def _run_billiard_orbit(cfg, rng):
 
 
 def _run_poncelet_grid(cfg, rng):
+    from .billiards import poncelet_grid
+    from .quadrics import ConfocalFamily
+    from .svgout import Scene, palette
+
     fam = ConfocalFamily(euclidean(2), cfg["a"])
     tol = cfg["tolerance"]
     grid = poncelet_grid(fam, cfg["outer_lam"], cfg["q"], cfg["p"],
                          cfg.get("start_x", 0.0))
-    conc = max(grid["concentric_spread"].values())
+    # lambda grows like |p|^2 on the outer rings, so each ring's spread of
+    # lambda is taken per unit of its largest |p|^2, floored at 1
+    scale = {}
+    for (i, j), pt in grid["points"].items():
+        d = min((j - i) % cfg["q"], (i - j) % cfg["q"])
+        scale[d] = max(scale.get(d, 1.0), float(pt @ pt))
+    conc = max(spread / scale[d] for d, spread in grid["concentric_spread"].items())
     rad = max(grid["radial_spread"].values())
     checks = [
         _check("closure_gap", grid["closure_gap"], tol),
@@ -280,6 +335,10 @@ def _run_poncelet_grid(cfg, rng):
 
 
 def _run_inscribed_circles(cfg, rng):
+    from .billiards import circumscribed_check
+    from .quadrics import ConfocalFamily
+    from .svgout import Scene, palette
+
     fam = ConfocalFamily(euclidean(2), cfg["a"])
     tol = cfg["tolerance"]
     rx, ry = _ellipse_outline(fam, cfg["outer_lam"])
@@ -309,6 +368,8 @@ def _run_inscribed_circles(cfg, rng):
 
 
 def _run_geodesic(cfg, rng):
+    from .staeckel import builtin_metric, geodesic_between
+
     metric = builtin_metric(cfg["metric"]["name"], cfg["metric"]["params"])
     tol = cfg["tolerance"]
     sol = geodesic_between(metric, cfg["corner0"], cfg["corner1"])
@@ -320,6 +381,8 @@ def _run_geodesic(cfg, rng):
 
 
 def _run_staeckel_ivory(cfg, rng):
+    from .staeckel import builtin_metric, ivory_check
+
     metric = builtin_metric(cfg["metric"]["name"], cfg["metric"]["params"])
     tol = cfg["tolerance"]
     box = [tuple(b) for b in cfg["box"]]
@@ -332,6 +395,9 @@ def _run_staeckel_ivory(cfg, rng):
 
 
 def _run_staeckel_billiard(cfg, rng):
+    from .staeckel import builtin_metric, staeckel_billiard_trajectory
+    from .svgout import Scene, palette
+
     metric = builtin_metric(cfg["metric"]["name"], cfg["metric"]["params"])
     tol = cfg["tolerance"]
     walls = [tuple(w) for w in cfg["walls"]]
@@ -359,6 +425,8 @@ def _run_staeckel_billiard(cfg, rng):
 
 
 def _run_potential_scan(cfg, rng):
+    from .potentials import antisymmetry_check, point_potential, point_potential_derivative
+
     geom = (spherical if cfg["geometry"] == "spherical" else hyperbolic)(cfg["dim"])
     tol = cfg["tolerance"]
     r = cfg["radii"]
@@ -380,6 +448,8 @@ def _run_potential_scan(cfg, rng):
 
 
 def _build_surface(scfg):
+    from .potentials import CurvedEllipsoid, GeodesicSphere
+
     geom_fn = spherical if scfg["geometry"] == "spherical" else hyperbolic
     if scfg["kind"] == "sphere":
         if "dim" not in scfg or "radius" not in scfg:
@@ -395,6 +465,8 @@ def _build_surface(scfg):
 
 
 def _run_newton_check(cfg, rng):
+    from .potentials import GeodesicSphere, field_at
+
     surface = _build_surface(cfg["surface"])
     tol = cfg["tolerance"]
     x = np.asarray(cfg["point"], dtype=float)
@@ -418,6 +490,8 @@ def _run_newton_check(cfg, rng):
 
 
 def _run_arnold_check(cfg, rng):
+    from .potentials import HyperbolicSurface, arnold_field_check
+
     coeffs = np.array(cfg["coeffs"], dtype=float)
     surf = HyperbolicSurface(coeffs, euclidean(2))
     box = tuple(cfg["box"]) if "box" in cfg else None
@@ -428,17 +502,20 @@ def _run_arnold_check(cfg, rng):
     return checks, {"field": (["field_norm", "stderr", "N"], rows)}, {}
 
 
+# each subcommand's runner, and the layers it runs on; run() imports them
+# before it starts the clock, so that compute_s times the computation alone
+_PLANAR = ("billiards", "svgout")
 _RUNNERS = {
-    "ivory-check": _run_ivory_check,
-    "billiard-orbit": _run_billiard_orbit,
-    "poncelet-grid": _run_poncelet_grid,
-    "inscribed-circles": _run_inscribed_circles,
-    "geodesic": _run_geodesic,
-    "staeckel-ivory": _run_staeckel_ivory,
-    "staeckel-billiard": _run_staeckel_billiard,
-    "potential-scan": _run_potential_scan,
-    "newton-check": _run_newton_check,
-    "arnold-check": _run_arnold_check,
+    "ivory-check": (_run_ivory_check, _PLANAR),
+    "billiard-orbit": (_run_billiard_orbit, _PLANAR),
+    "poncelet-grid": (_run_poncelet_grid, _PLANAR),
+    "inscribed-circles": (_run_inscribed_circles, _PLANAR),
+    "geodesic": (_run_geodesic, ("staeckel",)),
+    "staeckel-ivory": (_run_staeckel_ivory, ("staeckel",)),
+    "staeckel-billiard": (_run_staeckel_billiard, ("staeckel", "svgout")),
+    "potential-scan": (_run_potential_scan, ("potentials",)),
+    "newton-check": (_run_newton_check, ("potentials",)),
+    "arnold-check": (_run_arnold_check, ("potentials",)),
 }
 
 
@@ -452,8 +529,11 @@ def run(command: str, cfg: dict, outdir) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg["seed"]) if "seed" in cfg else None
     timings = {}
+    runner, layers = _RUNNERS[command]
+    for layer in layers:
+        import_module(f".{layer}", __package__)
     t0 = time.perf_counter()
-    checks, tables, scenes = _RUNNERS[command](cfg, rng)
+    checks, tables, scenes = runner(cfg, rng)
     timings["compute_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -470,6 +550,8 @@ def run(command: str, cfg: dict, outdir) -> dict:
             path = outdir / f"{name}.csv"
             _write_csv(path, header, rows)
         artifacts.append(path.name)
+    if scenes:
+        from .svgout import render_svg
     for name, scene in sorted(scenes.items()):
         path = outdir / f"{name}.svg"
         path.write_text(render_svg(scene))

@@ -242,10 +242,13 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
         legs = [_leg_integrals(metric, i, lo[i], hi[i], np.r_[0.5, bv]) for i in range(n)]
         return sum(Q for Q, _ in legs), sum(J for _, J in legs)
 
-    def fail(why):
+    def fail_if_h_negative():
         if any(_min_h_inside(metric, i, lo[i], hi[i], np.r_[0.5, beta]) < 0.0
                for i in range(n)):
             raise NoMonotoneDiagonal("no monotone diagonal: h_i turns negative inside a leg")
+
+    def fail(why):
+        fail_if_h_negative()
         raise SolverDiverged(why)
 
     # first guess: the momenta of the straight coordinate chord at the box
@@ -270,6 +273,10 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
             Qn, Jn = quadratures(bn)
             if np.linalg.norm(Qn[1:]) < np.linalg.norm(Q[1:]):
                 break
+            if lam == 1.0:
+                # the nodes where h_i <= 0 and is floored rule the residual;
+                # such a box is rejected now, not after every halving
+                fail_if_h_negative()
         else:
             fail("line search failed in separation solver")
         if np.array_equal(bn, beta):

@@ -15,6 +15,8 @@ from confocal.billiards import (
     CausticKind,
     OrientedLine,
     _ellipe,
+    _hyperbola_class,
+    _line_intersection,
     _rd,
     _rf,
     _rotation_number,
@@ -32,7 +34,14 @@ from confocal.billiards import (
     reflect,
     string_length,
 )
-from confocal.errors import InsideCaustic, InvalidParameters, NoIntersection, NotBracketed
+from confocal.errors import (
+    DegenerateConfiguration,
+    InsideCaustic,
+    InvalidParameters,
+    NoIntersection,
+    NotBracketed,
+)
+from confocal.quadrics import confocal_parameters
 
 FAM = ConfocalFamily(euclidean(2), (4.0, 1.0))
 CIRC = ConfocalFamily(euclidean(2), (2.0, 2.0))
@@ -322,6 +331,41 @@ def test_poncelet_grid():
 def test_poncelet_grid_q7():
     g = poncelet_grid(FAM, 0.0, 7, 2)
     assert max(g["concentric_spread"].values()) < 1e-8
+
+
+@pytest.mark.parametrize("q, p, start_x", [
+    (9, 2, 0.0), (9, 2, 0.37), (41, 2, 0.0), (41, 2, 0.37),
+    (8, 3, 0.0),    # even q: opposite sides are parallel and skipped
+])
+def test_poncelet_grid_points_match_loop(q, p, start_x):
+    """The per-point loop as oracle: one _line_intersection and one
+    confocal_parameters per pair of sides.  The batched solve and
+    eigenvalues do the same arithmetic, so everything agrees exactly,
+    including the points with a coordinate pinned to its pole."""
+    g = poncelet_grid(FAM, -0.2, q, p, start_x)
+    verts = g["vertices"]
+    sides = [OrientedLine.from_point_direction(verts[i], verts[(i + 1) % q] - verts[i])
+             for i in range(q)]
+    points, concentric, radial = {}, {}, {}
+    for i in range(q):
+        for j in range(i + 1, q):
+            try:
+                points[(i, j)] = _line_intersection(sides[i], sides[j])
+            except DegenerateConfiguration:
+                continue
+            lam = confocal_parameters(FAM, np.abs(points[(i, j)])).lam
+            concentric.setdefault(min((j - i) % q, (i - j) % q), []).append(min(lam))
+            radial.setdefault((i + j) % q, []).append(lam)
+    assert list(g["points"]) == list(points)
+    for key, pt in points.items():
+        assert np.array_equal(g["points"][key], pt), key
+    assert g["concentric_spread"] == {
+        d: float(np.max(v) - np.min(v)) for d, v in concentric.items()}
+    assert g["radial_spread"] == {
+        s: 0.0 if len(v) < 2 else float(np.ptp([_hyperbola_class(FAM, lam) for lam in v]))
+        for s, v in radial.items()}
+    if q % 2 == 0:
+        assert len(points) < q * (q - 1) // 2
 
 
 def _tangent_circle_residual(lines):

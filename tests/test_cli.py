@@ -9,8 +9,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from confocal.cli import SCHEMAS, load_config, main, run
+import confocal
+from confocal.cli import SCHEMAS, _first_violation, load_config, main, run
 from confocal.errors import ConfigError, EmptyScene, InvalidParameters
 from confocal.svgout import Scene, render_svg
 
@@ -78,6 +81,79 @@ def test_config_error_message_matches_validate(tmp_path, bad):
     assert str(got.value) == f"config rejected: {want.value.message}"
 
 
+# values of every JSON type, most of which break any one schema
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
+                  st.floats(allow_infinity=False), st.text(max_size=2),
+                  st.lists(st.integers(0, 1), max_size=2),
+                  st.dictionaries(st.text(max_size=1), st.none(), max_size=1))
+
+
+def _valid(schema):
+    """Instances of `schema`, with and without its optional keys."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if kind == "integer":
+        return st.integers(1, 4) | st.just(2.0) if "minimum" in schema else st.integers()
+    if kind == "number":
+        if "exclusiveMinimum" in schema:
+            return st.floats(1e-3, 3.0)
+        return st.floats(-3.0, 3.0) | st.integers(-2, 2)
+    if kind == "array":
+        lo = schema.get("minItems", 0)
+        return st.lists(_valid(schema["items"]), min_size=lo,
+                        max_size=schema.get("maxItems", lo + 2))
+    props, required = schema["properties"], schema["required"]
+    return st.fixed_dictionaries(
+        {k: _valid(props[k]) for k in required},
+        optional={k: _valid(v) for k, v in props.items() if k not in required})
+
+
+def _nodes(x, path=()):
+    yield path
+    children = x.items() if isinstance(x, dict) else (
+        enumerate(x) if isinstance(x, list) else ())
+    for k, v in children:
+        yield from _nodes(v, path + (k,))
+
+
+def _break(data, cfg):
+    """cfg with a value replaced by junk, a key or item removed, or a key
+    or item added, at a node drawn from the whole tree (the root too)."""
+    path = data.draw(st.sampled_from(list(_nodes(cfg))))
+    op = data.draw(st.sampled_from(["junk", "drop", "add"]))
+    if op == "junk" and not path:
+        return data.draw(_JUNK)
+    parent = cfg
+    for k in path[:-1]:
+        parent = parent[k]
+    if op == "junk":
+        parent[path[-1]] = data.draw(_JUNK)
+    elif op == "drop" and path:
+        del parent[path[-1]]
+    else:
+        node = parent[path[-1]] if path else cfg
+        if isinstance(node, dict):
+            node[data.draw(st.sampled_from(["extra", "seed", "format", "name"]))] = data.draw(_JUNK)
+        elif isinstance(node, list):
+            node.append(data.draw(_JUNK))
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_validation_matches_jsonschema_best_match(command, data):
+    # jsonschema is the oracle here only; the package validates without it
+    cfg = data.draw(_valid(SCHEMAS[command]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        cfg = _break(data, cfg)
+    validator = jsonschema.Draft202012Validator(SCHEMAS[command])
+    want = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+    assert _first_violation(SCHEMAS[command], cfg) == (
+        None if want is None else want.message)
+
+
 def test_newton_zero_samples_rejected(tmp_path):
     cfg = {"surface": {"kind": "sphere", "geometry": "hyperbolic", "dim": 3,
                        "radius": 0.5},
@@ -108,6 +184,39 @@ def test_determinism_byte_identical(tmp_path):
         b1 = (tmp_path / "r1" / name).read_bytes()
         b2 = (tmp_path / "r2" / name).read_bytes()
         assert b1 == b2
+
+
+def _grid_checks(tmp_path, q, start_x, label):
+    cfg = {"a": [4.0, 1.0], "outer_lam": -0.2, "q": q, "p": 2,
+           "start_x": start_x}
+    cfg = load_config("poncelet-grid", _write(tmp_path, f"{label}.json", cfg))
+    report = run("poncelet-grid", cfg, tmp_path / label)
+    return {c["name"]: c for c in report["checks"]}, report["passed"]
+
+
+def test_poncelet_grid_q41_passes(tmp_path):
+    # lambda reaches ~1.6e3 on the outer rings of a q=41 grid; the spread,
+    # per unit of each ring's largest |p|^2, stays near rounding
+    rng = np.random.default_rng(41)
+    for k, start_x in enumerate(rng.uniform(0.0, 1.0, 30).tolist()):
+        checks, passed = _grid_checks(tmp_path, 41, start_x, f"g{k}")
+        assert passed, (start_x, checks)
+        assert checks["concentric_spread"]["value"] < 1e-10
+
+
+@pytest.mark.parametrize("q", [9, 41])
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+def test_poncelet_grid_concentric_gate_sees_wrong_caustic(tmp_path, monkeypatch,
+                                                          q, shift):
+    # a caustic 1e-6 off the Poncelet value: the polygon no longer closes,
+    # the rings are no longer confocal ellipses, and the gate says so
+    import confocal.billiards as billiards
+    exact = billiards.poncelet_caustic_for_rotation
+    monkeypatch.setattr(billiards, "poncelet_caustic_for_rotation",
+                        lambda *args: exact(*args) + shift)
+    checks, passed = _grid_checks(tmp_path, q, 0.3, "off")
+    assert not passed
+    assert checks["concentric_spread"]["value"] > 1e-6
 
 
 def test_stochastic_determinism(tmp_path):
@@ -179,74 +288,104 @@ def test_timings_separate_from_report(tmp_path):
     assert "timings.json" not in report["artifacts"]
 
 
-# a fresh interpreter prints the SciPy modules loaded after importing
-# confocal and after each `confocal <command> --config <path> --out <dir>`
-# whose three values follow in argv, keyed by the name of <dir>; last, as the
-# positive control, after importing scipy.integrate itself
+# a fresh interpreter prints the package, SciPy and jsonschema modules it has
+# loaded after importing confocal.cli, and again after running the
+# `confocal` command line given in argv; with no argv, after the positive
+# control instead: a lazily exported name, jsonschema and scipy.integrate
 _IMPORT_PROBE = """
-import json, os, sys
+import json, sys
 import confocal, confocal.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("confocal", "scipy", "jsonschema"))
 
 seen = {"import": loaded()}
-args = sys.argv[1:]
-for k in range(0, len(args), 3):
-    command, config, out = args[k:k + 3]
-    confocal.cli.main([command, "--config", config, "--out", out])
-    seen[os.path.basename(out)] = loaded()
-import scipy.integrate
-seen["control"] = loaded()
+if sys.argv[1:]:
+    confocal.cli.main(sys.argv[1:])
+else:
+    import jsonschema, scipy.integrate
+    confocal.ConfocalFamily
+seen["run"] = loaded()
 print(json.dumps(seen))
 """
+_CLI_MODULES = ["confocal", "confocal.cli", "confocal.errors", "confocal.geometry"]
+_PLANAR = ["confocal.billiards", "confocal.quadrics", "confocal.svgout"]
 
 
 def test_import_cost_guard(tmp_path):
+    # each run loads numpy and its own layer: no SciPy, no jsonschema, and
+    # none of the other layers
     sphere = {"kind": "sphere", "geometry": "spherical", "dim": 3, "radius": 0.6}
     ellipsoid = {"kind": "ellipsoid", "geometry": "spherical",
                  "a": [3.0, 2.0, 1.5], "b": 1.0}
     runs = {
-        "ivory-check": ("ivory-check", IVORY_CFG),
+        "ivory-check": ("ivory-check", IVORY_CFG, _PLANAR),
         "geodesic": ("geodesic", {
             "metric": {"name": "elliptic_R2", "params": [4.0, 1.0]},
-            "corner0": [2.2, 0.4], "corner1": [2.9, 0.8]}),
+            "corner0": [2.2, 0.4], "corner1": [2.9, 0.8]},
+            ["confocal.staeckel"]),
+        "staeckel-ivory": ("staeckel-ivory", {
+            "metric": {"name": "sphere_conical", "params": [0.8, 0.5, 0.2]},
+            "box": [[0.55, 0.65], [0.3, 0.4]]}, ["confocal.staeckel"]),
         "newton-check": ("newton-check", {
             "surface": sphere, "point": [1.0, 0.0, 0.0, 0.0],
-            "expect": "zero", "N": 200, "seed": 1}),
+            "expect": "zero", "N": 200, "seed": 1}, ["confocal.potentials"]),
         "newton-check-ellipsoid": ("newton-check", {
             "surface": ellipsoid, "point": [1.0, 0.0, 0.0, 0.0],
-            "expect": "zero", "N": 200, "seed": 1}),
+            "expect": "zero", "N": 200, "seed": 1}, ["confocal.potentials"]),
         "potential-scan-h4": ("potential-scan", {
             "geometry": "hyperbolic", "dim": 4,
-            "radii": {"start": 0.2, "stop": 3.0, "count": 8}}),
+            "radii": {"start": 0.2, "stop": 3.0, "count": 8}},
+            ["confocal.potentials"]),
+        "arnold-check": ("arnold-check", {
+            "coeffs": [[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+            "eps": 0.05, "point": [0.1, 0.0], "N": 200, "seed": 11},
+            ["confocal.potentials"]),
         "billiard-orbit": ("billiard-orbit", {
-            "a": [4.0, 1.0], "outer_lam": 0.0, "lam_c": 0.5, "bounces": 3}),
+            "a": [4.0, 1.0], "outer_lam": 0.0, "lam_c": 0.5, "bounces": 3},
+            _PLANAR),
         "poncelet-grid": ("poncelet-grid", {
-            "a": [4.0, 1.0], "outer_lam": -0.2, "q": 9, "p": 2}),
+            "a": [4.0, 1.0], "outer_lam": -0.2, "q": 9, "p": 2}, _PLANAR),
         "inscribed-circles": ("inscribed-circles", {
             "a": [4.0, 1.0], "outer_lam": 0.05, "lam_c": 0.5,
-            "theta_a": 0.7, "theta_b": 2.1}),
+            "theta_a": 0.7, "theta_b": 2.1}, _PLANAR),
         "staeckel-billiard": ("staeckel-billiard", {
             "metric": {"name": "elliptic_R2", "params": [4.0, 1.0]},
             "walls": [[2.2, 2.9], [0.3, 0.7]], "q0": [2.5, 0.5],
-            "p0": [0.8, 0.6], "bounces": 8, "tolerance": 1e-8}),
+            "p0": [0.8, 0.6], "bounces": 8, "tolerance": 1e-8},
+            ["confocal.staeckel", "confocal.svgout"]),
         "staeckel-billiard-r3": ("staeckel-billiard", {
             "metric": {"name": "ellipsoidal_R3", "params": [4.0, 2.0, 1.0]},
             "walls": [[2.5, 3.2], [1.3, 1.7], [0.3, 0.7]], "q0": [2.8, 1.5, 0.5],
-            "p0": [0.8, 0.6, 0.3], "bounces": 4, "tolerance": 1e-8}),
+            "p0": [0.8, 0.6, 0.3], "bounces": 4, "tolerance": 1e-8},
+            ["confocal.staeckel", "confocal.svgout"]),
     }
-    argv = []
-    for label, (command, cfg) in runs.items():
-        argv += [command, _write(tmp_path, f"{label}.json", cfg),
-                 str(tmp_path / label)]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    for stage in ("import", *runs):
-        assert seen[stage] == [], stage
-    assert "scipy.integrate" in seen["control"]
+
+    def probe(*argv):
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    for label, (command, cfg, layers) in runs.items():
+        seen = probe(command, "--config", _write(tmp_path, f"{label}.json", cfg),
+                     "--out", str(tmp_path / label))
+        assert seen["import"] == _CLI_MODULES, label
+        assert seen["run"] == sorted(_CLI_MODULES + layers), label
+    control = probe()["run"]
+    assert {"jsonschema", "scipy.integrate", "confocal.quadrics"} <= set(control)
+
+
+def test_lazy_exports():
+    # each exported name resolves, on first access, to its layer's object
+    for name in confocal.__all__:
+        value = getattr(confocal, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert value.__module__.startswith("confocal."), name
+    with pytest.raises(AttributeError):
+        confocal.no_such_name
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,34 @@ def test_geodesic_no_monotone_diagonal():
         geodesic_between(m, c0, c1)
 
 
+def test_geodesic_rejection_costs_one_full_step(monkeypatch):
+    """A box whose first guess already has h_i < 0 inside a leg is rejected
+    as soon as the full Newton step fails to lower the residual, not after
+    the line search has halved it 30 times: a rejection costs the leg
+    quadratures of the first guess and of at most one full step, n each."""
+    calls = [0]
+    leg = staeckel._leg_integrals
+
+    def counted(*args):
+        calls[0] += 1
+        return leg(*args)
+
+    monkeypatch.setattr(staeckel, "_leg_integrals", counted)
+    rng = np.random.default_rng(29)
+    rejected = 0
+    for name in ALL_NAMES:
+        m = _metric(name)
+        for _ in range(40):
+            box = m.random_box(rng, 0.9)
+            calls[0] = 0
+            try:
+                geodesic_between(m, [b[0] for b in box], [b[1] for b in box])
+            except NoMonotoneDiagonal:
+                rejected += 1
+                assert calls[0] <= 2 * m.n, (name, box, calls[0])
+    assert rejected >= 40
+
+
 def test_geodesic_degenerate():
     m = builtin_metric("elliptic_R2", (4.0, 1.0))
     sol = geodesic_between(m, (2.5, 0.4), (2.5, 0.4))
