@@ -31,7 +31,6 @@ from .errors import (
 )
 from .geometry import Kind
 from .quadrics import (
-    DEGENERATE_TOL,
     ConfocalFamily,
     confocal_parameters,
     point_from_parameters,
@@ -459,12 +458,6 @@ class CausticChart:
         return OrientedLine.from_point_direction(pt, d)
 
     # -- exterior geometry (ellipse caustics only) -------------------------
-    def contains(self, point) -> bool:
-        x, y = np.asarray(point, dtype=float)
-        if self.family.is_circular:
-            return np.hypot(x, y) < self.radius
-        return x * x / self.A + y * y / self.B < 1.0
-
     def tangency_points_from(self, point) -> list:
         """The two points where tangent lines from an exterior point touch
         the caustic ellipse."""
@@ -692,18 +685,43 @@ def _hyperbola_class(family: ConfocalFamily, lam) -> float:
     raise DegenerateConfiguration("no hyperbola-class coordinate at the point")
 
 
+# sign patterns of <nu_k, c> - s_k r = p_k: the side of line k a circle
+# touching four lines lies on, s_0 = 1 as r takes the overall sign
+_SIGNS = np.array([(1.0,) + s for s in product((1.0, -1.0), repeat=3)])
+# the rows of a 4x3 matrix left in its 3x3 minor without row k
+_MINORS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def _incircle_residuals(normals, offsets) -> np.ndarray:
+    """Max-abs least-squares residual of <nu_k, c> - s_k r = p_k, k < 4,
+    per pattern of _SIGNS: (..., 8) from (..., 4, 2) normals and (..., 4)
+    offsets.  For a full-rank R = [nu_k, -s_k] it is (y.p / |y|^2) y, with
+    y_k = (-1)^k det(R without row k) the null vector of R^T."""
+    rows = np.empty(normals.shape[:-2] + (8, 4, 3))
+    rows[..., :2] = normals[..., None, :, :]
+    rows[..., 2] = -_SIGNS
+    y = np.array([1.0, -1.0, 1.0, -1.0]) * np.linalg.det(rows[..., _MINORS, :])
+    yp = (y * offsets[..., None, :]).sum(axis=-1)
+    return np.abs(yp) * np.abs(y).max(axis=-1) / (y * y).sum(axis=-1)
+
+
 def circumscribed_check(family: ConfocalFamily, A, B, lam_c: float) -> dict:
     """Tangent lines from two points of a confocal ellipse to a caustic:
     the other two intersection points lie on one confocal hyperbola and
-    the four lines are circumscribed about a circle."""
+    the four lines touch one circle, that of the best sign pattern.
+
+    Walking A, C, B, D, its touch point splits side k into signed lengths
+    a_k + b_k, and |b_k| = |a_k+1| at each corner, so with c_0 = 1 and
+    c_k+1 = -c_k sign(b_k a_k+1) the sum of c_k |side k| cancels corner by
+    corner.  With every touch point inside its side that is Pitot's
+    |AC| + |BD| = |CB| + |DA|; with every one outside (ex-tangential, as
+    for some A and B near opposite ends of the major axis) it is
+    |DA| + |AC| = |CB| + |BD|."""
     _check_planar(family)
     chart = CausticChart(family, lam_c)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    la = [OrientedLine.from_point_direction(A, tp - A)
-          for tp in chart.tangency_points_from(A)]
-    lb = [OrientedLine.from_point_direction(B, tp - B)
-          for tp in chart.tangency_points_from(B)]
+    A, B = (np.asarray(X, dtype=float) for X in (A, B))
+    la, lb = ([OrientedLine.from_point_direction(X, tp - X)
+               for tp in chart.tangency_points_from(X)] for X in (A, B))
 
     # pair the non-(A,B) intersections so that C, D share a hyperbola root
     best = None
@@ -711,36 +729,36 @@ def circumscribed_check(family: ConfocalFamily, A, B, lam_c: float) -> dict:
         try:
             Cc = _line_intersection(la[i], lb[j])
             Dc = _line_intersection(la[k], lb[m])
-            mism = abs(_hyperbola_root(family, Cc) - _hyperbola_root(family, Dc))
+            hc, hd = _hyperbola_root(family, Cc), _hyperbola_root(family, Dc)
         except DegenerateConfiguration:
             continue
-        if best is None or mism < best[0]:
-            best = (mism, Cc, Dc)
+        if best is None or abs(hc - hd) < best[0]:
+            # the sides AC, CB, BD, DA
+            best = (abs(hc - hd), Cc, Dc, (hc + hd) / 2.0, [la[i], lb[j], lb[m], la[k]])
     if best is None:
         raise DegenerateConfiguration("all tangent-line pairings degenerate")
-    _, C, D = best
+    mismatch, C, D, lam_hyp, sides = best
 
-    lines = la + lb
-    centroid = (A + B + C + D) / 4.0
-    rows, rhs = [], []
-    for ln in lines:
-        s = np.sign(ln.normal @ centroid - ln.p) or 1.0
-        rows.append([ln.normal[0], ln.normal[1], -s])
-        rhs.append(ln.p)
-    sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
+    normals = np.array([ln.normal for ln in sides])
+    offsets = np.array([ln.p for ln in sides])
+    resid = _incircle_residuals(normals, offsets)
+    win = int(np.argmin(resid))
+    sol, *_ = np.linalg.lstsq(np.column_stack([normals, -_SIGNS[win]]), offsets, rcond=None)
     center, radius = sol[:2], abs(sol[2])
-    tangency_residual = max(abs(abs(ln.normal @ center - ln.p) - radius)
-                            for ln in lines)
-    perimeter_residual = abs(np.linalg.norm(D - A) - np.linalg.norm(C - A)
-                             + np.linalg.norm(C - B) - np.linalg.norm(D - B))
+
+    corners = np.array([A, C, B, D])
+    step = np.roll(corners, -1, axis=0) - corners
+    length = np.linalg.norm(step, axis=1)
+    touch = center - (normals @ center - offsets)[:, None] * normals
+    a = ((touch - corners) * step).sum(axis=1) / length
+    c = np.cumprod(np.concatenate([[1.0], -np.sign((length - a)[:3] * a[1:])]))
     return {
         "A": A, "B": B, "C": C, "D": D,
-        "lam_hyp": (_hyperbola_root(family, C) + _hyperbola_root(family, D)) / 2.0,
-        "hyperbola_mismatch": best[0],
+        "lam_hyp": lam_hyp, "hyperbola_mismatch": mismatch,
         "incircle_center": center, "incircle_radius": radius,
-        "tangency_residual": float(tangency_residual),
-        "perimeter_residual": float(perimeter_residual),
-        "lines": lines,
+        "tangency_residual": float(resid[win]),
+        "perimeter_residual": float(abs(c @ length)),
+        "lines": la + lb,
     }
 
 
@@ -827,11 +845,9 @@ def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
     points = dict(zip(zip(i.tolist(), j.tolist()), pts))
 
     # the elliptic coordinates of all points at once, eigenvalues of
-    # diag(a) - x x^T as in confocal_parameters, which also pins a zero
-    # coordinate to its pole: the smaller is the point's confocal ellipse,
-    # the hyperbola-class one its confocal hyperbola
+    # diag(a) - x x^T as in confocal_parameters: the smaller is the point's
+    # confocal ellipse, the hyperbola-class one its confocal hyperbola
     x = np.abs(pts)
-    x[x * x <= DEGENERATE_TOL ** 2] = 0.0
     lams = np.linalg.eigvalsh(np.diag(family.a) - x[:, :, None] * x[:, None, :])[:, ::-1]
     ring = np.minimum((j - i) % q, (i - j) % q)
     spoke = (i + j) % q
@@ -843,19 +859,10 @@ def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
                          float(np.ptp([_hyperbola_class(family, lam) for lam in on])))
 
     # each grid cell is bounded by lines i, i+1, j, j+1 and is circumscribed
-    # about a circle: for each sign pattern s (s_0 = 1) the least-squares
-    # (c, r) of <nu_k, c> - s_k r = p_k, and per cell the smallest residual
-    # over the patterns
+    # about a circle: per cell the smallest residual over the sign patterns
     cells = [(i, (i + 1) % q, j, (j + 1) % q) for i in range(q) for j in range(i + 1, q)]
     cells = np.array([c for c in cells if len(set(c)) == 4], dtype=int).reshape(-1, 4)
-    rhs = offsets[cells][:, None, :, None]
-    signs = np.array([(1.0,) + s for s in product((1.0, -1.0), repeat=3)])
-    rows = np.empty((len(cells), len(signs), 4, 3))
-    rows[..., :2] = normals[cells][:, None]
-    rows[..., 2] = -signs
-    sol = np.linalg.pinv(rows) @ rhs
-    resid = np.abs(rows @ sol - rhs).max(axis=(2, 3))
-    quad_residuals = resid.min(axis=1).tolist()
+    quad_residuals = _incircle_residuals(normals[cells], offsets[cells]).min(axis=1).tolist()
 
     return {"lam_c": lam_c, "vertices": verts, "closure_gap": gap,
             "points": points, "concentric_spread": conc_spread,
@@ -883,19 +890,10 @@ def string_length(family: ConfocalFamily, lam_c: float, point) -> float:
     if abs(on_level) < 1e-12:
         return chart.perimeter()
     t1, t2 = chart.tangency_points_from(P)
-    th = sorted(np.arctan2(tp[1] / np.sqrt(chart.B), tp[0] / np.sqrt(chart.A)) % (2 * np.pi)
-                for tp in (t1, t2))
-    # the arc not wrapped by the string is the one facing the point
-    arcs = [(th[0], th[1]), (th[1], th[0] + 2.0 * np.pi)]
-    best = None
-    for lo, hi in arcs:
-        mid = (lo + hi) / 2.0
-        M = np.array([np.sqrt(chart.A) * np.cos(mid), np.sqrt(chart.B) * np.sin(mid)])
-        nrm = np.array([M[0] / chart.A, M[1] / chart.B])
-        score = (P - M) @ nrm
-        if best is None or score > best[0]:
-            best = (score, lo, hi)
-    _, lo, hi = best
-    visible = chart.arc_length(lo, hi)
+    # in the eccentric angle th the point sees the caustic between the
+    # tangency points phi -+ dth, an arc shorter than pi, and the string
+    # wraps the rest
+    cx, cy = P[0] / np.sqrt(chart.A), P[1] / np.sqrt(chart.B)
+    phi, dth = np.arctan2(cy, cx), np.arccos(1.0 / np.hypot(cx, cy))
     return (float(np.linalg.norm(P - t1)) + float(np.linalg.norm(P - t2))
-            + chart.perimeter() - visible)
+            + chart.perimeter() - chart.arc_length(phi - dth, phi + dth))

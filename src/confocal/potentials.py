@@ -129,10 +129,6 @@ class QuadraticForm:
         x = np.asarray(x, dtype=float)
         return float(x @ self.matrix @ x)
 
-    def signature(self) -> Tuple[int, int]:
-        ev = np.linalg.eigvalsh(self.matrix)
-        return int(np.sum(ev < 0)), int(np.sum(ev > 0))
-
 
 @dataclass(frozen=True)
 class CurvedEllipsoid:

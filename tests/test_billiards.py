@@ -16,6 +16,7 @@ from confocal.billiards import (
     OrientedLine,
     _ellipe,
     _hyperbola_class,
+    _incircle_residuals,
     _line_intersection,
     _rd,
     _rf,
@@ -278,20 +279,44 @@ def test_four_periodic_family():
 
 # -- circumscribed quadrilaterals -------------------------------------------
 
+def _outer_corner(th):
+    """The point at eccentric angle th of the lam = 0.05 ellipse of FAM."""
+    return np.array([np.sqrt(3.95) * np.cos(th), np.sqrt(0.95) * np.sin(th)])
+
+
 def test_circumscribed_random():
     rng = np.random.default_rng(8)
-    count = 0
-    while count < 50:
+    pairs = []
+    while len(pairs) < 50:
         th1, th2 = rng.uniform(0.15, 2.9, size=2)
-        if abs(th1 - th2) < 0.3:
-            continue
-        A = np.array([np.sqrt(3.95) * np.cos(th1), np.sqrt(0.95) * np.sin(th1)])
-        B = np.array([np.sqrt(3.95) * np.cos(th2), np.sqrt(0.95) * np.sin(th2)])
-        rep = circumscribed_check(FAM, A, B, 0.5)
-        assert rep["perimeter_residual"] < 1e-9
-        assert rep["tangency_residual"] < 1e-9
-        assert rep["hyperbola_mismatch"] < 1e-9
-        count += 1
+        if abs(th1 - th2) >= 0.3:
+            pairs.append((th1, th2))
+    # corners near opposite ends of the major axis, where about half the
+    # pairs make ACBD ex-tangential: every touch point outside its side
+    far = [(rng.uniform(0.15, 0.45), rng.uniform(np.pi - 0.6, 2.9)) for _ in range(50)]
+    pairs += [(0.2, 2.8), (2.8, 0.2)] + far + [(th2, th1) for th1, th2 in far[:10]]
+    for th1, th2 in pairs:
+        rep = circumscribed_check(FAM, _outer_corner(th1), _outer_corner(th2), 0.5)
+        assert rep["perimeter_residual"] < 1e-9, (th1, th2)
+        assert rep["tangency_residual"] < 1e-9, (th1, th2)
+        assert rep["hyperbola_mismatch"] < 1e-9, (th1, th2)
+
+
+@pytest.mark.parametrize("th1, th2", [(0.7, 2.1), (1.4, 0.4), (0.2, 2.8)])
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+def test_circumscribed_sees_a_moved_caustic(monkeypatch, th1, th2, shift):
+    # the lines from B touch a caustic 1e-6 off that of the lines from A:
+    # the four lines no longer touch one circle, and the check says so
+    A, B = _outer_corner(th1), _outer_corner(th2)
+    exact = CausticChart.tangency_points_from
+
+    def moved(chart, point):
+        if np.array_equal(point, B):
+            chart = CausticChart(chart.family, chart.lam_c + shift)
+        return exact(chart, point)
+
+    monkeypatch.setattr(CausticChart, "tangency_points_from", moved)
+    assert circumscribed_check(FAM, A, B, 0.5)["tangency_residual"] > 1e-9
 
 
 def test_circumscribed_symmetric_center_on_axis():
@@ -340,8 +365,10 @@ def test_poncelet_grid_q7():
 def test_poncelet_grid_points_match_loop(q, p, start_x):
     """The per-point loop as oracle: one _line_intersection and one
     confocal_parameters per pair of sides.  The batched solve and
-    eigenvalues do the same arithmetic, so everything agrees exactly,
-    including the points with a coordinate pinned to its pole."""
+    eigenvalues do the same arithmetic, so everything agrees exactly.
+    confocal_parameters pins a coordinate within 1e-12 of zero to its
+    pole and the grid does not; that moves an eigenvalue by ~1e-24, below
+    rounding."""
     g = poncelet_grid(FAM, -0.2, q, p, start_x)
     verts = g["vertices"]
     sides = [OrientedLine.from_point_direction(verts[i], verts[(i + 1) % q] - verts[i])
@@ -369,7 +396,8 @@ def test_poncelet_grid_points_match_loop(q, p, start_x):
 
 
 def _tangent_circle_residual(lines):
-    """Per-cell loop oracle for poncelet_grid's quad_residuals."""
+    """Per-cell loop oracle for _incircle_residuals: least squares per
+    sign pattern, the smallest max-abs residual."""
     best = np.inf
     for signs in product([1.0, -1.0], repeat=3):
         sv = (1.0,) + signs
@@ -396,6 +424,27 @@ def test_poncelet_grid_residuals_match_loop(q):
                 expect.append(_tangent_circle_residual([sides[k] for k in idx]))
     assert len(g["quad_residuals"]) == len(expect)
     assert max(abs(a - b) for a, b in zip(g["quad_residuals"], expect)) < 1e-12
+
+
+_DIRECTION = st.floats(0.0, 0.5)
+_OFFSETS = st.tuples(*[st.floats(-10.0, 10.0)] * 4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.tuples(_DIRECTION, _DIRECTION, _DIRECTION, _DIRECTION), _OFFSETS,
+       st.tuples(*[st.booleans()] * 4),
+       st.one_of(st.none(), st.floats(-1e-6, 1e-6)))
+def test_incircle_residuals_match_lstsq(spread, offsets, flips, near):
+    """Four lines in general position, or with lines 0 and 1 within 1e-6
+    rad of parallel (either orientation), against per-pattern least
+    squares, to rounding in units of the largest offset."""
+    alpha = [spread[k] + k * math.pi / 4.0 + math.pi * flips[k] for k in range(4)]
+    if near is not None:
+        alpha[1] = alpha[0] + near + math.pi * flips[1]
+    lines = [OrientedLine(a, p) for a, p in zip(alpha, offsets)]
+    normals = np.array([ln.normal for ln in lines])
+    got = _incircle_residuals(normals, np.array(offsets)).min()
+    assert abs(got - _tangent_circle_residual(lines)) <= 1e-12 * max(map(abs, offsets))
 
 
 def reflection_shift(family, outer_lam, lam_c, x0=0.13):

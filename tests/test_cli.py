@@ -186,6 +186,17 @@ def test_determinism_byte_identical(tmp_path):
         assert b1 == b2
 
 
+def test_inscribed_circles_far_corners_pass(tmp_path):
+    # corners near opposite ends of the major axis: an ex-tangential ACBD
+    cfg = {"a": [4.0, 1.0], "outer_lam": 0.05, "lam_c": 0.5,
+           "theta_a": 0.2, "theta_b": 2.8}
+    assert main(["inscribed-circles", "--config", _write(tmp_path, "c.json", cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["passed"]
+    assert all(c["passed"] for c in report["checks"])
+
+
 def _grid_checks(tmp_path, q, start_x, label):
     cfg = {"a": [4.0, 1.0], "outer_lam": -0.2, "q": q, "p": 2,
            "start_x": start_x}
