@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ConfocalError
-from .geometry import Kind, euclidean, hyperbolic, spherical
+from .geometry import euclidean, hyperbolic, spherical
 
 # ---------------------------------------------------------------------------
 # config schemas
@@ -431,10 +431,10 @@ def _run_potential_scan(cfg, rng):
     tol = cfg["tolerance"]
     r = cfg["radii"]
     radii = np.linspace(r["start"], r["stop"], r["count"])
-    phi, is_sph = (np.sin, True) if geom.kind is Kind.SPHERICAL else (np.sinh, False)
+    is_sph = geom.kappa > 0
     u = point_potential(geom, radii)
     du = point_potential_derivative(geom, radii)
-    flux_dev = np.max(np.abs(du * phi(radii) ** (geom.n - 1) + 1.0))
+    flux_dev = np.max(np.abs(du * geom.trig[0](radii) ** (geom.n - 1) + 1.0))
     checks = [_check("flux_constancy", flux_dev, tol)]
     if geom.n == 3:
         # coth r - 1 written without cancellation at large r
@@ -476,9 +476,7 @@ def _run_newton_check(cfg, rng):
     if cfg["expect"] == "zero":
         checks = [_stat_check("field_norm_zero", out["norm"], out["norm_stderr"])]
         return checks, tables, {}
-    if not (isinstance(surface, GeodesicSphere)
-            and surface.geometry.kind is Kind.HYPERBOLIC
-            and surface.geometry.n == 3):
+    if not (isinstance(surface, GeodesicSphere) and surface.geometry == hyperbolic(3)):
         raise ConfigError("point_mass oracle requires a hyperbolic sphere in "
                           "three dimensions")
     # distance to the center (the pole): cosh D = -<x, c>_M = x0

@@ -2,19 +2,22 @@
 
 Euclidean points are plain vectors in R^n.  Spherical points live on the
 unit sphere in R^(n+1); hyperbolic points on the upper sheet (x0 > 0) of
-the two-sheeted hyperboloid <x, x>_{n,1} = -1, where the Minkowski product
-is -x0*y0 + sum_i xi*yi.  In both curved models arrays have length n+1
-with the distinguished coordinate x0 stored FIRST.
+the two-sheeted hyperboloid <x, x> = -1.  In both curved models arrays
+have length n+1 with the distinguished coordinate x0 stored FIRST.
+
+- kappa, the curvature sign: 0 on E^n, +1 on S^n, -1 on H^n.
+- eta, the signature of the ambient product <x, y> = sum_j eta_j x_j y_j:
+  -1 first on H^n, +1 elsewhere, so that <x, x> = kappa on a curved model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import NotOnModel
+from .errors import InvalidParameters, NotOnModel
 
 MODEL_TOL = 1e-10  # largest residual of the model equation accepted in a point
 
@@ -25,20 +28,56 @@ class Kind(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
+_KAPPA = {Kind.EUCLIDEAN: 0, Kind.SPHERICAL: 1, Kind.HYPERBOLIC: -1}
+
+
 @dataclass(frozen=True)
 class Geometry:
-    """Ambient geometry: kind plus intrinsic dimension n >= 1."""
+    """Ambient geometry: kind plus intrinsic dimension n >= 1, with its
+    curvature sign kappa and signature eta (see the module docstring)."""
 
     kind: Kind
     n: int
+    kappa: int = field(init=False, repr=False, compare=False)
+    eta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InvalidParameters("dimension must be >= 1")
+        kappa = _KAPPA[self.kind]
+        eta = np.ones(self.n if kappa == 0 else self.n + 1)
+        eta[0] = -1.0 if kappa < 0 else 1.0
+        eta.flags.writeable = False
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "eta", eta)
 
     @property
     def ambient_dim(self) -> int:
-        return self.n if self.kind is Kind.EUCLIDEAN else self.n + 1
+        return self.eta.size
+
+    @property
+    def trig(self):
+        """(sin, cos) on S^n, (sinh, cosh) on H^n: the unit-speed geodesic
+        from x with unit tangent t is cos(r) x + sin(r) t.  InvalidParameters
+        on E^n, which has no such pair."""
+        if not self.kappa:
+            raise InvalidParameters("sin/cos pair defined on curved geometries")
+        return (np.sin, np.cos) if self.kappa > 0 else (np.sinh, np.cosh)
+
+    def dot(self, x, y):
+        """<x, y> over the last axis: of two points, of each row of a stack
+        with a point, or row by row of two stacks of one shape."""
+        x = np.asarray(x, dtype=float)
+        if self.kappa < 0:
+            x = x * self.eta
+        y = np.asarray(y, dtype=float)
+        # a point on either side takes BLAS dot: on S^n and E^n the same
+        # sum, to the bit, as np.dot(x, y)
+        if y.ndim == 1:
+            return x.dot(y)
+        if x.ndim == 1:
+            return y.dot(x)
+        return np.sum(x * y, axis=-1)
 
 
 def euclidean(n: int) -> Geometry:
@@ -53,46 +92,59 @@ def hyperbolic(n: int) -> Geometry:
     return Geometry(Kind.HYPERBOLIC, n)
 
 
-def minkowski_dot(x, y):
-    """Signature (n, 1) product with the timelike coordinate first."""
+def model_residual(geometry: Geometry, x):
+    """|<x, x> - kappa| of a point, or of each row of a stack; inf off the
+    upper sheet of H^n, and 0 on E^n."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return -x[..., 0] * y[..., 0] + np.sum(x[..., 1:] * y[..., 1:], axis=-1)
-
-
-def model_residual(geometry: Geometry, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if geometry.kind is Kind.EUCLIDEAN:
-        return 0.0
-    if geometry.kind is Kind.SPHERICAL:
-        return abs(float(np.dot(x, x)) - 1.0)
-    res = abs(float(minkowski_dot(x, x)) + 1.0)
-    if x[0] <= 0.0:
-        return np.inf
+    if geometry.kappa == 0:
+        return np.zeros(x.shape[:-1])[()]
+    res = abs(geometry.dot(x, x) - geometry.kappa)
+    if geometry.kappa < 0:
+        res = np.where(x[..., 0] > 0.0, res, np.inf)[()]
     return res
 
 
 def check_on_model(geometry: Geometry, x):
+    """x as a float array, or NotOnModel unless it is one model point."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (geometry.ambient_dim,):
-        raise NotOnModel(f"expected shape ({geometry.ambient_dim},), got {x.shape}")
-    if model_residual(geometry, x) > MODEL_TOL:
-        raise NotOnModel(f"point {x} violates the {geometry.kind.value} model constraint")
+    if x.ndim != 1:
+        raise NotOnModel(f"expected one point of length {geometry.ambient_dim}, got {x.shape}")
+    return _check_points(geometry, x)
+
+
+def _check_points(geometry: Geometry, x):
+    """x as a float array, or NotOnModel unless it is a model point or a
+    stack of them, one per row."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != geometry.eta.shape:
+        raise NotOnModel(f"expected points of length {geometry.ambient_dim}, got {x.shape}")
+    if geometry.kappa:
+        res = model_residual(geometry, x)
+        if x.ndim > 1:
+            res = res.max(initial=0.0)
+        if res > MODEL_TOL:
+            raise NotOnModel(f"a point violates the {geometry.kind.value} model "
+                             f"constraint by {res}")
     return x
 
 
-def geodesic_distance(geometry: Geometry, x, y) -> float:
-    """Length of the geodesic between two model points."""
-    x = check_on_model(geometry, x)
-    y = check_on_model(geometry, y)
-    if geometry.kind is Kind.EUCLIDEAN:
-        return float(np.linalg.norm(np.asarray(y) - np.asarray(x)))
-    if geometry.kind is Kind.SPHERICAL:
-        c = float(np.dot(x, y))
-        if c > 0.0:
-            # half-chord form, accurate for nearby points
-            return float(2.0 * np.arcsin(min(np.linalg.norm(x - y) / 2.0, 1.0)))
-        return float(np.arccos(np.clip(c, -1.0, 1.0)))
-    # cosh d - 1 = <x-y, x-y>_M / 2, accurate for nearby points
-    delta = max(float(minkowski_dot(x - y, x - y)) / 2.0, 0.0)
-    return float(np.log1p(delta + np.sqrt(delta * (delta + 2.0))))
+def geodesic_distance(geometry: Geometry, x, y):
+    """Length of the geodesic between the model points x and y, or between
+    the rows of stacks of them (a point against a stack, say).
+
+    Each form is accurate at every distance: |x - y| on E^n,
+    2 atan2(|x - y|, |x + y|) on S^n, and 2 asinh(|x - y| / 2) on H^n,
+    with the Minkowski length |x - y|^2 = <x - y, x - y> = 2 (cosh d - 1).
+    """
+    x = _check_points(geometry, x)
+    y = _check_points(geometry, y)
+    diff = y - x
+    chord2 = geometry.dot(diff, diff)
+    if geometry.kappa > 0:
+        tot = y + x
+        r = 2.0 * np.arctan2(np.sqrt(chord2), np.sqrt(geometry.dot(tot, tot)))
+    elif geometry.kappa < 0:
+        r = 2.0 * np.arcsinh(np.sqrt(np.maximum(chord2, 0.0)) / 2.0)
+    else:
+        r = np.sqrt(chord2)
+    return float(r) if r.ndim == 0 else r

@@ -25,38 +25,18 @@ from .errors import (
     DomainError,
     InvalidParameters,
     NotInHyperbolicityDomain,
-    NotOnModel,
     NotOnSurface,
     OddDegreeHyperbolic,
     TooCloseToSurface,
     WrongComponentCount,
 )
-from .geometry import (
-    MODEL_TOL,
-    Geometry,
-    Kind,
-    check_on_model,
-    geodesic_distance,
-    minkowski_dot,
-)
+from .geometry import Geometry, Kind, geodesic_distance
 
 # ---------------------------------------------------------------------------
 # fundamental solutions
 
 # nodes and weights of the fixed rule for the radial potential
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _phi(kind: Kind, x):
-    return np.sin(x) if kind is Kind.SPHERICAL else np.sinh(x)
-
-
-def _eta(geometry: Geometry) -> np.ndarray:
-    """Signs of the ambient metric: all +1 around S^n, -1 first for H^n."""
-    eta = np.ones(geometry.n + 1)
-    if geometry.kind is Kind.HYPERBOLIC:
-        eta[0] = -1.0
-    return eta
 
 
 def point_potential(geometry: Geometry, r):
@@ -95,7 +75,7 @@ def point_potential_derivative(geometry: Geometry, r):
     """u'(r) = -1/phi^{n-1}(r): the flux through the geodesic sphere of
     radius r is independent of r.  Takes a float or an array, like
     point_potential."""
-    du = -_phi(geometry.kind, np.asarray(r, dtype=float)) ** (1 - geometry.n)
+    du = -geometry.trig[0](np.asarray(r, dtype=float)) ** (1 - geometry.n)
     return float(du) if np.ndim(du) == 0 else du
 
 
@@ -164,8 +144,8 @@ class CurvedEllipsoid:
         return self.geometry.n
 
     def _coeffs(self, lam: float) -> np.ndarray:
-        """Diagonal of q_lambda: -1/(b +- lam) for x_0, then 1/(a_i - lam)."""
-        s = self.b + lam if self.geometry.kind is Kind.SPHERICAL else self.b - lam
+        """Diagonal of q_lambda: -1/(b + kappa lam) for x_0, then 1/(a_i - lam)."""
+        s = self.b + self.geometry.kappa * lam
         return np.concatenate([[-1.0 / s], 1.0 / (np.asarray(self.a) - lam)])
 
     def q(self, x, lam: float = 0.0):
@@ -180,42 +160,32 @@ class CurvedEllipsoid:
     def grad_q(self, x, lam: float = 0.0) -> np.ndarray:
         """Gradient of q_lambda; in the hyperbolic case the Minkowski
         gradient (first component negated)."""
-        return 2.0 * np.asarray(x, dtype=float) * self._coeffs(lam) * _eta(self.geometry)
+        return 2.0 * np.asarray(x, dtype=float) * self._coeffs(lam) * self.geometry.eta
 
     def grad_norm(self, x, lam: float = 0.0):
         g = self.grad_q(x, lam)
-        return np.sqrt(np.sum(g * g * _eta(self.geometry), axis=-1))
+        return np.sqrt(self.geometry.dot(g, g))
 
     def point_from_direction(self, w) -> np.ndarray:
         """Point of the ellipsoid over the direction w in (x_1..x_n), or one
         point per direction of a stack w: (sqrt(bm) rho, rho w) for unit w,
-        with m = sum w_i^2/a_i and rho = (kappa + bm)^(-1/2), kappa = +1 on
-        S^n and -1 in H^n."""
+        with m = sum w_i^2/a_i and rho = (kappa + bm)^(-1/2)."""
         w = np.asarray(w, dtype=float)
         w = w / np.linalg.norm(w, axis=-1, keepdims=True)
         bm = self.b * np.sum(w * w / np.asarray(self.a), axis=-1)
-        rho = 1.0 / np.sqrt(self._kappa + bm)
+        rho = 1.0 / np.sqrt(self.geometry.kappa + bm)
         return np.concatenate([(np.sqrt(bm) * rho)[..., None], rho[..., None] * w],
                               axis=-1)
-
-    @property
-    def _kappa(self) -> float:
-        return 1.0 if self.geometry.kind is Kind.SPHERICAL else -1.0
 
 
 def f_lambda(ellipsoid: CurvedEllipsoid, lam: float) -> np.ndarray:
     """Diagonal of the confocal map carrying E onto E_lambda."""
     a = np.asarray(ellipsoid.a)
     b = ellipsoid.b
-    if ellipsoid.geometry.kind is Kind.SPHERICAL:
-        if not -b < lam < a[-1]:
-            raise DomainError(f"need lambda in (-b, a_n), got {lam}")
-        d0 = np.sqrt((b + lam) / b)
-    else:
-        if not lam < a[-1]:
-            raise DomainError(f"need lambda < a_n, got {lam}")
-        d0 = np.sqrt((b - lam) / b)
-    return np.concatenate([[d0], np.sqrt((a - lam) / a)])
+    s = b + ellipsoid.geometry.kappa * lam
+    if not (lam < a[-1] and s > 0.0):
+        raise DomainError(f"need lambda < a_n and b + kappa lambda > 0, got {lam}")
+    return np.concatenate([[np.sqrt(s / b)], np.sqrt((a - lam) / a)])
 
 
 def homeoidal_density(ellipsoid: CurvedEllipsoid, x, lam: float = 0.0) -> float:
@@ -243,18 +213,20 @@ class Homeoid:
             raise InvalidParameters("need eps1 < eps2")
 
 
+def _project(geometry: Geometry, v, x):
+    """v - kappa <v, x> x: the part of v, or of each row of a stack v,
+    tangent to the model at its point x."""
+    return v - geometry.kappa * geometry.dot(v, x)[..., None] * x
+
+
 def _geodesic_basis(geometry: Geometry, x, v):
     """Orthonormal (in the model metric) basis of the 2-plane spanning the
-    geodesic through x with initial direction v."""
+    geodesic through x with initial direction v: <e1, e1> = kappa,
+    <e2, e2> = 1."""
     x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if geometry.kind is Kind.SPHERICAL:
-        e1 = x / np.linalg.norm(x)
-        t = v - (v @ e1) * e1
-        return e1, t / np.linalg.norm(t)
-    e1 = x / np.sqrt(-minkowski_dot(x, x))
-    t = v + minkowski_dot(v, e1) * e1
-    return e1, t / np.sqrt(minkowski_dot(t, t))
+    e1 = x / np.sqrt(geometry.kappa * geometry.dot(x, x))
+    t = _project(geometry, np.asarray(v, dtype=float), e1)
+    return e1, t / np.sqrt(geometry.dot(t, t))
 
 
 def chord_segments(geometry: Geometry, x, v, homeoid: Homeoid):
@@ -324,7 +296,7 @@ def sample_ellipsoid(ellipsoid: CurvedEllipsoid, N: int, rng):
     """Radial-projection sampler: uniform directions on S^{n-1}, points of
     the ellipsoid above them, and weights combining the exact area element
     of the parametrization with the homeoidal density."""
-    a, b, kappa = np.asarray(ellipsoid.a), ellipsoid.b, ellipsoid._kappa
+    a, b, kappa = np.asarray(ellipsoid.a), ellipsoid.b, ellipsoid.geometry.kappa
     ws = rng.normal(size=(N, ellipsoid.n))
     ws /= np.linalg.norm(ws, axis=1, keepdims=True)
     pts = ellipsoid.point_from_direction(ws)
@@ -338,7 +310,7 @@ def sample_ellipsoid(ellipsoid: CurvedEllipsoid, N: int, rng):
     tangents = np.concatenate(
         [(-kappa * drho / np.sqrt(bm)[:, None])[..., None],
          drho[..., None] * ws[:, None, :] + rho[:, None, None] * frames], axis=2)
-    grams = np.einsum("nki,nli->nkl", tangents * _eta(ellipsoid.geometry), tangents)
+    grams = np.einsum("nki,nli->nkl", tangents * ellipsoid.geometry.eta, tangents)
     areas = np.sqrt(np.maximum(np.linalg.det(grams), 0.0))
     return pts, areas / ellipsoid.grad_norm(pts)
 
@@ -352,49 +324,18 @@ class GeodesicSphere:
     radius: float
 
     def sample(self, N: int, rng):
-        c = np.asarray(self.center, dtype=float)
-        dim = self.geometry.n + 1
-        ws = rng.normal(size=(N, dim))
-        if self.geometry.kind is Kind.SPHERICAL:
-            ws -= (ws @ c)[:, None] * c
-            ws /= np.linalg.norm(ws, axis=1, keepdims=True)
-            pts = np.cos(self.radius) * c + np.sin(self.radius) * ws
-        else:
-            eta = _eta(self.geometry)
-            ws += (ws @ (eta * c))[:, None] * c
-            ws /= np.sqrt(np.sum(ws * ws * eta, axis=1))[:, None]
-            pts = np.cosh(self.radius) * c + np.sinh(self.radius) * ws
-        return pts, np.ones(N)
+        geo, c = self.geometry, np.asarray(self.center, dtype=float)
+        ws = _project(geo, rng.normal(size=(N, geo.ambient_dim)), c)
+        ws /= np.sqrt(geo.dot(ws, ws))[:, None]
+        sin, cos = geo.trig
+        return cos(self.radius) * c + sin(self.radius) * ws, np.ones(N)
 
 
 def _unit_tangent_toward(geometry: Geometry, x, ys, rs):
-    if geometry.kind is Kind.SPHERICAL:
-        t = ys - np.cos(rs)[:, None] * x
-        return t / np.sin(rs)[:, None]
-    t = ys - np.cosh(rs)[:, None] * x
-    return t / np.sinh(rs)[:, None]
-
-
-def _distances(geometry: Geometry, x, ys) -> np.ndarray:
-    """Geodesic distances from the model point x to each row of ys, in the
-    forms of geodesic_distance: the half chord where x.y > 0 on S^n,
-    log1p of cosh d - 1 = <x-y, x-y>_M / 2 in H^n."""
-    x = check_on_model(geometry, x)
-    eta = _eta(geometry)
-    # <y, y> = +1 on S^n and -1 on the upper sheet of H^n
-    residual = np.abs((ys * ys) @ eta - eta[0])
-    off_sheet = geometry.kind is Kind.HYPERBOLIC and np.any(ys[:, 0] <= 0.0)
-    if np.max(residual) > MODEL_TOL or off_sheet:
-        raise NotOnModel(f"a sample violates the {geometry.kind.value} model "
-                         f"constraint by {np.max(residual)}")
-    diff = ys - x
-    if geometry.kind is Kind.SPHERICAL:
-        c = ys @ x
-        half_chord = np.minimum(np.sqrt(np.sum(diff * diff, axis=1)) / 2.0, 1.0)
-        return np.where(c > 0.0, 2.0 * np.arcsin(half_chord),
-                        np.arccos(np.clip(c, -1.0, 1.0)))
-    delta = np.maximum((diff * diff) @ eta / 2.0, 0.0)
-    return np.log1p(delta + np.sqrt(delta * (delta + 2.0)))
+    """Unit tangents t at x of the geodesics to each row y of ys, at
+    distances rs: y = cos(r) x + sin(r) t."""
+    sin, cos = geometry.trig
+    return (ys - cos(rs)[:, None] * x) / sin(rs)[:, None]
 
 
 def surface_potential(surface, x, N: int, rng) -> dict:
@@ -414,24 +355,15 @@ def _tangent_basis(geometry: Geometry, x) -> np.ndarray:
     """Orthonormal basis (rows) of the tangent space at x in the model
     metric (Minkowski-orthonormal in the hyperbolic case)."""
     x = np.asarray(x, dtype=float)
-    dim = x.size
-    eta = _eta(geometry)
-    if geometry.kind is Kind.HYPERBOLIC:
-        xn = x / np.sqrt(-minkowski_dot(x, x))
-    else:
-        xn = x / np.linalg.norm(x)
+    xn = x / np.sqrt(geometry.kappa * geometry.dot(x, x))
     basis = []
-    for k in range(dim):
-        v = np.zeros(dim)
-        v[k] = 1.0
-        v = v + minkowski_dot(v, xn) * xn if geometry.kind is Kind.HYPERBOLIC \
-            else v - (v @ xn) * xn
+    for v in _project(geometry, np.eye(x.size), xn):
         for b in basis:
-            v = v - float(np.sum(v * b * eta)) * b
-        nrm2 = float(np.sum(v * v * eta))
+            v = v - geometry.dot(v, b) * b
+        nrm2 = geometry.dot(v, v)
         if nrm2 > 1e-12:
             basis.append(v / np.sqrt(nrm2))
-        if len(basis) == dim - 1:
+        if len(basis) == x.size - 1:
             break
     return np.array(basis)
 
@@ -445,7 +377,7 @@ def field_at(surface, x, N: int, rng) -> dict:
     du = point_potential_derivative(geometry, rs)
     T = _unit_tangent_toward(geometry, x, pts, rs)
     basis = _tangent_basis(geometry, x)
-    coords = (T * _eta(geometry)) @ basis.T
+    coords = (T * geometry.eta) @ basis.T
     wbar = np.mean(weights)
     contrib = -du[:, None] * coords * weights[:, None] / wbar
     fld = np.mean(contrib, axis=0)
@@ -479,7 +411,7 @@ def _sample_surface(surface, x, N, rng):
         pts, weights = surface.sample(N, rng)
     else:
         raise InvalidParameters(f"cannot sample surface of type {type(surface)!r}")
-    rs = _distances(surface.geometry, x, pts)
+    rs = geodesic_distance(surface.geometry, x, pts)
     if np.min(rs) < 1e-3:
         raise TooCloseToSurface(f"min distance {np.min(rs)}")
     return surface.geometry, pts, weights, rs
@@ -648,16 +580,7 @@ def is_hyperbolic_at(surface: HyperbolicSurface, x, probes: int = 64,
             if not ok:
                 return False, v
         else:
-            if surface.geometry.kind is Kind.SPHERICAL:
-                e1 = x / np.linalg.norm(x)
-                v = rng.normal(size=x.size)
-                v -= (v @ e1) * e1
-                v /= np.linalg.norm(v)
-            else:
-                e1 = x / np.sqrt(-minkowski_dot(x, x))
-                v = rng.normal(size=x.size)
-                v += minkowski_dot(v, e1) * e1
-                v /= np.sqrt(minkowski_dot(v, v))
+            e1, v = _geodesic_basis(surface.geometry, x, rng.normal(size=x.size))
             b = _plane_restriction(surface, e1, v)
             n_proj, k_inf, roots = count_projective_real_roots(b, d)
             ok = (n_proj == d) and k_inf <= 1

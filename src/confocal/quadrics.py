@@ -4,11 +4,10 @@ Euclidean families are pencils  sum_i x_i^2 / (a_i - lam) = 1  with
 a_1 > ... > a_n > 0.  Spherical and hyperbolic families are the traces on
 the model surface of the pencils of cones
 
-    sum_i x_i^2 / (a_i - lam) - x_0^2 / (b + lam) = 0      (spherical)
-    sum_i x_i^2 / (a_i - lam) - x_0^2 / (b - lam) = 0      (hyperbolic, a_i < b)
+    sum_i x_i^2 / (a_i - lam) - x_0^2 / (b + kappa lam) = 0    (a_i < b on H^n)
 
-With poles D = a (E^n), (-b, a) (S^n) or (b, a) (H^n), and signature J
-all ones except J_0 = -1 in H^n, each is the secular equation
+With poles D = a on E^n and (-kappa b, a) on S^n and H^n, and signature
+J = eta (see confocal.geometry), each is the secular equation
 
     sum_j J_j x_j^2 / (D_j - lam) = c,   c = 1 in E^n and 0 in S^n, H^n.
 
@@ -80,30 +79,20 @@ class EllipticCoords:
 
 
 def _poles(family: ConfocalFamily):
-    """Poles D and signature J of the secular equation of the family, one
-    entry per ambient coordinate (x0 first in the curved models)."""
-    a = np.asarray(family.a)
-    kind = family.geometry.kind
-    if kind is Kind.EUCLIDEAN:
-        return a, np.ones_like(a)
-    d = np.concatenate(([-family.b if kind is Kind.SPHERICAL else family.b], a))
-    sig = np.ones_like(d)
-    if kind is Kind.HYPERBOLIC:
-        sig[0] = -1.0
-    return d, sig
-
-
-def _model_point(family: ConfocalFamily, point) -> np.ndarray:
-    x = np.asarray(point, dtype=float)
-    if family.geometry.kind is Kind.EUCLIDEAN:
-        return x
-    return check_on_model(family.geometry, x)
+    """Poles D and signature J = eta of the secular equation of the family,
+    one entry per ambient coordinate (x0 first, with D_0 = -kappa b, in the
+    curved models)."""
+    geo = family.geometry
+    d = np.asarray(family.a)
+    if geo.kappa:
+        d = np.concatenate(([-geo.kappa * family.b], d))
+    return d, geo.eta
 
 
 def confocal_equation(family: ConfocalFamily, lam, point):
     """Left side minus right side of the secular equation; zero when the
     lam-member passes through the point."""
-    x = _model_point(family, point)
+    x = check_on_model(family.geometry, point)
     d, sig = _poles(family)
     rhs = 1.0 if family.geometry.kind is Kind.EUCLIDEAN else 0.0
     return np.sum(sig * x * x / (d - lam)) - rhs
@@ -125,7 +114,7 @@ def confocal_parameters(family: ConfocalFamily, point, strict: bool = False) -> 
     """
     if family.is_circular:
         raise InvalidParameters("elliptic coordinates degenerate for circular families")
-    x = _model_point(family, point)
+    x = check_on_model(family.geometry, point)
     d, sig = _poles(family)
     zero = x * x <= DEGENERATE_TOL ** 2
     if strict and zero.any():
@@ -153,7 +142,7 @@ def point_from_parameters(family: ConfocalFamily, coords: EllipticCoords | tuple
 
         J_j x_j^2 = c prod_k (D_j - lam_k) / prod_{l != j} (D_j - D_l),
 
-    c = 1 in E^n and S^n, c = -1 in H^n; signs pick the orthant.  A
+    c = J_0 (-1 in H^n, else 1); signs pick the orthant.  A
     negative square raises NoRealPoint.
     """
     if isinstance(coords, EllipticCoords):
@@ -166,18 +155,17 @@ def point_from_parameters(family: ConfocalFamily, coords: EllipticCoords | tuple
         raise InvalidParameters("elliptic coordinates degenerate for circular families")
     if lam.shape != (family.n,):
         raise InvalidParameters("need one parameter per class")
-    hyperbolic = family.geometry.kind is Kind.HYPERBOLIC
     d, sig = _poles(family)
     gaps = d[:, None] - d[None, :]
     np.fill_diagonal(gaps, 1.0)
-    squares = ((-1.0 if hyperbolic else 1.0) * sig
+    squares = (sig[0] * sig
                * np.prod(d[:, None] - lam[None, :], axis=1) / np.prod(gaps, axis=1))
     if np.min(squares) < -1e-10:
         raise NoRealPoint(f"negative squared coordinate: {squares}")
     if signs is None:
         signs = (1,) * len(d)
     x = np.asarray(signs, dtype=float) * np.sqrt(np.clip(squares, 0.0, None))
-    if hyperbolic:
+    if family.geometry.kappa < 0:
         x[0] = abs(x[0])  # upper sheet
     return x
 
@@ -190,8 +178,7 @@ def confocal_gradient(family: ConfocalFamily, lam: float, point) -> np.ndarray:
         return 2.0 * x / (a - lam)
     g = np.empty_like(x)
     g[1:] = 2.0 * x[1:] / (a - lam)
-    denom = (family.b + lam) if family.geometry.kind is Kind.SPHERICAL else (family.b - lam)
-    g[0] = -2.0 * x[0] / denom
+    g[0] = -2.0 * x[0] / (family.b + family.geometry.kappa * lam)
     return g
 
 

@@ -99,7 +99,8 @@ class StaeckelMetric:
         return u, (_polyval(self.dnum[i], t) - u * _polyval(self.dden[i], t)) / d
 
     def matrix(self, q) -> np.ndarray:
-        return self._entries(np.asarray(q, dtype=float)[:, None])
+        """M(q), or one M per point of a stack q[..., n]."""
+        return self._entries(np.asarray(q, dtype=float)[..., None])
 
     def row(self, i: int, qi) -> np.ndarray:
         """Row i at q_i; for an array of q_i the columns go last."""
@@ -154,35 +155,47 @@ class SeparationData:
         return self.metric.h(i, qi, self.alpha)
 
     def momentum(self, q) -> np.ndarray:
-        return np.array([self.signs[i] * np.sqrt(max(self.h(i, q[i]), 0.0))
-                         for i in range(self.metric.n)])
+        return _momentum(self.metric, self.alpha, self.signs, q)
+
+
+def _momentum(metric: StaeckelMetric, alpha, signs, q) -> np.ndarray:
+    """p_i = s_i sqrt(h_i(q_i, alpha)), h floored at 0; q may be a stack."""
+    return signs * np.sqrt(np.maximum(2.0 * metric.matrix(q).dot(alpha), 0.0))
 
 
 def _inverse(M: np.ndarray, q) -> np.ndarray:
-    """M^{-1}, or SingularStaeckelMatrix (1-norm condition number)."""
-    scale = np.max(np.abs(M), axis=0)
-    Ms = M / np.where(scale > 0.0, scale, 1.0)
+    """M^{-1}, or one inverse per matrix of a stack M[..., n, n]; or
+    SingularStaeckelMatrix where any of them has a 1-norm condition number
+    of 1/eps or more."""
+    scale = np.abs(M).max(axis=-2)
+    Ms = M / np.where(scale > 0.0, scale, 1.0)[..., None, :]
     try:
         Minv = np.linalg.inv(Ms)
-        cond = np.abs(Ms).sum(axis=0).max() * np.abs(Minv).sum(axis=0).max()
+        cond = (np.abs(Ms).sum(axis=-2).max(axis=-1)
+                * np.abs(Minv).sum(axis=-2).max(axis=-1))
     except np.linalg.LinAlgError:
-        cond = np.inf
-    if not cond < _COND_MAX:
-        raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {q}")
-    return Minv / scale[:, None]
+        cond = np.linalg.cond(Ms, 1)    # inf where exactly singular
+    if not (cond if cond.ndim == 0 else cond.max()) < _COND_MAX:
+        bad = np.broadcast_to(~(cond < _COND_MAX), np.shape(q)[:-1])
+        raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {np.asarray(q)[bad][0]}")
+    return Minv / scale[..., :, None]
 
 
 def metric_coeffs(metric: StaeckelMetric, q) -> np.ndarray:
-    return 1.0 / _inverse(metric.matrix(q), q)[0]
+    """g_i(q), or one row per point of a stack q[..., n]."""
+    return 1.0 / _inverse(metric.matrix(q), q)[..., 0, :]
 
 
 def integrals_alpha(metric: StaeckelMetric, q, p) -> np.ndarray:
+    """alpha(q, p), or one row per point of stacks q, p[..., n]."""
     p = np.asarray(p, dtype=float)
-    return 0.5 * (_inverse(metric.matrix(q), q) @ (p * p))
+    return 0.5 * (_inverse(metric.matrix(q), q) @ (p * p)[..., None])[..., 0]
 
 
-def hamiltonian(metric: StaeckelMetric, q, p) -> float:
-    return float(integrals_alpha(metric, q, p)[0])
+def hamiltonian(metric: StaeckelMetric, q, p):
+    """H(q, p) = alpha_0, a float, or an array for stacks q, p[..., n]."""
+    h = integrals_alpha(metric, q, p)[..., 0]
+    return float(h) if h.ndim == 0 else h
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +573,7 @@ def staeckel_billiard_trajectory(metric: StaeckelMetric, walls, q0, p0,
         s[hit] = -s[hit]
         wall_hits = int(np.sum(hit & np.array([w for _, w in ends])))
         if wall_hits:
-            p = s * np.sqrt(np.maximum(2.0 * (metric.matrix(q) @ alpha0), 0.0))
+            p = _momentum(metric, alpha0, s, q)
             corner_hits += wall_hits > 1
             bounce_times.append(t_total)
             states.append((t_total, q.copy(), p))

@@ -12,6 +12,7 @@ from confocal.errors import (
     ComplexRoots,
     ConeConditionViolated,
     DomainError,
+    InvalidParameters,
     NotInHyperbolicityDomain,
     NotOnModel,
     NotOnSurface,
@@ -23,14 +24,13 @@ from confocal.geometry import (
     euclidean,
     geodesic_distance,
     hyperbolic,
-    minkowski_dot,
     spherical,
 )
 from confocal.potentials import (
-    _distances,
     _geodesic_basis,
     _geodesic_roots,
     _half_angle_basis,
+    _tangent_basis,
     CurvedEllipsoid,
     GeodesicSphere,
     Homeoid,
@@ -52,6 +52,7 @@ from confocal.potentials import (
     surface_potential,
     vieta_segment_sum,
 )
+from test_geometry import mp_distance
 
 S2, S3, H2, H3 = spherical(2), spherical(3), hyperbolic(2), hyperbolic(3)
 
@@ -125,6 +126,9 @@ def test_radial_harmonicity_and_flux():
             # quadrature potential differentiates to the analytic derivative
             du_fd, _ = _fd5(lambda t: point_potential(geom, t), r, 1e-2)
             assert abs(du_fd - u1) < 1e-4
+    # like point_potential, defined on curved geometries only
+    with pytest.raises(InvalidParameters):
+        point_potential_derivative(euclidean(3), 0.5)
 
 
 def _quad_potential(geometry, r):
@@ -212,7 +216,7 @@ def test_ellipsoid_points_on_model():
             if ell.geometry.kind.name == "SPHERICAL":
                 assert abs(np.linalg.norm(x) - 1.0) < 1e-12
             else:
-                assert abs(minkowski_dot(x, x) + 1.0) < 1e-12
+                assert abs(ell.geometry.dot(x, x) + 1.0) < 1e-12
             assert x[0] > 0
 
 
@@ -232,7 +236,7 @@ def test_f_lambda_identities():
                 if ell.geometry.kind.name == "SPHERICAL":
                     assert abs(np.linalg.norm(y) - 1.0) < 1e-10
                 else:
-                    assert abs(minkowski_dot(y, y) + 1.0) < 1e-10
+                    assert abs(ell.geometry.dot(y, y) + 1.0) < 1e-10
                 # linear relation between the confocal forms
                 z = rng.normal(size=ell.n + 1)
                 lin = (lam / mu * ell.q(z) + (1.0 - lam / mu) * ell.q(z, mu)
@@ -274,8 +278,8 @@ def test_density_matches_level_spacing():
                 t /= np.linalg.norm(t)
                 gam = lambda s: np.cos(s) * x + np.sin(s) * t
             else:
-                t = g + minkowski_dot(g, x) * x
-                t /= np.sqrt(minkowski_dot(t, t))
+                t = g + ell.geometry.dot(g, x) * x
+                t /= np.sqrt(ell.geometry.dot(t, t))
                 gam = lambda s: np.cosh(s) * x + np.sinh(s) * t
             s_cross = brentq(lambda s: ell.q(gam(s)) - delta, 0.0, 1e-2,
                              xtol=1e-16)
@@ -502,6 +506,8 @@ def test_chord_segments_round_center():
 
 
 def test_distances_match_geodesic_distance():
+    """The stacked distances from a point to surface samples, as the
+    Monte-Carlo kernels take them, against the 50-digit oracle."""
     rng = np.random.default_rng(41)
     for surface, x in (
             (GeodesicSphere(S3, np.array([1.0, 0.0, 0.0, 0.0]), 2.5),
@@ -511,14 +517,50 @@ def test_distances_match_geodesic_distance():
             (ELL_H2, np.array([1.0, 0.0, 0.0]))):
         pts = (surface.sample(500, rng)[0] if isinstance(surface, GeodesicSphere)
                else sample_ellipsoid(surface, 500, rng)[0])
-        rs = _distances(surface.geometry, x, pts)
-        oracle = [geodesic_distance(surface.geometry, x, y) for y in pts]
+        rs = geodesic_distance(surface.geometry, x, pts)
+        oracle = [mp_distance(surface.geometry, x, y) for y in pts]
         assert np.max(np.abs(rs - oracle)) < 1e-14
     pts[7, 0] *= 1.0 + 1e-8
     with pytest.raises(NotOnModel):
-        _distances(H2, np.array([1.0, 0.0, 0.0]), pts)
+        geodesic_distance(H2, np.array([1.0, 0.0, 0.0]), pts)
     with pytest.raises(NotOnModel):
-        _distances(H2, np.array([1.0, 0.0, 0.0]), -sample_ellipsoid(ELL_H2, 5, rng)[0])
+        geodesic_distance(H2, np.array([1.0, 0.0, 0.0]), -sample_ellipsoid(ELL_H2, 5, rng)[0])
+
+
+def _model_point(geometry, v):
+    """The model point over v in R^n: on S^n the unit vector along (1, v),
+    on H^n the point with spatial part v."""
+    v = np.asarray(v, dtype=float)
+    if geometry.kappa > 0:
+        x = np.concatenate([[1.0], v])
+        return x / np.linalg.norm(x)
+    return np.concatenate([[np.sqrt(1.0 + v @ v)], v])
+
+
+_SPATIAL = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from((S2, H2, S3, H3)), st.lists(_SPATIAL, min_size=3, max_size=3),
+       st.lists(_SPATIAL, min_size=4, max_size=4))
+def test_frames_are_eta_orthonormal(geometry, v, w):
+    """_geodesic_basis: <e1, e1> = kappa with e1 along x, <e2, e2> = 1 and
+    <e1, e2> = 0; _tangent_basis: n rows, orthonormal and orthogonal to x.
+    Entries grow like |x| on H^n, so the gate is relative to |x|^2."""
+    n = geometry.n
+    x = _model_point(geometry, v[:n])
+    direction = np.asarray(w[:n + 1])
+    assume(np.linalg.norm(direction - (direction @ x) / (x @ x) * x) > 1e-3)
+    tol = 1e-12 * (x @ x)
+    e1, e2 = _geodesic_basis(geometry, x, direction)
+    dot = geometry.dot
+    assert abs(dot(e1, e1) - geometry.kappa) < tol and abs(dot(e2, e2) - 1.0) < tol
+    assert abs(dot(e1, e2)) < tol and np.allclose(e1, x, rtol=0.0, atol=tol)
+    basis = _tangent_basis(geometry, x)
+    assert basis.shape == (n, n + 1)
+    assert np.allclose(dot(basis[:, None, :], basis[None, :, :]), np.eye(n),
+                       rtol=0.0, atol=tol)
+    assert np.allclose(dot(basis, x), 0.0, rtol=0.0, atol=tol)
 
 
 def test_newton_sphere_shell_s3():

@@ -18,7 +18,7 @@ from confocal import (
     spherical,
     tangent_parameters_of_line,
 )
-from confocal.errors import DegeneratePoint, InvalidParameters, NoRealPoint
+from confocal.errors import DegeneratePoint, InvalidParameters, NoRealPoint, NotOnModel
 from confocal.quadrics import (
     confocal_equation,
     confocal_gradient,
@@ -143,6 +143,17 @@ def test_point_from_parameters_bad_input():
         point_from_parameters(FAM2, (0.5,))
     with pytest.raises(InvalidParameters):
         point_from_parameters(ConfocalFamily(euclidean(2), (2.0, 2.0)), (1.0, 0.5))
+
+
+def test_secular_equation_takes_one_point():
+    # a stack of points is refused, not summed into one scalar
+    for fam, x in ((FAM2, [1.0, 0.5]), (FAMS2, [0.8, 0.36, 0.48])):
+        with pytest.raises(NotOnModel):
+            confocal_equation(fam, 0.1, np.stack([x, x]))
+        with pytest.raises(NotOnModel):
+            confocal_parameters(fam, np.stack([x, x]))
+        with pytest.raises(NotOnModel):
+            confocal_equation(fam, 0.1, x[:-1])
 
 
 def test_focus_from_parameters():

@@ -321,33 +321,69 @@ def test_surface_of_revolution_symmetry():
         assert abs(length - 1.8186786765705738) < 1e-10
 
 
+def poisson_brackets(m, q, p, h):
+    """{H, alpha_k} for k = 1..n-1 at each row of the stacks q, p[N, n], by
+    central differences of step h in every q_i and p_i: the 4n shifted
+    points of every row go through one stacked call of hamiltonian and one
+    of integrals_alpha.  Returns an (N, n-1) array."""
+    n = m.n
+    shift = h * np.eye(n)
+    q, p = q[:, None, :], p[:, None, :]
+    still_q, still_p = np.repeat(q, 2 * n, axis=1), np.repeat(p, 2 * n, axis=1)
+    qs = np.concatenate([q + shift, q - shift, still_q], axis=1)
+    ps = np.concatenate([still_p, p + shift, p - shift], axis=1)
+
+    def grad(f):
+        return ((f[:, :n] - f[:, n:2 * n]) / (2.0 * h),
+                (f[:, 2 * n:3 * n] - f[:, 3 * n:]) / (2.0 * h))
+
+    Hq, Hp = grad(hamiltonian(m, qs, ps))
+    alpha = integrals_alpha(m, qs, ps)
+    brackets = []
+    for k in range(1, n):
+        Aq, Ap = grad(alpha[..., k])
+        brackets.append(np.sum(Hq * Ap - Hp * Aq, axis=1))
+    return np.stack(brackets, axis=1)
+
+
 def test_poisson_bracket_fd():
     rng = np.random.default_rng(29)
-    h = 1e-5
     for name in ALL_NAMES:
         m = _metric(name)
-        for _ in range(30):
-            q = _random_q(m, rng)
-            p = rng.normal(size=m.n)
+        draws = [(_random_q(m, rng), rng.normal(size=m.n)) for _ in range(30)]
+        q, p = (np.array(v) for v in zip(*draws))
+        assert np.all(np.abs(poisson_brackets(m, q, p, 1e-5)) < 1e-6)
 
-            def grad(f):
-                gq = np.empty(m.n)
-                gp = np.empty(m.n)
-                for i in range(m.n):
-                    qp, qm = q.copy(), q.copy()
-                    qp[i] += h
-                    qm[i] -= h
-                    gq[i] = (f(qp, p) - f(qm, p)) / (2.0 * h)
-                    pp, pm = p.copy(), p.copy()
-                    pp[i] += h
-                    pm[i] -= h
-                    gp[i] = (f(q, pp) - f(q, pm)) / (2.0 * h)
-                return gq, gp
 
-            Hq, Hp = grad(lambda qq, pq: hamiltonian(m, qq, pq))
-            for k in range(1, m.n):
-                Aq, Ap = grad(lambda qq, pq, k=k: integrals_alpha(m, qq, pq)[k])
-                assert abs(Hq @ Ap - Hp @ Aq) < 1e-6
+def test_stacked_calls_match_single_points():
+    """matrix, metric_coeffs, integrals_alpha, hamiltonian and the momentum
+    on a stack of points agree with the calls point by point."""
+    rng = np.random.default_rng(30)
+    for name in ALL_NAMES:
+        m = _metric(name)
+        q = np.array([_random_q(m, rng) for _ in range(40)]).reshape(4, 10, m.n)
+        p = rng.normal(size=q.shape)
+        sep = SeparationData(m, integrals_alpha(m, q[0, 0], p[0, 0]), np.sign(p[0, 0]))
+        for fn, stacked in ((m.matrix, m.matrix(q)),
+                            (lambda x: metric_coeffs(m, x), metric_coeffs(m, q))):
+            single = np.array([fn(x) for x in q.reshape(-1, m.n)])
+            assert np.allclose(stacked.reshape(single.shape), single, rtol=1e-14, atol=0.0)
+        # p_i^2 = h_i sums terms that cancel: compare the squares, absolutely
+        single = np.array([sep.momentum(x) for x in q.reshape(-1, m.n)])
+        assert np.allclose(sep.momentum(q).reshape(single.shape) ** 2, single ** 2,
+                           rtol=0.0, atol=1e-12)
+        single = np.array([integrals_alpha(m, x, y)
+                           for x, y in zip(q.reshape(-1, m.n), p.reshape(-1, m.n))])
+        stacked = integrals_alpha(m, q, p)
+        assert np.allclose(stacked.reshape(single.shape), single, rtol=1e-13, atol=1e-15)
+        assert np.array_equal(hamiltonian(m, q, p), stacked[..., 0])
+        assert isinstance(hamiltonian(m, q[0, 0], p[0, 0]), float)
+    # M = [[q_0, 1], [q_1, 1]] is singular on the diagonal q_0 = q_1 only
+    row = ([[1.0, 0.0], [1.0]], [1.0])
+    m = StaeckelMetric(2, [row, row], [(0.0, 1.0), (0.0, 1.0)])
+    q = np.array([[0.2, 0.7], [0.5, 0.5], [0.9, 0.1]])
+    with pytest.raises(SingularStaeckelMatrix, match=r"\[0\.5 0\.5\]"):
+        integrals_alpha(m, q, np.ones_like(q))
 
 
 def test_billiard_alpha_conservation():
