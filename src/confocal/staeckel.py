@@ -1,10 +1,10 @@
 """Liouville and Stackel metrics: separable geodesics and the Ivory property.
 
 A Stackel metric on a coordinate box is given by an n x n matrix M(q) whose
-row i depends only on q_i.  Each row is stored as data: u_i(t) =
-num_i(t) / den_i(t), a table of n numerator polynomials (one per column)
-over one denominator polynomial, all coefficients from high to low degree
-as in np.polyval.  The derivative tables are taken once, at construction.
+row i depends only on q_i.  Each row is stored as data, u_i(t) = num_i(t)
+/ den_i(t): one table of its n numerators (one per column) and its
+denominator, high to low degree as in np.polyval, left-padded to one length
+for one Horner pass.  The derivative table is taken once, at construction.
 
 Everything follows from M^{-1} (indices from 0):
 
@@ -16,8 +16,10 @@ the last because only row i of M depends on q_i.  The Hamilton-Jacobi
 equation separates: p_i^2 = h_i(q_i, alpha) = 2 u_i(q_i) . alpha.  Geodesics
 between opposite corners of a coordinate box are found by solving the n-1
 quadrature constraints for alpha_1..alpha_{n-1} (alpha_0 = 1/2 for unit
-speed); the quadrature of column 0 is the length.  All 2^(n-1) great
-diagonals of a box share the same alpha and have equal lengths.
+speed); the quadrature of column 0 is the length.  Its nodes are fixed by
+the box: M is evaluated once per solve, at every leg's nodes as one stack,
+and a Newton step only recombines its rows.  All 2^(n-1) great diagonals
+of a box share alpha and the length.
 """
 
 from __future__ import annotations
@@ -39,14 +41,6 @@ from .geometry import Geometry, euclidean, spherical
 # column to unit max-norm, reaches 1/eps: a test that does not depend on
 # the scale of the metric's parameters or coordinates, as |det M| does
 _COND_MAX = 1.0 / np.finfo(float).eps
-
-
-def _table(polys) -> np.ndarray:
-    """Coefficient sequences (high to low) left-padded with zeros to one
-    length, one per row of the result."""
-    polys = [np.atleast_1d(np.asarray(p, dtype=float)) for p in polys]
-    k = max(len(p) for p in polys)
-    return np.array([np.pad(p, (k - len(p), 0)) for p in polys])
 
 
 def _polyval(c: np.ndarray, t):
@@ -83,20 +77,25 @@ class StaeckelMetric:
             raise InvalidParameters("Stackel matrix must be n x n")
         if len(self.box) != n:
             raise InvalidParameters("need one box interval per coordinate")
-        # num[i, j, :] and den[i, 0, :]: the singleton axis lets a row's
-        # denominator broadcast over its columns
-        self.num = _table([col for num, _ in self.rows for col in num]).reshape(n, n, -1)
-        self.den = _table([den for _, den in self.rows])[:, None, :]
-        self.dnum, self.dden = _polyder(self.num), _polyder(self.den)
+        # table[i, :n] are row i's numerators and table[i, n] its denominator,
+        # left-padded with zeros to one length for one Horner pass; num[i, j]
+        # and den[i, 0] are views of it
+        polys = [np.atleast_1d(np.asarray(p, dtype=float))
+                 for num, den in self.rows for p in (*num, den)]
+        k = max(len(p) for p in polys)
+        self.table = np.array([np.pad(p, (k - len(p), 0)) for p in polys]).reshape(n, n + 1, -1)
+        self.num, self.den = self.table[:, :n], self.table[:, n:]
+        self.dtable = _polyder(self.table)
 
     def _entries(self, t, i=slice(None), deriv=False):
         """Entries of row(s) i at t (columns on the last axis) and, with
         deriv, their t-derivatives by the quotient rule."""
-        d = _polyval(self.den[i], t)
-        u = _polyval(self.num[i], t) / d
+        P = _polyval(self.table[i], t)
+        u = P[..., :-1] / P[..., -1:]
         if not deriv:
             return u
-        return u, (_polyval(self.dnum[i], t) - u * _polyval(self.dden[i], t)) / d
+        dP = _polyval(self.dtable[i], t)
+        return u, (dP[..., :-1] - u * dP[..., -1:]) / P[..., -1:]
 
     def matrix(self, q) -> np.ndarray:
         """M(q), or one M per point of a stack q[..., n]."""
@@ -151,9 +150,6 @@ class SeparationData:
     alpha: np.ndarray
     signs: np.ndarray
 
-    def h(self, i: int, qi: float) -> float:
-        return self.metric.h(i, qi, self.alpha)
-
     def momentum(self, q) -> np.ndarray:
         return _momentum(self.metric, self.alpha, self.signs, q)
 
@@ -183,13 +179,20 @@ def _inverse(M: np.ndarray, q) -> np.ndarray:
 
 def metric_coeffs(metric: StaeckelMetric, q) -> np.ndarray:
     """g_i(q), or one row per point of a stack q[..., n]."""
-    return 1.0 / _inverse(metric.matrix(q), q)[..., 0, :]
+    return _coeffs(_inverse(metric.matrix(q), q))
 
 
 def integrals_alpha(metric: StaeckelMetric, q, p) -> np.ndarray:
     """alpha(q, p), or one row per point of stacks q, p[..., n]."""
-    p = np.asarray(p, dtype=float)
-    return 0.5 * (_inverse(metric.matrix(q), q) @ (p * p)[..., None])[..., 0]
+    return _alpha(_inverse(metric.matrix(q), q), np.asarray(p, dtype=float))
+
+
+def _coeffs(Minv: np.ndarray) -> np.ndarray:
+    return 1.0 / Minv[..., 0, :]
+
+
+def _alpha(Minv: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return 0.5 * (Minv @ (p * p)[..., None])[..., 0]
 
 
 def hamiltonian(metric: StaeckelMetric, q, p):
@@ -211,26 +214,25 @@ _H_FLOOR = 1e-100
 _RESIDUAL_GATE, _MAX_NEWTON = 1e-9, 60
 
 
-def _leg_integrals(metric: StaeckelMetric, i: int, a: float, b: float,
-                   alpha) -> tuple:
-    """Integrals of u_ij / sqrt(h_i) over [a, b], for every column j at
-    once, robust to square-root vanishing of h_i at either endpoint (the
-    substitution q = end +/- s^2 on each half turns the inverse-square-root
-    singularity into a smooth integrand, then fixed-order Gauss-Legendre;
-    both halves share the nodes s), and their exact Jacobian in alpha on
-    the same nodes: dh_i/dalpha_k = 2 u_ik, so entry (j, k) is
-    -int u_ij u_ik / h_i^(3/2)."""
-    smax = np.sqrt(0.5 * (b - a))
-    s = 0.5 * smax * (_GL_NODES + 1.0)
-    w = np.tile(smax * s * _GL_WEIGHTS, 2)
-    U = metric.row(i, np.concatenate([a + s * s, b - s * s]))
+def _leg_nodes(metric: StaeckelMetric, lo, hi) -> tuple:
+    """Weights w[m, i] and matrices M[m] = M(q_m) of the leg rule, free of
+    alpha: q = end +/- s^2 about either end of each leg [lo_i, hi_i] makes
+    1/sqrt(h_i) smooth in s, then Gauss-Legendre in s on both halves.  Node m
+    of every leg forms one point q_m; row i of M[m] is u_i at leg i's node m."""
+    smax = np.sqrt(0.5 * (hi - lo))
+    s = 0.5 * smax * (_GL_NODES[:, None] + 1.0)
+    w = np.tile(smax * s * _GL_WEIGHTS[:, None], (2, 1))
+    return w, metric.matrix(np.concatenate([lo + s * s, hi - s * s]))
+
+
+def _leg_integrals(w, M, alpha) -> tuple:
+    """Q_j = sum_i int u_ij / sqrt(h_i) over the legs, for every column j,
+    on the nodes of `_leg_nodes`, and its exact Jacobian in alpha: as
+    dh_i/dalpha_k = 2 u_ik, entry (j, k) is -sum_i int u_ij u_ik / h_i^(3/2)."""
+    U = M.reshape(-1, M.shape[-1])
     h = np.maximum(2.0 * (U @ alpha), _H_FLOOR)
-    f = w / np.sqrt(h)
+    f = w.ravel() / np.sqrt(h)
     return f @ U, -(U.T * (f / h)) @ U
-
-
-def _min_h_inside(metric: StaeckelMetric, i: int, a: float, b: float, alpha) -> float:
-    return float(np.min(metric.h(i, np.linspace(a, b, 64), alpha)))
 
 
 def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
@@ -250,40 +252,42 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
     lo, hi = np.minimum(c0, c1), np.maximum(c0, c1)
     signs = np.sign(c1 - c0)
 
-    def quadratures(bv):
-        # column 0 is the length, columns 1.. are the residuals
-        legs = [_leg_integrals(metric, i, lo[i], hi[i], np.r_[0.5, bv]) for i in range(n)]
-        return sum(Q for Q, _ in legs), sum(J for _, J in legs)
+    # first guess: the momenta of the straight coordinate chord at the box
+    # midpoint, rescaled to energy 1/2
+    qm = 0.5 * (c0 + c1)
+    Minv = _inverse(metric.matrix(qm), qm)
+    alpha = _alpha(Minv, _coeffs(Minv) * (c1 - c0))
+    if alpha[0] <= 0:
+        raise SolverDiverged("chord guess has nonpositive energy")
+    alpha = np.concatenate([[0.5], alpha[1:] * (0.5 / alpha[0])])
+
+    # M at every leg's nodes, and where h_i is scanned for admissibility
+    w, M = _leg_nodes(metric, lo, hi)
+    M_scan = metric.matrix(np.linspace(lo, hi, 64))
 
     def fail_if_h_negative():
-        if any(_min_h_inside(metric, i, lo[i], hi[i], np.r_[0.5, beta]) < 0.0
-               for i in range(n)):
+        if np.min(M_scan @ alpha) < 0.0:
             raise NoMonotoneDiagonal("no monotone diagonal: h_i turns negative inside a leg")
 
     def fail(why):
         fail_if_h_negative()
         raise SolverDiverged(why)
 
-    # first guess: the momenta of the straight coordinate chord at the box
-    # midpoint, rescaled to energy 1/2
-    qm = 0.5 * (c0 + c1)
-    alpha = integrals_alpha(metric, qm, metric_coeffs(metric, qm) * (c1 - c0))
-    if alpha[0] <= 0:
-        raise SolverDiverged("chord guess has nonpositive energy")
-    beta = alpha[1:] * (0.5 / alpha[0])
-    Q, J = quadratures(beta)
+    # column 0 of Q is the length, columns 1.. are the residuals
+    Q, J = _leg_integrals(w, M, alpha)
+    step = np.zeros(n)    # alpha_0 stays 1/2
     for _ in range(_MAX_NEWTON):
         try:
-            step = np.linalg.solve(J[1:, 1:], -Q[1:])
+            step[1:] = np.linalg.solve(J[1:, 1:], -Q[1:])
         except np.linalg.LinAlgError as exc:
             raise SolverDiverged("singular quadrature Jacobian") from exc
         if not np.all(np.isfinite(step)):
             break
         for lam in 0.5 ** np.arange(30):
-            bn = beta + lam * step
-            if np.array_equal(bn, beta):
+            an = alpha + lam * step
+            if np.array_equal(an, alpha):
                 break
-            Qn, Jn = quadratures(bn)
+            Qn, Jn = _leg_integrals(w, M, an)
             if np.linalg.norm(Qn[1:]) < np.linalg.norm(Q[1:]):
                 break
             if lam == 1.0:
@@ -292,26 +296,22 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
                 fail_if_h_negative()
         else:
             fail("line search failed in separation solver")
-        if np.array_equal(bn, beta):
+        if np.array_equal(an, alpha):
             break
-        beta, Q, J = bn, Qn, Jn
+        alpha, Q, J = an, Qn, Jn
     resid = float(np.max(np.abs(Q[1:]), initial=0.0))
     if resid > _RESIDUAL_GATE:
         fail(f"separation residual {resid} > {_RESIDUAL_GATE}")
-    alpha = np.concatenate([[0.5], beta])
-    for i in range(n):
-        if _min_h_inside(metric, i, lo[i], hi[i], alpha) < -1e-12:
-            raise NoMonotoneDiagonal(f"h_{i} vanishes inside the leg")
-        # a double root of h_i at an endpoint makes the approach asymptotic
-        # (logarithmically divergent time); refuse to integrate through it
-        for end in (lo[i], hi[i]):
-            if abs(metric.h(i, end, alpha)) < 1e-12:
-                dh = 2.0 * float(metric.row_deriv(i, end) @ alpha)
-                if abs(dh) < 1e-10:
-                    raise NoMonotoneDiagonal(
-                        f"h_{i} has a double root at the endpoint {end}")
-    return {"alpha": alpha, "signs": signs, "length": float(abs(Q[0])),
-            "residual": resid,
+    h = 2.0 * (M_scan @ alpha)
+    if np.min(h) < -1e-12:
+        raise NoMonotoneDiagonal(f"h_{np.argmin(np.min(h, axis=0))} vanishes inside the leg")
+    # a double root of h_i at an endpoint makes the approach asymptotic
+    # (logarithmically divergent time); refuse to integrate through it
+    for k, i in np.argwhere(np.abs(h[[0, -1]]) < 1e-12):
+        end = (lo, hi)[k][i]
+        if abs(2.0 * (metric.row_deriv(i, end) @ alpha)) < 1e-10:
+            raise NoMonotoneDiagonal(f"h_{i} has a double root at the endpoint {end}")
+    return {"alpha": alpha, "signs": signs, "length": float(abs(Q[0])), "residual": resid,
             "separation": SeparationData(metric, alpha, signs)}
 
 
@@ -338,7 +338,7 @@ def ivory_check(metric: StaeckelMetric, box) -> dict:
 # monotonically over a segment from q_i to its endpoint e_i ahead: a wall,
 # or a turning point where h_i = 0.  There s_i flips.  Along the flight
 # dq_i / p_i = |dq_i| / sqrt(h_i), so the Abel integrals of a path are
-# those of `_leg_integrals` (`_abel`), and by Jacobi's theorem their sums
+# those of the leg rule (`_abel`), and by Jacobi's theorem their sums
 # over the coordinates move linearly: phi_0 = t, phi_j constant for j >= 1.
 # A piece of flight ends when the first coordinate reaches its endpoint.
 
@@ -348,15 +348,15 @@ _SUM_ROUNDING = 2 * _GL_NODES.size * np.finfo(float).eps
 
 
 def _abel(metric: StaeckelMetric, i: int, a: float, x: float, alpha, turns) -> np.ndarray:
-    """Abel integrals of coordinate i over its path from a to x: the rule of
-    `_leg_integrals`, with two changes that keep its digits next to a
-    turning point.  h_i is taken as prod(t - r) quot(t) / den(t) over the
-    real roots r of its numerator (`turns`), each factor as (c - r) +/- s^2,
-    where sum_j alpha_j u_ij(t) has lost its relative digits to
-    cancellation.  And each half of the path is substituted, t = c +/- s^2,
-    about the root beyond its end when one lies within half the path (else
-    about the end), so that a turning point just outside the path leaves
-    the integrand smooth in s."""
+    """Abel integrals of coordinate i over its path from a to x: the leg rule
+    of `_leg_nodes`, with two changes that keep its digits next to a turning
+    point.  h_i is taken as prod(t - r) quot(t) / den(t) over the real roots
+    r of its numerator (`turns`), each factor as (c - r) +/- s^2, where
+    sum_j alpha_j u_ij(t) has lost its relative digits to cancellation.  And
+    each half of the path is substituted, t = c +/- s^2, about the root
+    beyond its end when one lies within half the path (else about the end),
+    so that a turning point just outside the path leaves it smooth in s.
+    Its nodes follow alpha's turning points, so it keeps its own rule."""
     lo, hi = min(a, x), max(a, x)
     if lo == hi:
         return np.zeros(metric.n)
@@ -373,9 +373,9 @@ def _abel(metric: StaeckelMetric, i: int, a: float, x: float, alpha, turns) -> n
     sa2, sb2 = sa * sa, sb * sb
     w = np.concatenate([da * sa * _GL_WEIGHTS, db * sb * _GL_WEIGHTS])
     t = np.concatenate([ca + sa2, cb - sb2])
-    den = _polyval(metric.den[i, 0], t)
-    U = _polyval(metric.num[i], t[:, None]) / den[:, None]
-    h = 2.0 * _polyval(quot, t) / den
+    P = _polyval(metric.table[i], t[:, None])
+    U = P[:, :-1] / P[:, -1:]
+    h = 2.0 * _polyval(quot, t) / P[:, -1]
     for v in r:
         h = h * np.concatenate([(ca - v) + sa2, (cb - v) - sb2])
     return (w / np.sqrt(np.maximum(h, 1e-300))) @ U

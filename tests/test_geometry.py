@@ -163,3 +163,59 @@ def test_check_on_model_takes_one_point():
         for bad in (np.stack([x, x]), np.array(x)[None, :], x[:-1]):
             with pytest.raises(NotOnModel):
                 check_on_model(geo, bad)
+
+
+@pytest.mark.parametrize("v", [np.inf, -np.inf, np.nan])
+def test_non_finite_coordinates_are_off_the_model(v):
+    """An inf or nan coordinate is on no model: the gate fails closed where
+    the residual, x . x or both are not finite."""
+    for geo in (S2, H2):
+        x = np.array([1.0, 0.0, 0.0])
+        for k in range(3):
+            bad = x.copy()
+            bad[k] = v
+            for call in (lambda: check_on_model(geo, bad),
+                         lambda: geodesic_distance(geo, x, bad),
+                         lambda: geodesic_distance(geo, x, np.stack([x, bad]))):
+                with pytest.raises(NotOnModel):
+                    call()
+        # numpy warns of inf - inf in <x, x> on H^2, and of the overflow below
+        with np.errstate(invalid="ignore"), pytest.raises(NotOnModel):
+            geodesic_distance(geo, x, np.full(3, v))
+    # <x, x> = 0 is finite, but x . x overflows to inf: off H^2 by 1
+    with np.errstate(over="ignore"), pytest.raises(NotOnModel):
+        check_on_model(H2, [1e154, 1e154, 0.0])
+
+
+def mp_residual(x):
+    """|<x, x> + 1| of a float point of H^n, exactly."""
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(float(v)) for v in x]
+        return float(abs(-xs[0] ** 2 + mpmath.fdot(xs[1:], xs[1:]) + 1))
+
+
+@pytest.mark.parametrize("r", [9.0, 10.0, 15.0])
+def test_hyperbolic_points_far_from_the_origin(r):
+    """(cosh r, sinh r, 0) in floats is off H^2 by about eps cosh 2r: 2.6e-10
+    at r = 9, above an absolute 1e-10, so the model gate is taken relative
+    to x . x.  The oracle takes each point on its ray, which moves the
+    distance by the point's residual over 2 (times coth d).  The chord
+    formula rounds <x - y, x - y> = 2 (cosh d - 1) to about eps (x . x +
+    y . y), which moves d by that over 2 sinh d."""
+    x = np.array([np.cosh(2.0), np.sinh(2.0) * np.cos(2.5), np.sinh(2.0) * np.sin(2.5)])
+    for t in (0.0, 0.7, 2.5):
+        y = np.array([np.cosh(r), np.sinh(r) * np.cos(t), np.sinh(r) * np.sin(t)])
+        got = geodesic_distance(H2, x, y)
+        rho = mp_residual(x) + mp_residual(y)
+        assert abs(got - mp_distance(H2, x, y)) <= 4.0 * EPS * got + rho, (r, t)
+        tol = 4.0 * EPS * (got + (x @ x + y @ y) / np.sinh(got))
+        if t == 2.5:   # x and y on one geodesic through the origin
+            assert abs(got - (r - 2.0)) <= tol, r
+        stacked = geodesic_distance(H2, x, np.stack([y, x]))
+        assert abs(stacked[0] - got) <= tol and stacked[1] == 0.0
+        # moved off the model by 1e-6 of x . x, in one coordinate
+        for k in range(3):
+            off = y.copy()
+            off[k] += 1e-6 * (y @ y) / (2.0 * abs(y[k])) if y[k] else 1e-3 * np.sqrt(y @ y)
+            with pytest.raises(NotOnModel):
+                geodesic_distance(H2, x, off)
