@@ -103,8 +103,6 @@ def caustic_of_line(family: ConfocalFamily, line: OrientedLine) -> CausticTag:
     a1, a2 = family.a
     nu = line.normal
     lam = a1 * nu[0] ** 2 + a2 * nu[1] ** 2 - line.p ** 2
-    if family.is_circular:
-        return CausticTag(lam, CausticKind.ELLIPSE)
     if abs(lam - a2) < FOCAL_TOL:
         return CausticTag(lam, CausticKind.FOCAL)
     if lam < a2:
@@ -329,6 +327,9 @@ class CausticChart:
     dt / sqrt((c1 + t^2)(c2 + t^2)), c1 = a1 - a2, c2 = lam - a2; in
     t = sqrt(c2) tan psi that is dpsi / sqrt(c1 (1 - m sin^2 psi)) with
     mc = c2 / c1, so the branch carries F(psi | m) / 2K(m).
+
+    A circular family is the ellipse case with A = B: mc = 1, so K = pi/2,
+    F(th | 0) = th and the coordinate is the polar angle over 2 pi.
     """
 
     def __init__(self, family: ConfocalFamily, lam_c: float):
@@ -336,12 +337,6 @@ class CausticChart:
         self.family = family
         self.lam_c = float(lam_c)
         a1, a2 = family.a
-        if family.is_circular:
-            if not lam_c < a1:
-                raise InvalidParameters("caustic parameter outside the family")
-            self.kind = CausticKind.ELLIPSE
-            self.radius = np.sqrt(a1 - lam_c)
-            return
         if lam_c < a2:
             self.kind = CausticKind.ELLIPSE
             self.A = a1 - lam_c
@@ -354,8 +349,10 @@ class CausticChart:
             self.c1 = a1 - a2
             self.c2 = lam_c - a2
             self.mc = self.c2 / self.c1
-        else:
+        elif lam_c in (a1, a2):
             raise InvalidParameters("caustic parameter collides with a focal value")
+        else:
+            raise InvalidParameters("caustic parameter outside the family")
 
     @cached_property
     def K(self) -> float:
@@ -365,8 +362,6 @@ class CausticChart:
     def coordinate_of_point(self, point) -> float:
         """Canonical coordinate of a point on the caustic."""
         x, y = (float(v) for v in point)
-        if self.family.is_circular:
-            return (math.atan2(y, x) / (2.0 * math.pi)) % 1.0
         if self.kind is CausticKind.ELLIPSE:
             # F(th | m) at cos th : sin th = X : Y, with F(th + pi) = F(th) + 2K
             X, Y = x / math.sqrt(self.A), y / math.sqrt(self.B)
@@ -383,8 +378,6 @@ class CausticChart:
         tag = caustic_of_line(self.family, line)
         if abs(tag.lam - self.lam_c) > tol:
             raise NotTangent(f"line is tangent to lam={tag.lam}, not {self.lam_c}")
-        if self.family.is_circular:
-            return line.p * line.normal
         nu = line.normal
         if line.p == 0.0:
             raise NotTangent("a line through the center cannot touch the caustic")
@@ -425,9 +418,6 @@ class CausticChart:
 
     def point_at(self, x: float) -> np.ndarray:
         """Caustic point at canonical coordinate x (mod 1)."""
-        if self.family.is_circular:
-            th = 2.0 * np.pi * (x % 1.0)
-            return self.radius * np.array([np.cos(th), np.sin(th)])
         if self.kind is CausticKind.ELLIPSE:
             c, s = self._ellipse_at(x)
             return np.array([np.sqrt(self.A) * c, np.sqrt(self.B) * s])
@@ -437,10 +427,6 @@ class CausticChart:
     def tangent_line_at(self, x: float) -> OrientedLine:
         """Tangent line at canonical coordinate x, oriented along
         increasing x."""
-        if self.family.is_circular:
-            th = 2.0 * np.pi * (x % 1.0)
-            pt = self.radius * np.array([np.cos(th), np.sin(th)])
-            return OrientedLine.from_point_direction(pt, [-np.sin(th), np.cos(th)])
         if self.kind is CausticKind.ELLIPSE:
             c, s = self._ellipse_at(x)
             pt = np.array([np.sqrt(self.A) * c, np.sqrt(self.B) * s])
@@ -458,36 +444,26 @@ class CausticChart:
         return OrientedLine.from_point_direction(pt, d)
 
     # -- exterior geometry (ellipse caustics only) -------------------------
-    def tangency_points_from(self, point) -> list:
-        """The two points where tangent lines from an exterior point touch
-        the caustic ellipse."""
+    def tangency_angles(self, point) -> tuple:
+        """Eccentric angles th0 < th1 where the tangents from an exterior
+        point touch the caustic ellipse; it sees the arc between, < pi."""
         P = np.asarray(point, dtype=float)
-        if self.family.is_circular:
-            r, d = self.radius, np.hypot(*P)
-            if d <= r:
-                raise InsideCaustic("point inside the caustic circle")
-            phi = np.arctan2(P[1], P[0])
-            dth = np.arccos(r / d)
-            return [r * np.array([np.cos(phi + s * dth), np.sin(phi + s * dth)])
-                    for s in (-1.0, 1.0)]
         if self.kind is not CausticKind.ELLIPSE:
             raise InvalidParameters("exterior tangency implemented for ellipse caustics")
         cx, cy = P[0] / np.sqrt(self.A), P[1] / np.sqrt(self.B)
         R = np.hypot(cx, cy)
         if R <= 1.0:
             raise InsideCaustic("point inside the caustic ellipse")
-        phi = np.arctan2(cy, cx)
-        dth = np.arccos(1.0 / R)
-        out = []
-        for s in (-1.0, 1.0):
-            th = phi + s * dth
-            out.append(np.array([np.sqrt(self.A) * np.cos(th),
-                                 np.sqrt(self.B) * np.sin(th)]))
-        return out
+        phi, dth = np.arctan2(cy, cx), np.arccos(1.0 / R)
+        return phi - dth, phi + dth
+
+    def tangency_points_from(self, point) -> list:
+        """The two points where tangent lines from an exterior point touch
+        the caustic ellipse."""
+        return [np.array([np.sqrt(self.A) * np.cos(th), np.sqrt(self.B) * np.sin(th)])
+                for th in self.tangency_angles(point)]
 
     def perimeter(self) -> float:
-        if self.family.is_circular:
-            return 2.0 * np.pi * self.radius
         return 4.0 * math.sqrt(self.A) * _ellipe(0.5 * math.pi, self.B / self.A)
 
     def arc_length(self, th0: float, th1: float) -> float:
@@ -521,10 +497,7 @@ def exterior_coordinates(family: ConfocalFamily, lam_c: float, point):
     x2 = chart.coordinate_of_point(t2)
     for xa, xb in ((x1, x2), (x2, x1)):
         mid = chart.point_at(xa + ((xb - xa) % 1.0) / 2.0)
-        if chart.family.is_circular:
-            nrm = mid
-        else:
-            nrm = np.array([mid[0] / chart.A, mid[1] / chart.B])
+        nrm = np.array([mid[0] / chart.A, mid[1] / chart.B])
         if (P - mid) @ nrm > 0.0:
             return xa, xb
     return x1, x2
@@ -782,10 +755,12 @@ def poncelet_caustic_for_rotation(family: ConfocalFamily, outer_lam: float,
     """Caustic parameter whose billiard in the outer ellipse has rotation
     number p/q; all trajectories tangent to it close after q bounces."""
     _check_planar(family)
+    a1, a2 = family.a
+    if not outer_lam < a2:
+        raise InvalidParameters("the outer mirror must be an ellipse: outer_lam < a2")
     rho = p / q
     if not 0.0 < rho < 0.5:
         raise NotBracketed("rotation number must lie in (0, 1/2)")
-    a1, a2 = family.a
     if family.is_circular:
         R = np.sqrt(a1 - outer_lam)
         return a1 - (R * np.cos(np.pi * rho)) ** 2
@@ -878,22 +853,10 @@ def string_length(family: ConfocalFamily, lam_c: float, point) -> float:
     point: the string sweeps a confocal ellipse."""
     chart = CausticChart(family, lam_c)
     P = np.asarray(point, dtype=float)
-    if family.is_circular:
-        r = chart.radius
-        d = np.hypot(*P)
-        if abs(d - r) < 1e-12:
-            return 2.0 * np.pi * r
-        if d < r:
-            raise InsideCaustic("point inside the caustic circle")
-        return 2.0 * np.sqrt(d * d - r * r) + r * (2.0 * np.pi - 2.0 * np.arccos(r / d))
     on_level = P[0] ** 2 / chart.A + P[1] ** 2 / chart.B - 1.0
     if abs(on_level) < 1e-12:
         return chart.perimeter()
+    # the string wraps the arc the point does not see
     t1, t2 = chart.tangency_points_from(P)
-    # in the eccentric angle th the point sees the caustic between the
-    # tangency points phi -+ dth, an arc shorter than pi, and the string
-    # wraps the rest
-    cx, cy = P[0] / np.sqrt(chart.A), P[1] / np.sqrt(chart.B)
-    phi, dth = np.arctan2(cy, cx), np.arccos(1.0 / np.hypot(cx, cy))
     return (float(np.linalg.norm(P - t1)) + float(np.linalg.norm(P - t2))
-            + chart.perimeter() - chart.arc_length(phi - dth, phi + dth))
+            + chart.perimeter() - chart.arc_length(*chart.tangency_angles(P)))

@@ -132,6 +132,16 @@ def _check_points(geometry: Geometry, x):
     return x
 
 
+def jacobi_squares(poles, lam) -> np.ndarray:
+    """Jacobi's product formula prod_k (D_j - lam_k) / prod_{l != j} (D_j - D_l),
+    one entry per pole D_j: the squared coordinates of the point with
+    confocal parameters lam, up to the signature (confocal.quadrics)."""
+    d = np.asarray(poles, dtype=float)
+    gaps = d[:, None] - d
+    np.fill_diagonal(gaps, 1.0)
+    return np.prod(d[:, None] - np.asarray(lam, dtype=float), axis=1) / np.prod(gaps, axis=1)
+
+
 def geodesic_distance(geometry: Geometry, x, y):
     """Length of the geodesic between the model points x and y, or between
     the rows of stacks of them (a point against a stack, say).

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePoint, InvalidParameters, NoRealPoint
-from .geometry import Geometry, Kind, check_on_model, geodesic_distance
+from .geometry import Geometry, Kind, check_on_model, geodesic_distance, jacobi_squares
 
 DEGENERATE_TOL = 1e-12
 
@@ -156,10 +156,7 @@ def point_from_parameters(family: ConfocalFamily, coords: EllipticCoords | tuple
     if lam.shape != (family.n,):
         raise InvalidParameters("need one parameter per class")
     d, sig = _poles(family)
-    gaps = d[:, None] - d[None, :]
-    np.fill_diagonal(gaps, 1.0)
-    squares = (sig[0] * sig
-               * np.prod(d[:, None] - lam[None, :], axis=1) / np.prod(gaps, axis=1))
+    squares = sig[0] * sig * jacobi_squares(d, lam)
     if np.min(squares) < -1e-10:
         raise NoRealPoint(f"negative squared coordinate: {squares}")
     if signs is None:

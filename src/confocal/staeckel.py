@@ -35,7 +35,7 @@ from .errors import (
     SingularStaeckelMatrix,
     SolverDiverged,
 )
-from .geometry import Geometry, euclidean, spherical
+from .geometry import Geometry, euclidean, jacobi_squares, spherical
 
 # M is refused as singular when its condition number, after scaling each
 # column to unit max-norm, reaches 1/eps: a test that does not depend on
@@ -594,94 +594,55 @@ def builtin_metric(name: str, params) -> StaeckelMetric:
     names: elliptic_R2(a, b); ellipsoidal_R3(a, b, c);
     spheroconical_R3(a, b, c); ellipsoid_intrinsic(a, b, c);
     sphere_conical(a, b, c).
+
+    Each ambient map is Jacobi's product formula (`jacobi_squares`) over
+    the poles D = params: at q for elliptic_R2, ellipsoidal_R3 and
+    sphere_conical (whose squares sum to 1); at (0, lam, mu) for
+    ellipsoid_intrinsic, the ellipsoid being the member 0; and r times its
+    root at (lam, mu) for spheroconical_R3.
     """
     if name == "elliptic_R2":
-        a, b = map(float, params)
+        a, b = poles = tuple(map(float, params))
         if not a > b > 0:
             raise InvalidParameters("need a > b > 0")
         # both rows (t, 1) / 4(a-t)(t-b)
         rows = [(np.eye(2), -4.0 * np.poly([a, b]))] * 2
         m = 0.02 * (a - b)
         box = [(b + m, a - m), (b - (a - b), b - m)]
-
-        def ambient(q):
-            lam, mu = q
-            x = np.sqrt((a - lam) * (a - mu) / (a - b))
-            y = np.sqrt((lam - b) * (b - mu) / (a - b))
-            return np.array([x, y])
-
-        return StaeckelMetric(2, rows, box, name=name, ambient=ambient,
-                              ambient_geometry=euclidean(2))
-
-    if name in ("ellipsoidal_R3", "spheroconical_R3", "ellipsoid_intrinsic",
-                "sphere_conical"):
-        a, b, c = map(float, params)
+    elif name in ("ellipsoidal_R3", "spheroconical_R3", "ellipsoid_intrinsic",
+                  "sphere_conical"):
+        a, b, c = poles = tuple(map(float, params))
         if not a > b > c > 0:
             raise InvalidParameters("need a > b > c > 0")
         hpoly = -4.0 * np.poly([a, b, c])   # 4(a-t)(b-t)(c-t)
-        m1 = 0.02 * (a - b)
-        m2 = 0.02 * (b - c)
-
+        m1, m2 = 0.02 * (a - b), 0.02 * (b - c)
+        box = [(b + m1, a - m1), (c + m2, b - m2)]
         if name == "ellipsoidal_R3":
             # every row (t^2, t, 1) / h
             rows = [(np.eye(3), hpoly)] * 3
-            box = [(b + m1, a - m1), (c + m2, b - m2), (c - (b - c), c - m2)]
-
-            def ambient(q):
-                lam, mu, nu = q
-                x2 = (a - lam) * (a - mu) * (a - nu) / ((a - b) * (a - c))
-                y2 = (b - lam) * (b - mu) * (b - nu) / ((b - a) * (b - c))
-                z2 = (c - lam) * (c - mu) * (c - nu) / ((c - a) * (c - b))
-                return np.sqrt(np.array([x2, y2, z2]))
-
-            return StaeckelMetric(3, rows, box, name=name, ambient=ambient,
-                                  ambient_geometry=euclidean(3))
-
-        if name == "spheroconical_R3":
+            box.append((c - (b - c), c - m2))
+        elif name == "spheroconical_R3":
             # rows (1, -1/r^2, 0) and (0, t, 1) / h, twice
             rows = [([[1.0, 0.0, 0.0], [-1.0], [0.0]], [1.0, 0.0, 0.0])] \
                 + [([[0.0], [1.0, 0.0], [1.0]], hpoly)] * 2
-            box = [(0.6, 1.8), (b + m1, a - m1), (c + m2, b - m2)]
-
-            def ambient(q):
-                r, lam, mu = q
-                x2 = (a - lam) * (a - mu) / ((a - b) * (a - c))
-                y2 = (b - lam) * (b - mu) / ((b - a) * (b - c))
-                z2 = (c - lam) * (c - mu) / ((c - a) * (c - b))
-                return r * np.sqrt(np.array([x2, y2, z2]))
-
-            return StaeckelMetric(3, rows, box, name=name, ambient=ambient,
-                                  ambient_geometry=euclidean(3))
-
-        box = [(b + m1, a - m1), (c + m2, b - m2)]
-        if name == "ellipsoid_intrinsic":
+            box.insert(0, (0.6, 1.8))
+        elif name == "ellipsoid_intrinsic":
             # both rows (t^2, t) / h
             rows = [(np.eye(3)[:2], hpoly)] * 2
+        else:
+            # sphere_conical: both rows (t, 1) / h
+            rows = [(np.eye(2), hpoly)] * 2
+    else:
+        raise InvalidParameters(f"unknown builtin metric {name!r}")
 
-            def ambient(q):
-                lam, mu = q
-                x2 = a * (a - lam) * (a - mu) / ((a - b) * (a - c))
-                y2 = b * (b - lam) * (b - mu) / ((b - a) * (b - c))
-                z2 = c * (c - lam) * (c - mu) / ((c - a) * (c - b))
-                return np.sqrt(np.array([x2, y2, z2]))
+    def root(q):
+        return np.sqrt(jacobi_squares(poles, q))
 
-            return StaeckelMetric(2, rows, box, name=name, ambient=ambient,
-                                  ambient_geometry=euclidean(3))
-
-        # sphere_conical: both rows (t, 1) / h
-        rows = [(np.eye(2), hpoly)] * 2
-
-        def ambient(q):
-            lam, mu = q
-            x2 = (a - lam) * (a - mu) / ((a - b) * (a - c))
-            y2 = (b - lam) * (b - mu) / ((b - a) * (b - c))
-            z2 = (c - lam) * (c - mu) / ((c - a) * (c - b))
-            return np.sqrt(np.array([x2, y2, z2]))
-
-        return StaeckelMetric(2, rows, box, name=name, ambient=ambient,
-                              ambient_geometry=spherical(2))
-
-    raise InvalidParameters(f"unknown builtin metric {name!r}")
+    ambient = {"spheroconical_R3": lambda q: q[0] * root(q[1:]),
+               "ellipsoid_intrinsic": lambda q: root((0.0, *q))}.get(name, root)
+    space = spherical(2) if name == "sphere_conical" else euclidean(len(poles))
+    return StaeckelMetric(len(rows), rows, box, name=name, ambient=ambient,
+                          ambient_geometry=space)
 
 
 def induced_metric_on_face(metric: StaeckelMetric, i: int, c: float) -> StaeckelMetric:

@@ -184,6 +184,98 @@ def test_circle_chart_is_angle():
         assert abs(canonical_coordinate(CIRC, 1.0, ln) - x) < 1e-12
 
 
+class _CircleOracle:
+    """The closed forms of a circle caustic of radius r: the chart is the
+    polar angle over 2 pi, tangents from a point at distance d touch at
+    angles arccos(r / d) to either side of it, and the string is two
+    tangent segments and the arc they leave."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def point_at(self, x):
+        th = 2.0 * np.pi * (x % 1.0)
+        return self.r * np.array([np.cos(th), np.sin(th)])
+
+    def coordinate_of_point(self, p):
+        return (math.atan2(p[1], p[0]) / (2.0 * math.pi)) % 1.0
+
+    def tangent_line_at(self, x):
+        th = 2.0 * np.pi * (x % 1.0)
+        return OrientedLine.from_point_direction(self.point_at(x), [-np.sin(th), np.cos(th)])
+
+    def tangency_points_from(self, P):
+        phi, dth = np.arctan2(P[1], P[0]), np.arccos(self.r / np.hypot(*P))
+        return [self.r * np.array([np.cos(phi + s * dth), np.sin(phi + s * dth)])
+                for s in (-1.0, 1.0)]
+
+    def exterior_coordinates(self, P):
+        x1, x2 = (self.coordinate_of_point(t) for t in self.tangency_points_from(P))
+        for xa, xb in ((x1, x2), (x2, x1)):
+            mid = self.point_at(xa + ((xb - xa) % 1.0) / 2.0)
+            if (P - mid) @ mid > 0.0:
+                return xa, xb
+        return x1, x2
+
+    def string_length(self, P):
+        r, d = self.r, np.hypot(*P)
+        return 2.0 * np.sqrt(d * d - r * r) + r * (2.0 * np.pi - 2.0 * np.arccos(r / d))
+
+
+_ULP = np.finfo(float).eps
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.floats(-6.0, math.log10(math.sqrt(2.0)), exclude_max=True),
+       st.floats(0.0, 1.0, exclude_max=True), st.floats(-3.0, 2.0),
+       st.floats(-math.pi, math.pi))
+def test_circle_chart_matches_closed_forms(radius_exp, x, out_exp, phi):
+    """A circle caustic runs through the ellipse chart at mc = 1; the closed
+    forms of the circle are its oracle.  Radii from 1e-6 to sqrt(a1) of
+    CIRC, exterior points at 1 + 1e-3 to 1 + 1e2 radii.  The tangency
+    angle arccos(r / d) amplifies a rounding of d / r by 1 / sqrt((d/r)^2 - 1),
+    and its gates carry that factor."""
+    lam_c = 2.0 - (10.0 ** radius_exp) ** 2
+    chart, circle = CausticChart(CIRC, lam_c), _CircleOracle(math.sqrt(2.0 - lam_c))
+    r = circle.r
+    assert chart.kind is CausticKind.ELLIPSE and chart.mc == 1.0
+
+    assert np.max(np.abs(chart.point_at(x) - circle.point_at(x))) <= 8 * _ULP * r
+    p = circle.point_at(x)
+    assert abs(circ_diff(chart.coordinate_of_point(p), circle.coordinate_of_point(p))) <= 4 * _ULP
+    got, exp = chart.tangent_line_at(x), circle.tangent_line_at(x)
+    assert abs(circ_diff(got.alpha / (2 * np.pi), exp.alpha / (2 * np.pi))) <= 4 * _ULP
+    assert abs(got.p - exp.p) <= 4 * _ULP * r
+    assert abs(chart.perimeter() - 2.0 * np.pi * r) <= 4 * _ULP * 2.0 * np.pi * r
+
+    d = r * (1.0 + 10.0 ** out_exp)
+    P = d * np.array([math.cos(phi), math.sin(phi)])
+    cond = 1.0 + 1.0 / math.sqrt((np.hypot(*P) / r) ** 2 - 1.0)
+    for g, e in zip(chart.tangency_points_from(P), circle.tangency_points_from(P)):
+        assert np.max(np.abs(g - e)) <= 8 * _ULP * cond * r
+    for g, e in zip(exterior_coordinates(CIRC, lam_c, P), circle.exterior_coordinates(P)):
+        assert abs(circ_diff(g, e)) <= 8 * _ULP * cond
+    expect = circle.string_length(P)
+    assert abs(string_length(CIRC, lam_c, P) - expect) <= 8 * _ULP * expect
+
+
+def test_line_through_the_circle_centre_is_focal():
+    # the centre is the radius-0 member lam = a1, as a focus is of an ellipse
+    for alpha in np.linspace(0.0, 2.0 * np.pi, 13):
+        tag = caustic_of_line(CIRC, OrientedLine(alpha, 0.0))
+        assert tag.kind is CausticKind.FOCAL and abs(tag.lam - 2.0) < 1e-15
+
+
+def test_caustic_parameter_errors_name_their_case():
+    for fam in (FAM, CIRC):
+        for lam_c in fam.a:
+            with pytest.raises(InvalidParameters, match="collides with a focal value"):
+                CausticChart(fam, lam_c)
+        for lam_c in (fam.a[0] + 1e-9, fam.a[0] + 1.0, math.inf, math.nan):
+            with pytest.raises(InvalidParameters, match="outside the family"):
+                CausticChart(fam, lam_c)
+
+
 def test_ellipse_reflection_is_shift():
     chart = CausticChart(FAM, 0.5)
     rng = np.random.default_rng(5)
@@ -476,6 +568,17 @@ def test_poncelet_caustic_has_the_rotation_number():
     # rho tends to 1/2 only logarithmically at the focal value
     with pytest.raises(NotBracketed):
         poncelet_caustic_for_rotation(FAM, -0.2, 19, 41)
+
+
+def test_poncelet_outer_mirror_must_be_an_ellipse():
+    # outer_lam >= a2 is a hyperbola, a focal segment or no curve at all;
+    # it used to fail with a math domain error (or a sqrt warning on CIRC)
+    for fam in (FAM, CIRC):
+        for outer in (fam.a[1], 0.5 * (fam.a[0] + fam.a[1]), fam.a[0] + 1.0):
+            with pytest.raises(InvalidParameters, match="outer mirror must be an ellipse"):
+                poncelet_caustic_for_rotation(fam, outer, 1, 5)
+            with pytest.raises(InvalidParameters, match="outer mirror must be an ellipse"):
+                poncelet_grid(fam, outer, 5, 1)
 
 
 def test_rotation_number_at_the_focal_value_raises():

@@ -230,6 +230,16 @@ def test_poncelet_grid_concentric_gate_sees_wrong_caustic(tmp_path, monkeypatch,
     assert checks["concentric_spread"]["value"] > 1e-6
 
 
+@pytest.mark.parametrize("a, outer_lam", [([4, 1], 2), ([2, 2], 3)])
+def test_poncelet_grid_outer_mirror_not_an_ellipse_exits_3(tmp_path, capsys, a, outer_lam):
+    # a ConfocalError exits 3; a traceback used to exit 1, the "checks
+    # failed" code
+    cfg = {"a": a, "outer_lam": outer_lam, "q": 5, "p": 1}
+    assert main(["poncelet-grid", "--config", _write(tmp_path, "c.json", cfg),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "InvalidParameters: the outer mirror must be an ellipse" in capsys.readouterr().err
+
+
 def test_stochastic_determinism(tmp_path):
     cfg = {"coeffs": [[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
            "eps": 0.05, "point": [0.1, 0.0], "N": 2000, "seed": 11}

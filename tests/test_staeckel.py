@@ -157,6 +157,33 @@ def test_ambient_first_fundamental_form():
                 assert abs(g[i] - dx @ dx) / g[i] < 1e-7
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_ambient_solves_the_secular_equation(name):
+    """Each ambient point lies on the confocal members its coordinates name.
+    elliptic_R2 and ellipsoidal_R3: the elliptic coordinates of ambient(q)
+    are q.  The others: sum_j x_j^2 / (D_j - lam) vanishes at each of the
+    cones' lam, and is 1 at 0, lam and mu for the ellipsoid (member 0) of
+    ellipsoid_intrinsic, whose points are points of E^3."""
+    m = _metric(name)
+    poles = np.array({"elliptic_R2": (4.0, 1.0),
+                      "sphere_conical": (0.8, 0.5, 0.2)}.get(name, (4.0, 2.0, 1.0)))
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        q = _random_q(m, rng)
+        x = m.ambient(q)
+        if name in ("elliptic_R2", "ellipsoidal_R3"):
+            lam = confocal_parameters(ConfocalFamily(euclidean(m.n), poles), x).lam
+            assert np.max(np.abs(np.array(lam) - q)) <= 1e-13 * np.max(np.abs(q))
+            continue
+        lams, rhs = {"sphere_conical": (q, 0.0), "spheroconical_R3": (q[1:], 0.0),
+                     "ellipsoid_intrinsic": (np.r_[0.0, q], 1.0)}[name]
+        for lam in lams:
+            terms = x * x / (poles - lam)
+            assert abs(terms.sum() - rhs) <= 1e-13 * np.abs(terms).sum()
+        if name == "sphere_conical":
+            assert abs(x @ x - 1.0) <= 1e-13
+
+
 def test_geodesic_matches_euclidean_oracle():
     m = builtin_metric("elliptic_R2", (4.0, 1.0))
     rng = np.random.default_rng(11)
