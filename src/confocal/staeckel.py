@@ -2,9 +2,9 @@
 
 A Stackel metric on a coordinate box is given by an n x n matrix M(q) whose
 row i depends only on q_i.  Each row is stored as data, u_i(t) = num_i(t)
-/ den_i(t): one table of its n numerators (one per column) and its
-denominator, high to low degree as in np.polyval, left-padded to one length
-for one Horner pass.  The derivative table is taken once, at construction.
+/ den_i(t): its n numerators (one per column) and its denominator, high to
+low degree as in np.polyval, in one table (and one of derivatives) for one
+Horner pass.  At one point, M and M^{-1} take a stack's steps on Python floats.
 
 Everything follows from M^{-1} (indices from 0):
 
@@ -77,20 +77,21 @@ class StaeckelMetric:
             raise InvalidParameters("Stackel matrix must be n x n")
         if len(self.box) != n:
             raise InvalidParameters("need one box interval per coordinate")
-        # table[i, :n] are row i's numerators and table[i, n] its denominator,
-        # left-padded with zeros to one length for one Horner pass; num[i, j]
-        # and den[i, 0] are views of it
-        polys = [np.atleast_1d(np.asarray(p, dtype=float))
-                 for num, den in self.rows for p in (*num, den)]
-        k = max(len(p) for p in polys)
-        self.table = np.array([np.pad(p, (k - len(p), 0)) for p in polys]).reshape(n, n + 1, -1)
+        # coeffs[i]: row i's n numerators and denominator as float lists;
+        # table[i]: the same left-padded to one length for one Horner pass,
+        # with views num and den.  Padding zeros leave a point's y = 0.0 as is
+        self.coeffs = [[np.atleast_1d(np.asarray(p, dtype=float)).tolist() for p in (*num, den)]
+                       for num, den in self.rows]
+        k = max(len(p) for row in self.coeffs for p in row)
+        self.table = np.array([[[0.0] * (k - len(p)) + p for p in row] for row in self.coeffs])
         self.num, self.den = self.table[:, :n], self.table[:, n:]
         self.dtable = _polyder(self.table)
 
     def _entries(self, t, i=slice(None), deriv=False):
         """Entries of row(s) i at t (columns on the last axis) and, with
         deriv, their t-derivatives by the quotient rule."""
-        P = _polyval(self.table[i], t)
+        with np.errstate(invalid="ignore"):   # t = +/-inf: NaN, refused by _inverse
+            P = _polyval(self.table[i], t)
         u = P[..., :-1] / P[..., -1:]
         if not deriv:
             return u
@@ -98,8 +99,22 @@ class StaeckelMetric:
         return u, (dP[..., :-1] - u * dP[..., -1:]) / P[..., -1:]
 
     def matrix(self, q) -> np.ndarray:
-        """M(q), or one M per point of a stack q[..., n]."""
-        return self._entries(np.asarray(q, dtype=float)[..., None])
+        """M(q), or one M per point of a stack q[..., n]; a point is bitwise the same, on floats."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim == 1:
+            rows = []
+            for t, polys in zip(q.tolist(), self.coeffs, strict=True):
+                P = []
+                for c in polys:
+                    y = 0.0
+                    for ck in c:
+                        y = y * t + ck
+                    P.append(y)
+                if P[-1] == 0.0:   # the stacked code's +/-inf or NaN
+                    return self._entries(q[..., None])
+                rows.append([x / P[-1] for x in P[:-1]])
+            return np.array(rows)
+        return self._entries(q[..., None])
 
     def row(self, i: int, qi) -> np.ndarray:
         """Row i at q_i; for an array of q_i the columns go last."""
@@ -162,7 +177,20 @@ def _momentum(metric: StaeckelMetric, alpha, signs, q) -> np.ndarray:
 def _inverse(M: np.ndarray, q) -> np.ndarray:
     """M^{-1}, or one inverse per matrix of a stack M[..., n, n]; or
     SingularStaeckelMatrix where any of them has a 1-norm condition number
-    of 1/eps or more."""
+    of 1/eps or more.  One M is bitwise the same, on Python floats."""
+    if M.ndim == 2:
+        scale = [max(map(abs, col)) for col in M.T.tolist()]
+        Ms = [[x / s if s > 0.0 else x for x, s in zip(row, scale)] for row in M.tolist()]
+        norm = [sum(map(abs, col)) for col in zip(*Ms)]
+        try:
+            Minv = np.linalg.inv(Ms).tolist()
+            norm_inv = [sum(map(abs, col)) for col in zip(*Minv)]
+        except np.linalg.LinAlgError:
+            norm_inv = [np.inf]
+        # Python's max skips a NaN, which the sums keep
+        if not (max(norm) * max(norm_inv) < _COND_MAX and sum(norm) + sum(norm_inv) < np.inf):
+            raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {np.asarray(q)}")
+        return np.array([[x / s for x in row] for row, s in zip(Minv, scale)])
     scale = np.abs(M).max(axis=-2)
     Ms = M / np.where(scale > 0.0, scale, 1.0)[..., None, :]
     try:
@@ -171,9 +199,9 @@ def _inverse(M: np.ndarray, q) -> np.ndarray:
                 * np.abs(Minv).sum(axis=-2).max(axis=-1))
     except np.linalg.LinAlgError:
         cond = np.linalg.cond(Ms, 1)    # inf where exactly singular
-    if not (cond if cond.ndim == 0 else cond.max()) < _COND_MAX:
-        bad = np.broadcast_to(~(cond < _COND_MAX), np.shape(q)[:-1])
-        raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {np.asarray(q)[bad][0]}")
+    if not cond.max() < _COND_MAX:
+        raise SingularStaeckelMatrix(
+            f"singular Stackel matrix at q = {np.asarray(q)[~(cond < _COND_MAX)][0]}")
     return Minv / scale[..., :, None]
 
 
@@ -601,19 +629,23 @@ def builtin_metric(name: str, params) -> StaeckelMetric:
     ellipsoid_intrinsic, the ellipsoid being the member 0; and r times its
     root at (lam, mu) for spheroconical_R3.
     """
+    if name not in ("elliptic_R2", "ellipsoidal_R3", "spheroconical_R3",
+                    "ellipsoid_intrinsic", "sphere_conical"):
+        raise InvalidParameters(f"unknown builtin metric {name!r}")
+    poles = tuple(map(float, params))
+    k = 2 if name == "elliptic_R2" else 3
+    if len(poles) != k:
+        raise InvalidParameters(f"{name} takes {k} params, got {len(poles)}")
+    if not all(x > y for x, y in zip(poles, poles[1:] + (0.0,))):
+        raise InvalidParameters(f"need {' > '.join('abc'[:k])} > 0")
     if name == "elliptic_R2":
-        a, b = poles = tuple(map(float, params))
-        if not a > b > 0:
-            raise InvalidParameters("need a > b > 0")
+        a, b = poles
         # both rows (t, 1) / 4(a-t)(t-b)
         rows = [(np.eye(2), -4.0 * np.poly([a, b]))] * 2
         m = 0.02 * (a - b)
         box = [(b + m, a - m), (b - (a - b), b - m)]
-    elif name in ("ellipsoidal_R3", "spheroconical_R3", "ellipsoid_intrinsic",
-                  "sphere_conical"):
-        a, b, c = poles = tuple(map(float, params))
-        if not a > b > c > 0:
-            raise InvalidParameters("need a > b > c > 0")
+    else:
+        a, b, c = poles
         hpoly = -4.0 * np.poly([a, b, c])   # 4(a-t)(b-t)(c-t)
         m1, m2 = 0.02 * (a - b), 0.02 * (b - c)
         box = [(b + m1, a - m1), (c + m2, b - m2)]
@@ -632,8 +664,6 @@ def builtin_metric(name: str, params) -> StaeckelMetric:
         else:
             # sphere_conical: both rows (t, 1) / h
             rows = [(np.eye(2), hpoly)] * 2
-    else:
-        raise InvalidParameters(f"unknown builtin metric {name!r}")
 
     def root(q):
         return np.sqrt(jacobi_squares(poles, q))

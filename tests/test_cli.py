@@ -289,6 +289,18 @@ def test_geodesic_and_staeckel_commands(tmp_path):
                  "--out", str(tmp_path / "ob")]) == 0
 
 
+@pytest.mark.parametrize("metric", [{"name": "elliptic_R2", "params": [4, 2, 1]},
+                                    {"name": "ellipsoidal_R3", "params": [4, 2]}])
+def test_builtin_metric_with_wrong_params_exits_3(tmp_path, capsys, metric):
+    # the schema does not fix the number of params per metric name; the
+    # typed InvalidParameters exits 3, where tuple unpacking raised a bare
+    # ValueError and exited 1, the "checks failed" code
+    geo = {"metric": metric, "corner0": [2.2, 0.4], "corner1": [2.9, 0.8]}
+    assert main(["geodesic", "--config", _write(tmp_path, "g.json", geo),
+                 "--out", str(tmp_path / "og")]) == 3
+    assert "InvalidParameters" in capsys.readouterr().err
+
+
 def test_potential_scan_command(tmp_path):
     cfg = {"geometry": "spherical", "dim": 3,
            "radii": {"start": 0.3, "stop": 1.2, "count": 10}}

@@ -455,18 +455,20 @@ def test_poisson_bracket_fd():
 
 
 def test_stacked_calls_match_single_points():
-    """matrix, metric_coeffs, integrals_alpha, hamiltonian and the momentum
-    on a stack of points agree with the calls point by point."""
+    """matrix, _inverse and metric_coeffs at one point are bitwise the
+    stacked calls (one point takes the stacked steps on Python floats);
+    integrals_alpha, hamiltonian and the momentum agree with them."""
     rng = np.random.default_rng(30)
-    for name in ALL_NAMES:
-        m = _metric(name)
+    for m in ORACLE_METRICS:
         q = np.array([_random_q(m, rng) for _ in range(40)]).reshape(4, 10, m.n)
         p = rng.normal(size=q.shape)
         sep = SeparationData(m, integrals_alpha(m, q[0, 0], p[0, 0]), np.sign(p[0, 0]))
-        for fn, stacked in ((m.matrix, m.matrix(q)),
+        M = m.matrix(q)
+        for fn, stacked in ((m.matrix, M),
+                            (lambda x: _inverse(m.matrix(x), x), _inverse(M, q)),
                             (lambda x: metric_coeffs(m, x), metric_coeffs(m, q))):
             single = np.array([fn(x) for x in q.reshape(-1, m.n)])
-            assert np.allclose(stacked.reshape(single.shape), single, rtol=1e-14, atol=0.0)
+            assert np.array_equal(stacked.reshape(single.shape), single)
         # p_i^2 = h_i sums terms that cancel: compare the squares, absolutely
         single = np.array([sep.momentum(x) for x in q.reshape(-1, m.n)])
         assert np.allclose(sep.momentum(q).reshape(single.shape) ** 2, single ** 2,
@@ -483,6 +485,49 @@ def test_stacked_calls_match_single_points():
     q = np.array([[0.2, 0.7], [0.5, 0.5], [0.9, 0.1]])
     with pytest.raises(SingularStaeckelMatrix, match=r"\[0\.5 0\.5\]"):
         integrals_alpha(m, q, np.ones_like(q))
+    with pytest.raises(SingularStaeckelMatrix, match=r"\[0\.5 0\.5\]"):
+        integrals_alpha(m, q[1], np.ones(2))
+
+
+@pytest.mark.parametrize("gap, refused", [(0.0, True), (2.2e-16, True), (1e-15, False)])
+def test_point_and_stack_refuse_alike(gap, refused):
+    # on M = [[q_0, 1], [q_1, 1]] near q = (0.5, 0.5) the scaled 1-norm
+    # condition number is about 2 / (q_1 - q_0): 9e15, then 2e15, on either
+    # side of 1/eps = 4.5e15
+    row = ([[1.0, 0.0], [1.0]], [1.0])
+    m = StaeckelMetric(2, [row, row], [(0.0, 1.0), (0.0, 1.0)])
+    q = np.array([0.5, 0.5 + gap])
+    for x in (q, q[None], np.array([[0.2, 0.7], q])):
+        if refused:
+            with pytest.raises(SingularStaeckelMatrix, match=r"\[0\.5 0\.5"):
+                metric_coeffs(m, x)
+        else:
+            assert np.array_equal(metric_coeffs(m, x).reshape(-1, 2)[-1], metric_coeffs(m, q))
+
+
+def test_point_at_a_pole_takes_the_stacked_code():
+    # den_0 vanishes at q_0 = a: the point's entries are the stacked +/-inf
+    # (numpy warns of the division by zero on both paths, as before)
+    m = _metric("elliptic_R2")
+    q = np.array([4.0, 0.5])
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        single, stacked = m.matrix(q), m.matrix(q[None])[0]
+    assert np.isinf(single[0]).all() and np.array_equal(single, stacked)
+    with pytest.raises(SingularStaeckelMatrix), pytest.warns(RuntimeWarning):
+        metric_coeffs(m, q)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_coordinates_are_refused(bad):
+    # refused with the typed error on both paths, with no RuntimeWarning
+    # (warnings are errors in this suite)
+    m = _metric("ellipsoidal_R3")
+    q = np.array([2.5, bad, 0.5])
+    for x in (q, np.array([[2.5, 1.5, 0.5], q])):
+        with pytest.raises(SingularStaeckelMatrix):
+            metric_coeffs(m, x)
+        with pytest.raises(SingularStaeckelMatrix):
+            integrals_alpha(m, x, np.ones_like(x))
 
 
 def test_billiard_alpha_conservation():
@@ -795,6 +840,13 @@ def test_builtin_validation():
         builtin_metric("ellipsoidal_R3", (4.0, 1.0, 2.0))
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_builtin_wrong_number_of_params(name):
+    params, k = ((4.0, 2.0, 1.0), 2) if name == "elliptic_R2" else ((4.0, 2.0), 3)
+    with pytest.raises(InvalidParameters, match=f"{name} takes {k} params, got {len(params)}"):
+        builtin_metric(name, params)
+
+
 # ---------------------------------------------------------------------------
 # oracle: the cofactor formulas, g_i = (-1)^i det M / det M_i0 and dH/dq from
 # the derivative of det M row by row, which the module used before it went
@@ -883,3 +935,15 @@ def test_inverse_identities_near_walls(k, frac, p):
     m = ORACLE_METRICS[k]
     q = np.array([lo + f * (hi - lo) for (lo, hi), f in zip(m.box, frac)])
     _assert_matches_cofactors(m, q, np.array(p[:m.n]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(k=st.integers(0, len(ORACLE_METRICS) - 1),
+       frac=st.lists(_fraction, min_size=3, max_size=3))
+def test_point_path_is_bitwise_the_stacked_one_near_walls(k, frac):
+    m = ORACLE_METRICS[k]
+    q = np.array([lo + f * (hi - lo) for (lo, hi), f in zip(m.box, frac)])
+    M = m.matrix(q)
+    assert np.array_equal(M, m.matrix(q[None])[0])
+    assert np.array_equal(_inverse(M, q), _inverse(M[None], q[None])[0])
+    assert np.array_equal(metric_coeffs(m, q), metric_coeffs(m, q[None])[0])
