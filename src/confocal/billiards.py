@@ -811,11 +811,11 @@ def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
     offsets = np.array([ln.p for ln in sides])
 
     # every pair of sides meets where its stacked 2x2 system says, but for
-    # the parallel pairs that _line_intersection refuses
+    # opposite sides of an even polygon, parallel by its central symmetry
     i, j = np.triu_indices(q, 1)
+    meets = 2 * (j - i) != q
+    i, j = i[meets], j[meets]
     system = np.stack([normals[i], normals[j]], axis=1)
-    meets = np.abs(np.linalg.det(system)) >= 1e-12
-    i, j, system = i[meets], j[meets], system[meets]
     pts = np.linalg.solve(system, np.stack([offsets[i], offsets[j]], axis=1)[..., None])[..., 0]
     points = dict(zip(zip(i.tolist(), j.tolist()), pts))
 
@@ -834,14 +834,19 @@ def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
                          float(np.ptp([_hyperbola_class(family, lam) for lam in on])))
 
     # each grid cell is bounded by lines i, i+1, j, j+1 and is circumscribed
-    # about a circle: per cell the smallest residual over the sign patterns
-    cells = [(i, (i + 1) % q, j, (j + 1) % q) for i in range(q) for j in range(i + 1, q)]
+    # about a circle: per cell the smallest residual over the sign patterns.
+    # A cell with j - i = q/2 has two pairs of parallel sides and two
+    # corners at infinity; its 4-line system has rank 2, so it is skipped
+    cells = [(i, (i + 1) % q, j, (j + 1) % q) for i in range(q) for j in range(i + 1, q)
+             if 2 * (j - i) != q]
+    skipped = q * (q - 1) // 2 - len(cells)
     cells = np.array([c for c in cells if len(set(c)) == 4], dtype=int).reshape(-1, 4)
     quad_residuals = _incircle_residuals(normals[cells], offsets[cells]).min(axis=1).tolist()
 
     return {"lam_c": lam_c, "vertices": verts, "closure_gap": gap,
             "points": points, "concentric_spread": conc_spread,
-            "radial_spread": rad_spread, "quad_residuals": quad_residuals}
+            "radial_spread": rad_spread, "quad_residuals": quad_residuals,
+            "skipped_cells": skipped}
 
 
 # ---------------------------------------------------------------------------

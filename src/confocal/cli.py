@@ -1,12 +1,12 @@
-"""Command-line front end: declarative JSON experiment configs, seeded
-reproducible runs, CSV/JSON tables, SVG figures, and a machine-readable
+"""Command-line front end: declarative JSON experiment configs,
+deterministic runs, CSV/JSON tables, SVG figures, and a machine-readable
 report per run.
 
 Every run reads one JSON config, executes one subcommand, writes its
 artifacts into the output directory, and exits 0 iff every check passed.
-Outputs are deterministic for a fixed config and seed; wall-clock timings
-go to a separate ``timings.json`` so the primary artifacts stay
-byte-identical across runs.
+Outputs are deterministic for a fixed config; wall-clock timings go to a
+separate ``timings.json`` so the primary artifacts stay byte-identical
+across runs.
 
 A run loads numpy and the one layer its subcommand needs: the layer is
 imported when the subcommand runs, and configs are validated here without
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConfocalError
+from .errors import ConfigError, ConfocalError, RuleUnresolved
 from .geometry import euclidean, hyperbolic, spherical
 
 # ---------------------------------------------------------------------------
@@ -107,17 +107,16 @@ SCHEMAS = {
     "arnold-check": _schema(
         {"coeffs": {"type": "array", "items": _VEC, "minItems": 1},
          "eps": {"type": "number", "exclusiveMinimum": 0.0},
-         "point": _PAIR, "N": _POSINT, "box": {"type": "array", "items": _NUM,
-                                               "minItems": 4, "maxItems": 4}},
+         "point": _PAIR, "N": _POSINT},
         ["coeffs", "eps", "point", "N"]),
 }
 
-STOCHASTIC = {"newton-check", "arnold-check"}
+STOCHASTIC = frozenset()  # no subcommand draws random numbers; kept for importers
 _DEFAULT_TOL = {
     "ivory-check": 1e-9, "billiard-orbit": 1e-8, "poncelet-grid": 1e-8,
     "inscribed-circles": 1e-9, "geodesic": 1e-9, "staeckel-ivory": 1e-8,
     "staeckel-billiard": 1e-9, "potential-scan": 1e-8,
-    "newton-check": 1e-2, "arnold-check": 1e-2,
+    "newton-check": 1e-10, "arnold-check": 1e-10,
 }
 
 
@@ -182,7 +181,7 @@ def _first_violation(schema, cfg):
     return None if best is None else best[1]
 
 
-def load_config(command: str, path, seed=None, tolerance=None) -> dict:
+def load_config(command: str, path, tolerance=None) -> dict:
     """Read, schema-validate, and normalize a run config."""
     try:
         with open(path) as fh:
@@ -191,8 +190,6 @@ def load_config(command: str, path, seed=None, tolerance=None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
-    if seed is not None:
-        cfg["seed"] = seed
     if tolerance is not None:
         cfg["tolerance"] = tolerance
     # the schemas are fixed, so they are checked against the metaschema by
@@ -200,8 +197,9 @@ def load_config(command: str, path, seed=None, tolerance=None) -> dict:
     message = _first_violation(SCHEMAS[command], cfg)
     if message is not None:
         raise ConfigError(f"config rejected: {message}")
-    if command in STOCHASTIC and "seed" not in cfg:
-        raise ConfigError(f"{command} is stochastic: a seed is required")
+    # a seed, in the config or by --seed, is still accepted; no run draws
+    # random numbers, so it is dropped and leaves no trace in the outputs
+    cfg.pop("seed", None)
     cfg.setdefault("tolerance", _DEFAULT_TOL[command])
     return cfg
 
@@ -233,17 +231,21 @@ def _check(name: str, value: float, tol: float) -> dict:
             "passed": bool(value < tol)}
 
 
-def _stat_check(name: str, value: float, stderr: float, nsigma=3.0) -> dict:
-    return {"name": name, "value": float(value),
-            "tolerance": float(nsigma * stderr),
-            "passed": bool(value < nsigma * stderr)}
+def _relative_norm(out: dict, tol: float) -> float:
+    """The field norm relative to the integral of |integrand|; RuleUnresolved
+    if the error estimate |F_m - F_2m|, relative alike, exceeds tol."""
+    err = out["error"] / out["abs_integral"]
+    if not err <= tol:
+        raise RuleUnresolved(f"error estimate {err:.3e} exceeds the tolerance "
+                             f"{tol:.3e}; raise N (now {out['N']})")
+    return out["norm"] / out["abs_integral"]
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: each returns (checks, tables, scenes)
 
 
-def _run_ivory_check(cfg, rng):
+def _run_ivory_check(cfg):
     from .billiards import ivory_quadrilateral
     from .quadrics import ConfocalFamily
     from .svgout import Scene, palette
@@ -272,7 +274,7 @@ def _run_ivory_check(cfg, rng):
     return checks, tables, {"quadrilateral": scene}
 
 
-def _run_billiard_orbit(cfg, rng):
+def _run_billiard_orbit(cfg):
     from .billiards import CausticChart, caustic_of_line, reflect
     from .quadrics import ConfocalFamily
     from .svgout import Scene, palette
@@ -301,7 +303,7 @@ def _run_billiard_orbit(cfg, rng):
     return checks, tables, {"orbit": scene}
 
 
-def _run_poncelet_grid(cfg, rng):
+def _run_poncelet_grid(cfg):
     from .billiards import poncelet_grid
     from .quadrics import ConfocalFamily
     from .svgout import Scene, palette
@@ -334,7 +336,7 @@ def _run_poncelet_grid(cfg, rng):
     return checks, tables, {"grid": scene}
 
 
-def _run_inscribed_circles(cfg, rng):
+def _run_inscribed_circles(cfg):
     from .billiards import circumscribed_check
     from .quadrics import ConfocalFamily
     from .svgout import Scene, palette
@@ -367,7 +369,7 @@ def _run_inscribed_circles(cfg, rng):
     return checks, tables, {"incircle": scene}
 
 
-def _run_geodesic(cfg, rng):
+def _run_geodesic(cfg):
     from .staeckel import builtin_metric, geodesic_between
 
     metric = builtin_metric(cfg["metric"]["name"], cfg["metric"]["params"])
@@ -380,7 +382,7 @@ def _run_geodesic(cfg, rng):
     return checks, {"geodesic": (header, rows)}, {}
 
 
-def _run_staeckel_ivory(cfg, rng):
+def _run_staeckel_ivory(cfg):
     from .staeckel import builtin_metric, ivory_check
 
     metric = builtin_metric(cfg["metric"]["name"], cfg["metric"]["params"])
@@ -394,7 +396,7 @@ def _run_staeckel_ivory(cfg, rng):
     return checks, {"diagonals": (["diagonal", "length"], rows)}, {}
 
 
-def _run_staeckel_billiard(cfg, rng):
+def _run_staeckel_billiard(cfg):
     from .staeckel import builtin_metric, staeckel_billiard_trajectory
     from .svgout import Scene, palette
 
@@ -424,7 +426,7 @@ def _run_staeckel_billiard(cfg, rng):
     return checks, tables, scenes
 
 
-def _run_potential_scan(cfg, rng):
+def _run_potential_scan(cfg):
     from .potentials import antisymmetry_check, point_potential, point_potential_derivative
 
     geom = (spherical if cfg["geometry"] == "spherical" else hyperbolic)(cfg["dim"])
@@ -455,49 +457,45 @@ def _build_surface(scfg):
         if "dim" not in scfg or "radius" not in scfg:
             raise ConfigError("sphere surfaces need dim and radius")
         geom = geom_fn(scfg["dim"])
-        center = np.zeros(geom.n + 1)
-        center[0] = 1.0
-        return GeodesicSphere(geom, center, scfg["radius"])
+        return GeodesicSphere(geom, np.eye(geom.n + 1)[0], scfg["radius"])
     if "a" not in scfg or "b" not in scfg:
         raise ConfigError("ellipsoid surfaces need a and b")
     return CurvedEllipsoid(geom_fn(len(scfg["a"])), tuple(scfg["a"]),
                            scfg["b"])
 
 
-def _run_newton_check(cfg, rng):
+def _run_newton_check(cfg):
     from .potentials import GeodesicSphere, field_at
 
     surface = _build_surface(cfg["surface"])
     tol = cfg["tolerance"]
     x = np.asarray(cfg["point"], dtype=float)
-    out = field_at(surface, x, cfg["N"], rng)
-    rows = [[out["norm"], out["norm_stderr"], out["N"]]]
-    tables = {"field": (["field_norm", "stderr", "N"], rows)}
+    out = field_at(surface, x, cfg["N"])
+    rel_norm = _relative_norm(out, tol)
+    tables = {"field": (["field_norm", "error_estimate", "N"],
+                        [[out["norm"], out["error"], out["N"]]])}
     if cfg["expect"] == "zero":
-        checks = [_stat_check("field_norm_zero", out["norm"], out["norm_stderr"])]
-        return checks, tables, {}
+        return [_check("field_norm_zero", rel_norm, tol)], tables, {}
     if not (isinstance(surface, GeodesicSphere) and surface.geometry == hyperbolic(3)):
         raise ConfigError("point_mass oracle requires a hyperbolic sphere in "
                           "three dimensions")
     # distance to the center (the pole): cosh D = -<x, c>_M = x0
     D = float(np.arccosh(max(x[0], 1.0)))
     oracle = 1.0 / np.sinh(D) ** 2
-    rel = abs(out["norm"] - oracle) / oracle
-    checks = [_check("point_mass_relative_error", rel, tol)]
-    return checks, tables, {}
+    return [_check("point_mass_relative_error", abs(out["norm"] - oracle) / oracle,
+                   tol)], tables, {}
 
 
-def _run_arnold_check(cfg, rng):
+def _run_arnold_check(cfg):
     from .potentials import HyperbolicSurface, arnold_field_check
 
-    coeffs = np.array(cfg["coeffs"], dtype=float)
-    surf = HyperbolicSurface(coeffs, euclidean(2))
-    box = tuple(cfg["box"]) if "box" in cfg else None
-    out = arnold_field_check(surf, cfg["eps"], tuple(cfg["point"]), cfg["N"],
-                             rng, box=box)
-    checks = [_stat_check("layer_field_zero", out["norm"], out["norm_stderr"])]
-    rows = [[out["norm"], out["norm_stderr"], out["N"]]]
-    return checks, {"field": (["field_norm", "stderr", "N"], rows)}, {}
+    surf = HyperbolicSurface(np.array(cfg["coeffs"], dtype=float), euclidean(2))
+    tol = cfg["tolerance"]
+    out = arnold_field_check(surf, cfg["eps"], tuple(cfg["point"]), cfg["N"])
+    checks = [_check("layer_field_zero", _relative_norm(out, tol), tol)]
+    rows = [[out["norm"], out["error"], out["N"], out["margin"]]]
+    return checks, {"field": (["field_norm", "error_estimate", "N",
+                               "hyperbolicity_margin"], rows)}, {}
 
 
 # each subcommand's runner, and the layers it runs on; run() imports them
@@ -525,13 +523,12 @@ def run(command: str, cfg: dict, outdir) -> dict:
     """Execute one subcommand and write all artifacts; returns the report."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg["seed"]) if "seed" in cfg else None
     timings = {}
     runner, layers = _RUNNERS[command]
     for layer in layers:
         import_module(f".{layer}", __package__)
     t0 = time.perf_counter()
-    checks, tables, scenes = runner(cfg, rng)
+    checks, tables, scenes = runner(cfg)
     timings["compute_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -578,14 +575,13 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(SCHEMAS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, help="accepted; no run draws random numbers")
     parser.add_argument("--tolerance", type=float, default=None)
     parser.add_argument("--format", choices=["csv", "json"], default=None)
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.command, args.config, seed=args.seed,
-                          tolerance=args.tolerance)
+        cfg = load_config(args.command, args.config, tolerance=args.tolerance)
         if args.format is not None:
             cfg["format"] = args.format
         report = run(args.command, cfg, args.out)

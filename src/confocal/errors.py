@@ -82,6 +82,10 @@ class ConeConditionViolated(ConfocalError):
     """Light cones not nested; simultaneous diagonalization impossible."""
 
 
+class RuleUnresolved(ConfocalError):
+    """A cubature's error estimate |F_m - F_2m| exceeds the tolerance."""
+
+
 class ComplexRoots(ConfocalError):
     """A polynomial expected to be real-rooted has complex roots."""
 

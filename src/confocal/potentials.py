@@ -9,6 +9,12 @@ ellipsoids as equipotential surfaces; the proof mechanism is the diagonal
 confocal map f_lambda.  The same cancellation generalizes to hyperbolic
 algebraic surfaces of degree d charged as standard layers (Arnold's theorem),
 which reduces to root-sum identities via Vieta's formula.
+
+Every integral is a deterministic rule: over the direction sphere for a
+charged surface, over a sweep of equally spaced lines through the point for
+a layer.  The integrands are analytic there while the point keeps clear of
+the charge, so the rules converge exponentially, and each result carries
+the estimate |F_m - F_2m| of its error in place of a standard error.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 from .errors import (
     ComplexRoots,
     ConeConditionViolated,
+    DegenerateConfiguration,
     DomainError,
     InvalidParameters,
     NotInHyperbolicityDomain,
@@ -154,9 +161,6 @@ class CurvedEllipsoid:
         x = np.asarray(x, dtype=float)
         return (x * x) @ self._coeffs(lam)
 
-    def form(self, lam: float = 0.0) -> QuadraticForm:
-        return QuadraticForm(np.diag(self._coeffs(lam)))
-
     def grad_q(self, x, lam: float = 0.0) -> np.ndarray:
         """Gradient of q_lambda; in the hyperbolic case the Minkowski
         gradient (first component negated)."""
@@ -241,7 +245,7 @@ def chord_segments(geometry: Geometry, x, v, homeoid: Homeoid):
     """
     e1, e2 = _geodesic_basis(geometry, x, v)
     E = np.stack([e1, e2])
-    (A, B), (_, C) = E @ homeoid.ellipsoid.form().matrix @ E.T
+    (A, B), (_, C) = (E * homeoid.ellipsoid._coeffs(0.0)) @ E.T
     levels = np.array([homeoid.eps1, homeoid.eps2])
     if geometry.kind is Kind.SPHERICAL:
         # q = mid + R cos(2t - t0): two components when both levels lie
@@ -271,7 +275,25 @@ def chord_segments(geometry: Geometry, x, v, homeoid: Homeoid):
 
 
 # ---------------------------------------------------------------------------
-# surface samplers and Monte-Carlo potentials
+# direction rules and potentials by cubature
+
+
+def direction_rule(n: int, m: int):
+    """Nodes (unit rows) and weights of a rule of about m nodes on S^{n-1}:
+    the trapezoid rule on S^1; on S^2 Gauss-Legendre in w_3 times the
+    trapezoid rule in the angle of (w_1, w_2).  Both converge exponentially
+    for an integrand analytic on the sphere."""
+    if n == 2:
+        phi = 2.0 * np.pi * np.arange(m) / m
+        return np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(m, 2.0 * np.pi / m)
+    if n == 3:
+        k = max(1, int(np.ceil(np.sqrt(m / 2.0))))
+        z, wz = np.polynomial.legendre.leggauss(k)
+        z, phi = np.meshgrid(z, np.pi * np.arange(2 * k) / k, indexing="ij")
+        s = np.sqrt(1.0 - z * z)
+        ws = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+        return ws.reshape(-1, 3), np.repeat(wz * (np.pi / k), 2 * k)
+    raise InvalidParameters("direction rules implemented for n = 2, 3")
 
 
 def _tangent_frame(ws: np.ndarray) -> list:
@@ -289,16 +311,16 @@ def _tangent_frame(ws: np.ndarray) -> list:
         e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
         e2 = np.cross(ws, e1)
         return np.stack([e1, e2], axis=1)
-    raise InvalidParameters("samplers implemented for n = 2, 3")
+    raise InvalidParameters("direction rules implemented for n = 2, 3")
 
 
-def sample_ellipsoid(ellipsoid: CurvedEllipsoid, N: int, rng):
-    """Radial-projection sampler: uniform directions on S^{n-1}, points of
-    the ellipsoid above them, and weights combining the exact area element
-    of the parametrization with the homeoidal density."""
+def sample_ellipsoid(ellipsoid: CurvedEllipsoid, ws):
+    """Radial projection of directions ws (rows of R^n) onto the ellipsoid:
+    the points above them, and weights combining the exact area element of
+    the parametrization with the homeoidal density."""
     a, b, kappa = np.asarray(ellipsoid.a), ellipsoid.b, ellipsoid.geometry.kappa
-    ws = rng.normal(size=(N, ellipsoid.n))
-    ws /= np.linalg.norm(ws, axis=1, keepdims=True)
+    ws = np.asarray(ws, dtype=float)
+    ws = ws / np.linalg.norm(ws, axis=1, keepdims=True)
     pts = ellipsoid.point_from_direction(ws)
     # tangents of x(w) = (sqrt(bm) rho, rho w) along each frame vector e:
     # dm = 2 sum w_i e_i / a_i, and rho^-2 = kappa + bm gives
@@ -306,11 +328,11 @@ def sample_ellipsoid(ellipsoid: CurvedEllipsoid, N: int, rng):
     frames = _tangent_frame(ws)
     bm = b * np.sum(ws * ws / a, axis=1)
     rho = 1.0 / np.sqrt(kappa + bm)
-    drho = -b * np.einsum("ni,nki->nk", ws / a, frames) * rho[:, None] ** 3
+    drho = -b * np.sum((ws / a)[:, None, :] * frames, axis=2) * rho[:, None] ** 3
     tangents = np.concatenate(
         [(-kappa * drho / np.sqrt(bm)[:, None])[..., None],
          drho[..., None] * ws[:, None, :] + rho[:, None, None] * frames], axis=2)
-    grams = np.einsum("nki,nli->nkl", tangents * ellipsoid.geometry.eta, tangents)
+    grams = np.sum((tangents * ellipsoid.geometry.eta)[:, :, None] * tangents[:, None], axis=3)
     areas = np.sqrt(np.maximum(np.linalg.det(grams), 0.0))
     return pts, areas / ellipsoid.grad_norm(pts)
 
@@ -323,12 +345,13 @@ class GeodesicSphere:
     center: np.ndarray
     radius: float
 
-    def sample(self, N: int, rng):
+    def sample(self, ws):
+        """The shell's points in the unit directions ws (rows of R^n, taken
+        in the tangent frame at the center), with equal weights."""
         geo, c = self.geometry, np.asarray(self.center, dtype=float)
-        ws = _project(geo, rng.normal(size=(N, geo.ambient_dim)), c)
-        ws /= np.sqrt(geo.dot(ws, ws))[:, None]
+        ws = np.asarray(ws, dtype=float) @ _tangent_basis(geo, c)
         sin, cos = geo.trig
-        return cos(self.radius) * c + sin(self.radius) * ws, np.ones(N)
+        return cos(self.radius) * c + sin(self.radius) * ws, np.ones(len(ws))
 
 
 def _unit_tangent_toward(geometry: Geometry, x, ys, rs):
@@ -336,19 +359,6 @@ def _unit_tangent_toward(geometry: Geometry, x, ys, rs):
     distances rs: y = cos(r) x + sin(r) t."""
     sin, cos = geometry.trig
     return (ys - cos(rs)[:, None] * x) / sin(rs)[:, None]
-
-
-def surface_potential(surface, x, N: int, rng) -> dict:
-    """Monte-Carlo potential of a unit charge spread over the surface
-    (curved ellipsoid with homeoidal density, or a round geodesic sphere
-    with uniform density).  Returns the estimate with its standard error."""
-    geometry, pts, weights, rs = _sample_surface(surface, x, N, rng)
-    us = point_potential(geometry, rs)
-    wbar = np.mean(weights)
-    value = float(np.mean(us * weights) / wbar)
-    resid = (us - value) * weights / wbar
-    stderr = float(np.std(resid) / np.sqrt(N))
-    return {"value": value, "stderr": stderr, "N": N}
 
 
 def _tangent_basis(geometry: Geometry, x) -> np.ndarray:
@@ -368,31 +378,55 @@ def _tangent_basis(geometry: Geometry, x) -> np.ndarray:
     return np.array(basis)
 
 
-def field_at(surface, x, N: int, rng) -> dict:
-    """Monte-Carlo force field of the charged surface at x (differentiated
-    integrand), expressed in an orthonormal tangent frame at x, with
-    per-component standard errors."""
-    geometry, pts, weights, rs = _sample_surface(surface, x, N, rng)
-    x = np.asarray(x, dtype=float)
-    du = point_potential_derivative(geometry, rs)
-    T = _unit_tangent_toward(geometry, x, pts, rs)
+def _cubature(surface, x, m: int, integrand) -> dict:
+    """Mean of integrand(points, distances) over the surface's unit charge
+    by the direction rule of size m, the mean of its norm, and the error
+    estimate |F_m - F_2m|."""
+    means = []
+    for size in (m, 2 * m):
+        pts, weights, rs = _surface_nodes(surface, x, size)
+        f, w = integrand(pts, rs), weights / np.sum(weights)
+        means.append((w @ f, w @ np.linalg.norm(f.reshape(len(f), -1), axis=1)))
+    (value, abs_integral), (fine, _) = means
+    return {"value": value, "abs_integral": float(abs_integral),
+            "error": float(np.linalg.norm(value - fine)), "N": m}
+
+
+def surface_potential(surface, x, m: int) -> dict:
+    """Potential at x of a unit charge spread over the surface (curved
+    ellipsoid with homeoidal density, or a round geodesic sphere with
+    uniform density), by the direction rule of size m, with the integral of
+    |integrand| and the error estimate |F_m - F_2m|."""
+    out = _cubature(surface, x, m, lambda pts, rs: point_potential(surface.geometry, rs))
+    return dict(out, value=float(out["value"]))
+
+
+def field_at(surface, x, m: int) -> dict:
+    """Force field of the charged surface at x (differentiated integrand)
+    by the direction rule of size m, in an orthonormal tangent frame at x,
+    with the integral of |integrand| and the error estimate
+    |F_m - F_2m|."""
+    geometry, x = surface.geometry, np.asarray(x, dtype=float)
     basis = _tangent_basis(geometry, x)
-    coords = (T * geometry.eta) @ basis.T
-    wbar = np.mean(weights)
-    contrib = -du[:, None] * coords * weights[:, None] / wbar
-    fld = np.mean(contrib, axis=0)
-    stderr = np.std(contrib, axis=0) / np.sqrt(N)
-    return {"field": fld, "stderr": stderr, "frame": basis,
-            "norm": float(np.linalg.norm(fld)),
-            "norm_stderr": float(np.linalg.norm(stderr)), "N": N}
+
+    def integrand(pts, rs):
+        T = _unit_tangent_toward(geometry, x, pts, rs)
+        return -point_potential_derivative(geometry, rs)[:, None] * (T * geometry.eta) @ basis.T
+
+    out = _cubature(surface, x, m, integrand)
+    fld = out.pop("value")
+    return dict(out, field=fld, frame=basis, norm=float(np.linalg.norm(fld)))
 
 
 def _surface_clearance(surface, x) -> float:
     """Deterministic first-order estimate of the geodesic distance from x
-    to the surface."""
+    to the surface: |q| over the norm of q's gradient along the model,
+    which is spacelike also where the ambient gradient of H^n is not."""
     x = np.asarray(x, dtype=float)
     if isinstance(surface, CurvedEllipsoid):
-        g = surface.grad_norm(x)
+        geo = surface.geometry
+        g = _project(geo, surface.grad_q(x), x)
+        g = np.sqrt(max(geo.dot(g, g), 0.0))
         return abs(surface.q(x)) / g if g > 0 else np.inf
     if isinstance(surface, GeodesicSphere):
         return abs(geodesic_distance(surface.geometry, x, surface.center)
@@ -400,21 +434,24 @@ def _surface_clearance(surface, x) -> float:
     return np.inf
 
 
-def _sample_surface(surface, x, N, rng):
-    """Samples of the surface, their weights and their geodesic distances
-    from x, refusing an x within 1e-3 of the surface or of a sample."""
+def _surface_nodes(surface, x, m):
+    """The surface's points over the direction rule of size m, their
+    weights (rule weight times area element and density) and their
+    geodesic distances from x, refusing an x within 1e-3 of the surface or
+    of a node."""
     if _surface_clearance(surface, x) < 1e-3:
         raise TooCloseToSurface("evaluation point within 1e-3 of the surface")
+    ws, rule = direction_rule(surface.geometry.n, m)
     if isinstance(surface, CurvedEllipsoid):
-        pts, weights = sample_ellipsoid(surface, N, rng)
+        pts, weights = sample_ellipsoid(surface, ws)
     elif isinstance(surface, GeodesicSphere):
-        pts, weights = surface.sample(N, rng)
+        pts, weights = surface.sample(ws)
     else:
-        raise InvalidParameters(f"cannot sample surface of type {type(surface)!r}")
+        raise InvalidParameters(f"cannot integrate over a surface of type {type(surface)!r}")
     rs = geodesic_distance(surface.geometry, x, pts)
     if np.min(rs) < 1e-3:
         raise TooCloseToSurface(f"min distance {np.min(rs)}")
-    return surface.geometry, pts, weights, rs
+    return pts, rule * weights, rs
 
 
 # ---------------------------------------------------------------------------
@@ -465,150 +502,123 @@ class HyperbolicSurface:
         object.__setattr__(self, "coeffs", c)
         if self.degree < 2:
             raise InvalidParameters("need total degree >= 2")
-        if self.geometry.kind is not Kind.EUCLIDEAN:
-            for idx in zip(*np.nonzero(c)):
-                if sum(idx) != self.degree:
-                    raise InvalidParameters(
-                        "curved surfaces need a homogeneous polynomial")
+        if self.geometry.kind is not Kind.EUCLIDEAN and np.ptp(np.sum(np.nonzero(c), axis=0)):
+            raise InvalidParameters("curved surfaces need a homogeneous polynomial")
 
     @property
     def degree(self) -> int:
-        nz = np.nonzero(self.coeffs)
-        if len(nz[0]) == 0:
-            return 0
-        return int(max(sum(idx) for idx in zip(*nz)))
+        return int(max(np.sum(np.nonzero(self.coeffs), axis=0), default=0))
 
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        c = self.coeffs
-        if c.ndim == 2:
-            return float(np.polynomial.polynomial.polyval2d(x[0], x[1], c))
-        return float(np.polynomial.polynomial.polyval3d(x[0], x[1], x[2], c))
-
-    def gradient(self, x) -> np.ndarray:
-        c = self.coeffs
+    def __call__(self, x):
+        """p at the point x, or at each point (last axis) of a stack."""
+        x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
         P = np.polynomial.polynomial
-        x = np.asarray(x, dtype=float)
-        if c.ndim == 2:
-            return np.array([
-                float(P.polyval2d(x[0], x[1], P.polyder(c, axis=0))),
-                float(P.polyval2d(x[0], x[1], P.polyder(c, axis=1)))])
-        return np.array([
-            float(P.polyval3d(*x, P.polyder(c, axis=k))) for k in range(3)])
-
-    def shifted(self, eps: float) -> "HyperbolicSurface":
-        """p - eps (Euclidean only: the constant breaks homogeneity)."""
-        c = self.coeffs.copy()
-        c[(0,) * c.ndim] -= eps
-        return HyperbolicSurface(c, self.geometry)
+        v = (P.polyval2d if self.coeffs.ndim == 2 else P.polyval3d)(*x, self.coeffs)
+        return float(v) if v.ndim == 0 else v
 
 
-def _line_restriction(surface: HyperbolicSurface, x, v) -> np.ndarray:
-    """Coefficients (low -> high) of t |-> p(x + t v), exactly degree d."""
-    d = surface.degree
-    ts = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
-    vals = [surface(np.asarray(x) + t * np.asarray(v)) for t in ts]
-    V = np.vander(ts, d + 1, increasing=True)
-    return np.linalg.solve(V, np.array(vals))
+def _sweep(surface: HyperbolicSurface, x, theta) -> tuple:
+    """The lines (geodesics) through x at the angles theta from the first
+    axis (of the tangent frame at x), and the coefficients, low to high, of
+    p restricted to each: in t on x + t u in E^2, and in the chart
+    tan or tanh of the arc length on cos e1 + sin u, or cosh e1 + sinh u,
+    in S^2 and H^2.  All lines are fitted by one stacked solve at d + 1
+    nodes; the constant coefficient is p at x on every line."""
+    d, geo, x = surface.degree, surface.geometry, np.asarray(x, dtype=float)
+    if geo.kind is Kind.EUCLIDEAN:
+        base, frame = x, np.eye(2)
+        c, s = np.ones(d + 1), np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
+    else:
+        base, frame = x / np.sqrt(geo.kappa * geo.dot(x, x)), _tangent_basis(geo, x)
+        th = np.pi * (np.arange(d + 1) + 0.5) / (2.0 * (d + 1))
+        c, s = np.cos(th), np.sin(th)
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1) @ frame
+    vals = surface(c[:, None, None] * base + s[:, None, None] * dirs)
+    k = np.arange(d + 1)
+    return dirs, np.linalg.solve(c[:, None] ** (d - k) * s[:, None] ** k, vals).T
 
 
-def _plane_restriction(surface: HyperbolicSurface, e1, e2) -> np.ndarray:
-    """Binary-form coefficients b_k of p(c e1 + s e2) = sum b_k c^{d-k} s^k."""
-    d = surface.degree
-    th = np.pi * (np.arange(d + 1) + 0.5) / (2.0 * (d + 1))
-    A = np.array([[np.cos(t) ** (d - k) * np.sin(t) ** k for k in range(d + 1)]
-                  for t in th])
-    vals = [surface(np.cos(t) * np.asarray(e1) + np.sin(t) * np.asarray(e2))
-            for t in th]
-    return np.linalg.solve(A, np.array(vals))
+def _companion_roots(high) -> np.ndarray:
+    """Roots of each polynomial of a stack (coefficients high to low, the
+    leading one nonzero): the eigenvalues of the companion matrices that
+    np.roots builds, in one stacked call."""
+    high = np.asarray(high, dtype=float)
+    d = high.shape[-1] - 1
+    comp = np.zeros(high.shape[:-1] + (d, d))
+    comp[..., 1:, :-1] = np.eye(d - 1)
+    comp[..., 0, :] = -high[..., 1:] / high[..., :1]
+    return np.linalg.eigvals(comp)
 
 
-def count_projective_real_roots(coeffs_low_high: np.ndarray, d: int,
-                                tol: float = 1e-8):
-    """Real roots of a degree-d binary form given in an affine chart:
-    returns (number of distinct real projective roots, multiplicity at
-    infinity, finite real roots with multiplicity, sorted).  Leading
-    coefficients below tol times the largest are roots at infinity; a
-    companion-matrix root is real when its imaginary part is below tol
-    times the root scale, and two real roots are distinct when they differ
-    by more than that."""
-    c = np.asarray(coeffs_low_high, dtype=float)
-    if len(c) < d + 1:
-        c = np.concatenate([c, np.zeros(d + 1 - len(c))])
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        raise InvalidParameters("zero polynomial")
-    high = c[::-1]
-    k_inf = 0
-    while k_inf <= d and abs(high[k_inf]) < tol * scale:
-        k_inf += 1
-    finite = high[k_inf:]
-    if len(finite) <= 1:
-        return (1 if k_inf else 0), k_inf, np.array([])
-    roots = np.roots(finite)
-    rscale = max(1.0, np.max(np.abs(roots)))
-    real = roots[np.abs(roots.imag) < tol * rscale].real
-    n_real = len(np.unique(np.round(real / (tol * rscale)))) if len(real) else 0
-    return n_real + (1 if k_inf else 0), k_inf, np.sort(real)
+def _real_mask(roots, tol: float) -> np.ndarray:
+    """Roots whose imaginary part is below tol times their row's scale
+    max(1, |root|)."""
+    scale = np.maximum(1.0, np.max(np.abs(roots), axis=-1, keepdims=True))
+    return np.abs(roots.imag) < tol * scale
 
 
-def is_hyperbolic_at(surface: HyperbolicSurface, x, probes: int = 64,
-                     rng=None, strict: bool = True):
-    """Probabilistic hyperbolicity verdict: every probed line (geodesic)
-    through x must meet the projective closure of the surface in d real
-    points — distinct ones when strict.  Returns (verdict, witness
-    direction or None)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    d = surface.degree
-    x = np.asarray(x, dtype=float)
+def _distinct_real_count(roots, tol: float) -> np.ndarray:
+    """Per row of a stack of roots, the real ones (_real_mask), counted once
+    per run closer than tol times the row's scale max(1, |root|)."""
+    real = _real_mask(roots, tol)
+    scale = np.maximum(1.0, np.max(np.abs(roots), axis=-1))
+    # non-real roots sort last as nan, and nan gaps compare False
+    xs = np.sort(np.where(real, roots.real, np.nan), axis=-1)
+    close = np.diff(xs, axis=-1) <= tol * scale[..., None]
+    return np.sum(real, axis=-1) - np.sum(close, axis=-1)
+
+
+def _line_roots(surface: HyperbolicSurface, dirs, coeffs, strict: bool = True):
+    """Roots r = 1/t of swept lines, sorted, the direction of the first
+    line that fails or None, and the margin.  In r the leading coefficient
+    is p(x) on every line, and a root at infinity is r = 0.  A line passes
+    with d real roots, distinct ones when strict (else a double root may
+    split by ~sqrt(machine eps): the cut is 1e-7), and in H^2 on the
+    geodesic, |tanh t| < 1.  The margin is the least |g| / (eps sum |g_k|
+    |r|^k), g = r^d p(1/r), at midpoints of adjacent roots: near 1 or
+    below, rounding of the coefficients alone can change the verdict."""
+    roots = _companion_roots(coeffs)
+    d = coeffs.shape[-1] - 1
+    ok = (_distinct_real_count(roots, 1e-8) == d if strict
+          else np.all(_real_mask(roots, 1e-7), axis=-1))
+    roots = np.sort(roots.real, axis=-1)
+    if surface.geometry.kind is Kind.HYPERBOLIC:
+        ok &= np.all(np.abs(roots) > 1.0, axis=-1)
+    mids = 0.5 * (roots[..., 1:] + roots[..., :-1])
+    terms = coeffs[..., None, :] * mids[..., None] ** np.arange(d, -1, -1)
+    margin = float(np.min(np.abs(np.sum(terms, axis=-1))
+                          / (np.finfo(float).eps * np.sum(np.abs(terms), axis=-1))))
+    bad = np.flatnonzero(~ok.reshape(-1))
+    witness = None if bad.size == 0 else dirs[bad[0] % len(dirs)]
+    return roots, witness, margin
+
+
+def is_hyperbolic_at(surface: HyperbolicSurface, x, m: int = 64,
+                     strict: bool = True):
+    """Hyperbolicity verdict by a sweep: each of m equally spaced lines
+    (geodesics) through x, offset by half a step, must meet the projective
+    closure of the surface in d real points, distinct ones when strict.
+    Returns (verdict, witness direction or None, margin; see _line_roots)."""
     if abs(surface(x)) < 1e-12:
         raise InvalidParameters("base point lies on the surface")
-    for _ in range(probes):
-        if surface.geometry.kind is Kind.EUCLIDEAN:
-            v = rng.normal(size=x.size)
-            v /= np.linalg.norm(v)
-            coeffs = _line_restriction(surface, x, v)
-            # non-strict: real roots may coincide, and a double root splits
-            # by ~sqrt(machine eps) under rounding, so its cut is looser
-            n_proj, k_inf, roots = count_projective_real_roots(
-                coeffs, d, tol=1e-8 if strict else 1e-7)
-            if strict:
-                ok = (n_proj == d) and k_inf <= 1
-            else:
-                ok = len(roots) + k_inf == d
-            if not ok:
-                return False, v
-        else:
-            e1, v = _geodesic_basis(surface.geometry, x, rng.normal(size=x.size))
-            b = _plane_restriction(surface, e1, v)
-            n_proj, k_inf, roots = count_projective_real_roots(b, d)
-            ok = (n_proj == d) and k_inf <= 1
-            if ok and surface.geometry.kind is Kind.HYPERBOLIC:
-                # geodesic points are cosh(t) e1 + sinh(t) v: the chart
-                # coordinate s/c = tanh(t) must satisfy |s/c| < 1
-                ok = k_inf == 0 and np.all(np.abs(roots) < 1.0)
-            if not ok:
-                return False, v
-    return True, None
+    dirs, coeffs = _sweep(surface, x, np.pi * (np.arange(m) + 0.5) / m)
+    _, witness, margin = _line_roots(surface, dirs, coeffs, strict)
+    return witness is None, witness, margin
 
 
-def _real_roots(coeffs_low_high) -> np.ndarray:
-    """Roots of a polynomial that must have only real ones, sorted."""
-    c = np.asarray(coeffs_low_high, dtype=float)
-    _, k_inf, real = count_projective_real_roots(c, len(c) - 1)
-    if len(real) + k_inf < len(c) - 1:
-        raise ComplexRoots("polynomial has non-real roots")
-    return real
-
-
-def vieta_segment_sum(coeffs_low_high, eps: float) -> float:
+def vieta_segment_sum(coeffs_low_high, eps: float):
     """Sum of root displacements between p and p - eps; zero by Vieta
-    (both polynomials share all coefficients except the constant)."""
-    c = np.asarray(coeffs_low_high, dtype=float)
+    (both polynomials share all coefficients except the constant).  Takes
+    one polynomial, giving a float, or a stack, giving an array, with one
+    eps or one per polynomial."""
+    c = np.array(coeffs_low_high, dtype=float)
     ce = c.copy()
-    ce[0] -= eps
-    return float(np.sum(_real_roots(c)) - np.sum(_real_roots(ce)))
+    ce[..., 0] -= eps
+    roots = _companion_roots(np.stack([c, ce])[..., ::-1])
+    if not np.all(_real_mask(roots, 1e-8)):
+        raise ComplexRoots("polynomial has non-real roots")
+    total = np.sum(np.sort(roots.real, axis=-1), axis=-1)
+    return float(total[0] - total[1]) if total.ndim == 1 else total[0] - total[1]
 
 
 @lru_cache(maxsize=None)
@@ -627,8 +637,9 @@ def _half_angle_basis(d: int) -> np.ndarray:
 
 def _geodesic_roots(binary_coeffs, shift: float, geometry: Geometry) -> np.ndarray:
     """Arc-length parameters t of the d points where the binary form p of
-    degree d equals shift on a curved line: p(cos t, sin t) on the open half
-    circle t in (0, pi) of S^1, or p(e^t, e^-t) on the branch xy = 1 of H^1.
+    degree d (or each form of a stack) equals shift on a curved line:
+    p(cos t, sin t) on the open half circle t in (0, pi) of S^1, or
+    p(e^t, e^-t) on the branch xy = 1 of H^1.
 
     Both are the positive roots of one polynomial: on S^1 in u = tan(t/2),
     (1 + u^2)^d (p - shift) = sum_k b_k (1 - u^2)^(d-k) (2u)^k
@@ -636,90 +647,80 @@ def _geodesic_roots(binary_coeffs, shift: float, geometry: Geometry) -> np.ndarr
     even powers but the shift's X^d.
     """
     b = np.asarray(binary_coeffs, dtype=float)
-    d = len(b) - 1
-    form = np.zeros(2 * d + 1)
+    d = b.shape[-1] - 1
+    form = np.zeros(b.shape[:-1] + (2 * d + 1,))
     if geometry.kind is Kind.SPHERICAL:
         basis = _half_angle_basis(d)
         for k in range(d + 1):
-            form += b[k] * basis[k]
+            form += b[..., k, None] * basis[k]
         level, to_t = basis[d + 1], lambda u: 2.0 * np.arctan(u)
     elif geometry.kind is Kind.HYPERBOLIC:
-        form[::2] = b[::-1]
+        form[..., ::2] = b[..., ::-1]
         level, to_t = np.eye(2 * d + 1)[d], np.log
     else:
         raise InvalidParameters("curved segment sums need S^1 or H^1")
-    _, _, roots = count_projective_real_roots(form - shift * level, 2 * d)
-    roots = roots[roots > 0]
-    if len(roots) != d:
-        raise ComplexRoots(f"expected {d} roots on the line, got {len(roots)}")
-    return to_t(roots)
+    roots = _companion_roots((form - shift * level)[..., ::-1])
+    positive = _real_mask(roots, 1e-8) & (roots.real > 0)
+    counts = np.sum(positive, axis=-1)
+    if np.any(counts != d):
+        raise ComplexRoots(f"expected {d} roots on the line, got {np.min(counts)}")
+    return to_t(np.sort(np.where(positive, roots.real, np.inf), axis=-1)[..., :d])
 
 
-def curved_segment_sum(binary_coeffs, eps: float, geometry: Geometry) -> float:
+def curved_segment_sum(binary_coeffs, eps: float, geometry: Geometry):
     """Root-displacement sum for a degree-d binary form restricted to a
     curved geodesic (upper half-circle of S^1, or a branch of H^1 in the
-    chart xy = 1 with arc length t = log x).
+    chart xy = 1 with arc length t = log x).  Takes one form, giving a
+    float, or a stack, giving an array.
 
     Even d: sum(t_i - t_i^eps).  Odd d (spherical only): the symmetrized
     sum(t_i - (t_i^eps + t_i^{-eps})/2).
     """
-    d = len(binary_coeffs) - 1
+    d = np.shape(binary_coeffs)[-1] - 1
     if geometry.kind is Kind.HYPERBOLIC and d % 2 == 1:
         raise OddDegreeHyperbolic("no hyperbolic surfaces of odd degree")
 
     def total(shift):
-        return np.sum(_geodesic_roots(binary_coeffs, shift, geometry))
+        return np.sum(_geodesic_roots(binary_coeffs, shift, geometry), axis=-1)
 
     if d % 2 == 0:
-        return float(total(0.0) - total(eps))
-    return float(total(0.0) - 0.5 * (total(eps) + total(-eps)))
+        out = total(0.0) - total(eps)
+    else:
+        out = total(0.0) - 0.5 * (total(eps) + total(-eps))
+    return float(out) if out.ndim == 0 else out
 
 
-def arnold_field_check(surface: HyperbolicSurface, eps: float, x,
-                       N: int, rng, box=None) -> dict:
-    """Monte-Carlo field of the charged standard layer 0 <= p <= eps of a
-    planar hyperbolic surface at a point of the layer's hyperbolicity
-    domain.  Components are signed positively when the p = 0 boundary
-    faces x, negatively otherwise; the field is statistically zero."""
+def arnold_field_check(surface: HyperbolicSurface, eps: float, x, m: int) -> dict:
+    """Field at x of the standard layer 0 <= p <= eps of a planar surface,
+    with unit density; zero by Arnold's theorem in the hyperbolicity domain.
+
+    In polar form around x, F = int_0^pi u(theta) sum_i (t_i^eps - t_i)
+    dtheta over the roots of p and p - eps on the line x + t u(theta): the
+    layer's chords, signed by the side they are crossed from.  The
+    trapezoid rule on the m swept lines sums it, and the sweep checks
+    hyperbolicity on each.  Paired in the order of 1/t, which a root
+    through infinity keeps, the chords also give the integral of
+    |integrand|, of 1/|y - x| over the layer.  Returns the field, its norm,
+    that integral, the error estimate |F_m - F_2m| and the margin."""
     if surface.geometry.kind is not Kind.EUCLIDEAN:
-        raise InvalidParameters("layer sampling implemented in the plane")
-    x = np.asarray(x, dtype=float)
-    ok0, w0 = is_hyperbolic_at(surface, x, rng=rng)
-    if not ok0:
-        raise NotInHyperbolicityDomain(w0)
-    ok1, w1 = is_hyperbolic_at(surface.shifted(eps), x, rng=rng)
-    if not ok1:
-        raise NotInHyperbolicityDomain(w1)
-    if box is None:
-        box = (-2.0, 2.0, -2.0, 2.0)
-    P = np.polynomial.polynomial
-    c = surface.coeffs
-    cx, cy = P.polyder(c, axis=0), P.polyder(c, axis=1)
-    chunks = []
-    got = 0
-    batches = 0
-    while got < N and batches < 400:
-        ys = np.stack([rng.uniform(box[0], box[1], size=4 * N),
-                       rng.uniform(box[2], box[3], size=4 * N)], axis=1)
-        pv = P.polyval2d(ys[:, 0], ys[:, 1], c)
-        keep = (pv >= 0.0) & (pv <= eps)
-        ys = ys[keep]
-        d = ys - x
-        r2 = np.sum(d * d, axis=1)
-        ok = r2 > 1e-6
-        ys, d, r2 = ys[ok], d[ok], r2[ok]
-        grad = np.stack([P.polyval2d(ys[:, 0], ys[:, 1], cx),
-                         P.polyval2d(ys[:, 0], ys[:, 1], cy)], axis=1)
-        s = np.sign(np.sum(grad * d, axis=1))
-        chunks.append(s[:, None] * d / r2[:, None])
-        got += len(ys)
-        batches += 1
-    if got < max(100, N // 10):
-        raise InvalidParameters("layer sampling box too small or layer empty")
-    contrib = np.concatenate(chunks)[:N] if got > N else np.concatenate(chunks)
-    got = len(contrib)
-    fld = np.mean(contrib, axis=0)
-    stderr = np.std(contrib, axis=0) / np.sqrt(got)
-    return {"field": fld, "stderr": stderr,
-            "norm": float(np.linalg.norm(fld)),
-            "norm_stderr": float(np.linalg.norm(stderr)), "N": got}
+        raise InvalidParameters("layer fields implemented in the plane")
+    for level in (0.0, eps):
+        if abs(surface(x) - level) < 1e-12:
+            raise InvalidParameters("base point lies on the layer's boundary")
+    # both rules in one sweep: m lines, then 2m, each offset by half a step
+    theta = np.concatenate([np.pi * (np.arange(k) + 0.5) / k for k in (m, 2 * m)])
+    dirs, coeffs = _sweep(surface, x, theta)
+    shifted = coeffs.copy()
+    shifted[:, 0] -= eps
+    roots, witness, margin = _line_roots(surface, dirs, np.stack([coeffs, shifted]))
+    if witness is not None:
+        raise NotInHyperbolicityDomain(f"a line through x misses the layer: {witness}",
+                                       witness)
+    if np.any(roots == 0.0):
+        raise DegenerateConfiguration("a swept line runs along an asymptote of the layer")
+    chords = 1.0 / roots[1] - 1.0 / roots[0]
+    per_line = np.sum(chords, axis=1) * np.pi / np.repeat([m, 2 * m], [m, 2 * m])
+    field, fine = per_line[:m] @ dirs[:m], per_line[m:] @ dirs[m:]
+    return {"field": field, "norm": float(np.linalg.norm(field)),
+            "abs_integral": float(np.sum(np.abs(chords[:m])) * np.pi / m),
+            "error": float(np.linalg.norm(field - fine)), "margin": margin, "N": m}

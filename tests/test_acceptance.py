@@ -246,21 +246,24 @@ def test_criterion_09_potentials_quadrature():
 
 
 def test_criterion_10_newton_curved_shells():
-    rng = np.random.default_rng(110)
+    # the direction rule of 2048 nodes resolves each field to rounding: the
+    # gates are relative to the integral of |integrand|
     c = np.array([1.0, 0.0, 0.0, 0.0])
     shell = GeodesicSphere(spherical(3), c, 0.6)
     x_in = np.cos(0.2) * c + np.sin(0.2) * np.array([0.0, 1.0, 0.0, 0.0])
-    out = field_at(shell, x_in, 100000, rng)
-    ok = out["norm"] < 3.0 * out["norm_stderr"]
     x_anti = -(np.cos(0.25) * c + np.sin(0.25) * np.array([0.0, 0.0, 1.0, 0.0]))
-    out = field_at(shell, x_anti, 100000, rng)
-    ok &= out["norm"] < 3.0 * out["norm_stderr"]
+    ok = True
+    for x in (x_in, x_anti):
+        out = field_at(shell, x, 2048)
+        ok &= out["norm"] < 1e-13 * out["abs_integral"]
+        ok &= out["error"] < 1e-13 * out["abs_integral"]
     shell_h = GeodesicSphere(hyperbolic(3), c, 0.5)
     for D in (1.2, 1.8):
         x = np.cosh(D) * c + np.sinh(D) * np.array([0.0, 1.0, 0.0, 0.0])
-        out = field_at(shell_h, x, 100000, rng)
+        out = field_at(shell_h, x, 2048)
         oracle = 1.0 / np.sinh(D) ** 2
-        ok &= abs(out["norm"] - oracle) / oracle < 0.01
+        ok &= abs(out["norm"] - oracle) / oracle < 1e-13
+        ok &= out["error"] < 1e-13 * out["abs_integral"]
     _verdict(10, "Newton on curved shells", ok)
 
 
@@ -270,17 +273,18 @@ def test_criterion_11_ivory_equipotential():
     lam = -0.4
     f = f_lambda(ell, lam)
     pts = [f * ell.point_from_direction(rng.normal(size=3)) for _ in range(10)]
-    vals = [surface_potential(ell, x, 20000, rng) for x in pts]
-    ok = True
-    for i in range(10):
-        for j in range(i + 1, 10):
-            gap = abs(vals[i]["value"] - vals[j]["value"])
-            sig = np.hypot(vals[i]["stderr"], vals[j]["stderr"])
-            ok &= gap < 3.0 * sig
+    # at 8192 nodes the potentials on E_lambda agree to ~1.4e-11 of the
+    # integral of |integrand| (1.1e-14 at 16384, at twice the cost); a point
+    # 1e-6 off E_lambda moves its potential by ~1.7e-6
+    vals = [surface_potential(ell, x, 8192) for x in pts]
+    scale = max(v["abs_integral"] for v in vals)
+    ok = np.ptp([v["value"] for v in vals]) < 1e-10 * scale
+    ok &= max(v["error"] for v in vals) < 1e-10 * scale
     pole = np.array([1.0, 0.0, 0.0, 0.0])
     x_int = np.cos(0.15) * pole + np.sin(0.15) * np.array([0.0, 1.0, 0.0, 0.0])
-    fld = field_at(ell, x_int, 50000, rng)
-    ok &= fld["norm"] < 3.0 * fld["norm_stderr"]
+    fld = field_at(ell, x_int, 512)
+    ok &= fld["norm"] < 1e-13 * fld["abs_integral"]
+    ok &= fld["error"] < 1e-13 * fld["abs_integral"]
 
     # deterministic f_lambda identities
     mu = -0.9
@@ -325,42 +329,39 @@ def test_criterion_11_ivory_equipotential():
 
 def test_criterion_12_arnold():
     rng = np.random.default_rng(112)
-    ok = True
-    # Euclidean line: Vieta root sums over 1000 random real-rooted cubics
-    for _ in range(1000):
-        roots = np.sort(rng.normal(size=3) * 2.0)
-        while np.min(np.diff(roots)) < 0.2:
-            roots = np.sort(rng.normal(size=3) * 2.0)
-        coeffs = np.poly(roots)[::-1]
-        ok &= abs(vieta_segment_sum(coeffs, 1e-3 * rng.uniform())) < 1e-9
+
+    def separated(draw, gap, key=lambda rows: rows, count=1000):
+        """The first count of 4 * count sorted draws whose neighbours lie at
+        least gap apart (after key)"""
+        rows = np.sort(draw(4 * count), axis=1)
+        rows = rows[np.min(np.diff(key(rows), axis=1), axis=1) >= gap][:count]
+        assert len(rows) == count
+        return rows
+
+    def products(first, second):
+        """Coefficients, high to low, of prod_k (first_k X - second_k Y),
+        one row per row of the factor arrays"""
+        b = np.ones((len(first), 1))
+        zero = np.zeros((len(first), 1))
+        for f, g in zip(first.T, second.T):
+            b = f[:, None] * np.hstack([b, zero]) - g[:, None] * np.hstack([zero, b])
+        return b
+
+    # Euclidean line: Vieta root sums over 1000 random real-rooted cubics,
+    # summed in one stacked call
+    roots = separated(lambda k: rng.normal(size=(k, 3)) * 2.0, 0.2)
+    cubics = products(np.ones_like(roots), roots)[:, ::-1]
+    ok = bool(np.all(np.abs(vieta_segment_sum(cubics, 1e-3 * rng.uniform(size=1000))) < 1e-9))
 
     # hyperbolic line: quartic products of separated linear forms
-    def binary_h1(cs):
-        b = np.array([1.0])
-        for cval in cs:
-            b = np.concatenate([b, [0.0]]) + np.concatenate([[0.0], -cval * b])
-        return b
-
-    for _ in range(1000):
-        cs = np.sort(rng.uniform(0.2, 5.0, size=4))
-        while np.min(np.diff(np.sqrt(cs))) < 0.15:
-            cs = np.sort(rng.uniform(0.2, 5.0, size=4))
-        ok &= abs(curved_segment_sum(binary_h1(cs), 1e-3, hyperbolic(1))) < 1e-9
+    cs = separated(lambda k: rng.uniform(0.2, 5.0, size=(k, 4)), 0.15, key=np.sqrt)
+    ok &= bool(np.all(np.abs(curved_segment_sum(products(np.ones_like(cs), cs), 1e-3,
+                                                hyperbolic(1))) < 1e-9))
 
     # spherical line: forms with separated angular roots
-    def binary_s1(angles):
-        b = np.array([1.0])
-        for t in angles:
-            b = (np.sin(t) * np.concatenate([b, [0.0]])
-                 + np.concatenate([[0.0], -np.cos(t) * b]))
-        return b
-
-    for _ in range(1000):
-        angles = np.sort(rng.uniform(0.1, np.pi - 0.1, size=4))
-        while np.min(np.diff(angles)) < 0.15:
-            angles = np.sort(rng.uniform(0.1, np.pi - 0.1, size=4))
-        ok &= abs(curved_segment_sum(binary_s1(angles), 1e-4,
-                                     spherical(1))) < 1e-9
+    angles = separated(lambda k: rng.uniform(0.1, np.pi - 0.1, size=(k, 4)), 0.15)
+    ok &= bool(np.all(np.abs(curved_segment_sum(products(np.sin(angles), np.cos(angles)),
+                                                1e-4, spherical(1))) < 1e-9))
 
     # quartic two-ellipse layer
     def mul2d(c1, c2):
@@ -380,19 +381,20 @@ def test_criterion_12_arnold():
 
     quartic = HyperbolicSurface(mul2d(ellipse(0.25, 0.16), ellipse(1.0, 0.64)),
                                 euclidean(2))
-    out = arnold_field_check(quartic, 0.05, (0.1, 0.05), 20000, rng)
-    ok &= out["norm"] < 3.0 * out["norm_stderr"]
+    # the sweep of 256 lines sums the layer's field to rounding, relative to
+    # the integral of |integrand|, after checking hyperbolicity on each line
+    out = arnold_field_check(quartic, 0.05, (0.1, 0.05), 256)
+    ok &= out["norm"] < 1e-13 * out["abs_integral"]
+    ok &= out["error"] < 1e-13 * out["abs_integral"]
 
     fermat = np.zeros((5, 5))
     fermat[4, 0] = 1.0
     fermat[0, 4] = 1.0
     fermat[0, 0] = -1.0
-    verdict, _ = is_hyperbolic_at(HyperbolicSurface(fermat, euclidean(2)),
-                                  (0.0, 0.0), rng=np.random.default_rng(1))
+    verdict, _, _ = is_hyperbolic_at(HyperbolicSurface(fermat, euclidean(2)), (0.0, 0.0))
     ok &= not verdict
-    verdict, _ = is_hyperbolic_at(HyperbolicSurface(ellipse(4.0, 1.0),
-                                                    euclidean(2)),
-                                  (0.5, 0.3), rng=np.random.default_rng(2))
+    verdict, _, _ = is_hyperbolic_at(HyperbolicSurface(ellipse(4.0, 1.0), euclidean(2)),
+                                     (0.5, 0.3))
     ok &= verdict
     _verdict(12, "Arnold root sums and layers", ok)
 

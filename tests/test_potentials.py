@@ -27,9 +27,13 @@ from confocal.geometry import (
     spherical,
 )
 from confocal.potentials import (
+    _companion_roots,
+    _distinct_real_count,
     _geodesic_basis,
     _geodesic_roots,
     _half_angle_basis,
+    _line_roots,
+    _sweep,
     _tangent_basis,
     CurvedEllipsoid,
     GeodesicSphere,
@@ -39,8 +43,8 @@ from confocal.potentials import (
     antisymmetry_check,
     arnold_field_check,
     chord_segments,
-    count_projective_real_roots,
     curved_segment_sum,
+    direction_rule,
     f_lambda,
     field_at,
     homeoidal_density,
@@ -52,6 +56,7 @@ from confocal.potentials import (
     surface_potential,
     vieta_segment_sum,
 )
+from montecarlo import mc_field_at, mc_layer_field, mc_surface_potential
 from test_geometry import mp_distance
 
 S2, S3, H2, H3 = spherical(2), spherical(3), hyperbolic(2), hyperbolic(3)
@@ -324,21 +329,11 @@ def _fd_sample_oracle(ell, ws, h=1e-6):
     return np.array(pts), np.array(weights)
 
 
-class _Directions:
-    """Stands in for a generator whose normal() returns given directions."""
-
-    def __init__(self, ws):
-        self.ws = np.asarray(ws, dtype=float)
-
-    def normal(self, size):
-        return self.ws.reshape(size)
-
-
 @pytest.mark.parametrize("ell", [ELL_S2, ELL_H2, ELL_S3, ELL_H3],
                          ids=["S2", "H2", "S3", "H3"])
 def test_sampler_matches_fd_oracle(ell):
-    pts, weights = sample_ellipsoid(ell, 400, np.random.default_rng(37))
     ws = np.random.default_rng(37).normal(size=(400, ell.n))
+    pts, weights = sample_ellipsoid(ell, ws)
     o_pts, o_weights = _fd_sample_oracle(ell, ws)
     assert np.max(np.abs(pts - o_pts)) < 1e-14
     # the oracle's central differences are good to ~1e-10
@@ -355,7 +350,7 @@ def test_sampler_near_frame_switch(ell, w0, sign, phi):
     area element must not notice."""
     s = np.sqrt(1.0 - w0 * w0)
     w = [sign * w0, s * np.cos(phi), s * np.sin(phi)]
-    pts, weights = sample_ellipsoid(ell, 1, _Directions([w]))
+    pts, weights = sample_ellipsoid(ell, [w])
     o_pts, o_weights = _fd_sample_oracle(ell, [w])
     assert np.max(np.abs(pts - o_pts)) < 1e-14
     assert abs(weights[0] - o_weights[0]) < 1e-8 * o_weights[0]
@@ -506,17 +501,17 @@ def test_chord_segments_round_center():
 
 
 def test_distances_match_geodesic_distance():
-    """The stacked distances from a point to surface samples, as the
-    Monte-Carlo kernels take them, against the 50-digit oracle."""
-    rng = np.random.default_rng(41)
+    """The stacked distances from a point to surface nodes, as the
+    cubature takes them, against the 50-digit oracle."""
     for surface, x in (
             (GeodesicSphere(S3, np.array([1.0, 0.0, 0.0, 0.0]), 2.5),
              np.array([np.cos(0.4), np.sin(0.4), 0.0, 0.0])),
             (GeodesicSphere(H3, np.array([1.0, 0.0, 0.0, 0.0]), 0.8),
              np.array([np.cosh(0.4), 0.0, np.sinh(0.4), 0.0])),
             (ELL_H2, np.array([1.0, 0.0, 0.0]))):
-        pts = (surface.sample(500, rng)[0] if isinstance(surface, GeodesicSphere)
-               else sample_ellipsoid(surface, 500, rng)[0])
+        ws, _ = direction_rule(surface.geometry.n, 500)
+        pts = (surface.sample(ws)[0] if isinstance(surface, GeodesicSphere)
+               else sample_ellipsoid(surface, ws)[0])
         rs = geodesic_distance(surface.geometry, x, pts)
         oracle = [mp_distance(surface.geometry, x, y) for y in pts]
         assert np.max(np.abs(rs - oracle)) < 1e-14
@@ -524,7 +519,7 @@ def test_distances_match_geodesic_distance():
     with pytest.raises(NotOnModel):
         geodesic_distance(H2, np.array([1.0, 0.0, 0.0]), pts)
     with pytest.raises(NotOnModel):
-        geodesic_distance(H2, np.array([1.0, 0.0, 0.0]), -sample_ellipsoid(ELL_H2, 5, rng)[0])
+        geodesic_distance(H2, np.array([1.0, 0.0, 0.0]), -sample_ellipsoid(ELL_H2, ws[:5])[0])
 
 
 def _model_point(geometry, v):
@@ -563,53 +558,149 @@ def test_frames_are_eta_orthonormal(geometry, v, w):
     assert np.allclose(dot(basis, x), 0.0, rtol=0.0, atol=tol)
 
 
+def test_direction_rules_integrate_polynomials():
+    """Each rule sums the sphere's area, and a polynomial of low degree in
+    the direction exactly: the trapezoid rule of m nodes on S^1 up to degree
+    m - 1, Gauss-Legendre times trapezoid on S^2 to degree 2k - 1."""
+    ws, wt = direction_rule(2, 16)
+    assert len(ws) == 16 and np.allclose(np.linalg.norm(ws, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert abs(wt @ ws[:, 0] ** 8 - 2 * np.pi * 35 / 128) < 1e-14
+    ws, wt = direction_rule(3, 128)
+    assert len(ws) == 128 and np.allclose(np.linalg.norm(ws, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert abs(np.sum(wt) - 4 * np.pi) < 1e-13
+    # int w_i^2 = 4 pi / 3, int w_1^2 w_3^4 = 4 pi / 35, odd moments vanish
+    assert np.allclose(wt @ ws ** 2, 4 * np.pi / 3, rtol=0, atol=1e-13)
+    assert abs(wt @ (ws[:, 0] ** 2 * ws[:, 2] ** 4) - 4 * np.pi / 35) < 1e-14
+    assert np.allclose(wt @ ws, 0.0, rtol=0, atol=1e-14)
+    with pytest.raises(InvalidParameters):
+        direction_rule(4, 64)
+
+
 def test_newton_sphere_shell_s3():
-    rng = np.random.default_rng(13)
     c = np.array([1.0, 0.0, 0.0, 0.0])
     shell = GeodesicSphere(S3, c, 0.6)
     x_in = np.cos(0.2) * c + np.sin(0.2) * np.array([0.0, 1.0, 0.0, 0.0])
-    out = field_at(shell, x_in, 20000, rng)
-    assert out["norm"] < 3.0 * out["norm_stderr"]
     x_anti = -(np.cos(0.25) * c + np.sin(0.25) * np.array([0.0, 0.0, 1.0, 0.0]))
-    out = field_at(shell, x_anti, 20000, rng)
-    assert out["norm"] < 3.0 * out["norm_stderr"]
+    for x in (x_in, x_anti):
+        out = field_at(shell, x, 2000)
+        assert out["norm"] < 1e-13 * out["abs_integral"]
+        assert out["error"] < 1e-13 * out["abs_integral"]
 
 
 def test_newton_exterior_h3_point_mass():
-    rng = np.random.default_rng(17)
     c = np.array([1.0, 0.0, 0.0, 0.0])
     shell = GeodesicSphere(H3, c, 0.5)
     for D in (1.2, 1.8):
         x = np.cosh(D) * c + np.sinh(D) * np.array([0.0, 1.0, 0.0, 0.0])
-        out = field_at(shell, x, 40000, rng)
+        out = field_at(shell, x, 2048)
         oracle = 1.0 / np.sinh(D) ** 2
-        assert abs(out["norm"] - oracle) / oracle < 0.01
+        assert abs(out["norm"] - oracle) / oracle < 1e-13
+        # the field lies along the geodesic to the center, the first frame
+        # axis here
+        assert np.max(np.abs(out["field"][1:])) < 1e-15 and out["error"] < 1e-14
 
 
 def test_round_shell_potential_center_oracle():
-    rng = np.random.default_rng(19)
     c = np.array([1.0, 0.0, 0.0, 0.0])
     shell = GeodesicSphere(S3, c, 0.7)
-    out = surface_potential(shell, c, 5000, rng)
-    assert abs(out["value"] - point_potential(S3, 0.7)) < 1e-10
+    out = surface_potential(shell, c, 50)
+    assert abs(out["value"] - point_potential(S3, 0.7)) < 1e-15 and out["error"] < 1e-15
 
 
 def test_ellipsoid_interior_constant_potential():
-    rng = np.random.default_rng(23)
     x1 = np.array([1.0, 0.0, 0.0, 0.0])
     x2 = np.cos(0.15) * x1 + np.sin(0.15) * np.array([0.0, 1.0, 0.0, 0.0])
-    u1 = surface_potential(ELL_S3, x1, 30000, rng)
-    u2 = surface_potential(ELL_S3, x2, 30000, rng)
-    assert abs(u1["value"] - u2["value"]) < 3.0 * np.hypot(u1["stderr"], u2["stderr"])
-    f = field_at(ELL_S3, x2, 30000, rng)
-    assert f["norm"] < 3.0 * f["norm_stderr"]
+    u1 = surface_potential(ELL_S3, x1, 512)
+    u2 = surface_potential(ELL_S3, x2, 512)
+    assert abs(u1["value"] - u2["value"]) < 1e-14 * u1["abs_integral"]
+    f = field_at(ELL_S3, x2, 512)
+    assert f["norm"] < 1e-14 * f["abs_integral"]
+
+
+def test_ellipses_vanish_inside_by_the_trapezoid_rule():
+    """n = 2: curved ellipses in S^2 and H^2 create no field inside, to
+    rounding with 64 trapezoid nodes."""
+    for ell, x in ((ELL_S2, np.array([np.cos(0.1), np.sin(0.1), 0.0])),
+                   (ELL_H2, np.array([np.cosh(0.1), 0.0, np.sinh(0.1)]))):
+        out = field_at(ell, x, 64)
+        assert out["norm"] < 1e-14 * out["abs_integral"]
+        assert out["error"] < 1e-14 * out["abs_integral"]
+
+
+def test_cubature_agrees_with_monte_carlo():
+    """The Monte-Carlo estimators (tests/montecarlo.py) are the independent
+    oracle: on the configurations of acceptance criteria 10-12 every
+    deterministic value lies within their own 3 sigma."""
+    rng = np.random.default_rng(2024)
+    c = np.array([1.0, 0.0, 0.0, 0.0])
+    # criterion 10: the shells
+    shell = GeodesicSphere(S3, c, 0.6)
+    x_in = np.cos(0.2) * c + np.sin(0.2) * np.array([0.0, 1.0, 0.0, 0.0])
+    shell_h = GeodesicSphere(H3, c, 0.5)
+    x_out = np.cosh(1.2) * c + np.sinh(1.2) * np.array([0.0, 1.0, 0.0, 0.0])
+    for surface, x in ((shell, x_in), (shell_h, x_out)):
+        det, mc = field_at(surface, x, 2048), mc_field_at(surface, x, 40000, rng)
+        assert np.all(np.abs(det["field"] - mc["field"]) < 3.0 * mc["stderr"])
+        det, mc = surface_potential(surface, x, 2048), mc_surface_potential(surface, x, 40000, rng)
+        assert abs(det["value"] - mc["value"]) < 3.0 * mc["stderr"]
+    # criterion 11: a point of E_lambda and an interior point of the ellipsoid
+    ell = CurvedEllipsoid(S3, (3.0, 2.0, 1.5), 1.0)
+    y = f_lambda(ell, -0.4) * ell.point_from_direction(np.array([0.3, -0.5, 0.8]))
+    x_int = np.cos(0.15) * c + np.sin(0.15) * np.array([0.0, 1.0, 0.0, 0.0])
+    for x, m in ((y, 8192), (x_int, 512)):
+        det, mc = surface_potential(ell, x, m), mc_surface_potential(ell, x, 40000, rng)
+        assert abs(det["value"] - mc["value"]) < 3.0 * mc["stderr"]
+    det, mc = field_at(ell, x_int, 512), mc_field_at(ell, x_int, 40000, rng)
+    assert np.all(np.abs(det["field"] - mc["field"]) < 3.0 * mc["stderr"])
+    # criterion 12: the quartic layer, its field and the integral of
+    # 1/|y - x| that the sweep's chords give
+    det = arnold_field_check(NESTED_QUARTIC, 0.05, (0.1, 0.05), 256)
+    mc = mc_layer_field(NESTED_QUARTIC, 0.05, (0.1, 0.05), 200000, rng,
+                        box=(-1.1, 1.1, -0.9, 0.9))
+    assert np.all(np.abs(det["field"] - mc["field"]) < 3.0 * mc["stderr"])
+    assert abs(det["abs_integral"] - mc["abs_integral"]) < 3.0 * mc["abs_stderr"]
+
+
+def test_uniform_density_fails_newton(monkeypatch):
+    """Mutation: with the density switched from homeoidal to uniform area,
+    the interior field of acceptance 11's ellipsoid is ~7e-3 of the
+    integral of |integrand|, fourteen orders above the homeoid's."""
+    import confocal.potentials as potentials
+    homeoidal = potentials.sample_ellipsoid
+
+    def uniform(ellipsoid, ws):
+        pts, weights = homeoidal(ellipsoid, ws)
+        return pts, weights * ellipsoid.grad_norm(pts)
+
+    x_int = np.cos(0.15) * np.array([1.0, 0.0, 0.0, 0.0]) + np.sin(0.15) * np.eye(4)[1]
+    monkeypatch.setattr(potentials, "sample_ellipsoid", uniform)
+    out = field_at(ELL_S3, x_int, 512)
+    assert out["norm"] > 1e-3 * out["abs_integral"]
+    assert out["error"] < 1e-13 * out["abs_integral"]
+
+
+def test_point_off_the_confocal_ellipsoid_fails_ivory():
+    """Mutation: a point moved 1e-6 off E_lambda (along the geodesic normal)
+    changes its potential by ~1.7e-6 of the integral of |integrand|, far
+    above the equipotential spread of points on E_lambda."""
+    lam = -0.4
+    f = f_lambda(ELL_S3, lam)
+    pts = [f * ELL_S3.point_from_direction(w) for w in np.eye(3) + 0.3]
+    y = pts[0]
+    g = ELL_S3.grad_q(y, lam)
+    g = g - S3.dot(g, y) * y
+    moved = np.cos(1e-6) * y + np.sin(1e-6) * g / np.linalg.norm(g)
+    on = [surface_potential(ELL_S3, x, 8192) for x in pts]
+    off = surface_potential(ELL_S3, moved, 8192)
+    scale = max(v["abs_integral"] for v in on)
+    assert np.ptp([v["value"] for v in on]) < 1e-10 * scale
+    assert abs(off["value"] - on[0]["value"]) > 1e-7 * scale
 
 
 def test_too_close_to_surface():
-    rng = np.random.default_rng(29)
     x = ELL_S3.point_from_direction(np.array([1.0, 0.2, 0.1]))
     with pytest.raises(TooCloseToSurface):
-        field_at(ELL_S3, x, 1000, rng)
+        field_at(ELL_S3, x, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -653,39 +744,65 @@ def test_quartic_fermat_not_hyperbolic():
     c[0, 4] = 1.0
     c[0, 0] = -1.0
     surf = HyperbolicSurface(c, euclidean(2))
-    ok, witness = is_hyperbolic_at(surf, (0.0, 0.0), rng=np.random.default_rng(1))
+    ok, witness, _ = is_hyperbolic_at(surf, (0.0, 0.0))
     assert not ok and witness is not None
+    # the witness line carries only two real points of x^4 + y^4 = 1
+    t = np.roots([witness[0] ** 4 + witness[1] ** 4, 0.0, 0.0, 0.0, -1.0])
+    assert np.sum(np.abs(t.imag) < 1e-12) == 2
 
 
 def test_ellipse_hyperbolic_from_interior():
     surf = HyperbolicSurface(_ellipse_coeffs(4.0, 1.0), euclidean(2))
-    ok, _ = is_hyperbolic_at(surf, (0.5, 0.3), rng=np.random.default_rng(2))
-    assert ok
-    ok, w = is_hyperbolic_at(surf, (3.0, 0.0), rng=np.random.default_rng(2))
+    ok, _, margin = is_hyperbolic_at(surf, (0.5, 0.3))
+    assert ok and margin > 1e12
+    ok, w, _ = is_hyperbolic_at(surf, (3.0, 0.0))
     assert not ok
 
 
 def test_union_of_lines_hyperbolic_nonstrict():
-    # x y (x + y - 1): three lines
+    # x y (x + y - 1): three lines.  Odd sweeps hold the vertical line, and
+    # m = 2 mod 4 the line along x + y = 1: each meets one of the lines at
+    # infinity, the root r = 0 in the sweep's chart
     c = np.zeros((3, 3))
     c[2, 1] = 1.0
     c[1, 2] = 1.0
     c[1, 1] = -1.0
     surf = HyperbolicSurface(c, euclidean(2))
-    ok, _ = is_hyperbolic_at(surf, (0.2, 0.3), rng=np.random.default_rng(3),
-                             strict=False)
-    assert ok
+    for m in (63, 64, 66):
+        ok, _, _ = is_hyperbolic_at(surf, (0.2, 0.3), m=m, strict=False)
+        assert ok
 
 
 def test_spherical_hyperbolicity_of_cone():
-    # the elliptic cone of ELL_S2 is hyperbolic as seen from the pole
-    c = np.zeros((3, 3, 3))
-    c[2, 0, 0] = -1.0 / ELL_S2.b
-    c[0, 2, 0] = 1.0 / ELL_S2.a[0]
-    c[0, 0, 2] = 1.0 / ELL_S2.a[1]
-    surf = HyperbolicSurface(c, S2)
-    ok, _ = is_hyperbolic_at(surf, (1.0, 0.0, 0.0), rng=np.random.default_rng(4))
-    assert ok
+    # the elliptic cone of ELL_S2 is hyperbolic as seen from the pole, and
+    # the cone of ELL_H2 as seen from the origin of H^2
+    for ell, x in ((ELL_S2, (1.0, 0.0, 0.0)), (ELL_H2, (1.0, 0.0, 0.0))):
+        c = np.zeros((3, 3, 3))
+        c[2, 0, 0] = -1.0 / ell.b
+        c[0, 2, 0] = 1.0 / ell.a[0]
+        c[0, 0, 2] = 1.0 / ell.a[1]
+        ok, _, _ = is_hyperbolic_at(HyperbolicSurface(c, ell.geometry), x)
+        assert ok
+
+
+def test_sweep_matches_line_probes():
+    """The stacked sweep against the probe it replaces: per line, the
+    restriction fitted alone and its roots counted by np.roots."""
+    surf = NESTED_QUARTIC
+    for x in ((0.1, 0.05), (0.7, 0.0), (0.0, 0.3)):
+        theta = np.pi * (np.arange(40) + 0.5) / 40
+        dirs, coeffs = _sweep(surf, np.array(x), theta)
+        ts = np.cos(np.pi * (np.arange(5) + 0.5) / 5)
+        for u, c in zip(dirs, coeffs):
+            vals = [surf(np.array(x) + t * u) for t in ts]
+            assert np.allclose(np.linalg.solve(np.vander(ts, 5, increasing=True), vals), c,
+                               rtol=0.0, atol=1e-13)
+        roots, witness, _ = _line_roots(surf, dirs, coeffs)
+        probes = [np.sum(np.abs(np.roots(c[::-1]).imag) < 1e-8) == 4 for c in coeffs]
+        assert (witness is None) == all(probes)
+        assert np.allclose(np.sort(1.0 / roots, axis=1)[np.array(probes)],
+                           [np.sort(np.roots(c[::-1]).real) for c, p in zip(coeffs, probes) if p],
+                           rtol=1e-12, atol=0.0)
 
 
 def test_vieta_segment_sum():
@@ -791,8 +908,9 @@ def test_half_angle_basis_keeps_roots_bit_identical():
                 form[:len(term)] += b[k] * term
             for shift in (0.0, 1e-3):
                 level = P.polypow([1.0, 0.0, 1.0], d)
-                _, _, roots = count_projective_real_roots(form - shift * level, 2 * d)
-                expect = 2.0 * np.arctan(roots[roots > 0])
+                roots = np.roots((form - shift * level)[::-1])
+                roots = roots[np.abs(roots.imag) < 1e-8 * max(1.0, np.max(np.abs(roots)))].real
+                expect = 2.0 * np.arctan(np.sort(roots[roots > 0]))
                 assert np.array_equal(_geodesic_roots(b, shift, spherical(1)), expect)
 
 
@@ -834,25 +952,34 @@ def test_real_root_count_matches_mpmath(real, gap, pairs):
     assume(len(roots) >= 1)
     coeffs = np.real(np.poly(roots))
     assume(_well_posed(roots, coeffs))
-    n_proj, k_inf, _ = count_projective_real_roots(coeffs[::-1], len(coeffs) - 1)
-    assert k_inf == 0
-    assert n_proj == _mp_real_root_count(coeffs)
+    assert _distinct_real_count(_companion_roots(coeffs), 1e-8) == _mp_real_root_count(coeffs)
 
 
 def test_arnold_quartic_layer():
-    rng = np.random.default_rng(11)
-    out = arnold_field_check(NESTED_QUARTIC, 0.05, (0.1, 0.05), 20000, rng)
-    assert out["norm"] < 3.0 * out["norm_stderr"]
+    out = arnold_field_check(NESTED_QUARTIC, 0.05, (0.1, 0.05), 64)
+    assert out["norm"] < 1e-13 * out["abs_integral"]
+    assert out["error"] < 1e-13 * out["abs_integral"]
+    assert out["N"] == 64 and out["margin"] > 1e10
 
 
 def test_arnold_outside_hyperbolicity_domain():
-    rng = np.random.default_rng(13)
     with pytest.raises(NotInHyperbolicityDomain):
-        arnold_field_check(NESTED_QUARTIC, 0.05, (0.7, 0.0), 2000, rng)
+        arnold_field_check(NESTED_QUARTIC, 0.05, (0.7, 0.0), 200)
+
+
+@pytest.mark.parametrize("x", [(1.001, 0.0), (0.3, 1.0), (0.0, -1.01)])
+def test_arnold_point_outside_the_circle_fails(x):
+    """Mutation: a point of the unit circle's layer, or just outside it,
+    leaves the hyperbolicity domain; the sweep must find a line that misses
+    the layer."""
+    circle = HyperbolicSurface(_ellipse_coeffs(1.0, 1.0), euclidean(2))
+    with pytest.raises(NotInHyperbolicityDomain) as info:
+        arnold_field_check(circle, 0.05, x, 2000)
+    assert info.value.witness is not None
 
 
 def test_arnold_ellipse_layer_reduces_to_homeoid():
-    rng = np.random.default_rng(17)
     surf = HyperbolicSurface(_ellipse_coeffs(1.0, 0.5), euclidean(2))
-    out = arnold_field_check(surf, 0.05, (0.2, -0.1), 20000, rng)
-    assert out["norm"] < 3.0 * out["norm_stderr"]
+    out = arnold_field_check(surf, 0.05, (0.2, -0.1), 200)
+    assert out["norm"] < 1e-13 * out["abs_integral"]
+    assert out["error"] < 1e-13 * out["abs_integral"]
