@@ -132,14 +132,21 @@ def _check_points(geometry: Geometry, x):
     return x
 
 
-def jacobi_squares(poles, lam) -> np.ndarray:
-    """Jacobi's product formula prod_k (D_j - lam_k) / prod_{l != j} (D_j - D_l),
-    one entry per pole D_j: the squared coordinates of the point with
-    confocal parameters lam, up to the signature (confocal.quadrics)."""
-    d = np.asarray(poles, dtype=float)
-    gaps = d[:, None] - d
+def jacobi_denominators(poles) -> np.ndarray:
+    """prod_{l != j} (D_j - D_l), one entry per pole D_j: the denominators
+    of Jacobi's product formula (jacobi_squares)."""
+    gaps = np.subtract.outer(poles, poles).astype(float)
     np.fill_diagonal(gaps, 1.0)
-    return np.prod(d[:, None] - np.asarray(lam, dtype=float), axis=1) / np.prod(gaps, axis=1)
+    return np.prod(gaps, axis=1)
+
+
+def jacobi_squares(poles, lam, denominators) -> np.ndarray:
+    """Jacobi's product formula prod_k (D_j - lam_k) / denominators_j, one
+    entry per pole D_j: the squared coordinates of the point, or of each
+    row of a stack, with confocal parameters lam, up to the signature
+    (confocal.quadrics)."""
+    d = np.asarray(poles, dtype=float)
+    return np.prod(d[:, None] - np.asarray(lam, dtype=float)[..., None, :], axis=-1) / denominators
 
 
 def geodesic_distance(geometry: Geometry, x, y):

@@ -14,19 +14,27 @@ J = eta (see confocal.geometry), each is the secular equation
 Through a generic model point pass n members of the family, one per class
 interval; their parameters are the elliptic coordinates of the point.
 Both directions of the coordinate map are exact identities, with no root
-search: the coordinates are the eigenvalues of D compressed to x^perp
-(Moser's spectral view of confocal quadrics), and the point comes back
-from its coordinates by Jacobi's product formula for x_j^2.
+search.  The curved equation times (lam - D_0), with <x, x> = kappa, is
+
+    sum_{i>=1} x_i^2 (b + kappa a_i) / (a_i - lam) = 1,
+
+the Euclidean form in w_i = x_i sqrt(b + kappa a_i) (b + kappa a_i > 0:
+on H^n by light-cone containment).  So on every model the coordinates
+are the eigenvalues of diag(a) - w w^T, w = x on E^n (Moser's spectral
+view of confocal quadrics), and the point comes back from them by
+Jacobi's product formula for x_j^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegeneratePoint, InvalidParameters, NoRealPoint
-from .geometry import Geometry, Kind, check_on_model, geodesic_distance, jacobi_squares
+from .geometry import (Geometry, Kind, check_on_model, geodesic_distance, jacobi_denominators,
+                       jacobi_squares)
 
 DEGENERATE_TOL = 1e-12
 
@@ -44,11 +52,9 @@ class ConfocalFamily:
             raise InvalidParameters("need one semiaxis parameter per dimension")
         if any(v <= 0 for v in a):
             raise InvalidParameters("semiaxis parameters must be positive")
-        strict = all(a[i] > a[i + 1] for i in range(len(a) - 1))
-        if not strict:
-            # the concentric-circle degeneration (all a_i equal) is allowed
-            if not (self.geometry.kind is Kind.EUCLIDEAN and len(set(a)) == 1):
-                raise InvalidParameters("semiaxis parameters must be strictly decreasing")
+        # the concentric-circle degeneration (all a_i equal) is allowed
+        if not all(a[i] > a[i + 1] for i in range(len(a) - 1)) and not self.is_circular:
+            raise InvalidParameters("semiaxis parameters must be strictly decreasing")
         if self.geometry.kind is Kind.EUCLIDEAN:
             if self.b is not None:
                 raise InvalidParameters("b is only meaningful for curved families")
@@ -67,6 +73,31 @@ class ConfocalFamily:
     def is_circular(self) -> bool:
         return self.geometry.kind is Kind.EUCLIDEAN and len(set(self.a)) == 1
 
+    # computed once per family, read-only; the signature J is geometry.eta
+
+    @cached_property
+    def poles(self) -> np.ndarray:
+        """Poles D of the secular equation: a, after D_0 = -kappa b on S^n and H^n."""
+        kappa = self.geometry.kappa
+        return _frozen((-kappa * self.b, *self.a) if kappa else self.a)
+
+    @cached_property
+    def denominators(self) -> np.ndarray:
+        """Jacobi's denominators prod_{l != j} (D_j - D_l), one per pole."""
+        return _frozen(jacobi_denominators(self.poles))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """w_i / x_i, i >= 1: sqrt(b + kappa a_i) on S^n and H^n, 1 on E^n."""
+        kappa = self.geometry.kappa
+        return _frozen(np.sqrt(self.b + kappa * np.asarray(self.a)) if kappa else np.ones(self.n))
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
 
 @dataclass(frozen=True)
 class EllipticCoords:
@@ -78,59 +109,42 @@ class EllipticCoords:
     degenerate: tuple = field(default=())
 
 
-def _poles(family: ConfocalFamily):
-    """Poles D and signature J = eta of the secular equation of the family,
-    one entry per ambient coordinate (x0 first, with D_0 = -kappa b, in the
-    curved models)."""
-    geo = family.geometry
-    d = np.asarray(family.a)
-    if geo.kappa:
-        d = np.concatenate(([-geo.kappa * family.b], d))
-    return d, geo.eta
-
-
 def confocal_equation(family: ConfocalFamily, lam, point):
     """Left side minus right side of the secular equation; zero when the
     lam-member passes through the point."""
     x = check_on_model(family.geometry, point)
-    d, sig = _poles(family)
     rhs = 1.0 if family.geometry.kind is Kind.EUCLIDEAN else 0.0
-    return np.sum(sig * x * x / (d - lam)) - rhs
+    return np.sum(family.geometry.eta * x * x / (family.poles - lam)) - rhs
 
 
 def confocal_parameters(family: ConfocalFamily, point, strict: bool = False) -> EllipticCoords:
     """Elliptic coordinates of a point: the n confocal parameters through it.
 
-    They are the roots of the secular equation, computed as eigenvalues:
-    of diag(a) - x x^T in E^n, and of the pencil (B^T J D B, B^T J B) in
-    S^n and H^n, with B an orthonormal basis of the Euclidean x^perp.
-    B^T J B is the identity on S^n and positive definite on H^n (x is
-    timelike), so its Cholesky factor makes the pencil symmetric.
+    They are the roots of the secular equation, computed as the eigenvalues
+    of diag(a) - w w^T, with w = x on E^n and w_i = x_i sqrt(b + kappa a_i)
+    on S^n and H^n.  The curved secular equation times (lam - D_0), with
+    <x, x> = kappa, is sum_{i>=1} w_i^2 / (a_i - lam) = 1: the x0 term
+    drops out, and the roots are those of the Euclidean form in w.
 
     A zero coordinate x_j pins one parameter to its pole D_j (a_i, or -b
-    for x0 = 0 on S^n).  Such coordinates are dropped before the
-    eigenproblem, and their poles are returned exactly and listed in
-    `degenerate`; with strict=True they raise DegeneratePoint instead.
+    for x0 = 0 on S^n).  A zero x_i is dropped before the eigenproblem; a
+    zero x0 makes -b the smallest eigenvalue, which is dropped.  Such
+    poles are returned exactly and listed in `degenerate`; with
+    strict=True they raise DegeneratePoint instead.
     """
     if family.is_circular:
         raise InvalidParameters("elliptic coordinates degenerate for circular families")
     x = check_on_model(family.geometry, point)
-    d, sig = _poles(family)
     zero = x * x <= DEGENERATE_TOL ** 2
     if strict and zero.any():
         raise DegeneratePoint("point has a vanishing coordinate")
-    keep = ~zero
-    dk, sk, xk = d[keep], sig[keep], x[keep]
-    if family.geometry.kind is Kind.EUCLIDEAN:
-        roots = np.linalg.eigvalsh(np.diag(dk) - np.outer(xk, xk))
-    else:
-        basis = np.linalg.qr(xk[:, None], mode="complete")[0][:, 1:]
-        jb = sk[:, None] * basis
-        chol = np.linalg.cholesky(basis.T @ jb)
-        # eigenvalues of L^-1 (B^T J D B) L^-T, with B^T J B = L L^T
-        half = np.linalg.solve(chol, jb.T @ (dk[:, None] * basis))
-        roots = np.linalg.eigvalsh(np.linalg.solve(chol, half.T))
-    known = sorted(d[zero].tolist(), reverse=True)
+    n = family.n
+    keep = ~zero[-n:]
+    w = (family.weights * x[-n:])[keep]
+    roots = np.linalg.eigvalsh(np.diag(family.poles[-n:][keep]) - np.outer(w, w))
+    if family.geometry.kappa and zero[0]:
+        roots = roots[1:]
+    known = sorted(family.poles[zero].tolist(), reverse=True)
     lam = tuple(sorted(roots.tolist() + known, reverse=True))
     signs = tuple(-1 if v < 0 else 1 for v in x)
     return EllipticCoords(lam=lam, signs=signs, degenerate=tuple(known))
@@ -142,41 +156,33 @@ def point_from_parameters(family: ConfocalFamily, coords: EllipticCoords | tuple
 
         J_j x_j^2 = c prod_k (D_j - lam_k) / prod_{l != j} (D_j - D_l),
 
-    c = J_0 (-1 in H^n, else 1); signs pick the orthant.  A
+    c = J_0 (-1 in H^n, else 1); signs pick the orthant.  coords may also
+    be a stack of parameter sets, one per row, for a stack of points.  A
     negative square raises NoRealPoint.
     """
     if isinstance(coords, EllipticCoords):
-        lam = np.asarray(coords.lam, dtype=float)
-        if signs is None:
-            signs = coords.signs
-    else:
-        lam = np.asarray(coords, dtype=float)
+        coords, signs = coords.lam, coords.signs if signs is None else signs
+    lam = np.asarray(coords, dtype=float)
     if family.is_circular:
         raise InvalidParameters("elliptic coordinates degenerate for circular families")
-    if lam.shape != (family.n,):
+    if lam.ndim not in (1, 2) or lam.shape[-1] != family.n:
         raise InvalidParameters("need one parameter per class")
-    d, sig = _poles(family)
-    squares = sig[0] * sig * jacobi_squares(d, lam)
+    sig = family.geometry.eta
+    squares = sig[0] * sig * jacobi_squares(family.poles, lam, family.denominators)
     if np.min(squares) < -1e-10:
         raise NoRealPoint(f"negative squared coordinate: {squares}")
     if signs is None:
-        signs = (1,) * len(d)
+        signs = (1,) * sig.size
     x = np.asarray(signs, dtype=float) * np.sqrt(np.clip(squares, 0.0, None))
     if family.geometry.kappa < 0:
-        x[0] = abs(x[0])  # upper sheet
+        x[..., 0] = abs(x[..., 0])  # upper sheet
     return x
 
 
 def confocal_gradient(family: ConfocalFamily, lam: float, point) -> np.ndarray:
-    """Ambient gradient of the confocal defining function at a point."""
-    x = np.asarray(point, dtype=float)
-    a = np.asarray(family.a)
-    if family.geometry.kind is Kind.EUCLIDEAN:
-        return 2.0 * x / (a - lam)
-    g = np.empty_like(x)
-    g[1:] = 2.0 * x[1:] / (a - lam)
-    g[0] = -2.0 * x[0] / (family.b + family.geometry.kappa * lam)
-    return g
+    """Ambient gradient 2 J_j x_j / (D_j - lam) of the secular sum of the
+    lam-member at a point."""
+    return 2.0 * family.geometry.eta * np.asarray(point, dtype=float) / (family.poles - lam)
 
 
 def tangent_parameters_of_line(family: ConfocalFamily, base_point, direction):
@@ -214,38 +220,22 @@ def ivory_parallelepiped_check(family: ConfocalFamily, intervals, signs=None,
     the second 'interval' is an angle range and the first a radius-class
     range, reflecting the polar degeneration.
     """
-    geo = family.geometry
     n = family.n
-
-    if family.is_circular:
-        a0 = family.a[0]
-        (l0, l1), (t0, t1) = intervals
-        rs = [np.sqrt(a0 - l0), np.sqrt(a0 - l1)]
-        corners = {}
-        for i in range(2):
-            for j in range(2):
-                th = (t0, t1)[j]
-                corners[(i, j)] = np.array([rs[i] * np.cos(th), rs[i] * np.sin(th)])
-        d1 = geodesic_distance(geo, corners[(0, 0)], corners[(1, 1)])
-        d2 = geodesic_distance(geo, corners[(0, 1)], corners[(1, 0)])
-        spread = abs(d1 - d2)
-        return {"vertices": corners, "diagonals": [d1, d2], "spread": spread,
-                "passed": spread < tol}
-
-    if len(intervals) != n:
+    # corner bits[k] takes end bits[k] of interval k; all corners in one
+    # stack, in np.ndindex order, so that corner c is opposite 2^n - 1 - c
+    bits = list(np.ndindex(*(2,) * n))
+    ends = np.asarray(intervals, dtype=float)
+    if ends.shape != (n, 2):
         raise InvalidParameters("need one lambda interval per class")
-    corners = {}
-    for bits in np.ndindex(*(2,) * n):
-        lam = tuple(intervals[k][bits[k]] for k in range(n))
-        corners[bits] = point_from_parameters(family, lam, signs=signs)
-    diagonals = []
-    for bits in sorted(corners):
-        if bits[0] == 1:
-            continue
-        opp = tuple(1 - bv for bv in bits)
-        diagonals.append(geodesic_distance(geo, corners[bits], corners[opp]))
+    if family.is_circular:
+        r, th = np.sqrt(family.a[0] - ends[0]).repeat(2), np.tile(ends[1], 2)
+        points = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    else:
+        points = point_from_parameters(family, ends[np.arange(n), bits], signs=signs)
+    half = len(bits) // 2
+    diagonals = geodesic_distance(family.geometry, points[:half], points[:half - 1:-1]).tolist()
     spread = float(np.max(diagonals) - np.min(diagonals))
-    return {"vertices": corners, "diagonals": diagonals, "spread": spread,
+    return {"vertices": dict(zip(bits, points)), "diagonals": diagonals, "spread": spread,
             "passed": spread < tol}
 
 

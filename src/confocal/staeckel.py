@@ -35,7 +35,7 @@ from .errors import (
     SingularStaeckelMatrix,
     SolverDiverged,
 )
-from .geometry import Geometry, euclidean, jacobi_squares, spherical
+from .geometry import Geometry, euclidean, jacobi_denominators, jacobi_squares, spherical
 
 # M is refused as singular when its condition number, after scaling each
 # column to unit max-norm, reaches 1/eps: a test that does not depend on
@@ -665,8 +665,8 @@ def builtin_metric(name: str, params) -> StaeckelMetric:
             # sphere_conical: both rows (t, 1) / h
             rows = [(np.eye(2), hpoly)] * 2
 
-    def root(q):
-        return np.sqrt(jacobi_squares(poles, q))
+    def root(q, _d=np.asarray(poles), _den=jacobi_denominators(poles)):
+        return np.sqrt(jacobi_squares(_d, q, _den))
 
     ambient = {"spheroconical_R3": lambda q: q[0] * root(q[1:]),
                "ellipsoid_intrinsic": lambda q: root((0.0, *q))}.get(name, root)

@@ -30,7 +30,10 @@ FAM3 = ConfocalFamily(euclidean(3), (4.0, 2.0, 1.0))
 FAM4 = ConfocalFamily(euclidean(4), (5.0, 3.0, 2.0, 1.0))
 FAMS2 = ConfocalFamily(spherical(2), (3.0, 2.0), b=1.0)
 FAMH2 = ConfocalFamily(hyperbolic(2), (1.0, 0.5), b=2.0)
+FAMS3 = ConfocalFamily(spherical(3), (3.0, 2.0, 1.5), b=1.0)
+FAMH3 = ConfocalFamily(hyperbolic(3), (1.0, 0.6, 0.3), b=2.0)
 ALL_FAMS = [FAM2, FAM3, FAMS2, FAMH2]
+CURVED_FAMS = [FAMS2, FAMS3, FAMH2, FAMH3]
 
 
 def _onto_model(fam, x):
@@ -72,21 +75,29 @@ def test_degenerate_axis_points():
         confocal_parameters(FAM2, (2.0, 0.0), strict=True)
 
 
-@pytest.mark.parametrize("fam, x, pole", [
-    (FAMS2, (0.0, 0.6, 0.8), -1.0),
-    (FAMS2, (0.6, 0.0, 0.8), 3.0),
-    (FAMS2, (0.6, 0.8, 0.0), 2.0),
-    (FAMH2, (np.sqrt(1.25), 0.0, 0.5), 1.0),
-    (FAMH2, (np.sqrt(1.25), 0.5, 0.0), 0.5),
-], ids=["S2-x0", "S2-x1", "S2-x2", "H2-x1", "H2-x2"])
-def test_degenerate_curved_points(fam, x, pole):
+@pytest.mark.parametrize("fam, x, poles", [
+    (FAMS2, (0.0, 0.6, 0.8), (-1.0,)),
+    (FAMS2, (0.6, 0.0, 0.8), (3.0,)),
+    (FAMS2, (0.6, 0.8, 0.0), (2.0,)),
+    (FAMH2, (np.sqrt(1.25), 0.0, 0.5), (1.0,)),
+    (FAMH2, (np.sqrt(1.25), 0.5, 0.0), (0.5,)),
+    (FAMS3, (0.0, 0.6, 0.48, 0.64), (-1.0,)),
+    (FAMS3, (0.6, 0.48, 0.0, 0.64), (2.0,)),
+    (FAMS3, (0.0, 0.6, 0.8, 0.0), (1.5, -1.0)),
+    (FAMH3, (np.sqrt(1.34), 0.0, 0.5, 0.3), (1.0,)),
+    (FAMH3, (np.sqrt(1.34), 0.5, 0.3, 0.0), (0.3,)),
+    (FAMH3, (np.sqrt(1.25), 0.0, 0.5, 0.0), (1.0, 0.3)),
+], ids=["S2-x0", "S2-x1", "S2-x2", "H2-x1", "H2-x2",
+        "S3-x0", "S3-x2", "S3-x0x3", "H3-x1", "H3-x3", "H3-x1x3"])
+def test_degenerate_curved_points(fam, x, poles):
     """A zero coordinate gives its pole exactly (a_i, or -b for x0 = 0 on
     S^n), flagged; the other parameters still solve the secular equation."""
     coords = confocal_parameters(fam, x)
-    assert coords.degenerate == (pole,)
-    assert pole in coords.lam
+    assert coords.degenerate == poles
+    assert len(coords.lam) == fam.n
+    assert all(pole in coords.lam for pole in poles)
     for lv in coords.lam:
-        if lv != pole:
+        if lv not in poles:
             assert abs(confocal_equation(fam, lv, x)) < 1e-12
     assert np.max(np.abs(point_from_parameters(fam, coords) - x)) < 1e-12
     with pytest.raises(DegeneratePoint):
@@ -210,6 +221,85 @@ def test_parameters_match_secular_oracle(fam, raw):
     oracle = np.asarray(_secular_oracle(fam, x))
     assert len(oracle) == fam.n
     assert np.all(np.abs(lam - oracle) <= 1e-13 * np.maximum(1.0, np.abs(oracle)))
+
+
+def _pencil_parameters(fam, x):
+    """Curved elliptic coordinates by the generalized eigenproblem that
+    computed them before the rank-one identity, kept as an oracle: the
+    pencil (B^T J D B, B^T J B) over the nonzero coordinates, B an
+    orthonormal basis of their Euclidean x^perp, made symmetric by the
+    Cholesky factor of B^T J B; each zero coordinate adds its pole."""
+    x = np.asarray(x, dtype=float)
+    d = np.array([-fam.geometry.kappa * fam.b, *fam.a])
+    sig = np.array([-1.0 if fam.geometry.kind is Kind.HYPERBOLIC else 1.0] + [1.0] * fam.n)
+    zero = x * x <= 1e-24
+    dk, sk, xk = d[~zero], sig[~zero], x[~zero]
+    basis = np.linalg.qr(xk[:, None], mode="complete")[0][:, 1:]
+    jb = sk[:, None] * basis
+    chol = np.linalg.cholesky(basis.T @ jb)
+    half = np.linalg.solve(chol, jb.T @ (dk[:, None] * basis))
+    roots = np.linalg.eigvalsh(np.linalg.solve(chol, half.T))
+    return sorted(roots.tolist() + d[zero].tolist(), reverse=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(fam=st.sampled_from(CURVED_FAMS),
+       raw=st.lists(_coordinate, min_size=4, max_size=4), x0_zero=st.booleans())
+def test_rank_one_matches_pencil(fam, raw, x0_zero):
+    """The rank-one eigenproblem against the pencil on S^2, S^3, H^2 and
+    H^3, with coordinates down to 1e-11 and x0 = 0 on S^n, where -b is
+    pinned and flagged."""
+    raw = raw[:fam.geometry.ambient_dim]
+    pinned = x0_zero and fam.geometry.kind is Kind.SPHERICAL
+    if pinned:
+        raw[0] = 0.0
+    x = _onto_model(fam, raw)
+    coords = confocal_parameters(fam, x)
+    lam, oracle = np.asarray(coords.lam), np.asarray(_pencil_parameters(fam, x))
+    assert lam.shape == oracle.shape == (fam.n,)
+    assert np.all(np.abs(lam - oracle) <= 1e-13 * np.maximum(1.0, np.abs(oracle)))
+    assert coords.degenerate == ((-fam.b,) if pinned else ())
+    assert lam[-1] == -fam.b or not pinned
+
+
+@pytest.mark.parametrize("fam", [FAMH2, FAMH3], ids=["H2", "H3"])
+def test_far_hyperbolic_points_match_secular_oracle(fam):
+    """Points at distance r = 2 ... 8 from the origin of H^n.  diag(a) - w w^T
+    has norm about x . x there, so a backward-stable eigensolver is off by
+    a few eps x . x; the gate is 2 eps x . x relative."""
+    rng = np.random.default_rng(37)
+    for r in (2.0, 4.0, 6.0, 8.0):
+        for _ in range(10):
+            u = rng.normal(size=fam.n)
+            x = np.concatenate(([np.cosh(r)], np.sinh(r) * u / np.linalg.norm(u)))
+            lam = np.asarray(confocal_parameters(fam, x).lam)
+            oracle = np.asarray(_secular_oracle(fam, x))
+            gate = 2.0 * np.finfo(float).eps * (x @ x)
+            assert np.all(np.abs(lam - oracle) <= gate * np.maximum(1.0, np.abs(oracle)))
+
+
+def test_euclidean_coordinates_and_points_bitwise():
+    """E^n coordinates are eigvalsh(diag(a) - x x^T) to the bit, and every
+    point_from_parameters output is Jacobi's product with its denominators
+    built anew per call, to the bit, on every model."""
+    rng = np.random.default_rng(31)
+    for fam in (FAM2, FAM3, FAM4):
+        for _ in range(200):
+            x = random_interior_point(fam, rng)
+            roots = np.linalg.eigvalsh(np.diag(fam.a) - np.outer(x, x))
+            assert confocal_parameters(fam, x).lam == tuple(sorted(roots.tolist(), reverse=True))
+    for fam in (FAM2, FAM3, FAM4, FAMS2, FAMS3, FAMH2, FAMH3):
+        d = np.array([-fam.geometry.kappa * fam.b, *fam.a] if fam.b else fam.a)
+        sig = fam.geometry.eta
+        for _ in range(200):
+            coords = confocal_parameters(fam, random_interior_point(fam, rng))
+            gaps = d[:, None] - d
+            np.fill_diagonal(gaps, 1.0)
+            squares = sig[0] * sig * (np.prod(d[:, None] - np.asarray(coords.lam), axis=1)
+                                      / np.prod(gaps, axis=1))
+            x = np.asarray(coords.signs, dtype=float) * np.sqrt(np.clip(squares, 0.0, None))
+            x[0] = abs(x[0]) if fam.geometry.kappa < 0 else x[0]
+            assert np.array_equal(point_from_parameters(fam, coords), x)
 
 
 def test_tangent_line_vertex():
@@ -354,6 +444,29 @@ def test_ivory_boxes_all_geometries():
             rep = ivory_parallelepiped_check(fam, intervals)
             assert rep["spread"] < 1e-8
             assert rep["passed"]
+
+
+def test_parallelepiped_vertices_are_corner_points():
+    """The stacked corners are point_from_parameters of each corner to the
+    bit, in np.ndindex order, and each diagonal joins corner bits to its
+    opposite, as before the corners were stacked."""
+    rng = np.random.default_rng(41)
+    for fam in ALL_FAMS + [FAM4, FAMS3, FAMH3]:
+        for _ in range(10):
+            l1, l2 = (confocal_parameters(fam, random_interior_point(fam, rng)).lam
+                      for _ in range(2))
+            intervals = [tuple(sorted(pair, reverse=True)) for pair in zip(l1, l2)]
+            signs = tuple(rng.choice([-1, 1], size=fam.geometry.ambient_dim))
+            rep = ivory_parallelepiped_check(fam, intervals, signs=signs)
+            assert list(rep["vertices"]) == list(np.ndindex(*(2,) * fam.n))
+            for bits, v in rep["vertices"].items():
+                lam = tuple(intervals[k][bits[k]] for k in range(fam.n))
+                assert np.array_equal(v, point_from_parameters(fam, lam, signs=signs))
+            expect = [geodesic_distance(fam.geometry, v, rep["vertices"][tuple(1 - b for b in bits)])
+                      for bits, v in rep["vertices"].items() if bits[0] == 0]
+            # one ulp apart at most: a stack sums by rows where a pair takes BLAS dot
+            assert np.allclose(rep["diagonals"], expect, rtol=1e-15, atol=0.0)
+            assert rep["spread"] == max(rep["diagonals"]) - min(rep["diagonals"])
 
 
 def test_ivory_named_example():
