@@ -4,7 +4,8 @@ A Stackel metric on a coordinate box is given by an n x n matrix M(q) whose
 row i depends only on q_i.  Each row is stored as data, u_i(t) = num_i(t)
 / den_i(t): its n numerators (one per column) and its denominator, high to
 low degree as in np.polyval, in one table (and one of derivatives) for one
-Horner pass.  At one point, M and M^{-1} take a stack's steps on Python floats.
+Horner pass.  M^{-1} is the adjugate over the determinant for n <= 3 (LAPACK
+beyond); one point takes a stack's steps on Python floats, bitwise the same.
 
 Everything follows from M^{-1} (indices from 0):
 
@@ -43,11 +44,12 @@ from .geometry import Geometry, euclidean, jacobi_denominators, jacobi_squares, 
 _COND_MAX = 1.0 / np.finfo(float).eps
 
 
-def _polyval(c: np.ndarray, t):
-    """Every polynomial of a table at t, by Horner's rule over the last axis."""
+def _polyval(c, t):
+    """Every polynomial of a table at t, by Horner's rule over the last axis;
+    one list of coefficients takes the same steps on Python floats."""
     y = 0.0
-    for k in range(c.shape[-1]):
-        y = y * t + c[..., k]
+    for ck in c if isinstance(c, list) else (c[..., k] for k in range(c.shape[-1])):
+        y = y * t + ck
     return y
 
 
@@ -77,18 +79,19 @@ class StaeckelMetric:
             raise InvalidParameters("Stackel matrix must be n x n")
         if len(self.box) != n:
             raise InvalidParameters("need one box interval per coordinate")
-        # coeffs[i]: row i's n numerators and denominator as float lists;
-        # table[i]: the same left-padded to one length for one Horner pass,
-        # with views num and den.  Padding zeros leave a point's y = 0.0 as is
-        self.coeffs = [[np.atleast_1d(np.asarray(p, dtype=float)).tolist() for p in (*num, den)]
-                       for num, den in self.rows]
-        k = max(len(p) for row in self.coeffs for p in row)
-        self.table = np.array([[[0.0] * (k - len(p)) + p for p in row] for row in self.coeffs])
+        # table[i]: row i's n numerators and denominator, left-padded to one
+        # length for one Horner pass, with views num and den; dtable holds
+        # their derivatives, and _lists both as float lists, row by row
+        coeffs = [[np.atleast_1d(np.asarray(p, dtype=float)).tolist() for p in (*num, den)]
+                  for num, den in self.rows]
+        k = max(len(p) for row in coeffs for p in row)
+        self.table = np.array([[[0.0] * (k - len(p)) + p for p in row] for row in coeffs])
         self.num, self.den = self.table[:, :n], self.table[:, n:]
         self.dtable = _polyder(self.table)
+        self._lists = list(zip(self.table.tolist(), self.dtable.tolist()))
 
     def _entries(self, t, i=slice(None), deriv=False):
-        """Entries of row(s) i at t (columns on the last axis) and, with
+        """Entries of row(s) i at t (columns on the last axis) or, with
         deriv, their t-derivatives by the quotient rule."""
         with np.errstate(invalid="ignore"):   # t = +/-inf: NaN, refused by _inverse
             P = _polyval(self.table[i], t)
@@ -96,32 +99,36 @@ class StaeckelMetric:
         if not deriv:
             return u
         dP = _polyval(self.dtable[i], t)
-        return u, (dP[..., :-1] - u * dP[..., -1:]) / P[..., -1:]
+        return (dP[..., :-1] - u * dP[..., -1:]) / P[..., -1:]
+
+    def _row(self, i: int, t, deriv=False):
+        """`_entries` of row i; at one t, the same steps on Python floats,
+        as a list, unless den_i(t) = 0 (the stacked +/-inf or NaN)."""
+        if not isinstance(t, float):
+            return self._entries(np.asarray(t, dtype=float)[..., None], i, deriv)
+        t = float(t)   # np.float64 too
+        P = [_polyval(c, t) for c in self._lists[i][0]]
+        if P[-1] == 0.0:
+            return self._entries(np.array([t]), i, deriv)
+        u = [x / P[-1] for x in P[:-1]]
+        if deriv:
+            dP = [_polyval(c, t) for c in self._lists[i][1]]
+            u = [(x - y * dP[-1]) / P[-1] for x, y in zip(dP[:-1], u)]
+        return u
 
     def matrix(self, q) -> np.ndarray:
         """M(q), or one M per point of a stack q[..., n]; a point is bitwise the same, on floats."""
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
-            rows = []
-            for t, polys in zip(q.tolist(), self.coeffs, strict=True):
-                P = []
-                for c in polys:
-                    y = 0.0
-                    for ck in c:
-                        y = y * t + ck
-                    P.append(y)
-                if P[-1] == 0.0:   # the stacked code's +/-inf or NaN
-                    return self._entries(q[..., None])
-                rows.append([x / P[-1] for x in P[:-1]])
-            return np.array(rows)
+            return np.array([self._row(i, t) for i, t in zip(range(self.n), q.tolist(), strict=True)])
         return self._entries(q[..., None])
 
     def row(self, i: int, qi) -> np.ndarray:
         """Row i at q_i; for an array of q_i the columns go last."""
-        return self._entries(np.asarray(qi, dtype=float)[..., None], i)
+        return np.asarray(self._row(i, qi))
 
     def row_deriv(self, i: int, qi) -> np.ndarray:
-        return self._entries(np.asarray(qi, dtype=float)[..., None], i, deriv=True)[1]
+        return np.asarray(self._row(i, qi, deriv=True))
 
     def h(self, i: int, qi, alpha):
         return 2.0 * (self.row(i, qi) @ alpha)
@@ -174,18 +181,43 @@ def _momentum(metric: StaeckelMetric, alpha, signs, q) -> np.ndarray:
     return signs * np.sqrt(np.maximum(2.0 * metric.matrix(q).dot(alpha), 0.0))
 
 
+def _cofactor_inverse(rows):
+    """Adjugate over determinant of a matrix of size 3 or less, by rows; 3 x 3
+    cofactors taken cyclically.  Entries are Python floats (one matrix) or
+    arrays (a stack), with the same IEEE steps; a zero determinant raises
+    ZeroDivisionError on floats and gives +/-inf or NaN on arrays."""
+    if len(rows) < 2:
+        return [[1.0 / a] for (a,) in rows]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+        return [[d / det, -b / det], [-c / det, a / det]]
+    (a, b, c), (d, e, f), (g, h, k) = rows
+    C = [[e * k - f * h, f * g - d * k, d * h - e * g],
+         [h * c - k * b, k * a - g * c, g * b - h * a],
+         [b * f - c * e, c * d - a * f, a * e - b * d]]
+    det = a * C[0][0] + b * C[0][1] + c * C[0][2]
+    return [[x / det for x in col] for col in zip(*C)]
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b, by cofactors up to 3 x 3; ZeroDivisionError or LinAlgError if singular."""
+    return np.dot(_cofactor_inverse(A.tolist()), b) if b.size <= 3 else np.linalg.solve(A, b)
+
+
 def _inverse(M: np.ndarray, q) -> np.ndarray:
     """M^{-1}, or one inverse per matrix of a stack M[..., n, n]; or
-    SingularStaeckelMatrix where any of them has a 1-norm condition number
-    of 1/eps or more.  One M is bitwise the same, on Python floats."""
+    SingularStaeckelMatrix where any of them is singular, not finite, or
+    has a 1-norm condition number of 1/eps or more.  By cofactors for
+    n <= 3, on Python floats for one M, which is bitwise the same."""
     if M.ndim == 2:
         scale = [max(map(abs, col)) for col in M.T.tolist()]
         Ms = [[x / s if s > 0.0 else x for x, s in zip(row, scale)] for row in M.tolist()]
         norm = [sum(map(abs, col)) for col in zip(*Ms)]
         try:
-            Minv = np.linalg.inv(Ms).tolist()
+            Minv = _cofactor_inverse(Ms) if len(Ms) <= 3 else np.linalg.inv(Ms).tolist()
             norm_inv = [sum(map(abs, col)) for col in zip(*Minv)]
-        except np.linalg.LinAlgError:
+        except (ZeroDivisionError, np.linalg.LinAlgError):
             norm_inv = [np.inf]
         # Python's max skips a NaN, which the sums keep
         if not (max(norm) * max(norm_inv) < _COND_MAX and sum(norm) + sum(norm_inv) < np.inf):
@@ -193,12 +225,14 @@ def _inverse(M: np.ndarray, q) -> np.ndarray:
         return np.array([[x / s for x in row] for row, s in zip(Minv, scale)])
     scale = np.abs(M).max(axis=-2)
     Ms = M / np.where(scale > 0.0, scale, 1.0)[..., None, :]
-    try:
-        Minv = np.linalg.inv(Ms)
-        cond = (np.abs(Ms).sum(axis=-2).max(axis=-1)
-                * np.abs(Minv).sum(axis=-2).max(axis=-1))
-    except np.linalg.LinAlgError:
-        cond = np.linalg.cond(Ms, 1)    # inf where exactly singular
+    with np.errstate(all="ignore"):   # a singular M: +/-inf or NaN, refused below
+        try:
+            Minv = (np.moveaxis(np.array(_cofactor_inverse(np.moveaxis(Ms, (-2, -1), (0, 1)))),
+                                (0, 1), (-2, -1)) if M.shape[-1] <= 3 else np.linalg.inv(Ms))
+            cond = (np.abs(Ms).sum(axis=-2).max(axis=-1)
+                    * np.abs(Minv).sum(axis=-2).max(axis=-1))
+        except np.linalg.LinAlgError:
+            cond = np.linalg.cond(Ms, 1)    # inf where exactly singular
     if not cond.max() < _COND_MAX:
         raise SingularStaeckelMatrix(
             f"singular Stackel matrix at q = {np.asarray(q)[~(cond < _COND_MAX)][0]}")
@@ -220,7 +254,10 @@ def _coeffs(Minv: np.ndarray) -> np.ndarray:
 
 
 def _alpha(Minv: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return 0.5 * (Minv @ (p * p)[..., None])[..., 0]
+    p2 = p * p
+    if Minv.ndim == 2 and p2.ndim == 1:   # one point
+        return 0.5 * Minv.dot(p2)
+    return 0.5 * (Minv @ p2[..., None])[..., 0]
 
 
 def hamiltonian(metric: StaeckelMetric, q, p):
@@ -272,7 +309,7 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
     c0 = np.asarray(corner0, dtype=float)
     c1 = np.asarray(corner1, dtype=float)
     n = metric.n
-    if np.allclose(c0, c1):
+    if np.array_equal(c0, c1):
         return {"alpha": None, "signs": np.ones(n), "length": 0.0,
                 "residual": 0.0, "separation": None}
     if np.any(c0 == c1):
@@ -306,8 +343,8 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
     step = np.zeros(n)    # alpha_0 stays 1/2
     for _ in range(_MAX_NEWTON):
         try:
-            step[1:] = np.linalg.solve(J[1:, 1:], -Q[1:])
-        except np.linalg.LinAlgError as exc:
+            step[1:] = _solve(J[1:, 1:], -Q[1:])
+        except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
             raise SolverDiverged("singular quadrature Jacobian") from exc
         if not np.all(np.isfinite(step)):
             break
@@ -550,8 +587,8 @@ def _flight(metric: StaeckelMetric, alpha, turns, q, s, e):
     for i in range(n):
         others = [k for k in range(n) if k != i]
         try:
-            th = np.linalg.solve(F[others, 1:].T, -F[i, 1:])
-        except np.linalg.LinAlgError:
+            th = _solve(F[others, 1:].T, -F[i, 1:])
+        except (ZeroDivisionError, np.linalg.LinAlgError):
             th = np.full(n - 1, np.inf)
         key = np.max(np.where(th >= 0.0, th, np.inf))
         cands.append((key, i, np.insert(th, i, 1.0)))

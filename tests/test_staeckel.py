@@ -15,7 +15,7 @@ from confocal.errors import (
     SingularStaeckelMatrix,
     SolverDiverged,
 )
-from confocal.geometry import euclidean, geodesic_distance
+from confocal.geometry import euclidean, geodesic_distance, jacobi_denominators, jacobi_squares
 from confocal.quadrics import ConfocalFamily, confocal_parameters
 from confocal.staeckel import (
     LiouvilleMetric,
@@ -49,7 +49,7 @@ def _hamilton_field(metric, q, p):
     """(dq/dt, dp/dt) = (dH/dp, -dH/dq), both through one M^{-1}: the
     field the box billiard integrated with DOP853 before it flew on the
     separated quadratures, kept here as the oracle."""
-    M, dM = metric._entries(q[:, None], deriv=True)
+    M, dM = metric._entries(q[:, None]), metric._entries(q[:, None], deriv=True)
     Minv = _inverse(M, q)
     alpha = 0.5 * (Minv @ (p * p))
     return Minv[0] * p, Minv[0] * (dM @ alpha)
@@ -333,6 +333,25 @@ def test_geodesic_degenerate():
         geodesic_between(m, (2.5, 0.4), (2.5, 0.6))
 
 
+@pytest.mark.parametrize("name, corner, size", [
+    ("spheroconical_R3", (1.7, 3.0, 1.5), (1.5e-5, 2e-5, 1e-5)),
+    ("elliptic_R2", (2.5, 0.5), (4e-6, 4e-6)),
+], ids=["spheroconical_R3", "elliptic_R2"])
+def test_tiny_boxes_have_their_length(name, corner, size):
+    # corners that np.allclose takes as equal (rtol 1e-5) but that differ:
+    # the diagonal is solved and its length is the chord; only equal
+    # corners give length 0
+    m = _metric(name)
+    c0 = np.array(corner)
+    c1 = c0 + size
+    chord = geodesic_distance(m.ambient_geometry, m.ambient(c0), m.ambient(c1))
+    sol = geodesic_between(m, c0, c1)
+    assert sol["alpha"] is not None
+    assert abs(sol["length"] - chord) < 1e-9 * chord
+    assert ivory_check(m, list(zip(c0, c1)))["lengths"] == [sol["length"]] * 2 ** (m.n - 1)
+    assert geodesic_between(m, c0, c0.copy())["length"] == 0.0
+
+
 def test_ivory_all_builtins():
     for name in ALL_NAMES:
         m = _metric(name)
@@ -455,9 +474,9 @@ def test_poisson_bracket_fd():
 
 
 def test_stacked_calls_match_single_points():
-    """matrix, _inverse and metric_coeffs at one point are bitwise the
-    stacked calls (one point takes the stacked steps on Python floats);
-    integrals_alpha, hamiltonian and the momentum agree with them."""
+    """matrix, _inverse, metric_coeffs, row and row_deriv at one point are
+    bitwise the stacked calls (one point takes the stacked steps on Python
+    floats); integrals_alpha, hamiltonian and the momentum agree with them."""
     rng = np.random.default_rng(30)
     for m in ORACLE_METRICS:
         q = np.array([_random_q(m, rng) for _ in range(40)]).reshape(4, 10, m.n)
@@ -479,6 +498,13 @@ def test_stacked_calls_match_single_points():
         assert np.allclose(stacked.reshape(single.shape), single, rtol=1e-13, atol=1e-15)
         assert np.array_equal(hamiltonian(m, q, p), stacked[..., 0])
         assert isinstance(hamiltonian(m, q[0, 0], p[0, 0]), float)
+        # one row at one q_i, a Python float or a numpy scalar, and its
+        # derivative are bitwise the rows over an array
+        for i in range(m.n):
+            t = q[..., i].ravel()
+            for fn in (m.row, m.row_deriv):
+                assert np.array_equal(np.array([fn(i, x) for x in t.tolist()]), fn(i, t))
+                assert np.array_equal(np.array([fn(i, x) for x in t]), fn(i, t))
     # M = [[q_0, 1], [q_1, 1]] is singular on the diagonal q_0 = q_1 only
     row = ([[1.0, 0.0], [1.0]], [1.0])
     m = StaeckelMetric(2, [row, row], [(0.0, 1.0), (0.0, 1.0)])
@@ -491,18 +517,21 @@ def test_stacked_calls_match_single_points():
 
 @pytest.mark.parametrize("gap, refused", [(0.0, True), (2.2e-16, True), (1e-15, False)])
 def test_point_and_stack_refuse_alike(gap, refused):
-    # on M = [[q_0, 1], [q_1, 1]] near q = (0.5, 0.5) the scaled 1-norm
-    # condition number is about 2 / (q_1 - q_0): 9e15, then 2e15, on either
-    # side of 1/eps = 4.5e15
-    row = ([[1.0, 0.0], [1.0]], [1.0])
-    m = StaeckelMetric(2, [row, row], [(0.0, 1.0), (0.0, 1.0)])
-    q = np.array([0.5, 0.5 + gap])
-    for x in (q, q[None], np.array([[0.2, 0.7], q])):
-        if refused:
-            with pytest.raises(SingularStaeckelMatrix, match=r"\[0\.5 0\.5"):
-                metric_coeffs(m, x)
-        else:
-            assert np.array_equal(metric_coeffs(m, x).reshape(-1, 2)[-1], metric_coeffs(m, q))
+    # near q_0 = q_1 = 0.5 the scaled 1-norm condition number is about
+    # 2 / (q_1 - q_0) on M = [[q_0, 1], [q_1, 1]], 9e15 then 2e15, and
+    # 3 / (q_1 - q_0) on the 3 x 3 Vandermonde M, rows (q_i^2, q_i, 1), at
+    # q_2 = 0, 1.4e16 then 3e15: either side of 1/eps = 4.5e15
+    two = ([[1.0, 0.0], [1.0]], [1.0])
+    three = ([[1.0, 0.0, 0.0], [1.0, 0.0], [1.0]], [1.0])
+    for row, q in ((two, np.array([0.5, 0.5 + gap])), (three, np.array([0.5, 0.5 + gap, 0.0]))):
+        n = len(q)
+        m = StaeckelMetric(n, [row] * n, [(0.0, 1.0)] * n)
+        for x in (q, q[None], np.array([[0.2, 0.7, 0.4][:n], q])):
+            if refused:
+                with pytest.raises(SingularStaeckelMatrix, match=r"\[0\.5 0\.5"):
+                    metric_coeffs(m, x)
+            else:
+                assert np.array_equal(metric_coeffs(m, x).reshape(-1, n)[-1], metric_coeffs(m, q))
 
 
 def test_point_at_a_pole_takes_the_stacked_code():
@@ -947,3 +976,51 @@ def test_point_path_is_bitwise_the_stacked_one_near_walls(k, frac):
     assert np.array_equal(M, m.matrix(q[None])[0])
     assert np.array_equal(_inverse(M, q), _inverse(M[None], q[None])[0])
     assert np.array_equal(metric_coeffs(m, q), metric_coeffs(m, q[None])[0])
+    for i in range(m.n):
+        for fn in (m.row, m.row_deriv):
+            assert np.array_equal(fn(i, q[i]), fn(i, q[i:i + 1])[0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(k=st.integers(0, len(ORACLE_METRICS) - 1),
+       frac=st.lists(_fraction, min_size=3, max_size=3))
+def test_inverse_matches_mpmath_near_walls(k, frac):
+    # the cofactor M^-1 against a 50-digit inverse X of the same float M,
+    # gated at n eps kappa max|X|, kappa the column-scaled 1-norm condition
+    # number: the first-order bound of an inverse's rounding, scaled by the
+    # problem.  The worst seen over 300 points of each metric is 0.32 eps
+    # kappa max|X| (elliptic_R2), and kappa reaches 1.2e3 (ellipsoidal_R3)
+    m = ORACLE_METRICS[k]
+    q = np.array([lo + f * (hi - lo) for (lo, hi), f in zip(m.box, frac)])
+    M = m.matrix(q)
+    with mpmath.workdps(50):
+        X = np.array((mpmath.matrix(M.tolist()) ** -1).tolist(), dtype=float)
+    s = np.abs(M).max(axis=0)
+    kappa = np.abs(M / s).sum(axis=0).max() * np.abs(X * s[:, None]).sum(axis=0).max()
+    err = np.max(np.abs(_inverse(M, q) - X))
+    assert err <= m.n * np.finfo(float).eps * kappa * np.max(np.abs(X))
+
+
+def test_four_coordinates_take_lapack():
+    # ellipsoidal coordinates of E^4, rows (t^3, t^2, t, 1) / -4 prod(t - D)
+    # over the poles D: M^-1 has no cofactor formula at n = 4 and takes
+    # LAPACK, with a point still bitwise the stack; the Newton step is
+    # 3 x 3.  A diagonal's length is the Euclidean chord
+    poles = (4.0, 3.0, 2.0, 1.0)
+    box = [(3.1, 3.9), (2.1, 2.9), (1.1, 1.9), (0.0, 0.9)]
+    m = StaeckelMetric(4, [(np.eye(4), -4.0 * np.poly(poles))] * 4, box)
+    rng = np.random.default_rng(43)
+    q = np.array([_random_q(m, rng) for _ in range(20)])
+    M = m.matrix(q)
+    assert np.array_equal(_inverse(M, q), np.array([_inverse(x, y) for x, y in zip(M, q)]))
+    assert np.array_equal(metric_coeffs(m, q), np.array([metric_coeffs(m, x) for x in q]))
+    assert np.all(metric_coeffs(m, q) > 0.0)
+    # two equal coordinates make two equal rows
+    for x in ([3.5, 3.5, 1.5, 0.5], [q[0], [3.5, 3.5, 1.5, 0.5]]):
+        with pytest.raises(SingularStaeckelMatrix):
+            metric_coeffs(m, np.array(x))
+    den = jacobi_denominators(poles)
+    ambient = lambda x: np.sqrt(jacobi_squares(np.asarray(poles), x, den))
+    c0, c1 = np.array([3.3, 2.4, 1.3, 0.3]), np.array([3.5, 2.6, 1.5, 0.5])
+    sol = geodesic_between(m, c0, c1)
+    assert abs(sol["length"] - np.linalg.norm(ambient(c1) - ambient(c0))) < 1e-9
