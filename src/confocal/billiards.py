@@ -123,22 +123,25 @@ def line_conic_intersections(family: ConfocalFamily, lam: float, line: OrientedL
                              tangent_tol: float = 1e-12):
     """Intersection parameters t (points line.point_at(t)) with the
     lam-member, sorted ascending.  Raises NoIntersection; a double root
-    raises TangentHit."""
+    raises TangentHit.  The discriminant is 4 (lam_line - lam) / (AB)
+    exactly, lam_line the line's caustic, so the decision is taken on that
+    gap, relative to |a1| + |a2| + |lam|: c1^2 - 4 c2 c0 is all rounding
+    where the line's foot is the tangency point, as at a vertex."""
     A, B = _semiaxes_sq(family, lam)
-    u = line.foot
-    d = line.direction
+    nu, d = line.normal, line.direction
+    u = line.p * nu
+    # lam_line - lam = A nu1^2 + B nu2^2 - p^2 for the unit normal nu
+    gap = (A * nu[0] ** 2 + B * nu[1] ** 2 - line.p ** 2) * math.copysign(1.0, A * B)
+    cut = tangent_tol * (abs(family.a[0]) + abs(family.a[1]) + abs(lam))
+    if gap < -cut:
+        raise NoIntersection("line misses the mirror conic")
+    if gap < cut:
+        raise TangentHit("line is tangent to the mirror conic")
     c2 = d[0] ** 2 / A + d[1] ** 2 / B
     c1 = 2.0 * (u[0] * d[0] / A + u[1] * d[1] / B)
     c0 = u[0] ** 2 / A + u[1] ** 2 / B - 1.0
-    disc = c1 * c1 - 4.0 * c2 * c0
-    scale = max(abs(c1 * c1), abs(4.0 * c2 * c0), 1e-300)
-    if disc < -tangent_tol * scale:
-        raise NoIntersection("line misses the mirror conic")
-    if disc < tangent_tol * scale:
-        raise TangentHit("line is tangent to the mirror conic")
-    r = np.sqrt(disc)
-    ts = sorted([(-c1 - r) / (2.0 * c2), (-c1 + r) / (2.0 * c2)])
-    return ts
+    r = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    return sorted([(-c1 - r) / (2.0 * c2), (-c1 + r) / (2.0 * c2)])
 
 
 def conic_normal(family: ConfocalFamily, lam: float, point) -> np.ndarray:
@@ -542,17 +545,14 @@ def ivory_quadrilateral(family: ConfocalFamily, lam_e1: float, lam_e2: float,
 
 def _on_arc(family: ConfocalFamily, point, mirror_lam: float,
             conj_range, tol: float = 1e-6) -> bool:
+    """Whether a first-quadrant point of the mirror lies on its arc: its
+    other coordinate is a1 + a2 - |x|^2 - mirror_lam, the trace of
+    diag(a) - x x^T less the mirror's, the two being its eigenvalues."""
     x, y = point
     if x < -1e-7 or y < -1e-7:
         return False
-    lam = confocal_parameters(family, np.abs(point)).lam
-    lo, hi = min(conj_range), max(conj_range)
-    conj = [lv for lv in lam if abs(lv - mirror_lam) > tol]
-    if len(conj) != 1:
-        # both roots near the mirror parameter: corner point
-        conj = [lam[0] if abs(lam[1] - mirror_lam) < abs(lam[0] - mirror_lam)
-                else lam[1]]
-    return lo - tol <= conj[0] <= hi + tol
+    conj = sum(family.a) - (x * x + y * y) - mirror_lam
+    return min(conj_range) - tol <= conj <= max(conj_range) + tol
 
 
 def _ray_hit_arc(family: ConfocalFamily, point, direction, mirror_lam: float,
@@ -576,7 +576,13 @@ def _ray_hit_arc(family: ConfocalFamily, point, direction, mirror_lam: float,
 
 def four_periodic_family(family: ConfocalFamily, ivory: dict, t: float) -> dict:
     """Member of the 4-periodic billiard family interpolating between the
-    two diagonals of an Ivory quadrilateral (t=0: diagonal BD, t=1: AC)."""
+    two diagonals of an Ivory quadrilateral (t=0: diagonal BD, t=1: AC),
+    tangent to their caustic, which must be an ellipse (InvalidParameters
+    otherwise, and for t outside [0, 1] or NaN).  Raises OrbitEscapesTable
+    when a leg misses the arcs, or when the orbit traced in the table does
+    not close: the member at t is then not an orbit of the table."""
+    if not 0.0 <= t <= 1.0:
+        raise InvalidParameters(f"need 0 <= t <= 1, got {t}")
     lam_e1, lam_e2 = ivory["lam_e"]
     lam_h1, lam_h2 = ivory["lam_h"]
     if t < 1e-12:
@@ -594,39 +600,30 @@ def four_periodic_family(family: ConfocalFamily, ivory: dict, t: float) -> dict:
     P = point_from_parameters(family, (lam_h, lam_e1), signs=(1, 1))
 
     # launch along the tangent ray from P to the caustic that meets the H1 side
-    Q = None
     for tp in chart.tangency_points_from(P):
-        for d0 in (tp - P, P - tp):
-            try:
-                cand = _ray_hit_arc(family, P, d0, lam_h1, e_range)
-            except OrbitEscapesTable:
-                continue
-            # the tangency must lie ahead of the start point
-            if (tp - P) @ d0 > 0.0:
-                Q = cand
-                break
-        if Q is not None:
+        try:
+            Q = _ray_hit_arc(family, P, tp - P, lam_h1, e_range)
             break
-    if Q is None:
+        except OrbitEscapesTable:
+            pass
+    else:
         raise OrbitEscapesTable("no tangent ray from the start point meets the H1 side")
 
+    # reflect at Q on H1, R on E2 and S on H2; the last leg lands back on E1
     pts = [P, Q]
     mirrors = [(lam_h1, e_range), (lam_e2, h_range), (lam_h2, e_range),
                (lam_e1, h_range)]
     d = Q - P
-    cur = Q
-    for k in range(1, 3):
-        mirror_lam = mirrors[k - 1][0]
-        d = reflect_direction(family, mirror_lam, cur, d)
-        nxt = _ray_hit_arc(family, cur, d, *mirrors[k])
-        pts.append(nxt)
-        cur = nxt
-    # final leg: reflect at S on H2, land back on the E1 side
-    d = reflect_direction(family, lam_h2, cur, d)
-    P2 = _ray_hit_arc(family, cur, d, *mirrors[3])
-    gap = float(np.linalg.norm(P2 - P))
-    per = sum(float(np.linalg.norm(pts[i + 1] - pts[i])) for i in range(3))
-    per += float(np.linalg.norm(P2 - pts[3]))
+    for k in range(1, 4):
+        d = reflect_direction(family, mirrors[k - 1][0], pts[-1], d)
+        pts.append(_ray_hit_arc(family, pts[-1], d, *mirrors[k]))
+    per = sum(float(np.linalg.norm(pts[i + 1] - pts[i])) for i in range(4))
+    gap = float(np.linalg.norm(pts[4] - P))
+    # members close to ~1e-9; where the member crosses a side (it may reflect
+    # in E2 from inside) the orbit traced here is another: sampled, >= 1e-3
+    if gap > 1e-6 * per:
+        raise OrbitEscapesTable(f"the orbit from the start point misses it by {gap:.3g}: "
+                                "the family's member is not an orbit of the table")
     return {"P": pts[0], "Q": pts[1], "R": pts[2], "S": pts[3],
             "perimeter": per, "closure_gap": gap}
 

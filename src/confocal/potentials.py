@@ -296,45 +296,24 @@ def direction_rule(n: int, m: int):
     raise InvalidParameters("direction rules implemented for n = 2, 3")
 
 
-def _tangent_frame(ws: np.ndarray) -> list:
-    """Orthonormal tangent bases of the direction sphere at each row of ws."""
-    N, n = ws.shape
-    if n == 2:
-        return np.stack([-ws[:, 1], ws[:, 0]], axis=1)[:, None, :]
-    if n == 3:
-        ref = np.zeros_like(ws)
-        ref[:, 0] = 1.0
-        bad = np.abs(ws[:, 0]) > 0.9
-        ref[bad] = 0.0
-        ref[bad, 1] = 1.0
-        e1 = np.cross(ws, ref)
-        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-        e2 = np.cross(ws, e1)
-        return np.stack([e1, e2], axis=1)
-    raise InvalidParameters("direction rules implemented for n = 2, 3")
-
-
 def sample_ellipsoid(ellipsoid: CurvedEllipsoid, ws):
     """Radial projection of directions ws (rows of R^n) onto the ellipsoid:
-    the points above them, and weights combining the exact area element of
-    the parametrization with the homeoidal density."""
+    the points above them, and weights per unit solid angle of w combining
+    the area element with the homeoidal density, b rho^(n-1) / (2 sqrt(bm))
+    with m = sum w_i^2/a_i and rho = (kappa + bm)^(-1/2).
+
+    In geodesic polar coordinates (r, w) about the pole, dvol =
+    sin^(n-1) r dr dw and q = m sin^2 r - cos^2 r / b (sinh and cosh in
+    H^n); the point over w has sin r = rho and cos r = sqrt(bm) rho.  By
+    the coarea formula the measure dA/||grad q|| on q = 0 is
+    sin^(n-1) r / |dq/dr| dw, which is the weight above."""
     a, b, kappa = np.asarray(ellipsoid.a), ellipsoid.b, ellipsoid.geometry.kappa
     ws = np.asarray(ws, dtype=float)
     ws = ws / np.linalg.norm(ws, axis=1, keepdims=True)
-    pts = ellipsoid.point_from_direction(ws)
-    # tangents of x(w) = (sqrt(bm) rho, rho w) along each frame vector e:
-    # dm = 2 sum w_i e_i / a_i, and rho^-2 = kappa + bm gives
-    # d rho = -b dm rho^3 / 2 and d x_0 = -kappa d rho / sqrt(bm)
-    frames = _tangent_frame(ws)
     bm = b * np.sum(ws * ws / a, axis=1)
     rho = 1.0 / np.sqrt(kappa + bm)
-    drho = -b * np.sum((ws / a)[:, None, :] * frames, axis=2) * rho[:, None] ** 3
-    tangents = np.concatenate(
-        [(-kappa * drho / np.sqrt(bm)[:, None])[..., None],
-         drho[..., None] * ws[:, None, :] + rho[:, None, None] * frames], axis=2)
-    grams = np.sum((tangents * ellipsoid.geometry.eta)[:, :, None] * tangents[:, None], axis=3)
-    areas = np.sqrt(np.maximum(np.linalg.det(grams), 0.0))
-    return pts, areas / ellipsoid.grad_norm(pts)
+    return (ellipsoid.point_from_direction(ws),
+            b * rho ** (ellipsoid.n - 1) / (2.0 * np.sqrt(bm)))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from confocal.billiards import (
     _hyperbola_class,
     _incircle_residuals,
     _line_intersection,
+    _on_arc,
     _rd,
     _rf,
     _rotation_number,
@@ -41,8 +42,11 @@ from confocal.errors import (
     InvalidParameters,
     NoIntersection,
     NotBracketed,
+    NotTangent,
+    OrbitEscapesTable,
+    TangentHit,
 )
-from confocal.quadrics import confocal_parameters
+from confocal.quadrics import confocal_parameters, point_from_parameters
 
 FAM = ConfocalFamily(euclidean(2), (4.0, 1.0))
 CIRC = ConfocalFamily(euclidean(2), (2.0, 2.0))
@@ -117,6 +121,34 @@ def test_reflect_forward_both_behind():
         reflect(FAM, 0.0, ln)
     _, pt = reflect(FAM, 0.0, ln, branch="exit")
     assert np.allclose(pt, ln.point_at(ts[-1]))
+
+
+@pytest.mark.parametrize("x", [0.0, 0.25, 0.1, 0.4])
+def test_tangent_line_is_a_tangent_hit(x):
+    """A tangent of the lam = 0 ellipse, at a vertex (x = 0, 0.25: the
+    line's foot is the tangency point, where c1^2 - 4 c2 c0 is rounding
+    noise) or off the axes, is a double root: reflection is the identity."""
+    line = CausticChart(FAM, 0.0).tangent_line_at(x)
+    with pytest.raises(TangentHit):
+        line_conic_intersections(FAM, 0.0, line)
+    assert reflect(FAM, 0.0, line) == (line, None)
+    # moved off by 1e-9 the line meets the conic twice, or misses it
+    assert len(line_conic_intersections(FAM, 0.0, OrientedLine(line.alpha, line.p * 0.999999999))) == 2
+    with pytest.raises(NoIntersection):
+        line_conic_intersections(FAM, 0.0, OrientedLine(line.alpha, line.p * 1.000000001))
+
+
+def test_lines_not_tangent_to_the_caustic():
+    chart = CausticChart(FAM, 0.5)
+    with pytest.raises(NotTangent, match="tangent to lam=0.29"):
+        chart.coordinate_of_line(CausticChart(FAM, 0.3).tangent_line_at(0.2))
+    with pytest.raises(NotTangent):
+        chart.coordinate_of_line(OrientedLine(0.3, 0.0))
+    # a line through the centre has the hyperbola caustic 4 sin^2 a + cos^2 a
+    alpha = math.asin(math.sqrt(1.0 / 3.0))
+    assert abs(caustic_of_line(FAM, OrientedLine(alpha, 0.0)).lam - 2.0) < 1e-15
+    with pytest.raises(NotTangent, match="through the center"):
+        CausticChart(FAM, 2.0).coordinate_of_line(OrientedLine(alpha, 0.0))
 
 
 def test_caustic_kinds():
@@ -367,6 +399,85 @@ def test_four_periodic_family():
     assert max(pers) - min(pers) < 1e-8
     assert abs(pers[0] - 2.0 * q["BD"]) < 1e-10
     assert abs(pers[-1] - 2.0 * q["AC"]) < 1e-10
+    # random quadrilaterals: eighteen with an ellipse caustic, and those with
+    # a hyperbola caustic drawn on the way
+    rng = np.random.default_rng(5)
+    ellipse, hyperbola = [], []
+    while len(ellipse) < 18:
+        le = np.sort(rng.uniform(-1.0, 0.95, size=2))
+        lh = np.sort(rng.uniform(1.05, 3.95, size=2))
+        q = ivory_quadrilateral(FAM, le[0], le[1], lh[0], lh[1])
+        (ellipse if q["lam_AC"] < FAM.a[1] else hyperbola).append(q)
+    members = 0
+    for q in ellipse:
+        for t in np.linspace(0.0, 1.0, 20):
+            try:
+                r = four_periodic_family(FAM, q, t)
+            except OrbitEscapesTable:
+                continue
+            members += 1
+            assert r["closure_gap"] < 1e-8
+            assert abs(r["perimeter"] - 2.0 * q["BD"]) < 1e-8
+    assert members > 180
+    assert hyperbola
+    for q in hyperbola:
+        with pytest.raises(InvalidParameters, match="ellipse caustics"):
+            four_periodic_family(FAM, q, 0.5)
+
+
+@pytest.mark.parametrize("t", [1.5, -0.5, math.nan])
+def test_four_periodic_family_needs_t_in_unit_interval(t):
+    q = ivory_quadrilateral(FAM, 0.0, 0.6, 1.4, 3.0)
+    with pytest.raises(InvalidParameters, match="0 <= t <= 1"):
+        four_periodic_family(FAM, q, t)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.3])
+def test_four_periodic_orbit_escapes_the_table(t):
+    q = ivory_quadrilateral(FAM, -0.8, 0.3, 1.5, 3.8)
+    with pytest.raises(OrbitEscapesTable):
+        four_periodic_family(FAM, q, t)
+
+
+def test_four_periodic_orbit_that_does_not_close_is_refused():
+    """On this quadrilateral the caustic lies within 4e-6 of E2, and at
+    t = 0.3 the family's member reflects in E2 from inside; the orbit traced
+    in the table misses its start point by 0.0207."""
+    q = ivory_quadrilateral(FAM, 0.3244039893916617, 0.6966725795386315,
+                            1.7092237229666336, 3.6467998943009654)
+    assert 0.0 < q["lam_AC"] - q["lam_e"][1] < 4.2e-6
+    assert four_periodic_family(FAM, q, 1e-4)["closure_gap"] < 1e-8
+    with pytest.raises(OrbitEscapesTable, match="misses it by 0.0207"):
+        four_periodic_family(FAM, q, 0.3)
+
+
+_E_SIDE = st.floats(-1.0, 0.95)
+_H_SIDE = st.floats(1.05, 3.95)
+# the fraction along a side, at its ends, within 1e-9 of them, or anywhere
+_ALONG = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1e-9),
+                   st.floats(1.0 - 1e-9, 1.0), st.floats(0.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.tuples(_E_SIDE, _E_SIDE), st.tuples(_H_SIDE, _H_SIDE),
+       st.integers(0, 3), _ALONG)
+def test_arc_coordinate_is_the_trace(es, hs, side, s):
+    """The other coordinate of a point of a side, a1 + a2 - |x|^2 - mirror,
+    against the eigenvalues of confocal_parameters (the oracle)."""
+    es, hs = sorted(es), sorted(hs)
+    mirror, ends = (es[side], hs) if side < 2 else (hs[side - 2], es)
+
+    def point(other):
+        lam = (other, mirror) if side < 2 else (mirror, other)
+        return point_from_parameters(FAM, lam, signs=(1, 1))
+
+    x = point(ends[0] + s * (ends[1] - ends[0]))
+    oracle = [lam for lam in confocal_parameters(FAM, x).lam if (lam > FAM.a[1]) == (side < 2)]
+    trace = FAM.a[0] + FAM.a[1] - x @ x - mirror
+    assert abs(trace - oracle[0]) <= 4 * _ULP * (FAM.a[0] + FAM.a[1] + x @ x + abs(mirror))
+    assert _on_arc(FAM, x, mirror, tuple(ends))
+    assert not _on_arc(FAM, point(ends[0] - 1e-4), mirror, tuple(ends))
+    assert not _on_arc(FAM, point(ends[1] + 1e-4), mirror, tuple(ends))
 
 
 # -- circumscribed quadrilaterals -------------------------------------------
@@ -536,7 +647,10 @@ def test_incircle_residuals_match_lstsq(spread, offsets, flips, near):
     lines = [OrientedLine(a, p) for a, p in zip(alpha, offsets)]
     normals = np.array([ln.normal for ln in lines])
     got = _incircle_residuals(normals, np.array(offsets)).min()
-    assert abs(got - _tangent_circle_residual(lines)) <= 1e-12 * max(map(abs, offsets))
+    # 1e-12 of the largest offset underflows for subnormal offsets, whose
+    # rounding is the smallest subnormal itself
+    tol = max(1e-12 * max(map(abs, offsets)), np.finfo(float).smallest_subnormal)
+    assert abs(got - _tangent_circle_residual(lines)) <= tol
 
 
 def reflection_shift(family, outer_lam, lam_c, x0=0.13):

@@ -209,6 +209,8 @@ ELL_S2 = CurvedEllipsoid(S2, (3.0, 2.0), 1.0)
 ELL_H2 = CurvedEllipsoid(H2, (1.0, 0.5), 2.0)
 ELL_S3 = CurvedEllipsoid(S3, (3.0, 2.0, 1.5), 1.0)
 ELL_H3 = CurvedEllipsoid(H3, (1.2, 0.8, 0.5), 2.0)
+ELL_S4 = CurvedEllipsoid(spherical(4), (4.0, 3.0, 2.0, 1.5), 1.0)
+ELL_H4 = CurvedEllipsoid(hyperbolic(4), (1.2, 0.9, 0.7, 0.5), 2.0)
 
 
 def test_ellipsoid_points_on_model():
@@ -329,8 +331,8 @@ def _fd_sample_oracle(ell, ws, h=1e-6):
     return np.array(pts), np.array(weights)
 
 
-@pytest.mark.parametrize("ell", [ELL_S2, ELL_H2, ELL_S3, ELL_H3],
-                         ids=["S2", "H2", "S3", "H3"])
+@pytest.mark.parametrize("ell", [ELL_S2, ELL_H2, ELL_S3, ELL_H3, ELL_S4, ELL_H4],
+                         ids=["S2", "H2", "S3", "H3", "S4", "H4"])
 def test_sampler_matches_fd_oracle(ell):
     ws = np.random.default_rng(37).normal(size=(400, ell.n))
     pts, weights = sample_ellipsoid(ell, ws)
@@ -346,8 +348,9 @@ def test_sampler_matches_fd_oracle(ell):
                     st.floats(0.85, 0.95)),
        sign=st.sampled_from((-1.0, 1.0)), phi=st.floats(0.0, 2.0 * np.pi))
 def test_sampler_near_frame_switch(ell, w0, sign, phi):
-    """The sampler's frame changes its reference axis at |w_0| = 0.9; the
-    area element must not notice."""
+    """Directions near |w_0| = 0.9, where a tangent frame built on a fixed
+    reference axis would switch axes; the closed-form weight has no frame
+    and must agree with the oracle's Gram-Schmidt frame there too."""
     s = np.sqrt(1.0 - w0 * w0)
     w = [sign * w0, s * np.cos(phi), s * np.sin(phi)]
     pts, weights = sample_ellipsoid(ell, [w])
