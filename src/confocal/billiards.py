@@ -90,6 +90,9 @@ class CausticTag:
 
 
 FOCAL_TOL = 1e-9
+# a line within this much of tangency, relative to |a1| + |a2| + |lam|, is a
+# TangentHit of the lam-member
+TANGENT_TOL = 1e-12
 
 
 def _check_planar(family: ConfocalFamily):
@@ -97,15 +100,19 @@ def _check_planar(family: ConfocalFamily):
         raise InvalidParameters("billiards are implemented in the Euclidean plane")
 
 
+def _tangent_lam(family: ConfocalFamily, nu, p: float) -> float:
+    """Parameter of the confocal conic tangent to the line nu . x = p, nu a
+    unit normal: a1 nu1^2 + a2 nu2^2 - p^2."""
+    return family.a[0] * nu[0] ** 2 + family.a[1] * nu[1] ** 2 - p ** 2
+
+
 def caustic_of_line(family: ConfocalFamily, line: OrientedLine) -> CausticTag:
     """Parameter of the confocal conic tangent to the line, with its class."""
     _check_planar(family)
-    a1, a2 = family.a
-    nu = line.normal
-    lam = a1 * nu[0] ** 2 + a2 * nu[1] ** 2 - line.p ** 2
-    if abs(lam - a2) < FOCAL_TOL:
+    lam = _tangent_lam(family, line.normal, line.p)
+    if abs(lam - family.a[1]) < FOCAL_TOL:
         return CausticTag(lam, CausticKind.FOCAL)
-    if lam < a2:
+    if lam < family.a[1]:
         return CausticTag(lam, CausticKind.ELLIPSE)
     return CausticTag(lam, CausticKind.HYPERBOLA)
 
@@ -119,20 +126,18 @@ def _semiaxes_sq(family: ConfocalFamily, lam: float):
     return a1 - lam, a2 - lam
 
 
-def line_conic_intersections(family: ConfocalFamily, lam: float, line: OrientedLine,
-                             tangent_tol: float = 1e-12):
+def line_conic_intersections(family: ConfocalFamily, lam: float, line: OrientedLine):
     """Intersection parameters t (points line.point_at(t)) with the
     lam-member, sorted ascending.  Raises NoIntersection; a double root
     raises TangentHit.  The discriminant is 4 (lam_line - lam) / (AB)
     exactly, lam_line the line's caustic, so the decision is taken on that
-    gap, relative to |a1| + |a2| + |lam|: c1^2 - 4 c2 c0 is all rounding
-    where the line's foot is the tangency point, as at a vertex."""
+    gap, within TANGENT_TOL: c1^2 - 4 c2 c0 is all rounding where the
+    line's foot is the tangency point, as at a vertex."""
     A, B = _semiaxes_sq(family, lam)
     nu, d = line.normal, line.direction
     u = line.p * nu
-    # lam_line - lam = A nu1^2 + B nu2^2 - p^2 for the unit normal nu
-    gap = (A * nu[0] ** 2 + B * nu[1] ** 2 - line.p ** 2) * math.copysign(1.0, A * B)
-    cut = tangent_tol * (abs(family.a[0]) + abs(family.a[1]) + abs(lam))
+    gap = (_tangent_lam(family, nu, line.p) - lam) * math.copysign(1.0, A * B)
+    cut = TANGENT_TOL * (abs(family.a[0]) + abs(family.a[1]) + abs(lam))
     if gap < -cut:
         raise NoIntersection("line misses the mirror conic")
     if gap < cut:
@@ -140,7 +145,8 @@ def line_conic_intersections(family: ConfocalFamily, lam: float, line: OrientedL
     c2 = d[0] ** 2 / A + d[1] ** 2 / B
     c1 = 2.0 * (u[0] * d[0] / A + u[1] * d[1] / B)
     c0 = u[0] ** 2 / A + u[1] ** 2 / B - 1.0
-    r = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    # past the cut the rounding of c1^2 - 4 c2 c0 may still leave it below 0
+    r = np.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0))
     return sorted([(-c1 - r) / (2.0 * c2), (-c1 + r) / (2.0 * c2)])
 
 
@@ -579,8 +585,8 @@ def four_periodic_family(family: ConfocalFamily, ivory: dict, t: float) -> dict:
     two diagonals of an Ivory quadrilateral (t=0: diagonal BD, t=1: AC),
     tangent to their caustic, which must be an ellipse (InvalidParameters
     otherwise, and for t outside [0, 1] or NaN).  Raises OrbitEscapesTable
-    when a leg misses the arcs, or when the orbit traced in the table does
-    not close: the member at t is then not an orbit of the table."""
+    when a leg misses the arcs.  The orbit is traced from the start point,
+    and closure_gap is how far its fourth leg lands from it."""
     if not 0.0 <= t <= 1.0:
         raise InvalidParameters(f"need 0 <= t <= 1, got {t}")
     lam_e1, lam_e2 = ivory["lam_e"]
@@ -619,11 +625,6 @@ def four_periodic_family(family: ConfocalFamily, ivory: dict, t: float) -> dict:
         pts.append(_ray_hit_arc(family, pts[-1], d, *mirrors[k]))
     per = sum(float(np.linalg.norm(pts[i + 1] - pts[i])) for i in range(4))
     gap = float(np.linalg.norm(pts[4] - P))
-    # members close to ~1e-9; where the member crosses a side (it may reflect
-    # in E2 from inside) the orbit traced here is another: sampled, >= 1e-3
-    if gap > 1e-6 * per:
-        raise OrbitEscapesTable(f"the orbit from the start point misses it by {gap:.3g}: "
-                                "the family's member is not an orbit of the table")
     return {"P": pts[0], "Q": pts[1], "R": pts[2], "S": pts[3],
             "perimeter": per, "closure_gap": gap}
 
