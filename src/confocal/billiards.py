@@ -7,12 +7,16 @@ family preserves the tangent confocal conic (the caustic); on a fixed
 caustic there is a canonical coordinate x, normalized to total measure 1,
 in which reflections in confocal ellipses are shifts x -> x + c and
 reflections in confocal hyperbolas are reversals x -> c - x.
+
+The 2-D kernels (lines, intersections, reflection, tangency, a point's
+confocal hyperbola) run on Python floats with closed forms; public
+functions still return points as numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import product
@@ -30,11 +34,7 @@ from .errors import (
     TangentHit,
 )
 from .geometry import Kind
-from .quadrics import (
-    ConfocalFamily,
-    confocal_parameters,
-    point_from_parameters,
-)
+from .quadrics import ConfocalFamily, point_from_parameters
 
 # ---------------------------------------------------------------------------
 # oriented lines
@@ -42,39 +42,53 @@ from .quadrics import (
 
 @dataclass(frozen=True)
 class OrientedLine:
-    """Ray coordinates (alpha, p): alpha in [0, 2pi), p signed."""
+    """Ray coordinates (alpha, p): alpha in [0, 2pi), p signed, both finite;
+    cs is (cos alpha, sin alpha)."""
 
     alpha: float
     p: float
+    cs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha) % (2.0 * np.pi))
-        object.__setattr__(self, "p", float(self.p))
+        alpha, p = float(self.alpha), float(self.p)
+        if not (math.isfinite(alpha) and math.isfinite(p)):
+            raise InvalidParameters(f"line coordinates must be finite, got ({alpha}, {p})")
+        alpha %= 2.0 * math.pi
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "cs", (math.cos(alpha), math.sin(alpha)))
 
     @property
     def direction(self) -> np.ndarray:
-        return np.array([np.cos(self.alpha), np.sin(self.alpha)])
+        return np.array(self.cs)
 
     @property
     def normal(self) -> np.ndarray:
-        return np.array([-np.sin(self.alpha), np.cos(self.alpha)])
+        c, s = self.cs
+        return np.array((-s, c))
 
     @property
     def foot(self) -> np.ndarray:
-        return self.p * self.normal
+        return self.point_at(0.0)
+
+    def _at(self, t: float) -> tuple:
+        c, s = self.cs
+        return -self.p * s + t * c, self.p * c + t * s
 
     def point_at(self, t: float) -> np.ndarray:
-        return self.foot + t * self.direction
+        return np.array(self._at(t))
 
     def reversed(self) -> "OrientedLine":
-        return OrientedLine(self.alpha + np.pi, -self.p)
+        return OrientedLine(self.alpha + math.pi, -self.p)
 
     @staticmethod
     def from_point_direction(point, direction) -> "OrientedLine":
-        d = np.asarray(direction, dtype=float)
-        alpha = np.arctan2(d[1], d[0])
-        nu = np.array([-np.sin(alpha), np.cos(alpha)])
-        return OrientedLine(alpha, float(nu @ np.asarray(point, dtype=float)))
+        (x, y), (dx, dy) = point, direction
+        x, y, dx, dy = float(x), float(y), float(dx), float(dy)
+        if not (dx or dy) or not all(map(math.isfinite, (x, y, dx, dy))):
+            raise InvalidParameters("a line needs a finite point and a finite nonzero direction")
+        alpha = math.atan2(dy, dx) % (2.0 * math.pi)
+        return OrientedLine(alpha, math.cos(alpha) * y - math.sin(alpha) * x)
 
 
 class CausticKind(Enum):
@@ -100,16 +114,17 @@ def _check_planar(family: ConfocalFamily):
         raise InvalidParameters("billiards are implemented in the Euclidean plane")
 
 
-def _tangent_lam(family: ConfocalFamily, nu, p: float) -> float:
-    """Parameter of the confocal conic tangent to the line nu . x = p, nu a
-    unit normal: a1 nu1^2 + a2 nu2^2 - p^2."""
-    return family.a[0] * nu[0] ** 2 + family.a[1] * nu[1] ** 2 - p ** 2
+def _tangent_lam(family: ConfocalFamily, line: OrientedLine) -> float:
+    """Parameter of the confocal conic tangent to the line nu . x = p, nu
+    its unit normal (-sin a, cos a): a1 nu1^2 + a2 nu2^2 - p^2."""
+    c, s = line.cs
+    return family.a[0] * s * s + family.a[1] * c * c - line.p * line.p
 
 
 def caustic_of_line(family: ConfocalFamily, line: OrientedLine) -> CausticTag:
     """Parameter of the confocal conic tangent to the line, with its class."""
     _check_planar(family)
-    lam = _tangent_lam(family, line.normal, line.p)
+    lam = _tangent_lam(family, line)
     if abs(lam - family.a[1]) < FOCAL_TOL:
         return CausticTag(lam, CausticKind.FOCAL)
     if lam < family.a[1]:
@@ -121,11 +136,6 @@ def caustic_of_line(family: ConfocalFamily, line: OrientedLine) -> CausticTag:
 # reflection
 
 
-def _semiaxes_sq(family: ConfocalFamily, lam: float):
-    a1, a2 = family.a
-    return a1 - lam, a2 - lam
-
-
 def line_conic_intersections(family: ConfocalFamily, lam: float, line: OrientedLine):
     """Intersection parameters t (points line.point_at(t)) with the
     lam-member, sorted ascending.  Raises NoIntersection; a double root
@@ -133,34 +143,43 @@ def line_conic_intersections(family: ConfocalFamily, lam: float, line: OrientedL
     exactly, lam_line the line's caustic, so the decision is taken on that
     gap, within TANGENT_TOL: c1^2 - 4 c2 c0 is all rounding where the
     line's foot is the tangency point, as at a vertex."""
-    A, B = _semiaxes_sq(family, lam)
-    nu, d = line.normal, line.direction
-    u = line.p * nu
-    gap = (_tangent_lam(family, nu, line.p) - lam) * math.copysign(1.0, A * B)
+    A, B = family.a[0] - lam, family.a[1] - lam
+    gap = (_tangent_lam(family, line) - lam) * math.copysign(1.0, A * B)
     cut = TANGENT_TOL * (abs(family.a[0]) + abs(family.a[1]) + abs(lam))
     if gap < -cut:
         raise NoIntersection("line misses the mirror conic")
     if gap < cut:
         raise TangentHit("line is tangent to the mirror conic")
-    c2 = d[0] ** 2 / A + d[1] ** 2 / B
-    c1 = 2.0 * (u[0] * d[0] / A + u[1] * d[1] / B)
-    c0 = u[0] ** 2 / A + u[1] ** 2 / B - 1.0
+    (c, s), p = line.cs, line.p
+    u0, u1 = p * -s, p * c     # the foot
+    c2 = c * c / A + s * s / B
+    c1 = 2.0 * (u0 * c / A + u1 * s / B)
+    c0 = u0 * u0 / A + u1 * u1 / B - 1.0
     # past the cut the rounding of c1^2 - 4 c2 c0 may still leave it below 0
-    r = np.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0))
+    r = math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0))
     return sorted([(-c1 - r) / (2.0 * c2), (-c1 + r) / (2.0 * c2)])
 
 
+def _unit_normal(family: ConfocalFamily, lam: float, point) -> tuple:
+    gx, gy = float(point[0]) / (family.a[0] - lam), float(point[1]) / (family.a[1] - lam)
+    g = math.hypot(gx, gy)
+    return gx / g, gy / g
+
+
+def _reflected(family: ConfocalFamily, lam: float, point, direction) -> tuple:
+    """direction - 2 (direction . n) n, n the unit normal at the point."""
+    nx, ny = _unit_normal(family, lam, point)
+    dx, dy = float(direction[0]), float(direction[1])
+    k = 2.0 * (dx * nx + dy * ny)
+    return dx - k * nx, dy - k * ny
+
+
 def conic_normal(family: ConfocalFamily, lam: float, point) -> np.ndarray:
-    A, B = _semiaxes_sq(family, lam)
-    x = np.asarray(point, dtype=float)
-    g = np.array([2.0 * x[0] / A, 2.0 * x[1] / B])
-    return g / np.linalg.norm(g)
+    return np.array(_unit_normal(family, lam, point))
 
 
 def reflect_direction(family: ConfocalFamily, lam: float, point, direction) -> np.ndarray:
-    n = conic_normal(family, lam, point)
-    d = np.asarray(direction, dtype=float)
-    return d - 2.0 * (d @ n) * n
+    return np.array(_reflected(family, lam, point, direction))
 
 
 def reflect(family: ConfocalFamily, lam: float, line: OrientedLine,
@@ -193,9 +212,8 @@ def reflect(family: ConfocalFamily, lam: float, line: OrientedLine,
         if not pos:
             raise NoIntersection("both intersections lie behind the line's foot")
         t = pos[0]
-    q = line.point_at(t)
-    d2 = reflect_direction(family, lam, q, line.direction)
-    return OrientedLine.from_point_direction(q, d2), q
+    q = line._at(t)
+    return OrientedLine.from_point_direction(q, _reflected(family, lam, q, line.cs)), np.array(q)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +405,10 @@ class CausticChart:
         tag = caustic_of_line(self.family, line)
         if abs(tag.lam - self.lam_c) > tol:
             raise NotTangent(f"line is tangent to lam={tag.lam}, not {self.lam_c}")
-        nu = line.normal
         if line.p == 0.0:
             raise NotTangent("a line through the center cannot touch the caustic")
-        return np.array([self.A * nu[0] / line.p, self.B * nu[1] / line.p])
+        c, s = line.cs
+        return np.array((self.A * -s / line.p, self.B * c / line.p))
 
     def coordinate_of_line(self, line: OrientedLine, tol: float = 1e-8) -> float:
         return self.coordinate_of_point(self.tangency_of_line(line, tol))
@@ -419,58 +437,52 @@ class CausticChart:
             t = math.sqrt(self.c1) * c / s
         return t, (1.0 if frac >= 0.0 else -1.0)
 
-    def _branch_point(self, t: float, half: float) -> np.ndarray:
-        a1, a2 = self.family.a
-        X = np.sqrt(self.A * (a1 - a2 + t * t) / (a1 - a2))
-        Y = half * t * np.sqrt(-self.B / (a1 - a2))
-        return np.array([X, Y])
+    def _branch_point(self, t: float, half: float) -> tuple:
+        c1 = self.c1
+        return math.sqrt(self.A * (c1 + t * t) / c1), half * t * math.sqrt(-self.B / c1)
 
     def point_at(self, x: float) -> np.ndarray:
         """Caustic point at canonical coordinate x (mod 1)."""
         if self.kind is CausticKind.ELLIPSE:
             c, s = self._ellipse_at(x)
-            return np.array([np.sqrt(self.A) * c, np.sqrt(self.B) * s])
+            return np.array((math.sqrt(self.A) * c, math.sqrt(self.B) * s))
         # hyperbola: right branch by convention
-        return self._branch_point(*self._branch_t_at(x))
+        return np.array(self._branch_point(*self._branch_t_at(x)))
 
     def tangent_line_at(self, x: float) -> OrientedLine:
         """Tangent line at canonical coordinate x, oriented along
         increasing x."""
         if self.kind is CausticKind.ELLIPSE:
             c, s = self._ellipse_at(x)
-            pt = np.array([np.sqrt(self.A) * c, np.sqrt(self.B) * s])
-            d = np.array([-np.sqrt(self.A) * s, np.sqrt(self.B) * c])
-            return OrientedLine.from_point_direction(pt, d)
+            ra, rb = math.sqrt(self.A), math.sqrt(self.B)
+            return OrientedLine.from_point_direction((ra * c, rb * s), (-ra * s, rb * c))
         t, half = self._branch_t_at(x)
-        a1, a2 = self.family.a
-        pt = self._branch_point(t, half)
-        dX = np.sqrt(self.A / (a1 - a2)) * t / np.sqrt(a1 - a2 + t * t)
-        dY = half * np.sqrt(-self.B / (a1 - a2))
+        c1 = self.c1
         # increasing coordinate runs with increasing t on the upper half
-        d = half * np.array([dX, dY])
+        d = (half * math.sqrt(self.A / c1) * t / math.sqrt(c1 + t * t), math.sqrt(-self.B / c1))
         if t == 0.0:
-            d = np.array([0.0, 1.0])
-        return OrientedLine.from_point_direction(pt, d)
+            d = (0.0, 1.0)
+        return OrientedLine.from_point_direction(self._branch_point(t, half), d)
 
     # -- exterior geometry (ellipse caustics only) -------------------------
     def tangency_angles(self, point) -> tuple:
         """Eccentric angles th0 < th1 where the tangents from an exterior
         point touch the caustic ellipse; it sees the arc between, < pi."""
-        P = np.asarray(point, dtype=float)
         if self.kind is not CausticKind.ELLIPSE:
             raise InvalidParameters("exterior tangency implemented for ellipse caustics")
-        cx, cy = P[0] / np.sqrt(self.A), P[1] / np.sqrt(self.B)
-        R = np.hypot(cx, cy)
+        cx, cy = float(point[0]) / math.sqrt(self.A), float(point[1]) / math.sqrt(self.B)
+        R = math.hypot(cx, cy)
         if R <= 1.0:
             raise InsideCaustic("point inside the caustic ellipse")
-        phi, dth = np.arctan2(cy, cx), np.arccos(1.0 / R)
+        phi, dth = math.atan2(cy, cx), math.acos(1.0 / R)
         return phi - dth, phi + dth
 
     def tangency_points_from(self, point) -> list:
         """The two points where tangent lines from an exterior point touch
         the caustic ellipse."""
-        return [np.array([np.sqrt(self.A) * np.cos(th), np.sqrt(self.B) * np.sin(th)])
-                for th in self.tangency_angles(point)]
+        ths = self.tangency_angles(point)
+        ra, rb = math.sqrt(self.A), math.sqrt(self.B)
+        return [np.array((ra * math.cos(th), rb * math.sin(th))) for th in ths]
 
     def perimeter(self) -> float:
         return 4.0 * math.sqrt(self.A) * _ellipe(0.5 * math.pi, self.B / self.A)
@@ -500,14 +512,11 @@ def exterior_coordinates(family: ConfocalFamily, lam_c: float, point):
     an exterior point, ordered so that the increasing-coordinate arc from
     x1 to x2 is the one facing the point."""
     chart = CausticChart(family, lam_c)
-    P = np.asarray(point, dtype=float)
-    t1, t2 = chart.tangency_points_from(P)
-    x1 = chart.coordinate_of_point(t1)
-    x2 = chart.coordinate_of_point(t2)
+    x1, x2 = (chart.coordinate_of_point(tp) for tp in chart.tangency_points_from(point))
     for xa, xb in ((x1, x2), (x2, x1)):
-        mid = chart.point_at(xa + ((xb - xa) % 1.0) / 2.0)
-        nrm = np.array([mid[0] / chart.A, mid[1] / chart.B])
-        if (P - mid) @ nrm > 0.0:
+        # the point lies outside the tangent at the middle of the arc it faces
+        mx, my = chart.point_at(xa + ((xb - xa) % 1.0) / 2.0).tolist()
+        if (point[0] - mx) * mx / chart.A + (point[1] - my) * my / chart.B > 0.0:
             return xa, xb
     return x1, x2
 
@@ -522,29 +531,21 @@ def ivory_quadrilateral(family: ConfocalFamily, lam_e1: float, lam_e2: float,
     two diagonals; the diagonals have equal length and a common caustic."""
     _check_planar(family)
     a1, a2 = family.a
-    for lv in (lam_e1, lam_e2):
-        if not lv < a2:
-            raise InvalidParameters("ellipse parameters must lie below a2")
-    for lv in (lam_h1, lam_h2):
-        if not a2 < lv < a1:
-            raise InvalidParameters("hyperbola parameters must lie in (a2, a1)")
-    corners = {
-        "A": point_from_parameters(family, (lam_h1, lam_e1), signs=(1, 1)),
-        "B": point_from_parameters(family, (lam_h1, lam_e2), signs=(1, 1)),
-        "C": point_from_parameters(family, (lam_h2, lam_e2), signs=(1, 1)),
-        "D": point_from_parameters(family, (lam_h2, lam_e1), signs=(1, 1)),
-    }
-    A, B, C, D = (corners[k] for k in "ABCD")
-    line_ac = OrientedLine.from_point_direction(A, C - A)
-    line_bd = OrientedLine.from_point_direction(B, D - B)
-    tag_ac = caustic_of_line(family, line_ac)
-    tag_bd = caustic_of_line(family, line_bd)
+    if not (lam_e1 < a2 and lam_e2 < a2):
+        raise InvalidParameters("ellipse parameters must lie below a2")
+    if not (a2 < lam_h1 < a1 and a2 < lam_h2 < a1):
+        raise InvalidParameters("hyperbola parameters must lie in (a2, a1)")
+    corners = point_from_parameters(family, [(lam_h1, lam_e1), (lam_h1, lam_e2),
+                                             (lam_h2, lam_e2), (lam_h2, lam_e1)], signs=(1, 1))
+    A, B, C, D = corners.tolist()
+    line_ac = OrientedLine.from_point_direction(A, (C[0] - A[0], C[1] - A[1]))
+    line_bd = OrientedLine.from_point_direction(B, (D[0] - B[0], D[1] - B[1]))
     return {
-        "A": A, "B": B, "C": C, "D": D,
+        **dict(zip("ABCD", corners)),
         "lam_e": (lam_e1, lam_e2), "lam_h": (lam_h1, lam_h2),
-        "AC": float(np.linalg.norm(C - A)),
-        "BD": float(np.linalg.norm(D - B)),
-        "lam_AC": tag_ac.lam, "lam_BD": tag_bd.lam,
+        "AC": math.dist(A, C), "BD": math.dist(B, D),
+        "lam_AC": caustic_of_line(family, line_ac).lam,
+        "lam_BD": caustic_of_line(family, line_bd).lam,
         "line_AC": line_ac, "line_BD": line_bd,
     }
 
@@ -563,21 +564,16 @@ def _on_arc(family: ConfocalFamily, point, mirror_lam: float,
 
 def _ray_hit_arc(family: ConfocalFamily, point, direction, mirror_lam: float,
                  conj_range, tmin: float = 1e-9):
+    """The first point of the mirror's arc on the ray from a point."""
     line = OrientedLine.from_point_direction(point, direction)
-    # ray parameter offset between the line's foot and our base point
-    t0 = float((np.asarray(point) - line.foot) @ line.direction)
-    ts = line_conic_intersections(family, mirror_lam, line)
-    hits = []
-    for t in ts:
-        s = t - t0
-        if s <= tmin:
-            continue
-        q = line.point_at(t)
-        if _on_arc(family, q, mirror_lam, conj_range):
-            hits.append((s, q))
-    if not hits:
-        raise OrbitEscapesTable("reflection misses the bounding arcs")
-    return min(hits, key=lambda h: h[0])[1]
+    # ray parameter of the base point, from the line's foot
+    t0 = point[0] * line.cs[0] + point[1] * line.cs[1]
+    # the intersections come sorted, so the first on the arc is the nearest
+    for t in line_conic_intersections(family, mirror_lam, line):
+        q = line._at(t)
+        if t - t0 > tmin and _on_arc(family, q, mirror_lam, conj_range):
+            return q
+    raise OrbitEscapesTable("reflection misses the bounding arcs")
 
 
 def four_periodic_family(family: ConfocalFamily, ivory: dict, t: float) -> dict:
@@ -589,8 +585,8 @@ def four_periodic_family(family: ConfocalFamily, ivory: dict, t: float) -> dict:
     and closure_gap is how far its fourth leg lands from it."""
     if not 0.0 <= t <= 1.0:
         raise InvalidParameters(f"need 0 <= t <= 1, got {t}")
-    lam_e1, lam_e2 = ivory["lam_e"]
-    lam_h1, lam_h2 = ivory["lam_h"]
+    e_range, h_range = ivory["lam_e"], ivory["lam_h"]
+    (lam_e1, lam_e2), (lam_h1, lam_h2) = e_range, h_range
     if t < 1e-12:
         return {"P": ivory["D"], "Q": ivory["B"], "R": ivory["B"], "S": ivory["D"],
                 "perimeter": 2.0 * ivory["BD"], "closure_gap": 0.0}
@@ -599,16 +595,15 @@ def four_periodic_family(family: ConfocalFamily, ivory: dict, t: float) -> dict:
                 "perimeter": 2.0 * ivory["AC"], "closure_gap": 0.0}
     lam_g = 0.5 * (ivory["lam_AC"] + ivory["lam_BD"])
     chart = CausticChart(family, lam_g)
-    e_range = (lam_e1, lam_e2)
-    h_range = (lam_h1, lam_h2)
     # the starting vertex slides along the E1 side from D (t=0) to A (t=1)
     lam_h = lam_h2 + t * (lam_h1 - lam_h2)
-    P = point_from_parameters(family, (lam_h, lam_e1), signs=(1, 1))
+    start = point_from_parameters(family, (lam_h, lam_e1), signs=(1, 1))
+    P = start.tolist()
 
     # launch along the tangent ray from P to the caustic that meets the H1 side
-    for tp in chart.tangency_points_from(P):
+    for tx, ty in chart.tangency_points_from(start):
         try:
-            Q = _ray_hit_arc(family, P, tp - P, lam_h1, e_range)
+            Q = _ray_hit_arc(family, P, (tx - P[0], ty - P[1]), lam_h1, e_range)
             break
         except OrbitEscapesTable:
             pass
@@ -617,43 +612,42 @@ def four_periodic_family(family: ConfocalFamily, ivory: dict, t: float) -> dict:
 
     # reflect at Q on H1, R on E2 and S on H2; the last leg lands back on E1
     pts = [P, Q]
-    mirrors = [(lam_h1, e_range), (lam_e2, h_range), (lam_h2, e_range),
-               (lam_e1, h_range)]
-    d = Q - P
+    mirrors = [(lam_h1, e_range), (lam_e2, h_range), (lam_h2, e_range), (lam_e1, h_range)]
+    d = (Q[0] - P[0], Q[1] - P[1])
     for k in range(1, 4):
-        d = reflect_direction(family, mirrors[k - 1][0], pts[-1], d)
+        d = _reflected(family, mirrors[k - 1][0], pts[-1], d)
         pts.append(_ray_hit_arc(family, pts[-1], d, *mirrors[k]))
-    per = sum(float(np.linalg.norm(pts[i + 1] - pts[i])) for i in range(4))
-    gap = float(np.linalg.norm(pts[4] - P))
-    return {"P": pts[0], "Q": pts[1], "R": pts[2], "S": pts[3],
-            "perimeter": per, "closure_gap": gap}
+    return {"P": start, "Q": np.array(Q), "R": np.array(pts[2]), "S": np.array(pts[3]),
+            "perimeter": sum(math.dist(pts[i], pts[i + 1]) for i in range(4)),
+            "closure_gap": math.dist(pts[4], P)}
 
 
 # ---------------------------------------------------------------------------
 # circumscribed quadrilaterals
 
 
-def _line_intersection(l1: OrientedLine, l2: OrientedLine) -> np.ndarray:
-    M = np.vstack([l1.normal, l2.normal])
-    rhs = np.array([l1.p, l2.p])
-    det = np.linalg.det(M)
+def _line_intersection(l1: OrientedLine, l2: OrientedLine) -> tuple:
+    """The common point of two lines, as floats: Cramer's rule on the rows
+    (-s_k, c_k) of their unit normals, det = s2 c1 - s1 c2."""
+    (c1, s1), (c2, s2) = l1.cs, l2.cs
+    det = s2 * c1 - s1 * c2
     if abs(det) < 1e-12:
         raise DegenerateConfiguration("tangent lines are parallel")
-    return np.linalg.solve(M, rhs)
+    return (l1.p * c2 - l2.p * c1) / det, (l1.p * s2 - l2.p * s1) / det
 
 
 def _hyperbola_root(family: ConfocalFamily, point) -> float:
-    return _hyperbola_class(
-        family, confocal_parameters(family, np.abs(np.asarray(point, dtype=float))).lam)
-
-
-def _hyperbola_class(family: ConfocalFamily, lam) -> float:
-    """The coordinate of the confocal hyperbola among a point's coordinates."""
-    a1, a2 = family.a
-    for lv in lam:
-        if a2 - 1e-12 <= lv <= a1 + 1e-12:
-            return lv
-    raise DegenerateConfiguration("no hyperbola-class coordinate at the point")
+    """The point's confocal hyperbola: the larger eigenvalue of
+    diag(a) - x x^T, in [a2, a1] by Cauchy interlacing.  Less a2 the
+    matrix has trace 2h = a1 - a2 - |x|^2 and determinant -(a1 - a2) x2^2
+    <= 0, so the root is a2 + h + sqrt(h^2 + (a1 - a2) x2^2), its last two
+    terms taken as a quotient where h < 0 and they cancel."""
+    (a1, a2), x, y = family.a, float(point[0]), float(point[1])
+    c = a1 - a2
+    h = 0.5 * (c - x * x - y * y)
+    cy2 = c * y * y
+    r = math.sqrt(h * h + cy2)
+    return a2 + (h + r if h >= 0.0 else cy2 / (r - h))
 
 
 # sign patterns of <nu_k, c> - s_k r = p_k: the side of line k a circle
@@ -689,10 +683,13 @@ def circumscribed_check(family: ConfocalFamily, A, B, lam_c: float) -> dict:
     for some A and B near opposite ends of the major axis) it is
     |DA| + |AC| = |CB| + |BD|."""
     _check_planar(family)
+    if family.is_circular:
+        raise InvalidParameters("elliptic coordinates degenerate for circular families")
     chart = CausticChart(family, lam_c)
     A, B = (np.asarray(X, dtype=float) for X in (A, B))
-    la, lb = ([OrientedLine.from_point_direction(X, tp - X)
-               for tp in chart.tangency_points_from(X)] for X in (A, B))
+    la, lb = ([OrientedLine.from_point_direction(X, (tx - X[0], ty - X[1]))
+               for tx, ty in map(np.ndarray.tolist, chart.tangency_points_from(X))]
+              for X in (A.tolist(), B.tolist()))
 
     # pair the non-(A,B) intersections so that C, D share a hyperbola root
     best = None
@@ -700,9 +697,9 @@ def circumscribed_check(family: ConfocalFamily, A, B, lam_c: float) -> dict:
         try:
             Cc = _line_intersection(la[i], lb[j])
             Dc = _line_intersection(la[k], lb[m])
-            hc, hd = _hyperbola_root(family, Cc), _hyperbola_root(family, Dc)
         except DegenerateConfiguration:
             continue
+        hc, hd = _hyperbola_root(family, Cc), _hyperbola_root(family, Dc)
         if best is None or abs(hc - hd) < best[0]:
             # the sides AC, CB, BD, DA
             best = (abs(hc - hd), Cc, Dc, (hc + hd) / 2.0, [la[i], lb[j], lb[m], la[k]])
@@ -715,20 +712,27 @@ def circumscribed_check(family: ConfocalFamily, A, B, lam_c: float) -> dict:
     resid = _incircle_residuals(normals, offsets)
     win = int(np.argmin(resid))
     sol, *_ = np.linalg.lstsq(np.column_stack([normals, -_SIGNS[win]]), offsets, rcond=None)
-    center, radius = sol[:2], abs(sol[2])
+    cx, cy = sol[:2].tolist()
 
-    corners = np.array([A, C, B, D])
-    step = np.roll(corners, -1, axis=0) - corners
-    length = np.linalg.norm(step, axis=1)
-    touch = center - (normals @ center - offsets)[:, None] * normals
-    a = ((touch - corners) * step).sum(axis=1) / length
-    c = np.cumprod(np.concatenate([[1.0], -np.sign((length - a)[:3] * a[1:])]))
+    # side k runs from corner k to k + 1 of A, C, B, D; a is how far along
+    # it the touch point lies, the foot of the centre, which is e off line k
+    corners = [A.tolist(), C, B.tolist(), D]
+    total, c, b = 0.0, 1.0, None
+    for k, ln in enumerate(sides):
+        (x0, y0), (x1, y1) = corners[k], corners[(k + 1) % 4]
+        (co, si), dx, dy = ln.cs, x1 - x0, y1 - y0
+        e = co * cy - si * cx - ln.p
+        length = math.hypot(dx, dy)
+        a = ((cx + e * si - x0) * dx + (cy - e * co - y0) * dy) / length
+        if b is not None:
+            c *= -((b * a > 0.0) - (b * a < 0.0))    # -sign(b_k a_k+1)
+        total, b = total + c * length, length - a
     return {
-        "A": A, "B": B, "C": C, "D": D,
+        "A": A, "B": B, "C": np.array(C), "D": np.array(D),
         "lam_hyp": lam_hyp, "hyperbola_mismatch": mismatch,
-        "incircle_center": center, "incircle_radius": radius,
+        "incircle_center": sol[:2], "incircle_radius": abs(sol[2]),
         "tangency_residual": float(resid[win]),
-        "perimeter_residual": float(abs(c @ length)),
+        "perimeter_residual": abs(total),
         "lines": la + lb,
     }
 
@@ -760,8 +764,7 @@ def poncelet_caustic_for_rotation(family: ConfocalFamily, outer_lam: float,
     if not 0.0 < rho < 0.5:
         raise NotBracketed("rotation number must lie in (0, 1/2)")
     if family.is_circular:
-        R = np.sqrt(a1 - outer_lam)
-        return a1 - (R * np.cos(np.pi * rho)) ** 2
+        return a1 - (math.sqrt(a1 - outer_lam) * math.cos(math.pi * rho)) ** 2
     lo = outer_lam + 1e-9 * (a2 - outer_lam)
     hi = a2 - 1e-9 * (a2 - outer_lam)
     if not (_rotation_number(family, outer_lam, lo) <= rho
@@ -785,15 +788,12 @@ def poncelet_polygon(family: ConfocalFamily, outer_lam: float, lam_c: float,
     chart = CausticChart(family, lam_c)
     line = chart.tangent_line_at(start_x)
     ts = line_conic_intersections(family, outer_lam, line)
-    v0 = line.point_at(ts[0])
-    verts = [v0]
-    cur = line
-    # orient so the first bounce moves forward from v0
+    verts, cur = [line.point_at(ts[0])], line
+    # orient so the first bounce moves forward from the first vertex
     for _ in range(q):
         cur, pt = reflect(family, outer_lam, cur, branch="exit")
         verts.append(pt)
-    gap = float(np.linalg.norm(verts[q] - verts[0]))
-    return verts[:q], gap
+    return verts[:q], math.dist(verts[q], verts[0])
 
 
 def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
@@ -805,31 +805,31 @@ def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
     verts, gap = poncelet_polygon(family, outer_lam, lam_c, q, start_x)
     sides = [OrientedLine.from_point_direction(verts[i], verts[(i + 1) % q] - verts[i])
              for i in range(q)]
-    normals = np.array([ln.normal for ln in sides])
+    c, s = np.array([ln.cs for ln in sides]).T
+    normals = np.stack([-s, c], axis=1)
     offsets = np.array([ln.p for ln in sides])
 
-    # every pair of sides meets where its stacked 2x2 system says, but for
-    # opposite sides of an even polygon, parallel by its central symmetry
+    # every pair of sides meets where _line_intersection's Cramer's rule
+    # says, but for opposite sides of an even polygon, parallel by its
+    # central symmetry
     i, j = np.triu_indices(q, 1)
     meets = 2 * (j - i) != q
     i, j = i[meets], j[meets]
-    system = np.stack([normals[i], normals[j]], axis=1)
-    pts = np.linalg.solve(system, np.stack([offsets[i], offsets[j]], axis=1)[..., None])[..., 0]
+    pts = np.stack([offsets[i] * c[j] - offsets[j] * c[i],
+                    offsets[i] * s[j] - offsets[j] * s[i]], axis=1)
+    pts /= (s[j] * c[i] - s[i] * c[j])[:, None]
     points = dict(zip(zip(i.tolist(), j.tolist()), pts))
 
     # the elliptic coordinates of all points at once, eigenvalues of
     # diag(a) - x x^T as in confocal_parameters: the smaller is the point's
-    # confocal ellipse, the hyperbola-class one its confocal hyperbola
+    # confocal ellipse, the larger, in [a2, a1] by interlacing, its
+    # confocal hyperbola
     x = np.abs(pts)
-    lams = np.linalg.eigvalsh(np.diag(family.a) - x[:, :, None] * x[:, None, :])[:, ::-1]
+    lams = np.linalg.eigvalsh(np.diag(family.a) - x[:, :, None] * x[:, None, :])
     ring = np.minimum((j - i) % q, (i - j) % q)
     spoke = (i + j) % q
-    conc_spread = {int(d): float(np.ptp(lams[ring == d, -1])) for d in np.unique(ring)}
-    rad_spread = {}
-    for k in np.unique(spoke).tolist():
-        on = lams[spoke == k]
-        rad_spread[k] = (0.0 if len(on) < 2 else
-                         float(np.ptp([_hyperbola_class(family, lam) for lam in on])))
+    conc_spread = {int(d): float(np.ptp(lams[ring == d, 0])) for d in np.unique(ring)}
+    rad_spread = {int(k): float(np.ptp(lams[spoke == k, 1])) for k in np.unique(spoke)}
 
     # each grid cell is bounded by lines i, i+1, j, j+1 and is circumscribed
     # about a circle: per cell the smallest residual over the sign patterns.
@@ -838,7 +838,7 @@ def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
     cells = [(i, (i + 1) % q, j, (j + 1) % q) for i in range(q) for j in range(i + 1, q)
              if 2 * (j - i) != q]
     skipped = q * (q - 1) // 2 - len(cells)
-    cells = np.array([c for c in cells if len(set(c)) == 4], dtype=int).reshape(-1, 4)
+    cells = np.array([cell for cell in cells if len(set(cell)) == 4], dtype=int).reshape(-1, 4)
     quad_residuals = _incircle_residuals(normals[cells], offsets[cells]).min(axis=1).tolist()
 
     return {"lam_c": lam_c, "vertices": verts, "closure_gap": gap,
@@ -855,11 +855,10 @@ def string_length(family: ConfocalFamily, lam_c: float, point) -> float:
     """Length of a closed string wrapped around the caustic through the
     point: the string sweeps a confocal ellipse."""
     chart = CausticChart(family, lam_c)
-    P = np.asarray(point, dtype=float)
-    on_level = P[0] ** 2 / chart.A + P[1] ** 2 / chart.B - 1.0
-    if abs(on_level) < 1e-12:
+    P = [float(v) for v in point]
+    if abs(P[0] ** 2 / chart.A + P[1] ** 2 / chart.B - 1.0) < 1e-12:
         return chart.perimeter()
     # the string wraps the arc the point does not see
     t1, t2 = chart.tangency_points_from(P)
-    return (float(np.linalg.norm(P - t1)) + float(np.linalg.norm(P - t2))
+    return (math.dist(P, t1) + math.dist(P, t2)
             + chart.perimeter() - chart.arc_length(*chart.tangency_angles(P)))

@@ -15,7 +15,7 @@ from confocal.billiards import (
     CausticKind,
     OrientedLine,
     _ellipe,
-    _hyperbola_class,
+    _hyperbola_root,
     _incircle_residuals,
     _line_intersection,
     _on_arc,
@@ -34,6 +34,7 @@ from confocal.billiards import (
     poncelet_grid,
     poncelet_polygon,
     reflect,
+    reflect_direction,
     string_length,
 )
 from confocal.errors import (
@@ -50,6 +51,7 @@ from confocal.quadrics import confocal_parameters, point_from_parameters
 
 FAM = ConfocalFamily(euclidean(2), (4.0, 1.0))
 CIRC = ConfocalFamily(euclidean(2), (2.0, 2.0))
+_ULP = np.finfo(float).eps
 
 
 def random_interior_line(rng, scale=0.7):
@@ -66,6 +68,117 @@ def test_oriented_line_roundtrip():
     rev = ln.reversed()
     assert abs(circ_diff(rev.alpha / (2 * np.pi), (ln.alpha + np.pi) / (2 * np.pi))) < 1e-14
     assert rev.p == -ln.p
+
+
+@pytest.mark.parametrize("alpha, p", [(math.nan, 1.0), (math.inf, 1.0), (0.3, math.nan),
+                                      (0.3, -math.inf)])
+def test_oriented_line_needs_finite_coordinates(alpha, p):
+    with pytest.raises(InvalidParameters, match="finite"):
+        OrientedLine(alpha, p)
+
+
+@pytest.mark.parametrize("point, direction", [
+    ([1.0, 2.0], [0.0, 0.0]),          # zero direction
+    ([1.0, 2.0], [math.nan, 1.0]),     # non-finite direction
+    ([1.0, 2.0], [1.0, -math.inf]),
+    ([math.nan, 0.0], [1.0, 0.0]),     # non-finite point
+    ([0.0, math.inf], [1.0, 1.0]),
+])
+def test_line_from_point_direction_refuses_bad_input(point, direction):
+    """A zero direction gave alpha = 0 and a NaN point p = nan, whose
+    intersections with a conic were [nan, nan]."""
+    with pytest.raises(InvalidParameters, match="finite"):
+        OrientedLine.from_point_direction(point, direction)
+
+
+# -- the float kernels against their numpy forms ----------------------------
+
+# angles anywhere, on an axis, or within 1e-16..1e-3 of one
+_ANGLE = st.one_of(
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    st.integers(0, 3).map(lambda k: k * math.pi / 2.0),
+    st.tuples(st.integers(0, 4), st.floats(-16.0, -3.0), st.sampled_from([-1.0, 1.0])).map(
+        lambda kes: kes[0] * math.pi / 2.0 + kes[2] * 10.0 ** kes[1]),
+)
+# offsets and coordinates: zero (through the centre, on an axis), 1e-200 to
+# 1e-9, or anywhere up to 1e6; subnormals are left out, as below 2^-1022
+# rounding is absolute, not relative to the problem
+_COORD = st.one_of(
+    st.just(0.0),
+    st.tuples(st.floats(-200.0, -9.0), st.sampled_from([-1.0, 1.0])).map(
+        lambda es: es[1] * 10.0 ** es[0]),
+    st.floats(-1e6, 1e6, allow_subnormal=False),
+)
+
+
+def _numpy_line(alpha):
+    """The numpy form of the OrientedLine maps: direction and normal."""
+    return np.array([np.cos(alpha), np.sin(alpha)]), np.array([-np.sin(alpha), np.cos(alpha)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_ANGLE, _COORD, _COORD)
+def test_line_maps_match_numpy(alpha, p, t):
+    line = OrientedLine(alpha, p)
+    d, nu = _numpy_line(line.alpha)
+    assert np.max(np.abs(line.direction - d)) <= 2 * _ULP
+    assert np.max(np.abs(line.normal - nu)) <= 2 * _ULP
+    assert np.max(np.abs(line.foot - p * nu)) <= 4 * _ULP * abs(p)
+    assert np.max(np.abs(line.point_at(t) - (p * nu + t * d))) <= 4 * _ULP * (abs(p) + abs(t))
+
+
+# the four vertex tangents of the lam = 0 ellipse of FAM
+_VERTEX_TANGENTS = st.sampled_from([((2.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (-1.0, 0.0)),
+                                    ((-2.0, 0.0), (0.0, -1.0)), ((0.0, -1.0), (1.0, 0.0))])
+_POINT = st.tuples(_COORD, _COORD)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(_VERTEX_TANGENTS,
+                 st.tuples(_POINT, st.one_of(_POINT, _ANGLE.map(lambda a: (math.cos(a), math.sin(a))))),
+                 _POINT.map(lambda x: (x, x))))
+def test_line_from_point_direction_matches_numpy(point_direction):
+    """Vertex tangents, directions along or near an axis, points on or near
+    one, and lines through the centre (point 0, or a point along the
+    direction)."""
+    point, direction = point_direction
+    if direction == (0.0, 0.0):
+        direction = (1.0, 0.0)
+    line = OrientedLine.from_point_direction(point, direction)
+    alpha = np.arctan2(direction[1], direction[0])
+    p = float(_numpy_line(alpha)[1] @ np.array(point))
+    size = abs(point[0]) + abs(point[1])
+    assert abs(circ_diff(line.alpha / (2 * np.pi), alpha / (2 * np.pi))) <= 2 * _ULP
+    # the point is on the stored line
+    assert abs(line.normal @ np.array(point) - line.p) <= 2 * _ULP * size
+    # the numpy form takes p from the angle before its reduction mod 2 pi,
+    # which moves it by up to half an ulp of 2 pi (2 eps)
+    assert abs(line.p - p) <= 8 * _ULP * size
+
+
+def _numpy_reflect(family, lam, point, direction):
+    """reflect_direction's numpy form: d - 2 (d . n) n, n = g / |g|."""
+    x, d = np.asarray(point, dtype=float), np.asarray(direction, dtype=float)
+    g = np.array([2.0 * x[0] / (family.a[0] - lam), 2.0 * x[1] / (family.a[1] - lam)])
+    n = g / np.linalg.norm(g)
+    return d - 2.0 * (d @ n) * n
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(st.floats(-1.0, 0.9), st.floats(1.1, 3.9)), _ANGLE, _ANGLE)
+def test_reflect_direction_matches_numpy(lam, th, phi):
+    """At points of an ellipse (lam < 1) or hyperbola (lam > 1) member, at
+    or near its vertices (th near a multiple of pi/2, and near pi on the
+    hyperbola)."""
+    A, B = FAM.a[0] - lam, FAM.a[1] - lam
+    if lam < 1.0:
+        x = (math.sqrt(A) * math.cos(th), math.sqrt(B) * math.sin(th))
+    else:
+        x = (math.sqrt(A) * math.cosh(th - math.pi), math.sqrt(-B) * math.sinh(th - math.pi))
+    d = (math.cos(phi), math.sin(phi))
+    got = reflect_direction(FAM, lam, x, d)
+    assert np.max(np.abs(got - _numpy_reflect(FAM, lam, x, d))) <= 8 * _ULP
+    assert abs(math.hypot(*got) - 1.0) <= 8 * _ULP
 
 
 def test_reflect_diametral_line_in_circle():
@@ -252,9 +365,6 @@ class _CircleOracle:
     def string_length(self, P):
         r, d = self.r, np.hypot(*P)
         return 2.0 * np.sqrt(d * d - r * r) + r * (2.0 * np.pi - 2.0 * np.arccos(r / d))
-
-
-_ULP = np.finfo(float).eps
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -520,6 +630,74 @@ def test_circumscribed_symmetric_center_on_axis():
     assert abs(rep["incircle_center"][0]) < 1e-9
 
 
+def test_circumscribed_needs_confocal_hyperbolas():
+    """Concentric circles have no confocal hyperbolas to compare C and D
+    on (the closed-form root would read a2 at every point)."""
+    with pytest.raises(InvalidParameters, match="circular"):
+        circumscribed_check(CIRC, [1.3, 0.3], [-1.3, 0.3], 0.5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_ANGLE, st.integers(0, 1), st.one_of(st.floats(-1e-2, 1e-2), st.floats(0.0, math.pi)),
+       _COORD, _COORD)
+def test_line_intersection_matches_solve(alpha, half_turns, turn, p1, p2):
+    """Cramer's rule against np.linalg.solve on the unit normals: lines
+    nearly parallel or antiparallel (within 1e-2 rad, down to parallel),
+    through the centre (p = 0), or along an axis.  Both solves are within
+    eps |M^-1| (|x| + |p|) of the point, |M^-1| <= sqrt 2 / |det|."""
+    l1, l2 = OrientedLine(alpha, p1), OrientedLine(alpha + half_turns * math.pi + turn, p2)
+    M, rhs = np.vstack([l1.normal, l2.normal]), np.array([l1.p, l2.p])
+    with np.errstate(divide="ignore"):   # LU of an exactly singular M
+        det = np.linalg.det(M)
+    if abs(det) < 0.99e-12:
+        with pytest.raises(DegenerateConfiguration):
+            _line_intersection(l1, l2)
+    elif abs(det) > 1.01e-12:
+        want = np.linalg.solve(M, rhs)
+        got = _line_intersection(l1, l2)
+        scale = (np.max(np.abs(want)) + np.max(np.abs(rhs))) / abs(det)
+        assert np.max(np.abs(np.array(got) - want)) <= 8 * _ULP * scale
+
+
+def _hyperbola_oracle(a, x):
+    """The larger root of det(diag(a) - x x^T - lam) from its trace and
+    determinant, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a1, a2, u, v = (mpmath.mpf(t) for t in (*a, *x))
+        tr = a1 + a2 - u * u - v * v
+        det = (a1 - u * u) * (a2 - v * v) - u * u * v * v
+        return tr / 2 + mpmath.sqrt(tr * tr / 4 - det)
+
+
+_SCALE = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+_TINY = st.one_of(st.just(0.0), st.floats(-300.0, -3.0).map(lambda e: 10.0 ** e))
+_FAR = st.tuples(st.floats(0.0, 11.0), _ANGLE).map(
+    lambda ra: (10.0 ** ra[0] * math.cos(ra[1]), 10.0 ** ra[0] * math.sin(ra[1])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_SCALE, _SCALE, st.sampled_from(["x-axis", "y-axis", "focus", "far"]),
+       st.floats(-3.0, 3.0), _TINY, _TINY, _FAR)
+def test_hyperbola_root_matches_mpmath(a2, gap, where, along, off, shift, far):
+    """The closed form against 50 digits, for families a2 in [1e-3, 1e3]
+    and a1 - a2 in [1e-3, 1e3], at points near each axis, near a focus
+    (+-sqrt(a1 - a2), 0), and far out, at |x| up to 1e11.  It holds to
+    the rounding of a1 + a2 everywhere, tighter than the eps (a1 + a2 +
+    |x|^2) that eigvalsh's backward error allows: far out a1 + a2 - |x|^2
+    and the root of the discriminant cancel, and there the shift above a2
+    is their quotient form.  Over 20000 of these draws eigvalsh missed by
+    up to 5e22 eps (a1 + a2) far out and 4e3 near a focus, and the
+    cancelling form by 8e15; this form by 1.8."""
+    fam = ConfocalFamily(euclidean(2), (a2 + gap, a2))
+    a1, a2 = fam.a
+    focus = math.sqrt(a1 - a2)
+    x = {"x-axis": (along * math.sqrt(a1), off), "y-axis": (off, along * math.sqrt(a1)),
+         "focus": (math.copysign(focus, along) * (1.0 + shift), off), "far": far}[where]
+    got = _hyperbola_root(fam, x)
+    assert a2 <= got
+    assert abs(got - _hyperbola_oracle(fam.a, x)) <= 4 * _ULP * (a1 + a2)
+
+
 # -- Poncelet ---------------------------------------------------------------
 
 def test_poncelet_circle_closed_forms():
@@ -557,7 +735,7 @@ def test_poncelet_grid_q7():
 ])
 def test_poncelet_grid_points_match_loop(q, p, start_x):
     """The per-point loop as oracle: one _line_intersection and one
-    confocal_parameters per pair of sides.  The batched solve and
+    confocal_parameters per pair of sides.  The stacked Cramer's rule and
     eigenvalues do the same arithmetic, so everything agrees exactly.
     confocal_parameters pins a coordinate within 1e-12 of zero to its
     pole and the grid does not; that moves an eigenvalue by ~1e-24, below
@@ -575,15 +753,13 @@ def test_poncelet_grid_points_match_loop(q, p, start_x):
                 continue
             lam = confocal_parameters(FAM, np.abs(points[(i, j)])).lam
             concentric.setdefault(min((j - i) % q, (i - j) % q), []).append(min(lam))
-            radial.setdefault((i + j) % q, []).append(lam)
+            radial.setdefault((i + j) % q, []).append(max(lam))
     assert list(g["points"]) == list(points)
     for key, pt in points.items():
         assert np.array_equal(g["points"][key], pt), key
     assert g["concentric_spread"] == {
         d: float(np.max(v) - np.min(v)) for d, v in concentric.items()}
-    assert g["radial_spread"] == {
-        s: 0.0 if len(v) < 2 else float(np.ptp([_hyperbola_class(FAM, lam) for lam in v]))
-        for s, v in radial.items()}
+    assert g["radial_spread"] == {s: float(np.ptp(v)) for s, v in radial.items()}
     if q % 2 == 0:
         assert len(points) < q * (q - 1) // 2
 
