@@ -174,10 +174,6 @@ def _reflected(family: ConfocalFamily, lam: float, point, direction) -> tuple:
     return dx - k * nx, dy - k * ny
 
 
-def conic_normal(family: ConfocalFamily, lam: float, point) -> np.ndarray:
-    return np.array(_unit_normal(family, lam, point))
-
-
 def reflect_direction(family: ConfocalFamily, lam: float, point, direction) -> np.ndarray:
     return np.array(_reflected(family, lam, point, direction))
 
@@ -550,76 +546,66 @@ def ivory_quadrilateral(family: ConfocalFamily, lam_e1: float, lam_e2: float,
     }
 
 
-def _on_arc(family: ConfocalFamily, point, mirror_lam: float,
-            conj_range, tol: float = 1e-6) -> bool:
-    """Whether a first-quadrant point of the mirror lies on its arc: its
-    other coordinate is a1 + a2 - |x|^2 - mirror_lam, the trace of
-    diag(a) - x x^T less the mirror's, the two being its eigenvalues."""
-    x, y = point
-    if x < -1e-7 or y < -1e-7:
-        return False
-    conj = sum(family.a) - (x * x + y * y) - mirror_lam
-    return min(conj_range) - tol <= conj <= max(conj_range) + tol
-
-
-def _ray_hit_arc(family: ConfocalFamily, point, direction, mirror_lam: float,
-                 conj_range, tmin: float = 1e-9):
-    """The first point of the mirror's arc on the ray from a point."""
-    line = OrientedLine.from_point_direction(point, direction)
-    # ray parameter of the base point, from the line's foot
-    t0 = point[0] * line.cs[0] + point[1] * line.cs[1]
-    # the intersections come sorted, so the first on the arc is the nearest
-    for t in line_conic_intersections(family, mirror_lam, line):
-        q = line._at(t)
-        if t - t0 > tmin and _on_arc(family, q, mirror_lam, conj_range):
-            return q
-    raise OrbitEscapesTable("reflection misses the bounding arcs")
+def _jacobi_add(x: tuple, y: tuple, m: float) -> tuple:
+    """Jacobi's (sn, cn, dn) of u + v from those of u and v (DLMF 22.8)."""
+    (s1, c1, d1), (s2, c2, d2) = x, y
+    den = 1.0 - m * (s1 * s2) ** 2
+    return ((s1 * c2 * d2 + s2 * c1 * d1) / den, (c1 * c2 - s1 * d1 * s2 * d2) / den,
+            (d1 * d2 - m * s1 * c1 * s2 * c2) / den)
 
 
 def four_periodic_family(family: ConfocalFamily, ivory: dict, t: float) -> dict:
-    """Member of the 4-periodic billiard family interpolating between the
-    two diagonals of an Ivory quadrilateral (t=0: diagonal BD, t=1: AC),
-    tangent to their caustic, which must be an ellipse (InvalidParameters
-    otherwise, and for t outside [0, 1] or NaN).  Raises OrbitEscapesTable
-    when a leg misses the arcs.  The orbit is traced from the start point,
-    and closure_gap is how far its fourth leg lands from it."""
+    """Member of the 4-periodic billiard family between the diagonals of an
+    Ivory quadrilateral (t=0: BD, t=1: AC) on their caustic, an ellipse
+    (InvalidParameters otherwise, or for t outside [0, 1]); OrbitEscapesTable
+    at every t if a diagonal touches it inside its segment: no family there.
+
+    In u, the argument of Jacobi's functions at m = (a1 - a2) / (a1 - lam),
+    of each elliptic coordinate, the caustic's tangents have slope +-1 and
+    the orbit is a diamond in a square table.  With d = u_P - u(h1), Q is
+    u(e1) - d on H1, R u(h2) - d on E2 and S u(e1) - u(h2) + u_P on H2
+    (u(e2) + d, ill-conditioned where E2 nears the caustic).  closure_gap,
+    which the diamond does not assume, is the largest reflection residual
+    |rho(u) |v| - v |u|| / max(|u|, |v|), legs u in and v out, at a vertex."""
     if not 0.0 <= t <= 1.0:
         raise InvalidParameters(f"need 0 <= t <= 1, got {t}")
-    e_range, h_range = ivory["lam_e"], ivory["lam_h"]
-    (lam_e1, lam_e2), (lam_h1, lam_h2) = e_range, h_range
-    if t < 1e-12:
-        return {"P": ivory["D"], "Q": ivory["B"], "R": ivory["B"], "S": ivory["D"],
-                "perimeter": 2.0 * ivory["BD"], "closure_gap": 0.0}
-    if t > 1.0 - 1e-12:
-        return {"P": ivory["A"], "Q": ivory["A"], "R": ivory["C"], "S": ivory["C"],
-                "perimeter": 2.0 * ivory["AC"], "closure_gap": 0.0}
-    lam_g = 0.5 * (ivory["lam_AC"] + ivory["lam_BD"])
-    chart = CausticChart(family, lam_g)
-    # the starting vertex slides along the E1 side from D (t=0) to A (t=1)
-    lam_h = lam_h2 + t * (lam_h1 - lam_h2)
-    start = point_from_parameters(family, (lam_h, lam_e1), signs=(1, 1))
-    P = start.tolist()
+    (a1, a2), (e1, e2), (h1, h2) = family.a, ivory["lam_e"], ivory["lam_h"]
+    lam = 0.5 * (ivory["lam_AC"] + ivory["lam_BD"])
+    if not lam < a2:
+        raise InvalidParameters("the four-periodic family is built on ellipse caustics")
+    c, A, B = a1 - a2, a1 - lam, a2 - lam
+    for diagonal in ("AC", "BD"):
+        (co, si), p = ivory["line_" + diagonal].cs, ivory["line_" + diagonal].p
+        at = -c * co * si / p     # ray parameter of the touch point, whatever lam
+        if (at - ivory[diagonal[0]] @ (co, si)) * (at - ivory[diagonal[1]] @ (co, si)) < 0.0:
+            raise OrbitEscapesTable(f"diagonal {diagonal} touches its caustic inside the table")
+    m, rA = c / A, math.sqrt(A)
 
-    # launch along the tangent ray from P to the caustic that meets the H1 side
-    for tx, ty in chart.tangency_points_from(start):
-        try:
-            Q = _ray_hit_arc(family, P, (tx - P[0], ty - P[1]), lam_h1, e_range)
-            break
-        except OrbitEscapesTable:
-            pass
-    else:
-        raise OrbitEscapesTable("no tangent ray from the start point meets the H1 side")
+    def ellipse(mu):    # u = 0 at mu = lam
+        g = a2 - mu
+        return math.sqrt(max(lam - mu, 0.0) / g), math.sqrt(B / g), math.sqrt(B * (a1 - mu) / (A * g))
 
-    # reflect at Q on H1, R on E2 and S on H2; the last leg lands back on E1
-    pts = [P, Q]
-    mirrors = [(lam_h1, e_range), (lam_e2, h_range), (lam_h2, e_range), (lam_e1, h_range)]
-    d = (Q[0] - P[0], Q[1] - P[1])
-    for k in range(1, 4):
-        d = _reflected(family, mirrors[k - 1][0], pts[-1], d)
-        pts.append(_ray_hit_arc(family, pts[-1], d, *mirrors[k]))
-    return {"P": start, "Q": np.array(Q), "R": np.array(pts[2]), "S": np.array(pts[3]),
-            "perimeter": sum(math.dist(pts[i], pts[i + 1]) for i in range(4)),
-            "closure_gap": math.dist(pts[4], P)}
+    def hyperbola(mu):  # u = 0 at mu = a2, K at a1
+        g = mu - lam
+        return math.sqrt(A * (mu - a2) / (c * g)), math.sqrt(B * (a1 - mu) / (c * g)), math.sqrt(B / g)
+
+    def point(e, h):    # Jacobi's product formula, in (sn, cn, dn)
+        return rA * e[2] * h[1] / (e[1] * h[2]), B * h[0] / (rA * e[1] * h[2])
+
+    # P slides along E1 from D (t=0) to A (t=1), not past A where t = 1 rounds
+    E1, H1, H2, HP = ellipse(e1), hyperbola(h1), hyperbola(h2), hyperbola(max(h2 + t * (h1 - h2), h1))
+    minus_d = _jacobi_add(H1, (-HP[0], *HP[1:]), m)
+    pts = [point(E1, HP), point(_jacobi_add(E1, minus_d, m), H1),
+           point(ellipse(e2), _jacobi_add(H2, minus_d, m)),
+           point(_jacobi_add(E1, _jacobi_add(HP, (-H2[0], *H2[1:]), m), m), H2)]
+    legs = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])]
+    lengths = [math.hypot(*leg) for leg in legs]
+    gap = 0.0
+    for k, mirror in enumerate((e1, h1, e2, h2)):
+        (rx, ry), (vx, vy) = _reflected(family, mirror, pts[k], legs[k - 1]), legs[k]
+        nu, nv = lengths[k - 1], lengths[k]
+        gap = max(gap, math.hypot(rx * nv - vx * nu, ry * nv - vy * nu) / max(nu, nv))
+    return {**dict(zip("PQRS", map(np.array, pts))), "perimeter": sum(lengths), "closure_gap": gap}
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ class InsideCaustic(ConfocalError):
 
 
 class OrbitEscapesTable(ConfocalError):
-    """A reflection lands outside the bounding arcs of the table."""
+    """The four-periodic family does not exist in the table: a diagonal of
+    the Ivory quadrilateral touches its caustic inside the table."""
 
 
 class DegenerateConfiguration(ConfocalError):

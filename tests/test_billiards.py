@@ -6,7 +6,7 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from confocal import ConfocalFamily, euclidean
@@ -18,8 +18,8 @@ from confocal.billiards import (
     _hyperbola_root,
     _incircle_residuals,
     _line_intersection,
-    _on_arc,
     _rd,
+    _reflected,
     _rf,
     _rotation_number,
     canonical_coordinate,
@@ -499,42 +499,174 @@ def test_ivory_quadrilateral_random():
         assert abs(q["lam_AC"] - q["lam_BD"]) < 1e-9
 
 
-def test_four_periodic_family():
-    q = ivory_quadrilateral(FAM, 0.0, 0.6, 1.4, 3.0)
-    pers = []
-    for t in np.linspace(0.0, 1.0, 20):
-        r = four_periodic_family(FAM, q, t)
-        assert r["closure_gap"] < 1e-8
-        pers.append(r["perimeter"])
-    assert max(pers) - min(pers) < 1e-8
-    assert abs(pers[0] - 2.0 * q["BD"]) < 1e-10
-    assert abs(pers[-1] - 2.0 * q["AC"]) < 1e-10
-    # random quadrilaterals: eighteen with an ellipse caustic, and those with
-    # a hyperbola caustic drawn on the way
+# t over the family, and within 1e-3 .. 1e-11 of either end
+_FAMILY_TS = np.concatenate([np.linspace(0.0, 1.0, 20), 10.0 ** -np.arange(3.0, 12.0),
+                             1.0 - 10.0 ** -np.arange(3.0, 12.0)])
+
+
+def _seeded_quadrilaterals():
+    """Eighteen random quadrilaterals with an ellipse caustic (seed 5),
+    split by where the diagonal BD touches the caustic, and those with a
+    hyperbola caustic drawn on the way."""
     rng = np.random.default_rng(5)
-    ellipse, hyperbola = [], []
-    while len(ellipse) < 18:
+    good, bad, hyperbola = [], [], []
+    while len(good) + len(bad) < 18:
         le = np.sort(rng.uniform(-1.0, 0.95, size=2))
         lh = np.sort(rng.uniform(1.05, 3.95, size=2))
         q = ivory_quadrilateral(FAM, le[0], le[1], lh[0], lh[1])
-        (ellipse if q["lam_AC"] < FAM.a[1] else hyperbola).append(q)
-    # on some of them the orbit traced from P does not close, and its
-    # closure_gap says so: a member that closes has the perimeter 2 BD
-    members = 0
-    for q in ellipse:
-        for t in np.linspace(0.0, 1.0, 20):
-            try:
-                r = four_periodic_family(FAM, q, t)
-            except OrbitEscapesTable:
-                continue
-            if r["closure_gap"] < 1e-8:
-                members += 1
-                assert abs(r["perimeter"] - 2.0 * q["BD"]) < 1e-8
-    assert members > 180
+        if q["lam_AC"] >= FAM.a[1]:
+            hyperbola.append(q)
+            continue
+        # the touch point's fraction along BD, from the chart
+        touch = CausticChart(FAM, q["lam_BD"]).tangency_of_line(q["line_BD"])
+        along = (touch - q["B"]) @ (q["D"] - q["B"]) / q["BD"] ** 2
+        (bad if 0.0 < along < 1.0 else good).append(q)
+    return good, bad, hyperbola
+
+
+def _traced_family(q, t):
+    """The leg-by-leg trace the diamond replaced, kept as its oracle:
+    launch from P along the tangent to the caustic that meets H1, and
+    reflect on to the first point of each arc.  Returns P, Q, R, S and the
+    point where the fourth leg lands."""
+    (e1, e2), (h1, h2) = q["lam_e"], q["lam_h"]
+    chart = CausticChart(FAM, 0.5 * (q["lam_AC"] + q["lam_BD"]))
+    P = point_from_parameters(FAM, (h2 + t * (h1 - h2), e1), signs=(1, 1)).tolist()
+
+    def hit(x, d, mirror, ends):
+        line = OrientedLine.from_point_direction(x, d)
+        t0 = x[0] * line.cs[0] + x[1] * line.cs[1]
+        for s in line_conic_intersections(FAM, mirror, line):
+            y = line.point_at(s)
+            # on the arc: its other coordinate, the trace less the mirror,
+            # lies between the ends
+            other = FAM.a[0] + FAM.a[1] - y @ y - mirror
+            if s - t0 > 1e-9 and min(y) > -1e-7 and min(ends) - 1e-6 <= other <= max(ends) + 1e-6:
+                return y.tolist()
+        raise OrbitEscapesTable("reflection misses the bounding arcs")
+
+    for tx, ty in chart.tangency_points_from(P):
+        try:
+            pts = [P, hit(P, (tx - P[0], ty - P[1]), h1, (e1, e2))]
+            break
+        except OrbitEscapesTable:
+            pass
+    mirrors = [(h1, (e1, e2)), (e2, (h1, h2)), (h2, (e1, e2)), (e1, (h1, h2))]
+    d = np.subtract(pts[1], P)
+    for k in range(1, 4):
+        d = _reflected(FAM, mirrors[k - 1][0], pts[-1], d)
+        pts.append(hit(pts[-1], d, *mirrors[k]))
+    return np.array(pts)
+
+
+def _assert_member(q, r):
+    """Perimeter 2 BD (Ivory's lemma), the reflection law at every vertex,
+    and every leg tangent to the diagonals' caustic, at rounding."""
+    lam = 0.5 * (q["lam_AC"] + q["lam_BD"])
+    assert abs(r["perimeter"] - 2.0 * q["BD"]) <= 1e-12 * q["BD"]
+    assert r["closure_gap"] <= 1e-12 * q["BD"]
+    pts = [r[X] for X in "PQRS"]
+    for X, Y in zip(pts, pts[1:] + pts[:1]):
+        # the rounding of the ends turns the leg by about eps (|X| + |Y|) / leg,
+        # which moves its caustic by that much times a1 + |X|^2 + |Y|^2
+        leg = np.linalg.norm(Y - X)
+        if leg > 0.0:
+            tag = caustic_of_line(FAM, OrientedLine.from_point_direction(X, Y - X))
+            turn = _ULP * (np.linalg.norm(X) + np.linalg.norm(Y)) / leg
+            assert abs(tag.lam - lam) <= 128 * turn * (FAM.a[0] + X @ X + Y @ Y)
+
+
+def test_four_periodic_family():
+    q = ivory_quadrilateral(FAM, 0.0, 0.6, 1.4, 3.0)
+    for t in _FAMILY_TS:
+        _assert_member(q, four_periodic_family(FAM, q, t))
+    # at the ends the diagonals themselves
+    r0, r1 = four_periodic_family(FAM, q, 0.0), four_periodic_family(FAM, q, 1.0)
+    for r, corners in ((r0, "DBBD"), (r1, "AACC")):
+        for X, corner in zip("PQRS", corners):
+            assert np.allclose(r[X], q[corner], rtol=0.0, atol=8 * _ULP * q["BD"])
+    # the random quadrilaterals: where BD touches the caustic inside its
+    # segment the family is refused at every t, and elsewhere every member is
+    good, bad, hyperbola = _seeded_quadrilaterals()
+    assert (len(good), len(bad)) == (10, 8)
+    for q in good:
+        for t in _FAMILY_TS:
+            _assert_member(q, four_periodic_family(FAM, q, t))
+    for q in bad:
+        for t in _FAMILY_TS:
+            with pytest.raises(OrbitEscapesTable):
+                four_periodic_family(FAM, q, t)
     assert hyperbola
     for q in hyperbola:
-        with pytest.raises(InvalidParameters, match="ellipse caustics"):
-            four_periodic_family(FAM, q, 0.5)
+        for t in (0.0, 0.5, 1.0):
+            with pytest.raises(InvalidParameters, match="ellipse caustics"):
+                four_periodic_family(FAM, q, t)
+
+
+def test_four_periodic_family_matches_the_trace():
+    """On the inner t of the quadrilaterals where the family exists, the
+    diamond's vertices are those of the leg-by-leg trace."""
+    good, _, _ = _seeded_quadrilaterals()
+    for q in good + [ivory_quadrilateral(FAM, 0.0, 0.6, 1.4, 3.0)]:
+        for t in np.linspace(0.0, 1.0, 20)[1:-1]:
+            traced, r = _traced_family(q, t), four_periodic_family(FAM, q, t)
+            assert np.linalg.norm(traced[4] - traced[0]) < 1e-8
+            assert np.abs(traced[:4] - [r[X] for X in "PQRS"]).max() <= 1e-12
+
+
+def test_four_periodic_gate_sees_a_moved_caustic():
+    """The caustic moved by 1e-9: the diamond still closes, by its
+    construction, but the reflection law fails at its vertices by far more
+    than test_four_periodic_family's gate; the planar workload's 1e-8 gate
+    on closure_gap would not see it."""
+    q = ivory_quadrilateral(FAM, 0.0, 0.6, 1.4, 3.0)
+    moved = {**q, "lam_AC": q["lam_AC"] + 1e-9, "lam_BD": q["lam_BD"] + 1e-9}
+    for t in _FAMILY_TS:
+        assert four_periodic_family(FAM, moved, t)["closure_gap"] > 1e-12 * q["BD"]
+
+
+# where an end of a diagonal lies on its tangent to the caustic, as a
+# fraction of the way from the touch point to the axis on its side: at the
+# touch point, within 1e-6 of it, or anywhere
+_FROM_TOUCH = st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6, allow_subnormal=False),
+                        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.floats(-1.0, 0.99), st.floats(0.01, 1.56), _FROM_TOUCH, _FROM_TOUCH)
+# a corner 4.6e-14 off the x axis (h1 - a2), where h2 + t (h1 - h2) rounds
+# below h1 at t = 1: P past A misses by 2e-8 of the corners' size
+@example(0.8802139793296015, 1.4237727648942795, 0.0, -0.9999957073790232)
+def test_four_periodic_family_is_refused_or_exists(lam_c, th, fb, fd):
+    """Quadrilaterals built on a diagonal tangent to the lam_c caustic at
+    eccentric angle th, with its touch point at or near an end, inside or
+    outside: each is refused at every t, and exactly when the touch point
+    lies inside, or every member has perimeter 2 BD and obeys the
+    reflection law.  The gate is relative to the corners' size, not to BD:
+    a thin table rounds at its corners' scale, and a caustic near the
+    focal value a2 magnifies the rounding of lam by about 1 / (a2 - lam)."""
+    ra, rb = math.sqrt(FAM.a[0] - lam_c), math.sqrt(FAM.a[1] - lam_c)
+    touch = np.array([ra * math.cos(th), rb * math.sin(th)])
+    # the tangent meets the y axis at ray parameter cot th, the x axis at -tan th
+    ss = [f / math.tan(th) if f > 0.0 else f * math.tan(th) for f in (fb, fd)]
+    ends = [touch + s * np.array([-ra * math.sin(th), rb * math.cos(th)]) for s in ss]
+    (hb, eb), (hd, ed) = (confocal_parameters(FAM, x).lam for x in ends)
+    es, hs = sorted((eb, ed)), sorted((hb, hd))
+    assume(es[0] < es[1] and FAM.a[1] < hs[0] < hs[1] < FAM.a[0])
+    q = ivory_quadrilateral(FAM, *es, *hs)
+    scale = max(np.abs(q[X]).max() for X in "ABCD")
+    refused = []
+    for t in (0.0, 1e-11, 0.3, 0.7, 1.0 - 1e-11, 1.0):
+        try:
+            r = four_periodic_family(FAM, q, t)
+        except OrbitEscapesTable:
+            refused.append(t)
+            continue
+        assert abs(r["perimeter"] - 2.0 * q["BD"]) <= 1e-12 * scale
+        assert r["closure_gap"] <= 1e-12 * scale
+    assert len(refused) in (0, 6)
+    if min(abs(fb), abs(fd)) > 1e-9:
+        assert bool(refused) == (fb * fd < 0.0)
 
 
 @pytest.mark.parametrize("t", [1.5, -0.5, math.nan])
@@ -544,7 +676,7 @@ def test_four_periodic_family_needs_t_in_unit_interval(t):
         four_periodic_family(FAM, q, t)
 
 
-@pytest.mark.parametrize("t", [0.1, 0.3])
+@pytest.mark.parametrize("t", [0.0, 0.1, 0.3, 1.0])
 def test_four_periodic_orbit_escapes_the_table(t):
     q = ivory_quadrilateral(FAM, -0.8, 0.3, 1.5, 3.8)
     with pytest.raises(OrbitEscapesTable):
@@ -562,22 +694,17 @@ _ALONG = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1e-9),
 @given(st.tuples(_E_SIDE, _E_SIDE), st.tuples(_H_SIDE, _H_SIDE),
        st.integers(0, 3), _ALONG)
 def test_arc_coordinate_is_the_trace(es, hs, side, s):
-    """The other coordinate of a point of a side, a1 + a2 - |x|^2 - mirror,
-    against the eigenvalues of confocal_parameters (the oracle)."""
+    """The other coordinate of a point of a side, a1 + a2 - |x|^2 - mirror:
+    the trace of diag(a) - x x^T less the mirror, the identity
+    _hyperbola_root rests on, against the eigenvalues of
+    confocal_parameters (the oracle)."""
     es, hs = sorted(es), sorted(hs)
     mirror, ends = (es[side], hs) if side < 2 else (hs[side - 2], es)
-
-    def point(other):
-        lam = (other, mirror) if side < 2 else (mirror, other)
-        return point_from_parameters(FAM, lam, signs=(1, 1))
-
-    x = point(ends[0] + s * (ends[1] - ends[0]))
+    other = ends[0] + s * (ends[1] - ends[0])
+    x = point_from_parameters(FAM, (other, mirror) if side < 2 else (mirror, other), signs=(1, 1))
     oracle = [lam for lam in confocal_parameters(FAM, x).lam if (lam > FAM.a[1]) == (side < 2)]
     trace = FAM.a[0] + FAM.a[1] - x @ x - mirror
     assert abs(trace - oracle[0]) <= 4 * _ULP * (FAM.a[0] + FAM.a[1] + x @ x + abs(mirror))
-    assert _on_arc(FAM, x, mirror, tuple(ends))
-    assert not _on_arc(FAM, point(ends[0] - 1e-4), mirror, tuple(ends))
-    assert not _on_arc(FAM, point(ends[1] + 1e-4), mirror, tuple(ends))
 
 
 # -- circumscribed quadrilaterals -------------------------------------------
