@@ -8,9 +8,9 @@ caustic there is a canonical coordinate x, normalized to total measure 1,
 in which reflections in confocal ellipses are shifts x -> x + c and
 reflections in confocal hyperbolas are reversals x -> c - x.
 
-The 2-D kernels (lines, intersections, reflection, tangency, a point's
-confocal hyperbola) run on Python floats with closed forms; public
-functions still return points as numpy arrays.
+The 2-D kernels (lines, intersections, reflection, tangency) run on
+Python floats with closed forms; public functions still return points as
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     TangentHit,
 )
 from .geometry import Kind
-from .quadrics import ConfocalFamily, point_from_parameters
+from .quadrics import ConfocalFamily, planar_coordinates, point_from_parameters
 
 # ---------------------------------------------------------------------------
 # oriented lines
@@ -184,11 +184,13 @@ def reflect(family: ConfocalFamily, lam: float, line: OrientedLine,
 
     branch: 'forward' picks the nearest intersection at nonnegative ray
     parameter (from the line's foot) and raises NoIntersection when both
-    lie behind it, 'exit' the latest, 'entry' the earliest; a callable
-    receives each candidate point and keeps those where it is true.
-    Returns (reflected line, incidence point).
+    lie behind it, 'exit' the latest; a callable receives each candidate
+    point and keeps those where it is true.  Any other branch raises
+    InvalidParameters.  Returns (reflected line, incidence point).
     """
     _check_planar(family)
+    if not callable(branch) and branch not in ("forward", "exit"):
+        raise InvalidParameters(f"branch must be 'forward', 'exit' or a callable, got {branch!r}")
     try:
         ts = line_conic_intersections(family, lam, line)
     except TangentHit:
@@ -201,8 +203,6 @@ def reflect(family: ConfocalFamily, lam: float, line: OrientedLine,
         t = keep[0]
     elif branch == "exit":
         t = ts[-1]
-    elif branch == "entry":
-        t = ts[0]
     else:
         pos = [tv for tv in ts if tv >= 0.0]
         if not pos:
@@ -456,8 +456,6 @@ class CausticChart:
         c1 = self.c1
         # increasing coordinate runs with increasing t on the upper half
         d = (half * math.sqrt(self.A / c1) * t / math.sqrt(c1 + t * t), math.sqrt(-self.B / c1))
-        if t == 0.0:
-            d = (0.0, 1.0)
         return OrientedLine.from_point_direction(self._branch_point(t, half), d)
 
     # -- exterior geometry (ellipse caustics only) -------------------------
@@ -622,36 +620,23 @@ def _line_intersection(l1: OrientedLine, l2: OrientedLine) -> tuple:
     return (l1.p * c2 - l2.p * c1) / det, (l1.p * s2 - l2.p * s1) / det
 
 
-def _hyperbola_root(family: ConfocalFamily, point) -> float:
-    """The point's confocal hyperbola: the larger eigenvalue of
-    diag(a) - x x^T, in [a2, a1] by Cauchy interlacing.  Less a2 the
-    matrix has trace 2h = a1 - a2 - |x|^2 and determinant -(a1 - a2) x2^2
-    <= 0, so the root is a2 + h + sqrt(h^2 + (a1 - a2) x2^2), its last two
-    terms taken as a quotient where h < 0 and they cancel."""
-    (a1, a2), x, y = family.a, float(point[0]), float(point[1])
-    c = a1 - a2
-    h = 0.5 * (c - x * x - y * y)
-    cy2 = c * y * y
-    r = math.sqrt(h * h + cy2)
-    return a2 + (h + r if h >= 0.0 else cy2 / (r - h))
-
-
 # sign patterns of <nu_k, c> - s_k r = p_k: the side of line k a circle
 # touching four lines lies on, s_0 = 1 as r takes the overall sign
 _SIGNS = np.array([(1.0,) + s for s in product((1.0, -1.0), repeat=3)])
-# the rows of a 4x3 matrix left in its 3x3 minor without row k
-_MINORS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+# W_jk = X_ab for the pair (a, b) at [j, k]: the Hodge dual of the minors
+# X_ab = nu_a x nu_b, skew as X is (X_ba = -X_ab, X_aa = 0)
+_DUAL = np.moveaxis([[(0, 0), (2, 3), (3, 1), (1, 2)], [(3, 2), (1, 1), (0, 3), (2, 0)],
+                     [(1, 3), (3, 0), (2, 2), (0, 1)], [(2, 1), (0, 2), (1, 0), (3, 3)]], -1, 0)
 
 
 def _incircle_residuals(normals, offsets) -> np.ndarray:
     """Max-abs least-squares residual of <nu_k, c> - s_k r = p_k, k < 4,
-    per pattern of _SIGNS: (..., 8) from (..., 4, 2) normals and (..., 4)
+    per pattern s of _SIGNS: (..., 8) from (..., 4, 2) normals and (..., 4)
     offsets.  For a full-rank R = [nu_k, -s_k] it is (y.p / |y|^2) y, with
-    y_k = (-1)^k det(R without row k) the null vector of R^T."""
-    rows = np.empty(normals.shape[:-2] + (8, 4, 3))
-    rows[..., :2] = normals[..., None, :, :]
-    rows[..., 2] = -_SIGNS
-    y = np.array([1.0, -1.0, 1.0, -1.0]) * np.linalg.det(rows[..., _MINORS, :])
+    y_k = (-1)^k det(R without row k) = (s W)_k the null vector of R^T: W
+    the dual of the six minors of the normals, which all patterns share."""
+    (a, b), nx, ny = _DUAL, normals[..., 0], normals[..., 1]
+    y = _SIGNS @ (nx[..., a] * ny[..., b] - ny[..., a] * nx[..., b])
     yp = (y * offsets[..., None, :]).sum(axis=-1)
     return np.abs(yp) * np.abs(y).max(axis=-1) / (y * y).sum(axis=-1)
 
@@ -685,7 +670,7 @@ def circumscribed_check(family: ConfocalFamily, A, B, lam_c: float) -> dict:
             Dc = _line_intersection(la[k], lb[m])
         except DegenerateConfiguration:
             continue
-        hc, hd = _hyperbola_root(family, Cc), _hyperbola_root(family, Dc)
+        hc, hd = (float(planar_coordinates(*family.a, *X)[0]) for X in (Cc, Dc))
         if best is None or abs(hc - hd) < best[0]:
             # the sides AC, CB, BD, DA
             best = (abs(hc - hd), Cc, Dc, (hc + hd) / 2.0, [la[i], lb[j], lb[m], la[k]])
@@ -806,16 +791,12 @@ def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
     pts /= (s[j] * c[i] - s[i] * c[j])[:, None]
     points = dict(zip(zip(i.tolist(), j.tolist()), pts))
 
-    # the elliptic coordinates of all points at once, eigenvalues of
-    # diag(a) - x x^T as in confocal_parameters: the smaller is the point's
-    # confocal ellipse, the larger, in [a2, a1] by interlacing, its
-    # confocal hyperbola
-    x = np.abs(pts)
-    lams = np.linalg.eigvalsh(np.diag(family.a) - x[:, :, None] * x[:, None, :])
+    # each point's confocal hyperbola and ellipse, as in confocal_parameters
+    hyp, ell = planar_coordinates(*family.a, *np.abs(pts).T)
     ring = np.minimum((j - i) % q, (i - j) % q)
     spoke = (i + j) % q
-    conc_spread = {int(d): float(np.ptp(lams[ring == d, 0])) for d in np.unique(ring)}
-    rad_spread = {int(k): float(np.ptp(lams[spoke == k, 1])) for k in np.unique(spoke)}
+    conc_spread = {int(d): float(np.ptp(ell[ring == d])) for d in np.unique(ring)}
+    rad_spread = {int(k): float(np.ptp(hyp[spoke == k])) for k in np.unique(spoke)}
 
     # each grid cell is bounded by lines i, i+1, j, j+1 and is circumscribed
     # about a circle: per cell the smallest residual over the sign patterns.

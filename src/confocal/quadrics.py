@@ -21,8 +21,9 @@ search.  The curved equation times (lam - D_0), with <x, x> = kappa, is
 the Euclidean form in w_i = x_i sqrt(b + kappa a_i) (b + kappa a_i > 0:
 on H^n by light-cone containment).  So on every model the coordinates
 are the eigenvalues of diag(a) - w w^T, w = x on E^n (Moser's spectral
-view of confocal quadrics), and the point comes back from them by
-Jacobi's product formula for x_j^2.
+view of confocal quadrics), in closed form when 2 x 2 and by eigvalsh
+when larger, and the point comes back from them by Jacobi's product
+formula for x_j^2.
 """
 
 from __future__ import annotations
@@ -120,11 +121,12 @@ def confocal_equation(family: ConfocalFamily, lam, point):
 def confocal_parameters(family: ConfocalFamily, point, strict: bool = False) -> EllipticCoords:
     """Elliptic coordinates of a point: the n confocal parameters through it.
 
-    They are the roots of the secular equation, computed as the eigenvalues
-    of diag(a) - w w^T, with w = x on E^n and w_i = x_i sqrt(b + kappa a_i)
+    They are the roots of the secular equation, the eigenvalues of
+    diag(a) - w w^T, with w = x on E^n and w_i = x_i sqrt(b + kappa a_i)
     on S^n and H^n.  The curved secular equation times (lam - D_0), with
     <x, x> = kappa, is sum_{i>=1} w_i^2 / (a_i - lam) = 1: the x0 term
-    drops out, and the roots are those of the Euclidean form in w.
+    drops out, and the roots are those of the Euclidean form in w: by
+    planar_coordinates when 2 x 2 (E^2, S^2, H^2, or n = 3 with one zero x_i).
 
     A zero coordinate x_j pins one parameter to its pole D_j (a_i, or -b
     for x0 = 0 on S^n).  A zero x_i is dropped before the eigenproblem; a
@@ -140,14 +142,30 @@ def confocal_parameters(family: ConfocalFamily, point, strict: bool = False) -> 
         raise DegeneratePoint("point has a vanishing coordinate")
     n = family.n
     keep = ~zero[-n:]
-    w = (family.weights * x[-n:])[keep]
-    roots = np.linalg.eigvalsh(np.diag(family.poles[-n:][keep]) - np.outer(w, w))
+    d, w = family.poles[-n:][keep], (family.weights * x[-n:])[keep]
+    roots = ([float(v) for v in planar_coordinates(*d.tolist(), *w.tolist())[::-1]] if w.size == 2
+             else np.linalg.eigvalsh(np.diag(d) - np.outer(w, w)).tolist())
     if family.geometry.kappa and zero[0]:
-        roots = roots[1:]
+        roots = roots[1:]   # ascending: -b, the pinned pole, comes first
     known = sorted(family.poles[zero].tolist(), reverse=True)
-    lam = tuple(sorted(roots.tolist() + known, reverse=True))
+    lam = tuple(sorted(roots + known, reverse=True))
     signs = tuple(-1 if v < 0 else 1 for v in x)
     return EllipticCoords(lam=lam, signs=signs, degenerate=tuple(known))
+
+
+def planar_coordinates(a1, a2, x, y):
+    """(hyperbola, ellipse) coordinates of the point (x, y) of E^2, a1 > a2:
+    the eigenvalues of diag(a1, a2) - w w^T, w = (x, y).  Less a2 it has
+    trace 2h = c - |w|^2, c = a1 - a2, and determinant -c y^2; with
+    g = sign(h) (|h| + sqrt(h^2 + c y^2)) the roots are a2 + g and
+    a2 - c y^2 / g, on either side of a2, and neither cancels; g = 0 only at
+    a focus, where the divisor is made 1 and both are a2.  Python floats
+    (one point; numpy floats out) or arrays (a stack), same IEEE steps."""
+    c = a1 - a2
+    h, cy2 = 0.5 * (c - x * x - y * y), c * y * y
+    g = np.copysign(abs(h) + np.sqrt(h * h + cy2), h)
+    near, far = a2 + g, a2 - cy2 / (g + (g == 0.0))
+    return np.maximum(near, far), np.minimum(near, far)
 
 
 def point_from_parameters(family: ConfocalFamily, coords: EllipticCoords | tuple,

@@ -15,7 +15,6 @@ from confocal.billiards import (
     CausticKind,
     OrientedLine,
     _ellipe,
-    _hyperbola_root,
     _incircle_residuals,
     _line_intersection,
     _rd,
@@ -47,7 +46,7 @@ from confocal.errors import (
     OrbitEscapesTable,
     TangentHit,
 )
-from confocal.quadrics import confocal_parameters, point_from_parameters
+from confocal.quadrics import confocal_parameters, planar_coordinates, point_from_parameters
 
 FAM = ConfocalFamily(euclidean(2), (4.0, 1.0))
 CIRC = ConfocalFamily(euclidean(2), (2.0, 2.0))
@@ -223,6 +222,16 @@ def test_reflect_through_focus():
 def test_reflect_no_intersection():
     with pytest.raises(NoIntersection):
         reflect(FAM, 0.0, OrientedLine(0.0, 5.0))
+
+
+@pytest.mark.parametrize("branch", ["entry", "Exit", "forwards"])
+def test_reflect_refuses_an_unknown_branch(branch):
+    """Only 'forward', 'exit' or a callable: a typo is refused, also on a
+    line that misses the mirror or touches it."""
+    for line in (OrientedLine(0.3, 0.1), OrientedLine(0.0, 5.0),
+                 CausticChart(FAM, 0.0).tangent_line_at(0.1)):
+        with pytest.raises(InvalidParameters, match="branch"):
+            reflect(FAM, 0.0, line, branch=branch)
 
 
 def test_reflect_forward_both_behind():
@@ -450,9 +459,12 @@ def test_hyperbola_reflection_is_reversal():
 
 def test_hyperbola_caustic_chart_roundtrip():
     chart = CausticChart(FAM, 2.0)
-    for x in (0.02, 0.2, 0.45, 0.6, 0.9):
+    for x in (0.0, 0.02, 0.2, 0.45, 0.6, 0.9):
         ln = chart.tangent_line_at(x)
         assert abs(circ_diff(chart.coordinate_of_line(ln, tol=1e-6), x)) < 1e-9
+    # at the vertex the tangent direction (+-0, sqrt(-B / c1)) is vertical
+    assert chart.tangent_line_at(0.0) == OrientedLine.from_point_direction((math.sqrt(2.0), 0.0),
+                                                                          (0.0, 1.0))
 
 
 def test_exterior_coordinates_sweeps():
@@ -786,14 +798,15 @@ def test_line_intersection_matches_solve(alpha, half_turns, turn, p1, p2):
         assert np.max(np.abs(np.array(got) - want)) <= 8 * _ULP * scale
 
 
-def _hyperbola_oracle(a, x):
-    """The larger root of det(diag(a) - x x^T - lam) from its trace and
-    determinant, in 50-digit arithmetic."""
+def _planar_oracle(a, x):
+    """The roots of det(diag(a) - x x^T - lam), larger first, from its
+    trace and determinant, in 50-digit arithmetic."""
     with mpmath.workdps(50):
         a1, a2, u, v = (mpmath.mpf(t) for t in (*a, *x))
         tr = a1 + a2 - u * u - v * v
         det = (a1 - u * u) * (a2 - v * v) - u * u * v * v
-        return tr / 2 + mpmath.sqrt(tr * tr / 4 - det)
+        root = mpmath.sqrt(tr * tr / 4 - det)
+        return tr / 2 + root, tr / 2 - root
 
 
 _SCALE = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
@@ -806,23 +819,39 @@ _FAR = st.tuples(st.floats(0.0, 11.0), _ANGLE).map(
 @given(_SCALE, _SCALE, st.sampled_from(["x-axis", "y-axis", "focus", "far"]),
        st.floats(-3.0, 3.0), _TINY, _TINY, _FAR)
 def test_hyperbola_root_matches_mpmath(a2, gap, where, along, off, shift, far):
-    """The closed form against 50 digits, for families a2 in [1e-3, 1e3]
+    """planar_coordinates against 50 digits, for families a2 in [1e-3, 1e3]
     and a1 - a2 in [1e-3, 1e3], at points near each axis, near a focus
-    (+-sqrt(a1 - a2), 0), and far out, at |x| up to 1e11.  It holds to
-    the rounding of a1 + a2 everywhere, tighter than the eps (a1 + a2 +
-    |x|^2) that eigvalsh's backward error allows: far out a1 + a2 - |x|^2
-    and the root of the discriminant cancel, and there the shift above a2
-    is their quotient form.  Over 20000 of these draws eigvalsh missed by
-    up to 5e22 eps (a1 + a2) far out and 4e3 near a focus, and the
-    cancelling form by 8e15; this form by 1.8."""
+    (+-sqrt(a1 - a2), 0), and far out, at |x| up to 1e11.  The hyperbola
+    holds to the rounding of a1 + a2 everywhere, tighter than the
+    eps (a1 + a2 + |x|^2) that eigvalsh's backward error allows: far out
+    a1 + a2 - |x|^2 and the root of the discriminant cancel, and there the
+    shift above a2 is their quotient form.  Over 20000 of these draws
+    eigvalsh missed by up to 5e22 eps (a1 + a2) far out and 4e3 near a
+    focus, and the cancelling form by 8e15; this form by 1.8.  The ellipse
+    holds to the rounding of max(a1 + a2, |lam|); the float and the array
+    path agree to the bit."""
     fam = ConfocalFamily(euclidean(2), (a2 + gap, a2))
     a1, a2 = fam.a
     focus = math.sqrt(a1 - a2)
     x = {"x-axis": (along * math.sqrt(a1), off), "y-axis": (off, along * math.sqrt(a1)),
          "focus": (math.copysign(focus, along) * (1.0 + shift), off), "far": far}[where]
-    got = _hyperbola_root(fam, x)
-    assert a2 <= got
-    assert abs(got - _hyperbola_oracle(fam.a, x)) <= 4 * _ULP * (a1 + a2)
+    hyp, ell = (float(v) for v in planar_coordinates(a1, a2, *x))
+    want_hyp, want_ell = _planar_oracle(fam.a, x)
+    assert ell <= a2 <= hyp
+    assert abs(hyp - want_hyp) <= 4 * _ULP * (a1 + a2)
+    assert abs(ell - want_ell) <= 4 * _ULP * max(a1 + a2, abs(ell))
+    stacked = planar_coordinates(a1, a2, np.array([x[0], 0.0]), np.array([x[1], 0.0]))
+    assert stacked[0][0] == hyp and stacked[1][0] == ell
+
+
+@pytest.mark.parametrize("a", [(5.0, 1.0), (4.0, 3.0)])
+def test_planar_coordinates_at_a_focus(a):
+    """At a focus on the x axis (exact in these families) h = r = g = 0,
+    and both roots are a2, on floats and on arrays, with no 0 / 0."""
+    focus = math.sqrt(a[0] - a[1])
+    assert tuple(map(float, planar_coordinates(*a, focus, 0.0))) == (a[1], a[1])
+    hyp, ell = planar_coordinates(*a, np.array([focus, -focus]), np.zeros(2))
+    assert hyp.tolist() == ell.tolist() == [a[1], a[1]]
 
 
 # -- Poncelet ---------------------------------------------------------------
@@ -863,10 +892,10 @@ def test_poncelet_grid_q7():
 def test_poncelet_grid_points_match_loop(q, p, start_x):
     """The per-point loop as oracle: one _line_intersection and one
     confocal_parameters per pair of sides.  The stacked Cramer's rule and
-    eigenvalues do the same arithmetic, so everything agrees exactly.
-    confocal_parameters pins a coordinate within 1e-12 of zero to its
-    pole and the grid does not; that moves an eigenvalue by ~1e-24, below
-    rounding."""
+    planar_coordinates take the same IEEE steps on arrays as on one point's
+    floats, so everything agrees exactly.  confocal_parameters pins a
+    coordinate within 1e-12 of zero to its pole and the grid does not; that
+    moves a coordinate by ~1e-24, below rounding."""
     g = poncelet_grid(FAM, -0.2, q, p, start_x)
     verts = g["vertices"]
     sides = [OrientedLine.from_point_direction(verts[i], verts[(i + 1) % q] - verts[i])

@@ -25,6 +25,7 @@ from confocal.quadrics import (
     random_interior_point,
 )
 
+_EPS = np.finfo(float).eps
 FAM2 = ConfocalFamily(euclidean(2), (4.0, 1.0))
 FAM3 = ConfocalFamily(euclidean(3), (4.0, 2.0, 1.0))
 FAM4 = ConfocalFamily(euclidean(4), (5.0, 3.0, 2.0, 1.0))
@@ -73,6 +74,13 @@ def test_degenerate_axis_points():
     assert np.allclose(confocal_parameters(FAM2, (0.0, 1.0)).lam, (4.0, 0.0))
     with pytest.raises(DegeneratePoint):
         confocal_parameters(FAM2, (2.0, 0.0), strict=True)
+    # E^3 with one zero coordinate leaves a 2 x 2 problem, in closed form
+    for x, pole in (((1.0, 0.0, 0.5), 2.0), ((0.0, 1.2, -0.3), 4.0), ((1.5, 0.7, 0.0), 1.0)):
+        coords = confocal_parameters(FAM3, x)
+        assert coords.degenerate == (pole,) and pole in coords.lam
+        for lv in set(coords.lam) - {pole}:
+            assert abs(confocal_equation(FAM3, lv, x)) < 1e-14
+        assert np.max(np.abs(point_from_parameters(FAM3, coords) - x)) < 1e-15
 
 
 @pytest.mark.parametrize("fam, x, poles", [
@@ -279,15 +287,29 @@ def test_far_hyperbolic_points_match_secular_oracle(fam):
 
 
 def test_euclidean_coordinates_and_points_bitwise():
-    """E^n coordinates are eigvalsh(diag(a) - x x^T) to the bit, and every
+    """E^3 and E^4 coordinates are eigvalsh(diag(a) - x x^T) to the bit.
+    E^2 ones come in closed form, and are held to 50 digits instead, more
+    tightly than eigvalsh's eps |x|^2: the hyperbola within 4 ulp of
+    a1 + a2, the ellipse within 4 ulp of max(a1 + a2, |lam|).  Every
     point_from_parameters output is Jacobi's product with its denominators
     built anew per call, to the bit, on every model."""
     rng = np.random.default_rng(31)
-    for fam in (FAM2, FAM3, FAM4):
+    for fam in (FAM3, FAM4):
         for _ in range(200):
             x = random_interior_point(fam, rng)
             roots = np.linalg.eigvalsh(np.diag(fam.a) - np.outer(x, x))
             assert confocal_parameters(fam, x).lam == tuple(sorted(roots.tolist(), reverse=True))
+    scale = sum(FAM2.a)
+    for size in (1.0, 1e2, 1e5, 1e11):
+        for _ in range(50):
+            x = size * random_interior_point(FAM2, rng)
+            hyp, ell = confocal_parameters(FAM2, x).lam
+            with mpmath.workdps(50):
+                u, v = (mpmath.mpf(t) for t in x)
+                tr = scale - u * u - v * v
+                root = mpmath.sqrt(tr * tr / 4 - (4 - u * u) * (1 - v * v) + u * u * v * v)
+                assert abs(hyp - (tr / 2 + root)) <= 4 * _EPS * scale
+                assert abs(ell - (tr / 2 - root)) <= 4 * _EPS * max(scale, abs(ell))
     for fam in (FAM2, FAM3, FAM4, FAMS2, FAMS3, FAMH2, FAMH3):
         d = np.array([-fam.geometry.kappa * fam.b, *fam.a] if fam.b else fam.a)
         sig = fam.geometry.eta
@@ -300,6 +322,27 @@ def test_euclidean_coordinates_and_points_bitwise():
             x = np.asarray(coords.signs, dtype=float) * np.sqrt(np.clip(squares, 0.0, None))
             x[0] = abs(x[0]) if fam.geometry.kappa < 0 else x[0]
             assert np.array_equal(point_from_parameters(fam, coords), x)
+
+
+@pytest.mark.parametrize("fam", [FAM2, FAMH2], ids=["E2", "H2"])
+@pytest.mark.parametrize("size", [1e3, 1e4, 1e5])
+def test_far_planar_round_trip(fam, size):
+    """point_from_parameters(confocal_parameters(x)) at |x| = 1e3 ... 1e5 on
+    E^2 and H^2 (|x| of the spatial part), in directions of
+    random_interior_point, away from the axes, within 64 eps |x|.  The
+    closed-form ellipse coordinate keeps the a_i - lam that Jacobi's
+    product needs; eigvalsh's, off by eps |x|^2, missed by 2.2e-2 (E^2)
+    and 0.19 (H^2) at 1e5.  Near an axis the coordinate next to its pole
+    holds only eps (a1 + a2) of it, on both."""
+    rng = np.random.default_rng(53)
+    worst = 0.0
+    for _ in range(300):
+        u = random_interior_point(FAM2, rng)
+        u *= size / np.linalg.norm(u)
+        x = u if fam is FAM2 else np.array([np.sqrt(1.0 + u @ u), *u])
+        back = point_from_parameters(fam, confocal_parameters(fam, x))
+        worst = max(worst, np.max(np.abs(back - x)))
+    assert worst <= 64 * _EPS * size
 
 
 def test_tangent_line_vertex():
