@@ -374,6 +374,8 @@ def _run_geodesic(cfg):
 
     metric = builtin_metric(cfg["metric"]["name"], cfg["metric"]["params"])
     tol = cfg["tolerance"]
+    if len(cfg["corner0"]) != metric.n or len(cfg["corner1"]) != metric.n:
+        raise ConfigError(f"corner0, corner1 must have length {metric.n}")
     sol = geodesic_between(metric, cfg["corner0"], cfg["corner1"])
     checks = [_check("separation_residual", sol["residual"], tol)]
     alpha = sol["alpha"] if sol["alpha"] is not None else []

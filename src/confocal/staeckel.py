@@ -6,6 +6,9 @@ row i depends only on q_i.  Each row is stored as data, u_i(t) = num_i(t)
 low degree as in np.polyval, in one table (and one of derivatives) for one
 Horner pass.  M^{-1} is the adjugate over the determinant for n <= 3 (LAPACK
 beyond); one point takes a stack's steps on Python floats, bitwise the same.
+The metric keeps its last few single-point inverses, keyed by q's float64
+bytes: a finite-difference stencil visits 2n+1 positions in 4n^2 calls, and
+a kept M^{-1}(q) is exact, being the one `_inverse` would compute again.
 
 Everything follows from M^{-1} (indices from 0):
 
@@ -42,6 +45,9 @@ from .geometry import Geometry, euclidean, jacobi_denominators, jacobi_squares, 
 # column to unit max-norm, reaches 1/eps: a test that does not depend on
 # the scale of the metric's parameters or coordinates, as |det M| does
 _COND_MAX = 1.0 / np.finfo(float).eps
+# single-point inverses a metric keeps, first in first out: at least the
+# 2n+1 positions of a central-difference stencil
+_MEMO_SIZE = 16
 
 
 def _polyval(c, t):
@@ -89,6 +95,14 @@ class StaeckelMetric:
         self.num, self.den = self.table[:, :n], self.table[:, n:]
         self.dtable = _polyder(self.table)
         self._lists = list(zip(self.table.tolist(), self.dtable.tolist()))
+        self._memo = {}   # q.tobytes() -> read-only M^{-1}(q), see _inverse_at
+
+    def _coords(self, q) -> np.ndarray:
+        """q as float64, refused unless its last axis holds n coordinates."""
+        q = np.asarray(q, dtype=float)
+        if q.shape[-1:] != (self.n,):
+            raise InvalidParameters(f"q needs {self.n} coordinates, got shape {q.shape}")
+        return q
 
     def _entries(self, t, i=slice(None), deriv=False):
         """Entries of row(s) i at t (columns on the last axis) or, with
@@ -118,9 +132,9 @@ class StaeckelMetric:
 
     def matrix(self, q) -> np.ndarray:
         """M(q), or one M per point of a stack q[..., n]; a point is bitwise the same, on floats."""
-        q = np.asarray(q, dtype=float)
+        q = self._coords(q)
         if q.ndim == 1:
-            return np.array([self._row(i, t) for i, t in zip(range(self.n), q.tolist(), strict=True)])
+            return np.array([self._row(i, t) for i, t in enumerate(q.tolist())])
         return self._entries(q[..., None])
 
     def row(self, i: int, qi) -> np.ndarray:
@@ -239,14 +253,33 @@ def _inverse(M: np.ndarray, q) -> np.ndarray:
     return Minv / scale[..., :, None]
 
 
+def _inverse_at(metric: StaeckelMetric, q: np.ndarray) -> np.ndarray:
+    """`_inverse` at q, a point or a stack; a point's M^{-1} is kept,
+    read-only, in the metric's memo, and a q it refuses is never kept."""
+    if q.ndim > 1:
+        return _inverse(metric.matrix(q), q)
+    memo, key = metric._memo, q.tobytes()
+    Minv = memo.get(key)
+    if Minv is None:
+        Minv = _inverse(metric.matrix(q), q)
+        Minv.flags.writeable = False
+        if len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = Minv
+    return Minv
+
+
 def metric_coeffs(metric: StaeckelMetric, q) -> np.ndarray:
     """g_i(q), or one row per point of a stack q[..., n]."""
-    return _coeffs(_inverse(metric.matrix(q), q))
+    return _coeffs(_inverse_at(metric, metric._coords(q)))
 
 
 def integrals_alpha(metric: StaeckelMetric, q, p) -> np.ndarray:
     """alpha(q, p), or one row per point of stacks q, p[..., n]."""
-    return _alpha(_inverse(metric.matrix(q), q), np.asarray(p, dtype=float))
+    q, p = metric._coords(q), np.asarray(p, dtype=float)
+    if p.shape != q.shape:
+        raise InvalidParameters(f"p has shape {p.shape}, q has shape {q.shape}")
+    return _alpha(_inverse_at(metric, q), p)
 
 
 def _coeffs(Minv: np.ndarray) -> np.ndarray:
@@ -306,9 +339,10 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
     quadrature constraints with their exact Jacobian and a halving line
     search, until a step no longer moves alpha (the residual is then at
     rounding)."""
-    c0 = np.asarray(corner0, dtype=float)
-    c1 = np.asarray(corner1, dtype=float)
     n = metric.n
+    c0, c1 = np.asarray(corner0, dtype=float), np.asarray(corner1, dtype=float)
+    if c0.shape != (n,) or c1.shape != (n,):
+        raise InvalidParameters(f"corners need {n} coordinates each")
     if np.array_equal(c0, c1):
         return {"alpha": None, "signs": np.ones(n), "length": 0.0,
                 "residual": 0.0, "separation": None}

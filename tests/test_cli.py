@@ -414,6 +414,17 @@ def test_builtin_metric_with_wrong_params_exits_3(tmp_path, capsys, metric):
     assert "InvalidParameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corners", [([2.2, 0.4, 0.1], [2.9, 0.8, 0.2]), ([2.2, 0.4], [2.9])])
+def test_geodesic_corners_of_the_wrong_length_exit_2(tmp_path, capsys, corners):
+    # a config error, exit 2, where a bare ValueError from zip or numpy
+    # broadcasting exited 1, the "checks failed" code
+    geo = {"metric": {"name": "elliptic_R2", "params": [4.0, 1.0]},
+           "corner0": corners[0], "corner1": corners[1]}
+    assert main(["geodesic", "--config", _write(tmp_path, "g.json", geo),
+                 "--out", str(tmp_path / "og")]) == 2
+    assert "corner0, corner1 must have length 2" in capsys.readouterr().err
+
+
 def test_potential_scan_command(tmp_path):
     cfg = {"geometry": "spherical", "dim": 3,
            "radii": {"start": 0.3, "stop": 1.2, "count": 10}}

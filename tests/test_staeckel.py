@@ -1,5 +1,7 @@
 """Tests for separable metrics: coefficients, geodesics, Ivory, billiards."""
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -557,6 +559,143 @@ def test_non_finite_coordinates_are_refused(bad):
             metric_coeffs(m, x)
         with pytest.raises(SingularStaeckelMatrix):
             integrals_alpha(m, x, np.ones_like(x))
+
+
+# ---------------------------------------------------------------------------
+# the single-point memo of M^{-1}: exact, bounded, and never fed a refused q
+
+# each builtin and a face, built anew on every call, so with an empty memo
+FRESH = [lambda name=name: _metric(name) for name in ALL_NAMES] + [
+    lambda: induced_metric_on_face(builtin_metric("ellipsoidal_R3", (4.0, 2.0, 1.0)), 2, 0.0)]
+
+
+def _point_calls(m, q, p):
+    return (metric_coeffs(m, q), integrals_alpha(m, q, p), hamiltonian(m, q, p))
+
+
+def _stencil(m, q, p, h=1e-5):
+    """The benchmark's single-point Poisson check: grad H, then grad alpha_k
+    for k >= 1, by central differences in every q_i and p_i."""
+    def grad(f):
+        out = []
+        for i in range(m.n):
+            d = h * np.eye(m.n)[i]
+            out += [f(q + d, p) - f(q - d, p), f(q, p + d) - f(q, p - d)]
+        return out
+    grad(lambda x, y: hamiltonian(m, x, y))
+    for k in range(1, m.n):
+        grad(lambda x, y: integrals_alpha(m, x, y)[k])
+
+
+@pytest.mark.parametrize("fresh", FRESH)
+def test_kept_inverse_is_bitwise_a_fresh_one(fresh):
+    # a warm metric against one built anew per call, on seeded points, each
+    # point visited three times with a new p each time
+    rng = np.random.default_rng(47)
+    m = fresh()
+    qs = [_random_q(m, rng) for _ in range(20)]
+    for q in qs * 3:
+        p = rng.normal(size=m.n)
+        for warm, cold in zip(_point_calls(m, q, p), _point_calls(fresh(), q, p)):
+            assert np.array_equal(warm, cold) and type(warm) is type(cold)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_stencil_takes_one_inverse_per_position(name, monkeypatch):
+    calls = []
+    inverse = staeckel._inverse
+    monkeypatch.setattr(staeckel, "_inverse", lambda M, q: calls.append(1) or inverse(M, q))
+    rng = np.random.default_rng(48)
+    m = _metric(name)
+    for _ in range(3):
+        calls.clear()
+        _stencil(m, _random_q(m, rng), rng.normal(size=m.n))
+        assert len(calls) == 2 * m.n + 1
+
+
+def test_refused_points_are_refused_again_and_never_kept():
+    row = ([[1.0, 0.0], [1.0]], [1.0])
+    singular = StaeckelMetric(2, [row, row], [(0.0, 1.0), (0.0, 1.0)])
+    elliptic, ellipsoidal = _metric("elliptic_R2"), _metric("ellipsoidal_R3")
+    # each refused q, beside a point the metric keeps
+    cases = [(singular, [0.5, 0.5], [0.2, 0.7], None),
+             (elliptic, [4.0, 0.5], [2.5, 0.5], RuntimeWarning)]
+    cases += [(ellipsoidal, [2.5, bad, 0.5], [2.5, 1.5, 0.5], None)
+              for bad in (np.nan, np.inf, -np.inf)]
+    for m, q, good, warning in cases:
+        q = np.array(q)
+        metric_coeffs(m, good)
+        kept = dict(m._memo)
+        assert len(kept) == 1
+        messages = set()
+        for fn in (lambda: metric_coeffs(m, q), lambda: integrals_alpha(m, q, np.ones(m.n)),
+                   lambda: hamiltonian(m, q, np.ones(m.n))) * 2:
+            with pytest.raises(SingularStaeckelMatrix) as err:
+                if warning is None:
+                    fn()
+                else:
+                    with pytest.warns(warning):
+                        fn()
+            messages.add(str(err.value))
+        assert len(messages) == 1 and m._memo == kept
+
+
+def test_memo_is_bounded_first_in_first_out():
+    m = _metric("ellipsoidal_R3")
+    rng = np.random.default_rng(49)
+    qs = [_random_q(m, rng) for _ in range(100)]
+    for k, q in enumerate(qs):
+        metric_coeffs(m, q)
+        assert len(m._memo) == min(k + 1, staeckel._MEMO_SIZE)
+    assert staeckel._MEMO_SIZE >= 2 * 3 + 1
+    assert list(m._memo) == [q.tobytes() for q in qs[-staeckel._MEMO_SIZE:]]
+    # -0.0 and 0.0 are two keys
+    m = _metric("elliptic_R2")
+    for x in (0.0, -0.0):
+        metric_coeffs(m, [2.5, x])
+    assert len(m._memo) == 2
+
+
+def test_returned_arrays_are_new():
+    m = _metric("sphere_conical")
+    q, p = np.array([0.6, 0.35]), np.array([0.4, -0.9])
+    first = _point_calls(m, q, p)
+    for out in first[:2]:
+        out[:] = 7.0
+    assert all(not Minv.flags.writeable for Minv in m._memo.values())
+    again, fresh = _point_calls(m, q, p), _point_calls(_metric("sphere_conical"), q, p)
+    assert all(np.array_equal(a, b) for a, b in zip(again, fresh))
+
+
+def test_memo_is_no_field():
+    m = _metric("elliptic_R2")
+    metric_coeffs(m, [2.5, 0.5])
+    assert "_memo" not in {f.name for f in dataclasses.fields(m)} and "_memo" not in repr(m)
+    assert dataclasses.replace(m)._memo == {}
+
+
+@pytest.mark.parametrize("fn", [lambda m, q: m.matrix(q), metric_coeffs,
+                                lambda m, q: integrals_alpha(m, q, np.ones(np.shape(q))),
+                                lambda m, q: hamiltonian(m, q, np.ones(np.shape(q)))])
+@pytest.mark.parametrize("q", [[2.5, 0.5, 0.1], [2.5], 2.5, [[2.5, 0.5, 0.1]] * 2])
+def test_wrong_number_of_coordinates_is_refused(fn, q):
+    m = _metric("elliptic_R2")
+    with pytest.raises(InvalidParameters, match="q needs 2 coordinates"):
+        fn(m, q)
+    assert m._memo == {}
+
+
+def test_momenta_of_another_shape_are_refused():
+    m = _metric("ellipsoidal_R3")
+    q = np.array([2.5, 1.5, 0.5])
+    for x, y in ((q, np.ones(2)), (q, np.ones((2, 3))), (np.stack([q, q]), np.ones(3))):
+        for fn in (integrals_alpha, hamiltonian):
+            with pytest.raises(InvalidParameters, match="p has shape"):
+                fn(m, x, y)
+    with pytest.raises(InvalidParameters, match="corners need 3 coordinates"):
+        geodesic_between(m, [2.2, 1.4], [2.8, 1.6])
+    with pytest.raises(InvalidParameters, match="corners need 3 coordinates"):
+        geodesic_between(m, [2.2, 1.4, 0.5, 0.1], [2.2, 1.4, 0.5, 0.1])
 
 
 def test_billiard_alpha_conservation():
