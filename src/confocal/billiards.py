@@ -670,7 +670,7 @@ def circumscribed_check(family: ConfocalFamily, A, B, lam_c: float) -> dict:
             Dc = _line_intersection(la[k], lb[m])
         except DegenerateConfiguration:
             continue
-        hc, hd = (float(planar_coordinates(*family.a, *X)[0]) for X in (Cc, Dc))
+        hc, hd = (planar_coordinates(*family.a, *X)[0] for X in (Cc, Dc))
         if best is None or abs(hc - hd) < best[0]:
             # the sides AC, CB, BD, DA
             best = (abs(hc - hd), Cc, Dc, (hc + hd) / 2.0, [la[i], lb[j], lb[m], la[k]])

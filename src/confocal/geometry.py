@@ -8,10 +8,15 @@ have length n+1 with the distinguished coordinate x0 stored FIRST.
 - kappa, the curvature sign: 0 on E^n, +1 on S^n, -1 on H^n.
 - eta, the signature of the ambient product <x, y> = sum_j eta_j x_j y_j:
   -1 first on H^n, +1 elsewhere, so that <x, x> = kappa on a curved model.
+
+A point is on its model when x . x is finite and, on S^n and H^n,
+|<x, x> - kappa| is at most MODEL_TOL x . x.  One point's model test and
+Jacobi's product run on its Python floats, a stack's on arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -92,18 +97,6 @@ def hyperbolic(n: int) -> Geometry:
     return Geometry(Kind.HYPERBOLIC, n)
 
 
-def model_residual(geometry: Geometry, x):
-    """|<x, x> - kappa| of a point, or of each row of a stack; inf off the
-    upper sheet of H^n, and 0 on E^n."""
-    x = np.asarray(x, dtype=float)
-    if geometry.kappa == 0:
-        return np.zeros(x.shape[:-1])[()]
-    res = abs(geometry.dot(x, x) - geometry.kappa)
-    if geometry.kappa < 0:
-        res = np.where(x[..., 0] > 0.0, res, np.inf)[()]
-    return res
-
-
 def check_on_model(geometry: Geometry, x):
     """x as a float array, or NotOnModel unless it is one model point."""
     x = np.asarray(x, dtype=float)
@@ -114,39 +107,48 @@ def check_on_model(geometry: Geometry, x):
 
 def _check_points(geometry: Geometry, x):
     """x as a float array, or NotOnModel unless it is a model point or a
-    stack of them, one per row."""
+    stack of them, one per row.  A float point is off its model by about
+    eps x . x: 1 on S^n, but cosh 2r at distance r from the origin of H^n.
+    One point is tested on its Python floats, a stack on arrays over its
+    rows."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != geometry.eta.shape:
         raise NotOnModel(f"expected points of length {geometry.ambient_dim}, got {x.shape}")
-    if geometry.kappa:
-        # a float point is off the model by about eps x . x (Euclidean), which
-        # is 1 on S^n but cosh 2r at distance r from the origin of H^n; both
-        # tests fail where a coordinate is nan or inf, or x . x overflows
-        tol = MODEL_TOL * (x * x).sum(axis=-1)
-        ok = (model_residual(geometry, x) <= tol) & (tol < np.inf)
-        if x.ndim > 1:
-            ok = ok.all()
-        if not ok:
-            raise NotOnModel(f"a point is not finite, or violates the {geometry.kind.value} "
-                             f"model constraint by more than {MODEL_TOL} x . x")
+    if x.ndim == 1:
+        x0, *rest = x.tolist()
+        rest = sum(v * v for v in rest)
+    else:
+        x0, rest = x[..., 0], (x[..., 1:] * x[..., 1:]).sum(axis=-1)
+    kappa, x0sq = geometry.kappa, x0 * x0
+    ok = x0sq + rest < math.inf
+    if kappa:   # |<x, x> - kappa| <= MODEL_TOL x . x, and x0 > 0 on H^n
+        ok = ok & (abs(kappa * x0sq + rest - kappa) <= MODEL_TOL * (x0sq + rest)) \
+            & ((kappa > 0) | (x0 > 0.0))
+    if not (ok if x.ndim == 1 else ok.all()):
+        raise NotOnModel(f"a point is not finite, or its x . x overflows, or it is off the "
+                         f"{geometry.kind.value} model by more than {MODEL_TOL} x . x")
     return x
 
 
-def jacobi_denominators(poles) -> np.ndarray:
-    """prod_{l != j} (D_j - D_l), one entry per pole D_j: the denominators
+def jacobi_denominators(poles) -> list:
+    """prod_{l != j} (D_j - D_l), one float per pole D_j: the denominators
     of Jacobi's product formula (jacobi_squares)."""
-    gaps = np.subtract.outer(poles, poles).astype(float)
-    np.fill_diagonal(gaps, 1.0)
-    return np.prod(gaps, axis=1)
+    return [math.prod(dj - dl for l, dl in enumerate(poles) if l != j)
+            for j, dj in enumerate(poles)]
 
 
-def jacobi_squares(poles, lam, denominators) -> np.ndarray:
+def jacobi_squares(poles, lam, denominators):
     """Jacobi's product formula prod_k (D_j - lam_k) / denominators_j, one
-    entry per pole D_j: the squared coordinates of the point, or of each
-    row of a stack, with confocal parameters lam, up to the signature
-    (confocal.quadrics)."""
-    d = np.asarray(poles, dtype=float)
-    return np.prod(d[:, None] - np.asarray(lam, dtype=float)[..., None, :], axis=-1) / denominators
+    entry per pole D_j: the squared coordinates, up to the signature
+    (confocal.quadrics), of the point with confocal parameters lam: a list
+    of one point's Python floats (a list out), or an array of a point or a
+    stack, one per row (an array out).  Either way the product over k runs
+    left to right, as np.prod's, to the bit."""
+    def square(d, den, columns):
+        return math.prod(d - v for v in columns) / den
+    if isinstance(lam, np.ndarray):
+        return square(np.asarray(poles), np.asarray(denominators), lam.T[..., None])
+    return [square(d, den, lam) for d, den in zip(poles, denominators)]
 
 
 def geodesic_distance(geometry: Geometry, x, y):

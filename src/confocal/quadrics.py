@@ -23,11 +23,13 @@ on H^n by light-cone containment).  So on every model the coordinates
 are the eigenvalues of diag(a) - w w^T, w = x on E^n (Moser's spectral
 view of confocal quadrics), in closed form when 2 x 2 and by eigvalsh
 when larger, and the point comes back from them by Jacobi's product
-formula for x_j^2.
+formula for x_j^2.  One point runs on Python floats, and its coordinates
+and point are bitwise its row of a stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -70,34 +72,28 @@ class ConfocalFamily:
     def n(self) -> int:
         return self.geometry.n
 
-    @property
+    @cached_property
     def is_circular(self) -> bool:
         return self.geometry.kind is Kind.EUCLIDEAN and len(set(self.a)) == 1
 
-    # computed once per family, read-only; the signature J is geometry.eta
+    # computed once per family, as tuples of floats; the signature J is geometry.eta
 
     @cached_property
-    def poles(self) -> np.ndarray:
+    def poles(self) -> tuple:
         """Poles D of the secular equation: a, after D_0 = -kappa b on S^n and H^n."""
         kappa = self.geometry.kappa
-        return _frozen((-kappa * self.b, *self.a) if kappa else self.a)
+        return (-kappa * float(self.b), *self.a) if kappa else self.a
 
     @cached_property
-    def denominators(self) -> np.ndarray:
+    def denominators(self) -> tuple:
         """Jacobi's denominators prod_{l != j} (D_j - D_l), one per pole."""
-        return _frozen(jacobi_denominators(self.poles))
+        return tuple(jacobi_denominators(self.poles))
 
     @cached_property
-    def weights(self) -> np.ndarray:
+    def weights(self) -> tuple:
         """w_i / x_i, i >= 1: sqrt(b + kappa a_i) on S^n and H^n, 1 on E^n."""
         kappa = self.geometry.kappa
-        return _frozen(np.sqrt(self.b + kappa * np.asarray(self.a)) if kappa else np.ones(self.n))
-
-
-def _frozen(values) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
+        return tuple(math.sqrt(self.b + kappa * v) for v in self.a) if kappa else (1.0,) * self.n
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,7 @@ def confocal_equation(family: ConfocalFamily, lam, point):
     lam-member passes through the point."""
     x = check_on_model(family.geometry, point)
     rhs = 1.0 if family.geometry.kind is Kind.EUCLIDEAN else 0.0
-    return np.sum(family.geometry.eta * x * x / (family.poles - lam)) - rhs
+    return np.sum(family.geometry.eta * x * x / np.subtract(family.poles, lam)) - rhs
 
 
 def confocal_parameters(family: ConfocalFamily, point, strict: bool = False) -> EllipticCoords:
@@ -136,18 +132,18 @@ def confocal_parameters(family: ConfocalFamily, point, strict: bool = False) -> 
     """
     if family.is_circular:
         raise InvalidParameters("elliptic coordinates degenerate for circular families")
-    x = check_on_model(family.geometry, point)
-    zero = x * x <= DEGENERATE_TOL ** 2
-    if strict and zero.any():
+    x = check_on_model(family.geometry, point).tolist()
+    zero = [v * v <= DEGENERATE_TOL ** 2 for v in x]
+    if strict and any(zero):
         raise DegeneratePoint("point has a vanishing coordinate")
-    n = family.n
-    keep = ~zero[-n:]
-    d, w = family.poles[-n:][keep], (family.weights * x[-n:])[keep]
-    roots = ([float(v) for v in planar_coordinates(*d.tolist(), *w.tolist())[::-1]] if w.size == 2
+    i0 = len(x) - family.n   # x_i0 is x_1
+    keep = [j for j in range(i0, len(x)) if not zero[j]]
+    d, w = [family.poles[j] for j in keep], [family.weights[j - i0] * x[j] for j in keep]
+    roots = (list(planar_coordinates(*d, *w))[::-1] if len(w) == 2
              else np.linalg.eigvalsh(np.diag(d) - np.outer(w, w)).tolist())
     if family.geometry.kappa and zero[0]:
         roots = roots[1:]   # ascending: -b, the pinned pole, comes first
-    known = sorted(family.poles[zero].tolist(), reverse=True)
+    known = sorted((p for p, z in zip(family.poles, zero) if z), reverse=True)
     lam = tuple(sorted(roots + known, reverse=True))
     signs = tuple(-1 if v < 0 else 1 for v in x)
     return EllipticCoords(lam=lam, signs=signs, degenerate=tuple(known))
@@ -158,14 +154,18 @@ def planar_coordinates(a1, a2, x, y):
     the eigenvalues of diag(a1, a2) - w w^T, w = (x, y).  Less a2 it has
     trace 2h = c - |w|^2, c = a1 - a2, and determinant -c y^2; with
     g = sign(h) (|h| + sqrt(h^2 + c y^2)) the roots are a2 + g and
-    a2 - c y^2 / g, on either side of a2, and neither cancels; g = 0 only at
-    a focus, where the divisor is made 1 and both are a2.  Python floats
-    (one point; numpy floats out) or arrays (a stack), same IEEE steps."""
+    a2 - c y^2 / g, on either side of a2 (the larger first when g > 0), and
+    neither cancels; g = 0 only at a focus, where the divisor is made 1 and
+    both are a2.  Python floats (one point, floats out) or arrays (a stack),
+    with the same IEEE steps."""
     c = a1 - a2
     h, cy2 = 0.5 * (c - x * x - y * y), c * y * y
-    g = np.copysign(abs(h) + np.sqrt(h * h + cy2), h)
+    xp = math if isinstance(h, float) else np
+    g = xp.copysign(abs(h) + xp.sqrt(h * h + cy2), h)
     near, far = a2 + g, a2 - cy2 / (g + (g == 0.0))
-    return np.maximum(near, far), np.minimum(near, far)
+    if xp is math:
+        return (far, near) if g < 0.0 else (near, far)
+    return np.where(g < 0.0, far, near), np.where(g < 0.0, near, far)
 
 
 def point_from_parameters(family: ConfocalFamily, coords: EllipticCoords | tuple,
@@ -174,9 +174,10 @@ def point_from_parameters(family: ConfocalFamily, coords: EllipticCoords | tuple
 
         J_j x_j^2 = c prod_k (D_j - lam_k) / prod_{l != j} (D_j - D_l),
 
-    c = J_0 (-1 in H^n, else 1); signs pick the orthant.  coords may also
-    be a stack of parameter sets, one per row, for a stack of points.  A
-    negative square raises NoRealPoint.
+    c = J_0 (-1 in H^n, else 1); signs pick the orthant, one per coordinate
+    (or per row of a stack).  coords may also be a stack of parameter
+    sets, one per row, for a stack of points.  A negative square raises
+    NoRealPoint, non-finite parameters or misshapen signs InvalidParameters.
     """
     if isinstance(coords, EllipticCoords):
         coords, signs = coords.lam, coords.signs if signs is None else signs
@@ -186,12 +187,24 @@ def point_from_parameters(family: ConfocalFamily, coords: EllipticCoords | tuple
     if lam.ndim not in (1, 2) or lam.shape[-1] != family.n:
         raise InvalidParameters("need one parameter per class")
     sig = family.geometry.eta
-    squares = sig[0] * sig * jacobi_squares(family.poles, lam, family.denominators)
-    if np.min(squares) < -1e-10:
+    signs = np.ones(sig.size) if signs is None else np.asarray(signs, dtype=float)
+    if signs.shape not in (sig.shape, lam.shape[:-1] + sig.shape):
+        raise InvalidParameters(f"need one sign per coordinate, got shape {signs.shape}")
+    one = lam.ndim == 1
+    lam = lam.tolist() if one else lam
+    if not (all(map(math.isfinite, lam)) if one else np.isfinite(lam).all()):
+        raise InvalidParameters(f"confocal parameters must be finite, got {coords}")
+    squares = jacobi_squares(family.poles, lam, family.denominators)
+    if family.geometry.kappa < 0:   # J_0 J_j: -J_j on H^n, 1 on E^n and S^n
+        squares = [-e * q for e, q in zip(sig.tolist(), squares)] if one else -sig * squares
+    if one:   # on Python floats, clipped at +0.0 as by np.clip
+        low = min(squares)
+        x = np.array([s * math.sqrt(0.0 if q <= 0.0 else q)
+                      for s, q in zip(signs.tolist(), squares)])
+    else:
+        low, x = squares.min(), signs * np.sqrt(np.clip(squares, 0.0, None))
+    if low < -1e-10:
         raise NoRealPoint(f"negative squared coordinate: {squares}")
-    if signs is None:
-        signs = (1,) * sig.size
-    x = np.asarray(signs, dtype=float) * np.sqrt(np.clip(squares, 0.0, None))
     if family.geometry.kappa < 0:
         x[..., 0] = abs(x[..., 0])  # upper sheet
     return x
@@ -200,7 +213,7 @@ def point_from_parameters(family: ConfocalFamily, coords: EllipticCoords | tuple
 def confocal_gradient(family: ConfocalFamily, lam: float, point) -> np.ndarray:
     """Ambient gradient 2 J_j x_j / (D_j - lam) of the secular sum of the
     lam-member at a point."""
-    return 2.0 * family.geometry.eta * np.asarray(point, dtype=float) / (family.poles - lam)
+    return 2.0 * family.geometry.eta * np.asarray(point, float) / np.subtract(family.poles, lam)
 
 
 def tangent_parameters_of_line(family: ConfocalFamily, base_point, direction):

@@ -736,8 +736,8 @@ def builtin_metric(name: str, params) -> StaeckelMetric:
             # sphere_conical: both rows (t, 1) / h
             rows = [(np.eye(2), hpoly)] * 2
 
-    def root(q, _d=np.asarray(poles), _den=jacobi_denominators(poles)):
-        return np.sqrt(jacobi_squares(_d, q, _den))
+    def root(q, _den=jacobi_denominators(poles)):
+        return np.sqrt(jacobi_squares(poles, list(map(float, q)), _den))
 
     ambient = {"spheroconical_R3": lambda q: q[0] * root(q[1:]),
                "ellipsoid_intrinsic": lambda q: root((0.0, *q))}.get(name, root)

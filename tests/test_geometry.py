@@ -1,14 +1,17 @@
 """Tests for the ambient geometries: curvature sign, signature, product and
 geodesic distance against a 50-digit mpmath oracle."""
 
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from confocal.errors import InvalidParameters, NotOnModel
 from confocal.geometry import (
+    MODEL_TOL,
     Geometry,
     Kind,
     check_on_model,
@@ -185,6 +188,82 @@ def test_non_finite_coordinates_are_off_the_model(v):
     # <x, x> = 0 is finite, but x . x overflows to inf: off H^2 by 1
     with np.errstate(over="ignore"), pytest.raises(NotOnModel):
         check_on_model(H2, [1e154, 1e154, 0.0])
+
+
+def test_one_point_model_test_refusals():
+    """One point's model test, on its Python floats, refuses on every model
+    a nan or +-inf coordinate and an x . x that overflows (1e200), with no
+    warning, and a wrong length; on H^2 the lower sheet, and on S^2 a point
+    1e-9 x . x off.  It accepts the far H^n points of the quadrics tests,
+    out to r = 8."""
+    for geo, x in ((euclidean(2), [0.3, 0.4]), (euclidean(3), [0.3, -0.4, 2.0]),
+                   (S2, [0.6, 0.0, 0.8]), (H2, [1.25, 0.75, 0.0])):
+        assert check_on_model(geo, x).tolist() == x
+        for k in range(len(x)):
+            for v in (np.nan, np.inf, -np.inf, 1e200):
+                with pytest.raises(NotOnModel):
+                    check_on_model(geo, x[:k] + [v] + x[k + 1:])
+        for bad in (x + [0.0], x[:-1]):
+            with pytest.raises(NotOnModel):
+                check_on_model(geo, bad)
+    with pytest.raises(NotOnModel):
+        check_on_model(H2, [-1.25, 0.75, 0.0])
+    with pytest.raises(NotOnModel):
+        check_on_model(S2, np.sqrt(1.0 + 1e-9) * np.array([0.6, 0.0, 0.8]))
+    for geo in (H2, hyperbolic(3)):
+        rng = np.random.default_rng(37)   # as test_far_hyperbolic_points_match_secular_oracle
+        for r in (2.0, 4.0, 6.0, 8.0):
+            for _ in range(10):
+                u = rng.normal(size=geo.n)
+                x = np.concatenate(([np.cosh(r)], np.sinh(r) * u / np.linalg.norm(u)))
+                assert np.array_equal(check_on_model(geo, x), x)
+
+
+def _exact_gate(geo, x):
+    """|<x, x> - kappa| over MODEL_TOL x . x in rational arithmetic, inf where
+    the point is not finite, x . x overflows or x is on H^n's lower sheet."""
+    if not np.isfinite(sum(v * v for v in x.tolist())) or (geo.kappa < 0 and not x[0] > 0.0):
+        return np.inf
+    q = [Fraction(v) ** 2 for v in x.tolist()]
+    if not geo.kappa:
+        return 0.0
+    return abs(geo.kappa * q[0] + sum(q[1:]) - geo.kappa) / (Fraction(MODEL_TOL) * sum(q))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(geo=st.sampled_from([euclidean(2), S2, H2, spherical(3), hyperbolic(3)]),
+       raw=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+       log_off=st.floats(-15.0, -7.0), sign=st.sampled_from((-1.0, 1.0)),
+       lower=st.booleans(), bad=st.sampled_from([None, np.nan, np.inf, -np.inf, 1e200]))
+def test_point_and_stack_model_tests_agree(geo, raw, log_off, sign, lower, bad):
+    """A model point scaled off its model by 1e-15 ... 1e-7 (relative to
+    MODEL_TOL x . x at r = 0, ever less further out on H^n), maybe on the
+    lower sheet or with a non-finite or huge coordinate: one point's float
+    test and the stacked test give the exact answer wherever the point is a
+    factor 2 or more from the gate."""
+    x = np.array(raw[:geo.ambient_dim])
+    if geo.kappa > 0:
+        assume(x @ x > 1e-6)
+        x /= np.sqrt(x @ x)
+    elif geo.kappa < 0:
+        x[0] = (-1.0 if lower else 1.0) * np.sqrt(1.0 + x[1:] @ x[1:])
+    x *= np.sqrt(1.0 + sign * 10.0 ** log_off)
+    if bad is not None:
+        x[len(raw) % geo.ambient_dim] = bad
+    ratio = _exact_gate(geo, x)
+    assume(not 0.5 < ratio < 2.0)
+
+    def accepts(call):
+        try:
+            with np.errstate(all="ignore"):
+                call()
+        except NotOnModel:
+            return False
+        return True
+
+    one = accepts(lambda: check_on_model(geo, x))
+    stacked = accepts(lambda: geodesic_distance(geo, np.stack([x, x]), np.stack([x, x])))
+    assert one == stacked == (ratio <= 0.5)
 
 
 def mp_residual(x):

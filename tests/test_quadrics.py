@@ -19,9 +19,11 @@ from confocal import (
     tangent_parameters_of_line,
 )
 from confocal.errors import DegeneratePoint, InvalidParameters, NoRealPoint, NotOnModel
+from confocal.geometry import jacobi_squares
 from confocal.quadrics import (
     confocal_equation,
     confocal_gradient,
+    planar_coordinates,
     random_interior_point,
 )
 
@@ -313,6 +315,7 @@ def test_euclidean_coordinates_and_points_bitwise():
     for fam in (FAM2, FAM3, FAM4, FAMS2, FAMS3, FAMH2, FAMH3):
         d = np.array([-fam.geometry.kappa * fam.b, *fam.a] if fam.b else fam.a)
         sig = fam.geometry.eta
+        lams, signs, points = [], [], []
         for _ in range(200):
             coords = confocal_parameters(fam, random_interior_point(fam, rng))
             gaps = d[:, None] - d
@@ -322,6 +325,113 @@ def test_euclidean_coordinates_and_points_bitwise():
             x = np.asarray(coords.signs, dtype=float) * np.sqrt(np.clip(squares, 0.0, None))
             x[0] = abs(x[0]) if fam.geometry.kappa < 0 else x[0]
             assert np.array_equal(point_from_parameters(fam, coords), x)
+            lams.append(coords.lam), signs.append(coords.signs), points.append(x)
+        # the same outputs stacked, one row of signs per point
+        assert np.array_equal(point_from_parameters(fam, lams, signs=signs), points)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_planar_coordinates_on_floats_match_a_stack():
+    """One point's Python floats give its row of the stacked call, to the
+    bit, and both give the roots in the order of the formulas they replaced:
+    the larger and the smaller of a2 + g and a2 - c y^2 / g, by np.maximum
+    and np.minimum.  Rows at a focus (g = 0: (5, 0) for c = 25), with h = 0
+    ((3, 4) and (4, -3)), on either axis, and from 1e-3 to 1e5 out."""
+    rng = np.random.default_rng(59)
+    for a1, a2 in ((4.0, 1.0), (26.0, 1.0), (3.0, 2.0)):
+        c = a1 - a2
+        pts = rng.normal(size=(400, 2)) * 10.0 ** rng.uniform(-3.0, 5.0, size=(400, 1))
+        pts[::5, 1] = 0.0
+        pts[1::7, 0] = 0.0
+        pts[2::9] = (np.sqrt(c), 0.0)
+        pts[3::9] = (-np.sqrt(c), -0.0)
+        pts[4::11] = (3.0, 4.0)
+        pts[5::11] = (4.0, -3.0)
+        x, y = pts.T
+        h, cy2 = 0.5 * (c - x * x - y * y), c * y * y
+        g = np.copysign(abs(h) + np.sqrt(h * h + cy2), h)
+        near, far = a2 + g, a2 - cy2 / (g + (g == 0.0))
+        assert (g < 0.0).any() and (g > 0.0).any() and (y == 0.0).any()
+        assert c != 25.0 or ((g == 0.0).any() and (h == 0.0).any())
+        hyp, ell = planar_coordinates(a1, a2, x, y)
+        assert _bits(hyp) == _bits(np.maximum(near, far))
+        assert _bits(ell) == _bits(np.minimum(near, far))
+        for k, (u, v) in enumerate(pts.tolist()):
+            one = planar_coordinates(a1, a2, u, v)
+            assert [type(r) for r in one] == [float, float]
+            assert _bits(one) == _bits((hyp[k], ell[k]))
+
+
+@pytest.mark.parametrize("fam", [FAM2, FAM3, FAM4, FAMS2, FAMS3, FAMH2, FAMH3],
+                         ids=["E2", "E3", "E4", "S2", "S3", "H2", "H3"])
+def test_one_parameter_set_is_its_stack_row(fam):
+    """point_from_parameters and jacobi_squares on one parameter set (Python
+    floats) give that row of a stacked call, to the bit, with one sign per
+    coordinate for every row or one row of signs per point.  Parameters of
+    points with one zero coordinate put a factor D_j - lam_k at 0."""
+    rng = np.random.default_rng(67)
+    m = fam.geometry.ambient_dim
+    pts = [random_interior_point(fam, rng) for _ in range(40)]
+    for k, x in enumerate(pts[:m]):
+        x[k] = 0.0
+        pts[k] = _onto_model(fam, x)
+    lams = np.array([confocal_parameters(fam, x).lam for x in pts])
+    rows = rng.choice([-1, 1], size=(len(pts), m))
+    stacked = jacobi_squares(fam.poles, lams, fam.denominators)
+    for signs in (rows[0], rows):
+        stack = point_from_parameters(fam, lams, signs=signs)
+        for k, lam in enumerate(lams.tolist()):
+            one = point_from_parameters(fam, lam, signs=rows[k] if signs is rows else signs)
+            assert _bits(one) == _bits(stack[k])
+    for k, lam in enumerate(lams.tolist()):
+        squares = jacobi_squares(fam.poles, lam, fam.denominators)
+        assert {type(v) for v in squares} == {float}
+        assert _bits(squares) == _bits(stacked[k])
+
+
+@pytest.mark.parametrize("fam, x", [
+    (FAM2, [np.nan, 1.0]), (FAM2, [np.inf, 1.0]), (FAM2, [1.0, -np.inf]), (FAM2, [1e200, 1.0]),
+    (FAM3, [0.5, np.nan, 0.2]), (FAM3, [1e200, 1e200, 0.0]), (FAMS2, [np.nan, 0.6, 0.8]),
+    (FAMH2, [np.inf, 1.0, 0.0]), (FAMH2, [1e200, 1e200, 0.0])],
+    ids=["E2-nan", "E2-inf", "E2-neg-inf", "E2-1e200", "E3-nan", "E3-1e200", "S2-nan",
+         "H2-inf", "H2-1e200"])
+def test_non_finite_points_are_refused_on_every_model(fam, x):
+    """nan, +-inf and an x . x that overflows are on no model: NotOnModel,
+    with no warning, where E^n returned (nan, nan) or (1.0, -inf)."""
+    with pytest.raises(NotOnModel):
+        confocal_parameters(fam, x)
+
+
+def test_non_finite_parameters_are_refused():
+    """A nan or +-inf parameter raises InvalidParameters, alone or in a
+    stack; nan slipped past the negative-square test to [nan, nan]."""
+    for lam in ((2.0, np.nan), (np.inf, 0.5), (2.0, -np.inf), (np.nan, np.nan)):
+        with pytest.raises(InvalidParameters):
+            point_from_parameters(FAM2, lam)
+        with pytest.raises(InvalidParameters):
+            point_from_parameters(FAM2, [(2.0, 0.5), lam])
+    with pytest.raises(InvalidParameters):
+        point_from_parameters(FAMS3, (2.5, 1.7, np.nan))
+
+
+def test_signs_of_another_shape_are_refused():
+    """Signs take one point's shape, or the stack's: (-1,) negated every
+    coordinate, and three signs on E^2 raised numpy's ValueError."""
+    lam = (2.0, 0.5)
+    for signs in ((-1,), (-1, 1, 1), [(1, 1), (1, 1)], ()):
+        with pytest.raises(InvalidParameters):
+            point_from_parameters(FAM2, lam, signs=signs)
+    stack = [lam, (2.5, 0.2), (3.0, -1.0)]
+    for signs in ((-1,), [(1, 1), (1, -1)], [(1, 1, 1)] * 3):
+        with pytest.raises(InvalidParameters):
+            point_from_parameters(FAM2, stack, signs=signs)
+    with pytest.raises(InvalidParameters):
+        point_from_parameters(FAMH2, (0.7, 0.2), signs=(1, -1))
+    assert np.array_equal(point_from_parameters(FAM2, stack, signs=[(1, 1), (1, -1), (-1, 1)]),
+                          point_from_parameters(FAM2, stack) * [(1, 1), (1, -1), (-1, 1)])
 
 
 @pytest.mark.parametrize("fam", [FAM2, FAMH2], ids=["E2", "H2"])
