@@ -78,9 +78,6 @@ class OrientedLine:
     def point_at(self, t: float) -> np.ndarray:
         return np.array(self._at(t))
 
-    def reversed(self) -> "OrientedLine":
-        return OrientedLine(self.alpha + math.pi, -self.p)
-
     @staticmethod
     def from_point_direction(point, direction) -> "OrientedLine":
         (x, y), (dx, dy) = point, direction

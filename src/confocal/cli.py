@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from importlib import import_module
@@ -181,17 +182,26 @@ def _first_violation(schema, cfg):
     return None if best is None else best[1]
 
 
+def _finite(literal: str) -> float:
+    """A JSON number, or NaN and +-Infinity, which json accepts: refused
+    unless finite, since NaN passes every bound of the schemas."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"config rejected: non-finite number {literal}")
+    return value
+
+
 def load_config(command: str, path, tolerance=None) -> dict:
     """Read, schema-validate, and normalize a run config."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
     if tolerance is not None:
-        cfg["tolerance"] = tolerance
+        cfg["tolerance"] = _finite(tolerance)
     # the schemas are fixed, so they are checked against the metaschema by
     # the tests rather than on every run
     message = _first_violation(SCHEMAS[command], cfg)
@@ -467,7 +477,7 @@ def _build_surface(scfg):
 
 
 def _run_newton_check(cfg):
-    from .potentials import GeodesicSphere, field_at
+    from .potentials import field_at
 
     surface = _build_surface(cfg["surface"])
     tol = cfg["tolerance"]
@@ -478,7 +488,7 @@ def _run_newton_check(cfg):
                         [[out["norm"], out["error"], out["N"]]])}
     if cfg["expect"] == "zero":
         return [_check("field_norm_zero", rel_norm, tol)], tables, {}
-    if not (isinstance(surface, GeodesicSphere) and surface.geometry == hyperbolic(3)):
+    if not (cfg["surface"]["kind"] == "sphere" and surface.geometry == hyperbolic(3)):
         raise ConfigError("point_mass oracle requires a hyperbolic sphere in "
                           "three dimensions")
     # distance to the center (the pole): cosh D = -<x, c>_M = x0

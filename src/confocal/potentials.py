@@ -15,6 +15,10 @@ charged surface, over a sweep of equally spaced lines through the point for
 a layer.  The integrands are analytic there while the point keeps clear of
 the charge, so the rules converge exponentially, and each result carries
 the estimate |F_m - F_2m| of its error in place of a standard error.
+
+A charged surface, a CurvedEllipsoid or a round GeodesicSphere, gives the
+cubature its own nodes(ws), points and weights over unit directions, and
+its own clearance(x) from a point; the cubature names no surface type.
 """
 
 from __future__ import annotations
@@ -46,6 +50,17 @@ from .geometry import Geometry, Kind, geodesic_distance
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
+def _radii(geometry: Geometry, r) -> np.ndarray:
+    """r as a float array, refusing a radius outside 0 < r < pi on S^n, or
+    r > 0 in H^n, NaN included."""
+    r = np.asarray(r, dtype=float)
+    spherical = geometry.kind is Kind.SPHERICAL
+    ok = (r > 0.0) & (r < np.pi) if spherical else r > 0.0
+    if not np.all(ok):
+        raise DomainError(f"need {'0 < r < pi' if spherical else 'r > 0'}, got {r[~ok]}")
+    return r
+
+
 def point_potential(geometry: Geometry, r):
     """Potential of a unit point mass at geodesic distance r (a float, or
     an array giving an array).
@@ -58,21 +73,16 @@ def point_potential(geometry: Geometry, r):
     summed by a fixed Gauss-Legendre rule.  At n = 3 this is cot r and
     coth r - 1 = 2/expm1(2r); at n = 2, log cot(r/2) and log coth(r/2).
     """
-    r = np.asarray(r, dtype=float)
+    if geometry.kind is Kind.EUCLIDEAN:
+        raise InvalidParameters("point potential defined on curved geometries")
+    if geometry.kind is Kind.HYPERBOLIC and geometry.n < 2:
+        raise DomainError("the radial potential diverges in H^1")
+    r = _radii(geometry, r)
     if geometry.kind is Kind.SPHERICAL:
-        bad = (r <= 0.0) | (r >= np.pi)
-        if np.any(bad):
-            raise DomainError(f"need 0 < r < pi, got {r[bad]}")
         T, c = np.arcsinh(1.0 / np.tan(r)), np.cosh
-    elif geometry.kind is Kind.HYPERBOLIC:
-        if geometry.n < 2:
-            raise DomainError("the radial potential diverges in H^1")
-        if np.any(r <= 0.0):
-            raise DomainError(f"need r > 0, got {r[r <= 0.0]}")
+    else:
         # 1/sinh r = 2 e^-r / (1 - e^-2r), free of overflow and cancellation
         T, c = np.arcsinh(2.0 * np.exp(-r) / -np.expm1(-2.0 * r)), np.sinh
-    else:
-        raise InvalidParameters("point potential defined on curved geometries")
     theta = 0.5 * T[..., None] * (1.0 + _GL_NODES)
     u = 0.5 * T * (c(theta) ** (geometry.n - 2) @ _GL_WEIGHTS)
     return float(u) if u.ndim == 0 else u
@@ -82,7 +92,7 @@ def point_potential_derivative(geometry: Geometry, r):
     """u'(r) = -1/phi^{n-1}(r): the flux through the geodesic sphere of
     radius r is independent of r.  Takes a float or an array, like
     point_potential."""
-    du = -geometry.trig[0](np.asarray(r, dtype=float)) ** (1 - geometry.n)
+    du = -geometry.trig[0](_radii(geometry, r)) ** (1 - geometry.n)
     return float(du) if np.ndim(du) == 0 else du
 
 
@@ -137,6 +147,8 @@ class CurvedEllipsoid:
             raise InvalidParameters("curved ellipsoids live on S^n or H^n")
         if len(a) != self.geometry.n:
             raise InvalidParameters("need one semiaxis parameter per dimension")
+        if not np.all(np.isfinite(a + (self.b,))):
+            raise InvalidParameters(f"parameters must be finite, got a = {a}, b = {self.b}")
         # ties are allowed (round degenerations); confocal coordinates are
         # never computed here
         if any(x < y for x, y in zip(a, a[1:])):
@@ -180,6 +192,32 @@ class CurvedEllipsoid:
         rho = 1.0 / np.sqrt(self.geometry.kappa + bm)
         return np.concatenate([(np.sqrt(bm) * rho)[..., None], rho[..., None] * w],
                               axis=-1)
+
+    def nodes(self, ws):
+        """The points over the unit directions ws (rows of R^n), and their
+        weights per unit solid angle of w, the area element times the
+        homeoidal density: b rho^(n-1) / (2 sqrt(bm)) with m = sum w_i^2/a_i
+        and rho = (kappa + bm)^(-1/2).
+
+        In geodesic polar coordinates (r, w) about the pole, dvol =
+        sin^(n-1) r dr dw and q = m sin^2 r - cos^2 r / b (sinh and cosh in
+        H^n); the point over w has sin r = rho and cos r = sqrt(bm) rho.  By
+        the coarea formula the measure dA/||grad q|| on q = 0 is
+        sin^(n-1) r / |dq/dr| dw, which is the weight above."""
+        ws = np.asarray(ws, dtype=float)
+        ws = ws / np.linalg.norm(ws, axis=1, keepdims=True)
+        bm = self.b * np.sum(ws * ws / np.asarray(self.a), axis=1)
+        rho = 1.0 / np.sqrt(self.geometry.kappa + bm)
+        return self.point_from_direction(ws), self.b * rho ** (self.n - 1) / (2.0 * np.sqrt(bm))
+
+    def clearance(self, x) -> float:
+        """First-order estimate of the geodesic distance from x to the
+        ellipsoid: |q| over the norm of q's gradient along the model, which
+        is spacelike also where the ambient gradient of H^n is not."""
+        x = np.asarray(x, dtype=float)
+        g = _project(self.geometry, self.grad_q(x), x)
+        g = np.sqrt(max(self.geometry.dot(g, g), 0.0))
+        return abs(self.q(x)) / g if g > 0 else np.inf
 
 
 def f_lambda(ellipsoid: CurvedEllipsoid, lam: float) -> np.ndarray:
@@ -296,26 +334,6 @@ def direction_rule(n: int, m: int):
     raise InvalidParameters("direction rules implemented for n = 2, 3")
 
 
-def sample_ellipsoid(ellipsoid: CurvedEllipsoid, ws):
-    """Radial projection of directions ws (rows of R^n) onto the ellipsoid:
-    the points above them, and weights per unit solid angle of w combining
-    the area element with the homeoidal density, b rho^(n-1) / (2 sqrt(bm))
-    with m = sum w_i^2/a_i and rho = (kappa + bm)^(-1/2).
-
-    In geodesic polar coordinates (r, w) about the pole, dvol =
-    sin^(n-1) r dr dw and q = m sin^2 r - cos^2 r / b (sinh and cosh in
-    H^n); the point over w has sin r = rho and cos r = sqrt(bm) rho.  By
-    the coarea formula the measure dA/||grad q|| on q = 0 is
-    sin^(n-1) r / |dq/dr| dw, which is the weight above."""
-    a, b, kappa = np.asarray(ellipsoid.a), ellipsoid.b, ellipsoid.geometry.kappa
-    ws = np.asarray(ws, dtype=float)
-    ws = ws / np.linalg.norm(ws, axis=1, keepdims=True)
-    bm = b * np.sum(ws * ws / a, axis=1)
-    rho = 1.0 / np.sqrt(kappa + bm)
-    return (ellipsoid.point_from_direction(ws),
-            b * rho ** (ellipsoid.n - 1) / (2.0 * np.sqrt(bm)))
-
-
 @dataclass(frozen=True)
 class GeodesicSphere:
     """Round shell: points at a fixed geodesic distance from a center."""
@@ -324,13 +342,21 @@ class GeodesicSphere:
     center: np.ndarray
     radius: float
 
-    def sample(self, ws):
+    def __post_init__(self):
+        if not np.isfinite(self.radius):
+            raise InvalidParameters(f"the radius must be finite, got {self.radius}")
+
+    def nodes(self, ws):
         """The shell's points in the unit directions ws (rows of R^n, taken
         in the tangent frame at the center), with equal weights."""
         geo, c = self.geometry, np.asarray(self.center, dtype=float)
         ws = np.asarray(ws, dtype=float) @ _tangent_basis(geo, c)
         sin, cos = geo.trig
         return cos(self.radius) * c + sin(self.radius) * ws, np.ones(len(ws))
+
+    def clearance(self, x) -> float:
+        """Geodesic distance from x to the shell."""
+        return abs(geodesic_distance(self.geometry, x, self.center) - self.radius)
 
 
 def _unit_tangent_toward(geometry: Geometry, x, ys, rs):
@@ -360,10 +386,23 @@ def _tangent_basis(geometry: Geometry, x) -> np.ndarray:
 def _cubature(surface, x, m: int, integrand) -> dict:
     """Mean of integrand(points, distances) over the surface's unit charge
     by the direction rule of size m, the mean of its norm, and the error
-    estimate |F_m - F_2m|."""
-    means = []
-    for size in (m, 2 * m):
-        pts, weights, rs = _surface_nodes(surface, x, size)
+    estimate |F_m - F_2m|, refusing an x within 1e-3 of the surface or of a
+    node.  The surface gives its nodes over unit directions (points and
+    weights: area element times density) and its clearance from x.
+
+    The fine rule has size 2m, raised where that adds no node: on S^2 the
+    rules of m and 2m share k = ceil(sqrt(m/2)) at m = 1, 3, 4 and 9, and
+    would report an error of 0."""
+    if surface.clearance(x) < 1e-3:
+        raise TooCloseToSurface("evaluation point within 1e-3 of the surface")
+    n, means = surface.geometry.n, []
+    coarse = direction_rule(n, m)
+    for ws, rule in (coarse, direction_rule(n, max(2 * m, len(coarse[1]) + 1))):
+        pts, weights = surface.nodes(ws)
+        rs = geodesic_distance(surface.geometry, x, pts)
+        if np.min(rs) < 1e-3:
+            raise TooCloseToSurface(f"min distance {np.min(rs)}")
+        weights = rule * weights
         f, w = integrand(pts, rs), weights / np.sum(weights)
         means.append((w @ f, w @ np.linalg.norm(f.reshape(len(f), -1), axis=1)))
     (value, abs_integral), (fine, _) = means
@@ -395,42 +434,6 @@ def field_at(surface, x, m: int) -> dict:
     out = _cubature(surface, x, m, integrand)
     fld = out.pop("value")
     return dict(out, field=fld, frame=basis, norm=float(np.linalg.norm(fld)))
-
-
-def _surface_clearance(surface, x) -> float:
-    """Deterministic first-order estimate of the geodesic distance from x
-    to the surface: |q| over the norm of q's gradient along the model,
-    which is spacelike also where the ambient gradient of H^n is not."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(surface, CurvedEllipsoid):
-        geo = surface.geometry
-        g = _project(geo, surface.grad_q(x), x)
-        g = np.sqrt(max(geo.dot(g, g), 0.0))
-        return abs(surface.q(x)) / g if g > 0 else np.inf
-    if isinstance(surface, GeodesicSphere):
-        return abs(geodesic_distance(surface.geometry, x, surface.center)
-                   - surface.radius)
-    return np.inf
-
-
-def _surface_nodes(surface, x, m):
-    """The surface's points over the direction rule of size m, their
-    weights (rule weight times area element and density) and their
-    geodesic distances from x, refusing an x within 1e-3 of the surface or
-    of a node."""
-    if _surface_clearance(surface, x) < 1e-3:
-        raise TooCloseToSurface("evaluation point within 1e-3 of the surface")
-    ws, rule = direction_rule(surface.geometry.n, m)
-    if isinstance(surface, CurvedEllipsoid):
-        pts, weights = sample_ellipsoid(surface, ws)
-    elif isinstance(surface, GeodesicSphere):
-        pts, weights = surface.sample(ws)
-    else:
-        raise InvalidParameters(f"cannot integrate over a surface of type {type(surface)!r}")
-    rs = geodesic_distance(surface.geometry, x, pts)
-    if np.min(rs) < 1e-3:
-        raise TooCloseToSurface(f"min distance {np.min(rs)}")
-    return pts, rule * weights, rs
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +581,8 @@ def is_hyperbolic_at(surface: HyperbolicSurface, x, m: int = 64,
     (geodesics) through x, offset by half a step, must meet the projective
     closure of the surface in d real points, distinct ones when strict.
     Returns (verdict, witness direction or None, margin; see _line_roots)."""
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameters(f"the base point must be finite, got {x}")
     if abs(surface(x)) < 1e-12:
         raise InvalidParameters("base point lies on the surface")
     dirs, coeffs = _sweep(surface, x, np.pi * (np.arange(m) + 0.5) / m)
@@ -683,6 +688,8 @@ def arnold_field_check(surface: HyperbolicSurface, eps: float, x, m: int) -> dic
     that integral, the error estimate |F_m - F_2m| and the margin."""
     if surface.geometry.kind is not Kind.EUCLIDEAN:
         raise InvalidParameters("layer fields implemented in the plane")
+    if not np.all(np.isfinite(np.append(x, eps))):
+        raise InvalidParameters(f"the point and eps must be finite, got {x} and {eps}")
     for level in (0.0, eps):
         if abs(surface(x) - level) < 1e-12:
             raise InvalidParameters("base point lies on the layer's boundary")

@@ -228,12 +228,16 @@ def tangent_parameters_of_line(family: ConfocalFamily, base_point, direction):
     Returns exactly n-1 floats, sorted ascending and counted with
     multiplicity.  A value equal to some a_i (a degenerate member, as for
     a line through a focus) is returned like any other; the caller flags
-    it by closeness.  A zero direction raises InvalidParameters.
+    it by closeness.  A zero direction, or a base point or direction that
+    is not finite (an inf or nan coordinate, or squares that overflow),
+    raises InvalidParameters.
     """
     if family.geometry.kind is not Kind.EUCLIDEAN:
         raise InvalidParameters("line tangency is implemented for Euclidean families")
     p = np.asarray(base_point, dtype=float)
     d = np.asarray(direction, dtype=float)
+    if not sum(v * v for v in p.tolist() + d.tolist()) < math.inf:
+        raise InvalidParameters(f"a line needs a finite base point and direction, got {p}, {d}")
     if not np.any(d):
         raise InvalidParameters("line direction must be nonzero")
     basis = np.linalg.qr(d[:, None], mode="complete")[0][:, 1:]

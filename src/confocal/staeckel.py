@@ -646,6 +646,9 @@ def staeckel_billiard_trajectory(metric: StaeckelMetric, walls, q0, p0,
     walls = np.asarray(walls, dtype=float)
     q = np.asarray(q0, dtype=float).copy()
     p = np.asarray(p0, dtype=float).copy()
+    if walls.shape != (n, 2) or q.shape != (n,) or p.shape != (n,):
+        raise InvalidParameters(f"need {n} walls (lo, hi) and q0, p0 of {n} coordinates, "
+                                f"got shapes {walls.shape}, {q.shape}, {p.shape}")
     if np.any(q < walls[:, 0]) or np.any(q > walls[:, 1]):
         raise InvalidParameters("the start lies outside the walls")
     alpha0 = integrals_alpha(metric, q, p)

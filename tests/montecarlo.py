@@ -10,24 +10,19 @@ estimator's own 3 sigma.
 import numpy as np
 
 from confocal.potentials import (
-    CurvedEllipsoid,
     _tangent_basis,
     _unit_tangent_toward,
     point_potential,
     point_potential_derivative,
-    sample_ellipsoid,
 )
 from confocal.geometry import geodesic_distance
 
 
 def _random_nodes(surface, N, rng):
     """Surface points over N uniform random directions, and their weights."""
-    n = surface.n if isinstance(surface, CurvedEllipsoid) else surface.geometry.n
-    ws = rng.normal(size=(N, n))
+    ws = rng.normal(size=(N, surface.geometry.n))
     ws /= np.linalg.norm(ws, axis=1, keepdims=True)
-    if isinstance(surface, CurvedEllipsoid):
-        return sample_ellipsoid(surface, ws)
-    return surface.sample(ws)
+    return surface.nodes(ws)
 
 
 def mc_surface_potential(surface, x, N, rng):

@@ -64,9 +64,9 @@ def random_interior_line(rng, scale=0.7):
 def test_oriented_line_roundtrip():
     ln = OrientedLine.from_point_direction([1.0, 2.0], [0.6, 0.8])
     assert abs(ln.normal @ np.array([1.0, 2.0]) - ln.p) < 1e-14
-    rev = ln.reversed()
+    rev = OrientedLine.from_point_direction([1.0, 2.0], [-0.6, -0.8])
     assert abs(circ_diff(rev.alpha / (2 * np.pi), (ln.alpha + np.pi) / (2 * np.pi))) < 1e-14
-    assert rev.p == -ln.p
+    assert abs(rev.p + ln.p) < 1e-14
 
 
 @pytest.mark.parametrize("alpha, p", [(math.nan, 1.0), (math.inf, 1.0), (0.3, math.nan),

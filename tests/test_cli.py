@@ -198,6 +198,52 @@ def test_unresolved_rule_exits_3(tmp_path, capsys):
     assert "RuleUnresolved: error estimate" in capsys.readouterr().err
 
 
+def test_rule_of_nine_is_held_to_a_finer_rule(tmp_path, capsys):
+    """At N = 9 the S^2 direction rules of N and 2N were the same 18 nodes,
+    so the error estimate read 0 and the unresolved field failed its check
+    (exit 1); the fine rule now has more nodes and the run stops with
+    RuleUnresolved."""
+    cfg = dict(NEWTON_CFG, N=9)
+    assert main(["newton-check", "--config", _write(tmp_path, "n.json", cfg),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "RuleUnresolved: error estimate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, old, new", [
+    ("arnold-check", ARNOLD_CFG, '"eps": 0.05', '"eps": NaN'),
+    ("arnold-check", ARNOLD_CFG, '"point": [0.1, 0.0]', '"point": [NaN, 0.0]'),
+    ("arnold-check", ARNOLD_CFG, '"eps": 0.05', '"eps": Infinity'),
+    ("arnold-check", ARNOLD_CFG, '"eps": 0.05', '"eps": 1e999'),
+    ("potential-scan", {"geometry": "spherical", "dim": 3,
+                        "radii": {"start": 0.3, "stop": 1.2, "count": 4}},
+     '"stop": 1.2', '"stop": -Infinity'),
+    ("arnold-check", ARNOLD_CFG, '"N": 1000', '"N": 1000, "tolerance": NaN')],
+    ids=["eps-nan", "point-nan", "eps-inf", "eps-1e999", "radius-neg-inf", "tolerance-nan"])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, cfg, old, new):
+    """json reads NaN and +-Infinity literals, and 1e999 as inf; NaN passes
+    every bound of the schemas.  Each is refused as the config is read."""
+    text = json.dumps(cfg)
+    assert old in text
+    path = tmp_path / "c.json"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError, match="non-finite number"):
+        load_config(command, str(path))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "non-finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_non_finite_tolerance_option_exits_2(tmp_path, capsys, tolerance):
+    """--tolerance nan failed every check against "tolerance nan", and
+    --tolerance inf passed them all."""
+    path = _write(tmp_path, "a.json", ARNOLD_CFG)
+    with pytest.raises(ConfigError, match="non-finite number"):
+        load_config("arnold-check", path, tolerance=float(tolerance))
+    assert main(["arnold-check", "--config", path, "--out", str(tmp_path / "o"),
+                 "--tolerance", tolerance]) == 2
+    assert "non-finite number" in capsys.readouterr().err
+
+
 def test_field_csv_columns(tmp_path):
     for command, cfg, header in (
             ("newton-check", NEWTON_CFG, "field_norm,error_estimate,N"),

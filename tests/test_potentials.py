@@ -51,7 +51,6 @@ from confocal.potentials import (
     is_hyperbolic_at,
     point_potential,
     point_potential_derivative,
-    sample_ellipsoid,
     simultaneous_diagonalize,
     surface_potential,
     vieta_segment_sum,
@@ -199,6 +198,23 @@ def test_point_potential_domain_batched():
         point_potential(H3, np.array([0.5, 0.0]))
     with pytest.raises(DomainError):
         point_potential(hyperbolic(1), 0.5)
+    # NaN fails every comparison, so a test written as r <= 0 let it through
+    for geometry in (S2, S3, H2, H3):
+        for r in (np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(DomainError):
+                point_potential(geometry, r)
+
+
+@pytest.mark.parametrize("geometry", [S2, S3, H2, H3], ids=["S2", "S3", "H2", "H3"])
+def test_point_potential_derivative_refuses_its_domain(geometry):
+    """u'(0) is -inf; the derivative refuses r = 0, NaN and (on S^n) r >= pi
+    as point_potential does."""
+    for r in (0.0, -0.5, np.nan, np.array([0.5, 0.0])):
+        with pytest.raises(DomainError):
+            point_potential_derivative(geometry, r)
+    if geometry.kappa > 0:
+        with pytest.raises(DomainError):
+            point_potential_derivative(geometry, np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +227,18 @@ ELL_S3 = CurvedEllipsoid(S3, (3.0, 2.0, 1.5), 1.0)
 ELL_H3 = CurvedEllipsoid(H3, (1.2, 0.8, 0.5), 2.0)
 ELL_S4 = CurvedEllipsoid(spherical(4), (4.0, 3.0, 2.0, 1.5), 1.0)
 ELL_H4 = CurvedEllipsoid(hyperbolic(4), (1.2, 0.9, 0.7, 0.5), 2.0)
+
+
+def test_surfaces_refuse_non_finite_parameters():
+    """A NaN semiaxis, b or radius passes every ordering test; it is refused
+    where it enters, not blamed later on the evaluation point."""
+    for a, b in (((np.nan, 1.0), 1.0), ((3.0, np.nan), 1.0), ((3.0, 2.0), np.nan),
+                 ((np.inf, 1.0), 1.0)):
+        with pytest.raises(InvalidParameters, match="finite"):
+            CurvedEllipsoid(S2, a, b)
+    for radius in (np.nan, np.inf):
+        with pytest.raises(InvalidParameters, match="finite"):
+            GeodesicSphere(H3, np.array([1.0, 0.0, 0.0, 0.0]), radius)
 
 
 def test_ellipsoid_points_on_model():
@@ -335,7 +363,7 @@ def _fd_sample_oracle(ell, ws, h=1e-6):
                          ids=["S2", "H2", "S3", "H3", "S4", "H4"])
 def test_sampler_matches_fd_oracle(ell):
     ws = np.random.default_rng(37).normal(size=(400, ell.n))
-    pts, weights = sample_ellipsoid(ell, ws)
+    pts, weights = ell.nodes(ws)
     o_pts, o_weights = _fd_sample_oracle(ell, ws)
     assert np.max(np.abs(pts - o_pts)) < 1e-14
     # the oracle's central differences are good to ~1e-10
@@ -353,7 +381,7 @@ def test_sampler_near_frame_switch(ell, w0, sign, phi):
     and must agree with the oracle's Gram-Schmidt frame there too."""
     s = np.sqrt(1.0 - w0 * w0)
     w = [sign * w0, s * np.cos(phi), s * np.sin(phi)]
-    pts, weights = sample_ellipsoid(ell, [w])
+    pts, weights = ell.nodes([w])
     o_pts, o_weights = _fd_sample_oracle(ell, [w])
     assert np.max(np.abs(pts - o_pts)) < 1e-14
     assert abs(weights[0] - o_weights[0]) < 1e-8 * o_weights[0]
@@ -513,8 +541,7 @@ def test_distances_match_geodesic_distance():
              np.array([np.cosh(0.4), 0.0, np.sinh(0.4), 0.0])),
             (ELL_H2, np.array([1.0, 0.0, 0.0]))):
         ws, _ = direction_rule(surface.geometry.n, 500)
-        pts = (surface.sample(ws)[0] if isinstance(surface, GeodesicSphere)
-               else sample_ellipsoid(surface, ws)[0])
+        pts = surface.nodes(ws)[0]
         rs = geodesic_distance(surface.geometry, x, pts)
         oracle = [mp_distance(surface.geometry, x, y) for y in pts]
         assert np.max(np.abs(rs - oracle)) < 1e-14
@@ -522,7 +549,7 @@ def test_distances_match_geodesic_distance():
     with pytest.raises(NotOnModel):
         geodesic_distance(H2, np.array([1.0, 0.0, 0.0]), pts)
     with pytest.raises(NotOnModel):
-        geodesic_distance(H2, np.array([1.0, 0.0, 0.0]), -sample_ellipsoid(ELL_H2, ws[:5])[0])
+        geodesic_distance(H2, np.array([1.0, 0.0, 0.0]), -ELL_H2.nodes(ws[:5])[0])
 
 
 def _model_point(geometry, v):
@@ -577,6 +604,21 @@ def test_direction_rules_integrate_polynomials():
     assert np.allclose(wt @ ws, 0.0, rtol=0, atol=1e-14)
     with pytest.raises(InvalidParameters):
         direction_rule(4, 64)
+
+
+@pytest.mark.parametrize("surface, v", [
+    (ELL_S2, (0.1, 0.07)), (ELL_H2, (0.1, 0.07)), (ELL_S3, (0.1, 0.07, -0.05)),
+    (GeodesicSphere(S3, np.array([1.0, 0.0, 0.0, 0.0]), 0.6), (0.12, -0.08, 0.05))],
+    ids=["S2", "H2", "S3", "S3-round"])
+def test_fine_rule_differs_from_the_coarse_one(surface, v):
+    """At every size m the error estimate compares two different rules.  On
+    S^2 the rules of m and 2m share k = ceil(sqrt(m/2)) at m = 1, 3, 4 and
+    9, and reported an error of 0; the point is off every symmetry plane,
+    so no estimate vanishes by symmetry either."""
+    x = _model_point(surface.geometry, v)
+    for m in range(1, 17):
+        assert surface_potential(surface, x, m)["error"] > 0.0, m
+        assert field_at(surface, x, m)["error"] > 0.0, m
 
 
 def test_newton_sphere_shell_s3():
@@ -668,15 +710,14 @@ def test_uniform_density_fails_newton(monkeypatch):
     """Mutation: with the density switched from homeoidal to uniform area,
     the interior field of acceptance 11's ellipsoid is ~7e-3 of the
     integral of |integrand|, fourteen orders above the homeoid's."""
-    import confocal.potentials as potentials
-    homeoidal = potentials.sample_ellipsoid
+    homeoidal = CurvedEllipsoid.nodes
 
     def uniform(ellipsoid, ws):
         pts, weights = homeoidal(ellipsoid, ws)
         return pts, weights * ellipsoid.grad_norm(pts)
 
     x_int = np.cos(0.15) * np.array([1.0, 0.0, 0.0, 0.0]) + np.sin(0.15) * np.eye(4)[1]
-    monkeypatch.setattr(potentials, "sample_ellipsoid", uniform)
+    monkeypatch.setattr(CurvedEllipsoid, "nodes", uniform)
     out = field_at(ELL_S3, x_int, 512)
     assert out["norm"] > 1e-3 * out["abs_integral"]
     assert out["error"] < 1e-13 * out["abs_integral"]
@@ -963,6 +1004,18 @@ def test_arnold_quartic_layer():
     assert out["norm"] < 1e-13 * out["abs_integral"]
     assert out["error"] < 1e-13 * out["abs_integral"]
     assert out["N"] == 64 and out["margin"] > 1e10
+
+
+@pytest.mark.parametrize("eps, x", [(np.nan, (0.1, 0.05)), (np.inf, (0.1, 0.05)),
+                                    (0.05, (np.nan, 0.05)), (0.05, (0.1, -np.inf))])
+def test_layer_checks_refuse_non_finite_input(eps, x):
+    """A NaN or inf point or eps is refused before the sweep, whose
+    eigenvalue solver raised numpy's LinAlgError on it."""
+    with pytest.raises(InvalidParameters, match="finite"):
+        arnold_field_check(NESTED_QUARTIC, eps, x, 64)
+    if np.isfinite(eps):
+        with pytest.raises(InvalidParameters, match="finite"):
+            is_hyperbolic_at(NESTED_QUARTIC, x)
 
 
 def test_arnold_outside_hyperbolicity_domain():

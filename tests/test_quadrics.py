@@ -577,6 +577,17 @@ def test_tangent_zero_direction():
         tangent_parameters_of_line(FAM3, np.ones(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("p, d", [([np.nan, 1.0, 0.0], [1.0, 0.0, 0.0]),
+                                  ([1.0, 1.0, 0.0], [np.nan, 0.0, 0.0]),
+                                  ([1.0, -np.inf, 0.0], [1.0, 0.0, 0.0]),
+                                  ([1e200, 0.0, 0.0], [0.0, 1.0, 0.0])])
+def test_tangent_refuses_non_finite_lines(p, d):
+    """A NaN base point gave NaN parameters, a NaN direction a finite but
+    meaningless one; both, and a point whose p . p overflows, are refused."""
+    with pytest.raises(InvalidParameters, match="finite"):
+        tangent_parameters_of_line(FAM3, p, d)
+
+
 def test_geodesic_distance_basics():
     assert geodesic_distance(euclidean(2), (0.0, 0.0), (3.0, 4.0)) == 5.0
     assert abs(geodesic_distance(spherical(2), (1, 0, 0), (0, 1, 0)) - np.pi / 2) < 1e-14

@@ -939,6 +939,17 @@ def test_billiard_rejects_bad_starts():
         staeckel_billiard_trajectory(conf, box, [0.0, 0.0], [0.6, 0.8], 1)
 
 
+def test_billiard_refuses_wrong_shapes():
+    """Walls, q0 and p0 of the wrong length are named as such, not met by
+    numpy's broadcast error or reported as a start outside the walls."""
+    m = _metric("elliptic_R2")
+    walls, q0, p0 = [(2.0, 3.0), (0.2, 0.8)], [2.5, 0.5], [0.3, 0.4]
+    for args in ((walls[:1], q0, p0), (walls + [(0.0, 1.0)], q0, p0), (walls, q0[:1], p0),
+                 (walls, q0 + [0.1], p0), (walls, q0, p0[:1]), ([2.0, 3.0], q0, p0)):
+        with pytest.raises(InvalidParameters, match="need 2 walls"):
+            staeckel_billiard_trajectory(m, *args, 3)
+
+
 def test_face_restriction_matches_named_metrics():
     m3 = builtin_metric("ellipsoidal_R3", (4.0, 2.0, 1.0))
     mi = builtin_metric("ellipsoid_intrinsic", (4.0, 2.0, 1.0))
