@@ -799,10 +799,10 @@ def poncelet_grid(family: ConfocalFamily, outer_lam: float, q: int, p: int,
     # about a circle: per cell the smallest residual over the sign patterns.
     # A cell with j - i = q/2 has two pairs of parallel sides and two
     # corners at infinity; its 4-line system has rank 2, so it is skipped
-    cells = [(i, (i + 1) % q, j, (j + 1) % q) for i in range(q) for j in range(i + 1, q)
-             if 2 * (j - i) != q]
-    skipped = q * (q - 1) // 2 - len(cells)
-    cells = np.array([cell for cell in cells if len(set(cell)) == 4], dtype=int).reshape(-1, 4)
+    # (the pairs i, j above lack it).  Lines i, i+1, j, j+1 are four lines
+    # where j - i > 1 and j + 1 is not i modulo q
+    skipped = q * (q - 1) // 2 - len(i)
+    cells = np.stack([i, (i + 1) % q, j, (j + 1) % q], axis=1)[(j - i > 1) & (j - i < q - 1)]
     quad_residuals = _incircle_residuals(normals[cells], offsets[cells]).min(axis=1).tolist()
 
     return {"lam_c": lam_c, "vertices": verts, "closure_gap": gap,

@@ -191,11 +191,20 @@ def _finite(literal: str) -> float:
     return value
 
 
+def _integer(literal: str) -> int:
+    """A JSON integer, refused unless a float holds it: the layers compute
+    with floats, and a larger one reaches them as a Python int."""
+    if not math.isfinite(float(literal)):
+        raise ConfigError(f"config rejected: an integer of {len(literal.lstrip('-'))} digits "
+                          "overflows a float")
+    return int(literal)
+
+
 def load_config(command: str, path, tolerance=None) -> dict:
     """Read, schema-validate, and normalize a run config."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            cfg = json.load(fh, parse_float=_finite, parse_int=_integer, parse_constant=_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if command not in SCHEMAS:
@@ -234,6 +243,22 @@ def _write_csv(path: Path, header, rows):
 def _ellipse_outline(family, lam: float):
     a1, a2 = family.a
     return np.array([a1 - lam, a2 - lam]) ** 0.5
+
+
+def _add_caustic(scene, chart, outer_lam: float, color: str):
+    """The caustic inside the table: an ellipse whole; a hyperbola as its two
+    branches, the right one a polyline of `point_at` samples between its two
+    crossings of the table, the left one that polyline's mirror image."""
+    from .billiards import CausticKind
+    from .quadrics import point_from_parameters
+
+    if chart.kind is CausticKind.ELLIPSE:
+        scene.add_ellipse((0.0, 0.0), *_ellipse_outline(chart.family, chart.lam_c), color=color)
+        return
+    end = chart.coordinate_of_point(point_from_parameters(chart.family, (outer_lam, chart.lam_c)))
+    branch = np.array([chart.point_at(x) for x in np.linspace(-end, end, 65)])
+    scene.add_polyline(branch, color=color)
+    scene.add_polyline(branch * (-1.0, 1.0), color=color)
 
 
 def _check(name: str, value: float, tol: float) -> dict:
@@ -307,8 +332,7 @@ def _run_billiard_orbit(cfg):
     scene = Scene()
     rx, ry = _ellipse_outline(fam, cfg["outer_lam"])
     scene.add_ellipse((0.0, 0.0), rx, ry)
-    cx, cy = _ellipse_outline(fam, cfg["lam_c"])
-    scene.add_ellipse((0.0, 0.0), cx, cy, color=palette(1))
+    _add_caustic(scene, chart, cfg["outer_lam"], palette(1))
     scene.add_polyline(verts, color=palette(2), width=0.7)
     return checks, tables, {"orbit": scene}
 

@@ -28,7 +28,9 @@ of a box share alpha and the length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import eq, le, mul, truediv
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -214,9 +216,15 @@ def _cofactor_inverse(rows):
     return [[x / det for x in col] for col in zip(*C)]
 
 
-def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^{-1} b, by cofactors up to 3 x 3; ZeroDivisionError or LinAlgError if singular."""
-    return np.dot(_cofactor_inverse(A.tolist()), b) if b.size <= 3 else np.linalg.solve(A, b)
+def _solve(A, b):
+    """A^{-1} b, by cofactors up to 3 x 3; ZeroDivisionError or LinAlgError if
+    singular.  Lists A and b give a list, on Python floats: 1 x 1 by one division."""
+    if not isinstance(b, list):
+        return np.dot(_cofactor_inverse(A.tolist()), b) if b.size <= 3 else np.linalg.solve(A, b)
+    if len(b) == 1:
+        return [b[0] / A[0][0]]
+    return [sum(map(mul, r, b)) for r in _cofactor_inverse(A)] if len(b) <= 3 else \
+        np.linalg.solve(A, b).tolist()
 
 
 def _inverse(M: np.ndarray, q) -> np.ndarray:
@@ -439,11 +447,14 @@ def ivory_check(metric: StaeckelMetric, box) -> dict:
 # dq_i / p_i = |dq_i| / sqrt(h_i), so the Abel integrals of a path are
 # those of the leg rule (`_abel`), and by Jacobi's theorem their sums
 # over the coordinates move linearly: phi_0 = t, phi_j constant for j >= 1.
-# A piece of flight ends when the first coordinate reaches its endpoint.
+# A piece of flight ends when the first coordinate reaches its endpoint; one
+# Newton on the other coordinates' distances (`_pinned`), for every n, finds
+# where they stand then.
 
 # relative rounding bound of a sum of the 2 x 80 positive terms of an Abel
 # integral (gamma_N); Abel sums that agree to it are one value
 _SUM_ROUNDING = 2 * _GL_NODES.size * np.finfo(float).eps
+_GL_FRAC = 0.5 * (_GL_NODES + 1.0)   # the Gauss-Legendre nodes mapped to [0, 1]
 
 
 def _abel(metric: StaeckelMetric, i: int, a: float, x: float, alpha, turns) -> np.ndarray:
@@ -463,12 +474,11 @@ def _abel(metric: StaeckelMetric, i: int, a: float, x: float, alpha, turns) -> n
     half = 0.5 * (hi - lo)
     ca = max([v for v in r if lo - half < v <= lo], default=lo)
     cb = min([v for v in r if hi <= v < hi + half], default=hi)
-    sa0, sb0 = np.sqrt(lo - ca), np.sqrt(cb - hi)
+    sa0, sb0 = math.sqrt(lo - ca), math.sqrt(cb - hi)
     # s1 - s0 = half / (s1 + s0), without the cancellation
-    da = half / (np.sqrt(lo - ca + half) + sa0)
-    db = half / (np.sqrt(cb - hi + half) + sb0)
-    frac = 0.5 * (_GL_NODES + 1.0)
-    sa, sb = sa0 + da * frac, sb0 + db * frac
+    da = half / (math.sqrt(lo - ca + half) + sa0)
+    db = half / (math.sqrt(cb - hi + half) + sb0)
+    sa, sb = sa0 + da * _GL_FRAC, sb0 + db * _GL_FRAC
     sa2, sb2 = sa * sa, sb * sb
     w = np.concatenate([da * sa * _GL_WEIGHTS, db * sb * _GL_WEIGHTS])
     t = np.concatenate([ca + sa2, cb - sb2])
@@ -484,16 +494,17 @@ def _turning_points(metric: StaeckelMetric, i: int, alpha):
     """Real roots r of h_i(., alpha), which are those of its numerator
     N = sum_j alpha_j num_ij, the sign of h_i' at each, and the quotient of
     N by prod(t - r)."""
-    N = np.trim_zeros(alpha @ metric.num[i], "f")
-    r = np.roots(N)
-    r = r[r.imag == 0.0].real
-    slope = np.sign(_polyval(_polyder(N), r) * _polyval(metric.den[i, 0], r))
+    N = (alpha @ metric.num[i]).tolist()
+    N = N[next((k for k, c in enumerate(N) if c != 0.0), len(N)):]   # leading zeros off
+    r = tuple(v.real for v in np.roots(N).tolist() if v.imag == 0.0)
+    dN, den = [c * k for c, k in zip(N, range(len(N) - 1, 0, -1))], metric._lists[i][0][-1]
+    slope = [float(np.sign(_polyval(dN, v) * _polyval(den, v))) for v in r]
     quot = list(N)
     for v in r:   # synthetic division by t - v, dropping the remainder
         for k in range(1, len(quot) - 1):
             quot[k] += v * quot[k - 1]
         quot.pop()
-    return tuple(r.tolist()), slope, np.array(quot)
+    return r, slope, quot
 
 
 def _next_end(qi: float, si: float, wall, turns):
@@ -508,124 +519,79 @@ def _next_end(qi: float, si: float, wall, turns):
     return end, True
 
 
-def _partner(metric: StaeckelMetric, k: int, a: float, e: float, alpha, turns,
-             target: float, full: float):
-    """The point x between a and e where |Abel integral of column 1| from a
-    reaches target (full at e), and the integrals from a to x.
-
-    Safeguarded Newton on the distance d = |x - a|: the derivative is
-    |u_k1| / sqrt(h_k), and every evaluation narrows a bisection bracket.
-    The loop stops once g is within the rounding of the Abel sums (the
-    bound `_flight` takes for a corner), or when a step no longer moves d."""
-    lo, hi = 0.0, abs(e - a)
-    s = np.sign(e - a)
-    d = hi * target / full
-    while True:
-        x = a + s * d
-        A = _abel(metric, k, a, x, alpha, turns)
-        g = abs(A[1]) - target
-        if abs(g) <= _SUM_ROUNDING * full:
-            return x, A
-        if g > 0:
-            hi = d
-        else:
-            lo = d
-        u = metric.row(k, x)
-        dn = d - g * np.sqrt(max(2.0 * (u @ alpha), 0.0)) / abs(u[1])
-        if dn == d:
-            return x, A
-        if not lo < dn < hi:
-            dn = 0.5 * (lo + hi)
-            if not lo < dn < hi:
-                return x, A
-        d = dn
-
-
 def _pinned(metric: StaeckelMetric, alpha, turns, q, s, e, F, i: int, theta):
-    """Positions of the other coordinates when coordinate i reaches e_i with
-    phi_1.. unchanged, the flight time, and whether that was solved.
+    """Positions when coordinate i reaches e_i with phi_1.. unchanged, the
+    flight time, and whether that was solved.
 
-    Newton with sigma_i pinned: the Jacobian rows of phi in the unfolded
-    sigma are u_k / sqrt(h_k), so a step is dsigma = sqrt(h) M^-T dphi, with
-    dphi_0 chosen so that dsigma_i = 0.  A step that would leave a segment
-    goes halfway to its end instead, and a step that does not lower the
-    residual is halved; the loop stops when a step no longer moves sigma.
-    Each column of the residual is measured in what one ulp of every
-    partner's position changes it by at the first guess."""
-    partners = [k for k in range(metric.n) if k != i]
-    D = np.abs(e - q)
-    sig = np.where((theta > 0.0) & (theta < 1.0), theta, 0.5) * D
-    sig[i] = D[i]
-    unit = None
-    best, lam, base, step = np.inf, 1.0, sig, np.zeros_like(sig)
-    xb, Ab, rb = q.copy(), F, np.full(metric.n - 1, np.inf)
+    Newton on the partners' distances sigma_k = |x_k - q_k|, on Python
+    floats.  As d phi_j / d sigma_k = u_kj(x_k) / sqrt(h_k), a step is
+    dsigma = -sqrt(h) U^-T r, U the partners' rows of M without column 0,
+    which never divides by sqrt(h_k) = 0 at a turning point.  A step that
+    would leave a segment goes halfway to its end instead; one that does
+    not lower the residual (per unit of its Abel sums) is halved.  The loop
+    stops once each column of the residual is within the rounding of its
+    Abel sums; if a step stops moving sigma first, the residual may exceed
+    that by what one ulp of each partner moves."""
+    partners = [k for k in range(len(q)) if k != i]
+    D = [abs(e[k] - q[k]) for k in partners]
+    sig = [t * d if 0.0 < t <= 1.0 else 0.5 * d for t, d in zip(theta, D)]
+    al, best, lam, base, step = alpha.tolist(), math.inf, 1.0, sig, [0.0] * len(D)
+    xb, Ab, rb = [q[k] for k in partners], [F[k] for k in partners], [math.inf] * len(D)
     while True:
-        x = q + s * sig
-        x[i] = e[i]
-        A = F.copy()
-        for k in partners:
-            A[k] = _abel(metric, k, q[k], x[k], alpha, turns[k])
-        r = A[:, 1:].sum(axis=0)
-        M = metric.matrix(x)
-        sqrt_h = np.sqrt(np.maximum(2.0 * (M @ alpha), 0.0))
-        if unit is None:
-            unit = _SUM_ROUNDING * np.abs(F[:, 1:]).sum(axis=0) + \
-                (np.spacing(x[partners]) / sqrt_h[partners]) @ np.abs(M[partners, 1:])
-        rho = float(np.max(np.abs(r) / unit))
+        x = [q[k] + s[k] * d for k, d in zip(partners, sig)]
+        A = [_abel(metric, k, q[k], xk, alpha, turns[k]).tolist() for k, xk in zip(partners, x)]
+        cols = list(zip(F[i], *A))[1:]
+        r = list(map(sum, cols))
+        rho = max(map(truediv, map(abs, r), [sum(map(abs, c)) or 1.0 for c in cols]), default=0.0)
+        if rho <= _SUM_ROUNDING:
+            base, xb, Ab, solved = sig, x, A, True
+            break
         if rho < best:
             best, lam, base, xb, Ab, rb = rho, 1.0, sig, x, A, r
-            Minv = _inverse(M, x)
-            dphi = np.concatenate([[Minv[1:, i] @ r / Minv[0, i]], -r])
-            step = sqrt_h * (Minv.T @ dphi)
-            step[i] = 0.0
+            U = [metric._row(k, xk) for k, xk in zip(partners, x)]
+            try:
+                y = _solve(list(zip(*U))[1:], r)
+            except (ZeroDivisionError, np.linalg.LinAlgError):
+                y = [0.0] * len(D)   # no step: the ulp test below decides
+            step = [-math.sqrt(max(2.0 * sum(map(mul, u, al)), 0.0)) * yk for u, yk in zip(U, y)]
         else:
             lam *= 0.5
-        new = base + lam * step
-        new = np.where(new >= D, 0.5 * (base + D), np.where(new <= 0.0, 0.5 * base, new))
-        if np.array_equal(new, base):
+        new = [b + lam * st for b, st in zip(base, step)]
+        new = [0.5 * (b + d) if v >= d else 0.5 * b if v <= 0.0 else v
+               for v, b, d in zip(new, base, D)]
+        if new == base:
+            # solved: no larger residual than the rounding of the sums, plus
+            # what moving each partner by one ulp changes
+            floor = [_SUM_ROUNDING * sum(map(abs, c)) for c in list(zip(F[i], *Ab))[1:]]
+            for k, xk, Ak in zip(partners, xb, Ab):
+                prev = _abel(metric, k, q[k], math.nextafter(xk, q[k]), alpha, turns[k])
+                floor = [f + abs(u - v) for f, u, v in zip(floor, Ak[1:], prev[1:])]
+            solved = all(map(le, map(abs, rb), floor))
             break
         sig = new
-    # solved: no larger residual than the rounding of the sums, plus what
-    # moving each partner by one ulp changes
-    floor = _SUM_ROUNDING * np.abs(Ab[:, 1:]).sum(axis=0)
-    for k in partners:
-        prev = _abel(metric, k, q[k], np.nextafter(xb[k], q[k]), alpha, turns[k])
-        floor += np.abs(Ab[k, 1:] - prev[1:])
-    # a coordinate that stops within rounding of its endpoint reaches it
-    at_end = D - base <= _SUM_ROUNDING * D
-    xb[at_end] = e[at_end]
-    return xb, float(Ab[:, 0].sum()), bool(np.all(np.abs(rb) <= floor))
+    x = list(e)   # i reaches e_i, and so does a partner that stops within rounding of e_k
+    for k, xk, b, d in zip(partners, xb, base, D):
+        x[k] = xk if d - b > _SUM_ROUNDING * d else x[k]
+    return np.array(x), F[i][0] + sum(a[0] for a in Ab), solved
 
 
 def _flight(metric: StaeckelMetric, alpha, turns, q, s, e):
     """One piece of flight from q to the first endpoint: the positions at
     its end, where every coordinate that reached its endpoint equals it
     exactly, and the time taken."""
-    if np.any(q == e):
-        return q.copy(), 0.0
-    n = metric.n
-    F = np.array([_abel(metric, i, q[i], e[i], alpha, turns[i]) for i in range(n)])
-    if n == 2:
-        # phi_1 stays 0, so F[0, 1] and F[1, 1] have opposite signs, and the
-        # coordinate with the smaller |F[i, 1]| reaches its endpoint first
-        i = int(np.argmin(np.abs(F[:, 1])))
-        k = 1 - i
-        target, full = abs(F[i, 1]), abs(F[k, 1])
-        x = e.copy()
-        if full - target > _SUM_ROUNDING * full:   # else a corner
-            x[k], F[k] = _partner(metric, k, q[k], e[k], alpha, turns[k], target, full)
-        return x, float(F[:, 0].sum())
+    q, s, e = q.tolist(), s.tolist(), e.tolist()
+    if any(map(eq, q, e)):
+        return np.array(q), 0.0
+    F = [_abel(metric, i, q[i], e[i], alpha, turns[i]).tolist() for i in range(len(q))]
     # the linearised partner fractions theta (A_k ~ theta_k F_k) order the
     # candidates: the one whose partners all stay in their segments first
     cands = []
-    for i in range(n):
-        others = [k for k in range(n) if k != i]
+    for i, Fi in enumerate(F):
         try:
-            th = _solve(F[others, 1:].T, -F[i, 1:])
+            th = [-t for t in _solve(list(zip(*F[:i], *F[i + 1:]))[1:], Fi[1:])]
         except (ZeroDivisionError, np.linalg.LinAlgError):
-            th = np.full(n - 1, np.inf)
-        key = np.max(np.where(th >= 0.0, th, np.inf))
-        cands.append((key, i, np.insert(th, i, 1.0)))
+            th = [math.inf] * (len(F) - 1)
+        cands.append((max((t if t >= 0.0 else math.inf for t in th), default=0.0), i, th))
     # a candidate solved to rounding keeps every partner inside its segment
     # up to t, and each sigma_k grows with t, so it is the earliest event
     for _, i, theta in sorted(cands, key=lambda c: c[0]):
@@ -667,13 +633,12 @@ def staeckel_billiard_trajectory(metric: StaeckelMetric, walls, q0, p0,
     states = [(0.0, q.copy(), p.copy())]
     corner_hits = 0
     while len(bounce_times) < bounces:
-        ends = [_next_end(q[i], s[i], walls[i], turns[i]) for i in range(n)]
-        e = np.array([end for end, _ in ends])
+        e, at_wall = map(np.array, zip(*map(_next_end, q, s, walls, turns)))
         q, dt = _flight(metric, alpha0, turns, q, s, e)
         t_total += dt
         hit = q == e
         s[hit] = -s[hit]
-        wall_hits = int(np.sum(hit & np.array([w for _, w in ends])))
+        wall_hits = int(np.sum(hit & at_wall))
         if wall_hits:
             p = _momentum(metric, alpha0, s, q)
             corner_hits += wall_hits > 1

@@ -4,7 +4,10 @@ of the deterministic rules in confocal.potentials.
 Each estimator draws its own random points (directions uniform on the
 direction sphere, or points uniform in a box) and returns a sample mean
 with its standard error, so that a deterministic value can be held to the
-estimator's own 3 sigma.
+estimator's own 3 sigma.  A surface's points come from its own
+parametrisation, and their weights from that map's area element and the
+charge's density, not from the surface's `nodes`, which the deterministic
+rules use.
 """
 
 import numpy as np
@@ -18,11 +21,39 @@ from confocal.potentials import (
 from confocal.geometry import geodesic_distance
 
 
-def _random_nodes(surface, N, rng):
-    """Surface points over N uniform random directions, and their weights."""
-    ws = rng.normal(size=(N, surface.geometry.n))
+def _parametrisation(surface):
+    """The surface's map from unit directions w of R^n (rows), and the
+    density of its unit charge per unit area at a stack of points: an
+    ellipsoid's point_from_direction with the homeoidal density
+    1/||grad q||, or a shell's geodesics of length radius from its center,
+    w taken in the center's tangent frame, with a uniform one."""
+    if hasattr(surface, "point_from_direction"):
+        return surface.point_from_direction, lambda pts: 1.0 / surface.grad_norm(pts)
+    geometry, c, r = surface.geometry, np.asarray(surface.center, dtype=float), surface.radius
+    sin, cos = geometry.trig
+    frame = _tangent_basis(geometry, c)
+
+    def shell(w):
+        return cos(r) * c + sin(r) * (w / np.linalg.norm(w, axis=-1, keepdims=True)) @ frame
+
+    return shell, lambda pts: np.ones(len(pts))
+
+
+def _random_nodes(surface, N, rng, h=1e-6):
+    """Surface points over N uniform random directions w, and their weights
+    per unit solid angle of w: the map's area element times the density.
+    The map is homogeneous of degree 0, so its Jacobian J (central
+    differences along the axes of R^n) sends w to 0, and det(J^T eta J +
+    w w^T) is the Gram determinant of the surface's tangent plane."""
+    n = surface.geometry.n
+    ws = rng.normal(size=(N, n))
     ws /= np.linalg.norm(ws, axis=1, keepdims=True)
-    return surface.nodes(ws)
+    point, density = _parametrisation(surface)
+    pts = point(ws)
+    J = np.stack([(point(ws + h * e) - point(ws - h * e)) / (2.0 * h) for e in np.eye(n)],
+                 axis=-1)
+    gram = np.einsum("nik,i,nil->nkl", J, surface.geometry.eta, J) + ws[:, :, None] * ws[:, None, :]
+    return pts, np.sqrt(np.linalg.det(gram)) * density(pts)
 
 
 def mc_surface_potential(surface, x, N, rng):

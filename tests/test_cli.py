@@ -232,6 +232,28 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, cfg, old, n
     assert "non-finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, cfg, old", [
+    ("newton-check", {"surface": {"kind": "sphere", "geometry": "hyperbolic", "dim": 3,
+                                  "radius": 0.5},
+                      "point": [1.0, 0.0, 0.0, 0.0], "expect": "zero", "N": 2000}, "0.5"),
+    ("potential-scan", {"geometry": "spherical", "dim": 3,
+                        "radii": {"start": 0.3, "stop": 1.2, "count": 4}}, "1.2"),
+    ("billiard-orbit", {"a": [4.0, 1.0], "outer_lam": 0.0, "lam_c": 0.5, "bounces": 20}, "0.0")],
+    ids=["newton-radius", "scan-stop", "orbit-outer-lam"])
+def test_huge_config_integers_exit_2(tmp_path, capsys, command, cfg, old):
+    """json reads a 400-digit integer exactly, as a Python int that no float
+    holds; it is refused as the config is read.  It had ended in a
+    TypeError, a numpy casting error and an OverflowError, each exit 1."""
+    text = json.dumps(cfg)
+    assert text.count(old) == 1
+    path = tmp_path / "c.json"
+    path.write_text(text.replace(old, "9" * 400))
+    with pytest.raises(ConfigError, match="400 digits overflows a float"):
+        load_config(command, str(path))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "overflows a float" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf"])
 def test_non_finite_tolerance_option_exits_2(tmp_path, capsys, tolerance):
     """--tolerance nan failed every check against "tolerance nan", and
@@ -310,6 +332,31 @@ def test_determinism_byte_identical(tmp_path):
         b1 = (tmp_path / "r1" / name).read_bytes()
         b2 = (tmp_path / "r2" / name).read_bytes()
         assert b1 == b2
+
+
+@pytest.mark.parametrize("start_x", [0.1, 0.4, 0.7])
+def test_billiard_orbit_hyperbola_caustic(tmp_path, start_x):
+    """A hyperbola caustic (a2 < lam_c < a1) is drawn as its two branches
+    inside the table: each sample lies on the hyperbola, the ends on the
+    table, and the left branch mirrors the right one.  Drawn as an ellipse,
+    its semiaxis was the root of a negative number and the run exited 3."""
+    from confocal.billiards import CausticChart
+    from confocal.quadrics import ConfocalFamily
+
+    cfg = {"a": [4.0, 1.0], "outer_lam": 0.0, "lam_c": 2.0, "start_x": start_x, "bounces": 20}
+    assert main(["billiard-orbit", "--config", _write(tmp_path, "h.json", cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["passed"]
+    svg = (tmp_path / "o" / "orbit.svg").read_text()
+    assert svg.count("<ellipse") == 1 and svg.count("<polyline") == 3
+    from confocal.cli import _add_caustic
+    scene = Scene()
+    _add_caustic(scene, CausticChart(ConfocalFamily(euclidean(2), [4.0, 1.0]), 2.0), 0.0, "red")
+    (_, right, *_), (_, left, *_) = scene.elements
+    # x^2 / (a1 - lam) + y^2 / (a2 - lam) = 1 at lam = 2 (the caustic), 0 (the table)
+    assert np.max(np.abs(right[:, 0] ** 2 / 2.0 - right[:, 1] ** 2 - 1.0)) < 1e-14
+    assert np.max(np.abs(right[[0, -1], 0] ** 2 / 4.0 + right[[0, -1], 1] ** 2 - 1.0)) < 1e-14
+    assert np.array_equal(left, right * (-1.0, 1.0))
 
 
 def test_inscribed_circles_far_corners_pass(tmp_path):

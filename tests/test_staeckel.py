@@ -950,6 +950,130 @@ def test_billiard_refuses_wrong_shapes():
             staeckel_billiard_trajectory(m, *args, 3)
 
 
+def _partner_oracle(metric, k, a, e, alpha, turns, target, full):
+    """The two-coordinate partner solve the flight used before one Newton
+    served every n: safeguarded Newton on |x - a| for |Abel integral of
+    column 1| = target, narrowing a bisection bracket at every step."""
+    lo, hi = 0.0, abs(e - a)
+    s = np.sign(e - a)
+    d = hi * target / full
+    while True:
+        x = a + s * d
+        A = staeckel._abel(metric, k, a, x, alpha, turns)
+        g = abs(A[1]) - target
+        if abs(g) <= staeckel._SUM_ROUNDING * full:
+            return x, A
+        if g > 0:
+            hi = d
+        else:
+            lo = d
+        u = metric.row(k, x)
+        dn = d - g * np.sqrt(max(2.0 * (u @ alpha), 0.0)) / abs(u[1])
+        if dn == d:
+            return x, A
+        if not lo < dn < hi:
+            dn = 0.5 * (lo + hi)
+            if not lo < dn < hi:
+                return x, A
+        d = dn
+
+
+def _flight_oracle(metric, alpha, turns, q, s, e):
+    """The n = 2 flight before one Newton served every n: the coordinate
+    with the smaller |F[i, 1]| reaches its endpoint first, both do within
+    the rounding of the Abel sums (a corner), and `_partner_oracle` places
+    the other."""
+    if np.any(q == e):
+        return q.copy(), 0.0
+    F = np.array([staeckel._abel(metric, i, q[i], e[i], alpha, turns[i]) for i in range(2)])
+    i = int(np.argmin(np.abs(F[:, 1])))
+    k = 1 - i
+    target, full = abs(F[i, 1]), abs(F[k, 1])
+    x = e.copy()
+    if full - target > staeckel._SUM_ROUNDING * full:
+        x[k], F[k] = _partner_oracle(metric, k, q[k], e[k], alpha, turns[k], target, full)
+    return x, float(F[:, 0].sum())
+
+
+def _two_coordinate_metrics():
+    """The n = 2 metrics: three builtins and (q1^2 + q2^2)(dq1^2 + dq2^2)."""
+    one = ([1.0], [1.0])
+    liouville = LiouvilleMetric(([1.0, 0.0, 0.0], [1.0]), ([-1.0, 0.0, 0.0], [1.0]), one, one,
+                                [(1.0, 2.0), (0.1, 0.9)]).to_staeckel()
+    return [_metric("elliptic_R2"), _metric("sphere_conical"), _metric("ellipsoid_intrinsic"),
+            liouville]
+
+
+def _start_near(m, rng):
+    """A start drawn as in test_billiard_starts_near_walls_corners_and_turning_points:
+    within 1e-12..1e-9 of the span from a wall or a corner, or about 1e-9 of
+    it from a turning point of one coordinate; and its walls."""
+    walls = [(lo + 0.1 * (hi - lo), hi - 0.2 * (hi - lo)) for lo, hi in m.box]
+    span = np.array([hi - lo for lo, hi in walls])
+    near = rng.choice(["wall", "corner", "turning point"])
+    frac, p = rng.uniform(0.05, 0.95, 2), rng.uniform(0.1, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+    gap, j, upper = 10.0 ** rng.uniform(-12.0, -9.0), rng.integers(2), rng.integers(2)
+    if near == "wall":
+        frac[j] = 1.0 - gap if upper else gap
+    if near == "corner":
+        frac = np.where(np.arange(2) % 2 == upper, gap, 1.0 - gap)
+    q0 = np.array([lo for lo, _ in walls]) + frac * span
+    if near == "turning point":
+        p[j] = 0.0
+        dh = 2.0 * m.row_deriv(j, q0[j]) @ integrals_alpha(m, q0, p)
+        p[j] = np.sqrt(abs(dh) * 1e-9 * span[j]) * (1.0 if upper else -1.0)
+    return walls, q0, p
+
+
+def test_flight_newton_matches_the_partner_solve(monkeypatch):
+    """The one Newton of `_pinned` against the n = 2 partner solve it
+    replaced, kept above as the oracle, piece by piece on the same inputs.
+    Both stop once the Abel sums agree to their rounding bound
+    (_SUM_ROUNDING, 320 eps): every end position agrees to twice that per
+    unit of the span (at most 320 ulps of it were seen), and, as both
+    converge quadratically, at least 95% of them to 4 ulps (98% do; with
+    the Newton step scaled by 1 + 1e-6, 73%).  Whole flights from the same
+    starts meet the same corners, and their piece and bounce times agree
+    to 1e-12 of the flight's time (at most 8e-14 was seen)."""
+    rng = np.random.default_rng(59)
+    tol = 2.0 * staeckel._SUM_ROUNDING
+    flight, ulps = staeckel._flight, []
+    for m in _two_coordinate_metrics():
+        for _ in range(30):
+            walls, q0, p0 = _start_near(m, rng)
+            span = np.array([hi - lo for lo, hi in walls])
+            pieces = []
+
+            def both(metric, alpha, turns, q, s, e):
+                x, dt = flight(metric, alpha, turns, q, s, e)
+                pieces.append((x, dt) + _flight_oracle(metric, alpha, turns, q, s, e))
+                return x, dt
+
+            monkeypatch.setattr(staeckel, "_flight", both)
+            out = staeckel_billiard_trajectory(m, walls, q0, p0, 3)
+            monkeypatch.setattr(staeckel, "_flight", _flight_oracle)
+            ref = staeckel_billiard_trajectory(m, walls, q0, p0, 3)
+            assert out["corner_hits"] == ref["corner_hits"]
+            t_tol = 1e-12 * out["time"]
+            assert np.allclose(out["bounce_times"], ref["bounce_times"], rtol=0.0, atol=t_tol)
+            for x, dt, x_ref, dt_ref in pieces:
+                assert np.all(np.abs(x - x_ref) <= tol * span), (x, x_ref)
+                assert abs(dt - dt_ref) <= t_tol, (dt, dt_ref)
+                ulps.append(np.max(np.abs(x - x_ref) / np.spacing(span)))
+    monkeypatch.setattr(staeckel, "_flight", flight)
+    assert np.mean(np.array(ulps) <= 4.0) >= 0.95, np.percentile(ulps, [50, 90, 99, 100])
+
+
+def test_billiard_on_a_segment():
+    """n = 1, the face q_1 = 0.5 of elliptic_R2: at unit speed the flight
+    bounces between the walls, each crossing taking the segment's length."""
+    face = induced_metric_on_face(_metric("elliptic_R2"), 1, 0.5)
+    length = geodesic_between(face, (2.2,), (2.9,))["length"]
+    p0 = -np.sqrt(metric_coeffs(face, [2.9]))
+    out = staeckel_billiard_trajectory(face, [(2.2, 2.9)], [2.9], p0, 4)
+    assert np.allclose(out["bounce_times"], length * np.arange(1, 5), rtol=1e-13)
+
+
 def test_face_restriction_matches_named_metrics():
     m3 = builtin_metric("ellipsoidal_R3", (4.0, 2.0, 1.0))
     mi = builtin_metric("ellipsoid_intrinsic", (4.0, 2.0, 1.0))
