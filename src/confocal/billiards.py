@@ -175,19 +175,17 @@ def reflect_direction(family: ConfocalFamily, lam: float, point, direction) -> n
     return np.array(_reflected(family, lam, point, direction))
 
 
-def reflect(family: ConfocalFamily, lam: float, line: OrientedLine,
-            branch: str = "forward"):
+def reflect(family: ConfocalFamily, lam: float, line: OrientedLine, branch="exit"):
     """Billiard reflection of an oriented line in the lam-member.
 
-    branch: 'forward' picks the nearest intersection at nonnegative ray
-    parameter (from the line's foot) and raises NoIntersection when both
-    lie behind it, 'exit' the latest; a callable receives each candidate
-    point and keeps those where it is true.  Any other branch raises
-    InvalidParameters.  Returns (reflected line, incidence point).
+    branch: 'exit' picks the latest intersection along the line; a callable
+    receives each candidate point and keeps those where it is true.  Any
+    other branch raises InvalidParameters.  Returns (reflected line,
+    incidence point).
     """
     _check_planar(family)
-    if not callable(branch) and branch not in ("forward", "exit"):
-        raise InvalidParameters(f"branch must be 'forward', 'exit' or a callable, got {branch!r}")
+    if not callable(branch) and branch != "exit":
+        raise InvalidParameters(f"branch must be 'exit' or a callable, got {branch!r}")
     try:
         ts = line_conic_intersections(family, lam, line)
     except TangentHit:
@@ -198,13 +196,8 @@ def reflect(family: ConfocalFamily, lam: float, line: OrientedLine,
         if not keep:
             raise NoIntersection("no intersection satisfies the branch selector")
         t = keep[0]
-    elif branch == "exit":
-        t = ts[-1]
     else:
-        pos = [tv for tv in ts if tv >= 0.0]
-        if not pos:
-            raise NoIntersection("both intersections lie behind the line's foot")
-        t = pos[0]
+        t = ts[-1]
     q = line._at(t)
     return OrientedLine.from_point_direction(q, _reflected(family, lam, q, line.cs)), np.array(q)
 

@@ -506,15 +506,16 @@ def _run_newton_check(cfg):
     surface = _build_surface(cfg["surface"])
     tol = cfg["tolerance"]
     x = np.asarray(cfg["point"], dtype=float)
+    zero = cfg["expect"] == "zero"
+    if not (zero or cfg["surface"]["kind"] == "sphere" and surface.geometry == hyperbolic(3)):
+        raise ConfigError("point_mass oracle requires a hyperbolic sphere in "
+                          "three dimensions")
     out = field_at(surface, x, cfg["N"])
     rel_norm = _relative_norm(out, tol)
     tables = {"field": (["field_norm", "error_estimate", "N"],
                         [[out["norm"], out["error"], out["N"]]])}
-    if cfg["expect"] == "zero":
+    if zero:
         return [_check("field_norm_zero", rel_norm, tol)], tables, {}
-    if not (cfg["surface"]["kind"] == "sphere" and surface.geometry == hyperbolic(3)):
-        raise ConfigError("point_mass oracle requires a hyperbolic sphere in "
-                          "three dimensions")
     # distance to the center (the pole): cosh D = -<x, c>_M = x0
     D = float(np.arccosh(max(x[0], 1.0)))
     oracle = 1.0 / np.sinh(D) ** 2

@@ -70,18 +70,16 @@ class Geometry:
         return (np.sin, np.cos) if self.kappa > 0 else (np.sinh, np.cosh)
 
     def dot(self, x, y):
-        """<x, y> over the last axis: of two points, of each row of a stack
-        with a point, or row by row of two stacks of one shape."""
+        """<x, y> over the last axis: of two points, of each row of a stack x
+        with a point y, or row by row of two stacks of one shape."""
         x = np.asarray(x, dtype=float)
         if self.kappa < 0:
             x = x * self.eta
         y = np.asarray(y, dtype=float)
-        # a point on either side takes BLAS dot: on S^n and E^n the same
-        # sum, to the bit, as np.dot(x, y)
+        # a point y takes BLAS dot: on S^n and E^n the same sum, to the bit,
+        # as np.dot(x, y)
         if y.ndim == 1:
             return x.dot(y)
-        if x.ndim == 1:
-            return y.dot(x)
         return np.sum(x * y, axis=-1)
 
 

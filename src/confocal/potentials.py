@@ -122,10 +122,6 @@ class QuadraticForm:
             raise InvalidParameters("matrix must be exactly symmetric")
         object.__setattr__(self, "matrix", m)
 
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.matrix @ x)
-
 
 @dataclass(frozen=True)
 class CurvedEllipsoid:
@@ -390,14 +386,17 @@ def _cubature(surface, x, m: int, integrand) -> dict:
     node.  The surface gives its nodes over unit directions (points and
     weights: area element times density) and its clearance from x.
 
-    The fine rule has size 2m, raised where that adds no node: on S^2 the
-    rules of m and 2m share k = ceil(sqrt(m/2)) at m = 1, 3, 4 and 9, and
-    would report an error of 0."""
+    The fine rule has size 2m + 1 on S^1: at odd m the 2m trapezoid nodes
+    are the m nodes and their antipodes, which a point on an axis of the
+    charge sees alike, and the estimate would read 0.  On S^2 it has size
+    2m, raised where that adds no node: there the rules of m and 2m share
+    k = ceil(sqrt(m/2)) at m = 1, 3, 4 and 9."""
     if surface.clearance(x) < 1e-3:
         raise TooCloseToSurface("evaluation point within 1e-3 of the surface")
     n, means = surface.geometry.n, []
     coarse = direction_rule(n, m)
-    for ws, rule in (coarse, direction_rule(n, max(2 * m, len(coarse[1]) + 1))):
+    fine = 2 * m + 1 if n == 2 else max(2 * m, len(coarse[1]) + 1)
+    for ws, rule in (coarse, direction_rule(n, fine)):
         pts, weights = surface.nodes(ws)
         rs = geodesic_distance(surface.geometry, x, pts)
         if np.min(rs) < 1e-3:

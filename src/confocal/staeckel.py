@@ -5,7 +5,7 @@ row i depends only on q_i.  Each row is stored as data, u_i(t) = num_i(t)
 / den_i(t): its n numerators (one per column) and its denominator, high to
 low degree as in np.polyval, in one table (and one of derivatives) for one
 Horner pass.  M^{-1} is the adjugate over the determinant for n <= 3 (LAPACK
-beyond); one point takes a stack's steps on Python floats, bitwise the same.
+beyond), on Python floats, one point at a time: a stack's point by point.
 The metric keeps its last few single-point inverses, keyed by q's float64
 bytes: a finite-difference stencil visits 2n+1 positions in 4n^2 calls, and
 a kept M^{-1}(q) is exact, being the one `_inverse` would compute again.
@@ -180,28 +180,15 @@ class LiouvilleMetric:
         return StaeckelMetric(2, rows, self.box, name="liouville")
 
 
-@dataclass
-class SeparationData:
-    """Separation constants and sign pattern of a monotone geodesic leg."""
-
-    metric: StaeckelMetric
-    alpha: np.ndarray
-    signs: np.ndarray
-
-    def momentum(self, q) -> np.ndarray:
-        return _momentum(self.metric, self.alpha, self.signs, q)
-
-
-def _momentum(metric: StaeckelMetric, alpha, signs, q) -> np.ndarray:
+def momentum(metric: StaeckelMetric, alpha, signs, q) -> np.ndarray:
     """p_i = s_i sqrt(h_i(q_i, alpha)), h floored at 0; q may be a stack."""
     return signs * np.sqrt(np.maximum(2.0 * metric.matrix(q).dot(alpha), 0.0))
 
 
 def _cofactor_inverse(rows):
-    """Adjugate over determinant of a matrix of size 3 or less, by rows; 3 x 3
-    cofactors taken cyclically.  Entries are Python floats (one matrix) or
-    arrays (a stack), with the same IEEE steps; a zero determinant raises
-    ZeroDivisionError on floats and gives +/-inf or NaN on arrays."""
+    """Adjugate over determinant of a matrix of size 3 or less, as lists of
+    Python floats by rows; 3 x 3 cofactors taken cyclically.  A zero
+    determinant raises ZeroDivisionError."""
     if len(rows) < 2:
         return [[1.0 / a] for (a,) in rows]
     if len(rows) == 2:
@@ -228,37 +215,26 @@ def _solve(A, b):
 
 
 def _inverse(M: np.ndarray, q) -> np.ndarray:
-    """M^{-1}, or one inverse per matrix of a stack M[..., n, n]; or
-    SingularStaeckelMatrix where any of them is singular, not finite, or
-    has a 1-norm condition number of 1/eps or more.  By cofactors for
-    n <= 3, on Python floats for one M, which is bitwise the same."""
-    if M.ndim == 2:
-        scale = [max(map(abs, col)) for col in M.T.tolist()]
-        Ms = [[x / s if s > 0.0 else x for x, s in zip(row, scale)] for row in M.tolist()]
-        norm = [sum(map(abs, col)) for col in zip(*Ms)]
-        try:
-            Minv = _cofactor_inverse(Ms) if len(Ms) <= 3 else np.linalg.inv(Ms).tolist()
-            norm_inv = [sum(map(abs, col)) for col in zip(*Minv)]
-        except (ZeroDivisionError, np.linalg.LinAlgError):
-            norm_inv = [np.inf]
-        # Python's max skips a NaN, which the sums keep
-        if not (max(norm) * max(norm_inv) < _COND_MAX and sum(norm) + sum(norm_inv) < np.inf):
-            raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {np.asarray(q)}")
-        return np.array([[x / s for x in row] for row, s in zip(Minv, scale)])
-    scale = np.abs(M).max(axis=-2)
-    Ms = M / np.where(scale > 0.0, scale, 1.0)[..., None, :]
-    with np.errstate(all="ignore"):   # a singular M: +/-inf or NaN, refused below
-        try:
-            Minv = (np.moveaxis(np.array(_cofactor_inverse(np.moveaxis(Ms, (-2, -1), (0, 1)))),
-                                (0, 1), (-2, -1)) if M.shape[-1] <= 3 else np.linalg.inv(Ms))
-            cond = (np.abs(Ms).sum(axis=-2).max(axis=-1)
-                    * np.abs(Minv).sum(axis=-2).max(axis=-1))
-        except np.linalg.LinAlgError:
-            cond = np.linalg.cond(Ms, 1)    # inf where exactly singular
-    if not cond.max() < _COND_MAX:
-        raise SingularStaeckelMatrix(
-            f"singular Stackel matrix at q = {np.asarray(q)[~(cond < _COND_MAX)][0]}")
-    return Minv / scale[..., :, None]
+    """M^{-1}, or one inverse per matrix of a stack M[..., n, n], taken one by
+    one in C order; or SingularStaeckelMatrix at the first that is singular,
+    not finite, or has a column-scaled 1-norm condition number of 1/eps or
+    more.  By cofactors on Python floats for n <= 3, LAPACK beyond."""
+    if M.ndim > 2:
+        n = M.shape[-1]
+        return np.array([_inverse(Mk, qk) for Mk, qk in
+                         zip(M.reshape(-1, n, n), np.reshape(q, (-1, n)))]).reshape(M.shape)
+    scale = [max(map(abs, col)) for col in M.T.tolist()]
+    Ms = [[x / s if s > 0.0 else x for x, s in zip(row, scale)] for row in M.tolist()]
+    norm = [sum(map(abs, col)) for col in zip(*Ms)]
+    try:
+        Minv = _cofactor_inverse(Ms) if len(Ms) <= 3 else np.linalg.inv(Ms).tolist()
+        norm_inv = [sum(map(abs, col)) for col in zip(*Minv)]
+    except (ZeroDivisionError, np.linalg.LinAlgError):
+        norm_inv = [np.inf]
+    # Python's max skips a NaN, which the sums keep
+    if not (max(norm) * max(norm_inv) < _COND_MAX and sum(norm) + sum(norm_inv) < np.inf):
+        raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {np.asarray(q)}")
+    return np.array([[x / s for x in row] for row, s in zip(Minv, scale)])
 
 
 def _inverse_at(metric: StaeckelMetric, q: np.ndarray) -> np.ndarray:
@@ -352,8 +328,7 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
     if c0.shape != (n,) or c1.shape != (n,):
         raise InvalidParameters(f"corners need {n} coordinates each")
     if np.array_equal(c0, c1):
-        return {"alpha": None, "signs": np.ones(n), "length": 0.0,
-                "residual": 0.0, "separation": None}
+        return {"alpha": None, "signs": np.ones(n), "length": 0.0, "residual": 0.0}
     if np.any(c0 == c1):
         raise InvalidParameters("corners must differ in every coordinate")
     lo, hi = np.minimum(c0, c1), np.maximum(c0, c1)
@@ -418,8 +393,7 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
         end = (lo, hi)[k][i]
         if abs(2.0 * (metric.row_deriv(i, end) @ alpha)) < 1e-10:
             raise NoMonotoneDiagonal(f"h_{i} has a double root at the endpoint {end}")
-    return {"alpha": alpha, "signs": signs, "length": float(abs(Q[0])), "residual": resid,
-            "separation": SeparationData(metric, alpha, signs)}
+    return {"alpha": alpha, "signs": signs, "length": float(abs(Q[0])), "residual": resid}
 
 
 def ivory_check(metric: StaeckelMetric, box) -> dict:
@@ -640,7 +614,7 @@ def staeckel_billiard_trajectory(metric: StaeckelMetric, walls, q0, p0,
         s[hit] = -s[hit]
         wall_hits = int(np.sum(hit & at_wall))
         if wall_hits:
-            p = _momentum(metric, alpha0, s, q)
+            p = momentum(metric, alpha0, s, q)
             corner_hits += wall_hits > 1
             bounce_times.append(t_total)
             states.append((t_total, q.copy(), p))

@@ -209,6 +209,39 @@ def test_rule_of_nine_is_held_to_a_finer_rule(tmp_path, capsys):
     assert "RuleUnresolved: error estimate" in capsys.readouterr().err
 
 
+SHELL_CFG = {"surface": {"kind": "sphere", "geometry": "hyperbolic", "dim": 3, "radius": 0.5},
+             "point": [float(np.cosh(1.0)), float(np.sinh(1.0)), 0.0, 0.0],
+             "expect": "point_mass", "N": 2000}
+
+
+def test_newton_point_mass_on_the_hyperbolic_shell(tmp_path):
+    """Outside a round shell of H^3 the field is the point mass's at its
+    center, 1 / sinh^2 D."""
+    assert main(["newton-check", "--config", _write(tmp_path, "n.json", SHELL_CFG),
+                 "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["point_mass_relative_error"]
+
+
+def test_point_mass_oracle_is_refused_before_the_cubature(tmp_path, capsys, monkeypatch):
+    """The point-mass oracle holds on the H^3 shell alone: another surface
+    is a config error (exit 2), refused before the field is computed, so
+    not blamed on an unresolved rule at N = 9 (exit 3)."""
+    import confocal.potentials
+
+    def no_field(*args):
+        raise AssertionError("field_at ran")
+
+    monkeypatch.setattr(confocal.potentials, "field_at", no_field)
+    for surface, N in (({"kind": "sphere", "geometry": "spherical", "dim": 3, "radius": 0.6}, 9),
+                       (NEWTON_CFG["surface"], 512)):
+        cfg = dict(SHELL_CFG, surface=surface, N=N,
+                   point=[0.9800665778412416, 0.19866933079506122, 0.0, 0.0])
+        assert main(["newton-check", "--config", _write(tmp_path, "n.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "point_mass oracle requires a hyperbolic sphere" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, cfg, old, new", [
     ("arnold-check", ARNOLD_CFG, '"eps": 0.05', '"eps": NaN'),
     ("arnold-check", ARNOLD_CFG, '"point": [0.1, 0.0]', '"point": [NaN, 0.0]'),
@@ -357,6 +390,30 @@ def test_billiard_orbit_hyperbola_caustic(tmp_path, start_x):
     assert np.max(np.abs(right[:, 0] ** 2 / 2.0 - right[:, 1] ** 2 - 1.0)) < 1e-14
     assert np.max(np.abs(right[[0, -1], 0] ** 2 / 4.0 + right[[0, -1], 1] ** 2 - 1.0)) < 1e-14
     assert np.array_equal(left, right * (-1.0, 1.0))
+
+
+def test_billiard_orbit_ellipse_caustic(tmp_path):
+    """An ellipse caustic is drawn whole, with semiaxes sqrt(a_i - lam_c);
+    each bounce lies on the table."""
+    from confocal.billiards import CausticChart
+    from confocal.cli import _add_caustic
+    from confocal.quadrics import ConfocalFamily
+
+    cfg = {"a": [4.0, 1.0], "outer_lam": 0.0, "lam_c": 0.5, "bounces": 20}
+    assert main(["billiard-orbit", "--config", _write(tmp_path, "e.json", cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    svg = (tmp_path / "o" / "orbit.svg").read_text()
+    assert svg.count("<ellipse") == 2 and svg.count("<polyline") == 1
+    assert f'rx="{np.sqrt(3.5):.6g}" ry="{np.sqrt(0.5):.6g}"' in svg
+    scene = Scene()
+    _add_caustic(scene, CausticChart(ConfocalFamily(euclidean(2), [4.0, 1.0]), 0.5), 0.0, "red")
+    (kind, center, rx, ry, *_), = scene.elements
+    assert kind == "ellipse" and np.array_equal(center, [0.0, 0.0])
+    assert abs(rx - np.sqrt(3.5)) < 1e-15 and abs(ry - np.sqrt(0.5)) < 1e-15
+    rows = (tmp_path / "o" / "orbit.csv").read_text().splitlines()[1:]
+    verts = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+    assert verts.shape == (20, 2)
+    assert np.max(np.abs(verts[:, 0] ** 2 / 4.0 + verts[:, 1] ** 2 - 1.0)) < 1e-12
 
 
 def test_inscribed_circles_far_corners_pass(tmp_path):

@@ -621,6 +621,25 @@ def test_fine_rule_differs_from_the_coarse_one(surface, v):
         assert field_at(surface, x, m)["error"] > 0.0, m
 
 
+@pytest.mark.parametrize("surface", [ELL_S2, CurvedEllipsoid(H2, (1.2, 0.5), 2.0)],
+                         ids=["S2", "H2"])
+def test_error_estimate_reads_the_error_on_an_axis(surface):
+    """At a point on an axis of an ellipse the trapezoid nodes w and their
+    mirror images give the potential alike.  The 2m nodes at odd m were the
+    m nodes and their antipodes, so the estimate read rounding noise where
+    the error was up to 5e-3; the fine rule of 2m + 1 nodes is a different
+    rule.  The estimate is held to half the error, against 4096 nodes."""
+    sin, cos = surface.geometry.trig
+    for r in (0.1, 0.3):
+        for axis in (1, 2):
+            x = cos(r) * np.eye(3)[0] + sin(r) * np.eye(3)[axis]
+            exact = surface_potential(surface, x, 4096)["value"]
+            for m in range(1, 33):
+                out = surface_potential(surface, x, m)
+                err = abs(out["value"] - exact)
+                assert err <= 1e-13 or out["error"] >= 0.5 * err, (r, axis, m, out["error"], err)
+
+
 def test_newton_sphere_shell_s3():
     c = np.array([1.0, 0.0, 0.0, 0.0])
     shell = GeodesicSphere(S3, c, 0.6)

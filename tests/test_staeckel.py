@@ -21,7 +21,6 @@ from confocal.geometry import euclidean, geodesic_distance, jacobi_denominators,
 from confocal.quadrics import ConfocalFamily, confocal_parameters
 from confocal.staeckel import (
     LiouvilleMetric,
-    SeparationData,
     StaeckelMetric,
     _inverse,
     _turning_points,
@@ -32,6 +31,7 @@ from confocal.staeckel import (
     integrals_alpha,
     ivory_check,
     metric_coeffs,
+    momentum,
     staeckel_billiard_trajectory,
 )
 
@@ -227,6 +227,15 @@ def test_geodesic_no_monotone_diagonal():
         geodesic_between(m, c0, c1)
 
 
+def test_geodesic_refuses_a_chord_of_nonpositive_energy():
+    # M = [[0, 1], [-1, -1]]: the metric is -(dq_1^2 + dq_2^2), so the
+    # chord's momenta at the box midpoint have energy H < 0
+    m = LiouvilleMetric(([0.0], [1.0]), ([1.0], [1.0]), ([1.0], [1.0]), ([1.0], [1.0]),
+                        [(0.0, 1.0), (0.0, 1.0)]).to_staeckel()
+    with pytest.raises(SolverDiverged, match="chord guess has nonpositive energy"):
+        geodesic_between(m, [0.2, 0.3], [0.7, 0.9])
+
+
 def test_geodesic_rejection_costs_one_full_step(monkeypatch):
     """A box whose first guess already has h_i < 0 inside a leg is rejected
     as soon as the full Newton step fails to lower the residual, not after
@@ -381,7 +390,7 @@ def test_billiard_from_corner_hits_the_far_corner(name):
             sol = geodesic_between(m, c0, c1)
         except (NoMonotoneDiagonal, SolverDiverged):
             continue
-        out = staeckel_billiard_trajectory(m, box, c0, sol["separation"].momentum(c0), 1)
+        out = staeckel_billiard_trajectory(m, box, c0, momentum(m, sol["alpha"], sol["signs"], c0), 1)
         t, q, _ = out["states"][1]
         assert out["corner_hits"] == 1, (name, box)
         assert np.array_equal(q, c1), (name, q - c1)
@@ -404,7 +413,7 @@ def _flown_diagonals(m, rep, box):
         eps = (0,) + bits
         c0 = np.array([box[i][eps[i]] for i in range(n)])
         c1 = np.array([box[i][1 - eps[i]] for i in range(n)])
-        p0 = SeparationData(m, rep["alphas"][k], np.sign(c1 - c0)).momentum(c0)
+        p0 = momentum(m, rep["alphas"][k], np.sign(c1 - c0), c0)
         sol = solve_ivp(rhs, (0.0, rep["lengths"][k]), np.concatenate([c0, p0]),
                         method="DOP853", rtol=1e-12, atol=1e-12)
         out.append((sol.y[:n, -1], c1))
@@ -483,7 +492,7 @@ def test_stacked_calls_match_single_points():
     for m in ORACLE_METRICS:
         q = np.array([_random_q(m, rng) for _ in range(40)]).reshape(4, 10, m.n)
         p = rng.normal(size=q.shape)
-        sep = SeparationData(m, integrals_alpha(m, q[0, 0], p[0, 0]), np.sign(p[0, 0]))
+        alpha, signs = integrals_alpha(m, q[0, 0], p[0, 0]), np.sign(p[0, 0])
         M = m.matrix(q)
         for fn, stacked in ((m.matrix, M),
                             (lambda x: _inverse(m.matrix(x), x), _inverse(M, q)),
@@ -491,8 +500,8 @@ def test_stacked_calls_match_single_points():
             single = np.array([fn(x) for x in q.reshape(-1, m.n)])
             assert np.array_equal(stacked.reshape(single.shape), single)
         # p_i^2 = h_i sums terms that cancel: compare the squares, absolutely
-        single = np.array([sep.momentum(x) for x in q.reshape(-1, m.n)])
-        assert np.allclose(sep.momentum(q).reshape(single.shape) ** 2, single ** 2,
+        single = np.array([momentum(m, alpha, signs, x) for x in q.reshape(-1, m.n)])
+        assert np.allclose(momentum(m, alpha, signs, q).reshape(single.shape) ** 2, single ** 2,
                            rtol=0.0, atol=1e-12)
         single = np.array([integrals_alpha(m, x, y)
                            for x, y in zip(q.reshape(-1, m.n), p.reshape(-1, m.n))])
@@ -721,10 +730,9 @@ def test_billiard_diagonal_family_period():
     c0 = np.array([2.2, 0.3])
     c1 = np.array([2.9, 0.7])
     sol = geodesic_between(m, c0, c1)
-    sep = sol["separation"]
     for frac in (0.37, 0.61):
         q0 = np.array([lo + frac * (hi - lo) for lo, hi in walls])
-        p0 = sep.momentum(q0)
+        p0 = momentum(m, sol["alpha"], sol["signs"], q0)
         out = staeckel_billiard_trajectory(m, walls, q0, p0, 8)
         # the orbit repeats with period 2 x diagonal length: each bounce
         # recurs one period later at the same phase-space point
@@ -910,14 +918,13 @@ def test_billiard_along_ivory_diagonal(name, box):
     c1 = np.array([hi for _, hi in box])
     sol = geodesic_between(m, c0, c1)
     assert sol["residual"] <= 1e-15
-    out = staeckel_billiard_trajectory(m, box, c0, sol["separation"].momentum(c0), 2)
+    out = staeckel_billiard_trajectory(m, box, c0, momentum(m, sol["alpha"], sol["signs"], c0), 2)
     assert out["corner_hits"] == 2
     (t1, q1, p1), (t2, q2, p2) = out["states"][1:]
     assert abs(t1 - sol["length"]) < 1e-10 and abs(t2 - 2.0 * sol["length"]) < 1e-10
     assert np.array_equal(q1, c1) and np.array_equal(q2, c0)
-    back = SeparationData(m, sol["alpha"], -sol["signs"])
-    assert np.max(np.abs(p1 - back.momentum(c1))) < 1e-12
-    assert np.max(np.abs(p2 - sol["separation"].momentum(c0))) < 1e-12
+    assert np.max(np.abs(p1 - momentum(m, sol["alpha"], -sol["signs"], c1))) < 1e-12
+    assert np.max(np.abs(p2 - momentum(m, sol["alpha"], sol["signs"], c0))) < 1e-12
 
 
 def test_billiard_rejects_bad_starts():
