@@ -6,9 +6,9 @@ row i depends only on q_i.  Each row is stored as data, u_i(t) = num_i(t)
 low degree as in np.polyval, in one table (and one of derivatives) for one
 Horner pass.  M^{-1} is the adjugate over the determinant for n <= 3 (LAPACK
 beyond), on Python floats, one point at a time: a stack's point by point.
-The metric keeps its last few single-point inverses, keyed by q's float64
-bytes: a finite-difference stencil visits 2n+1 positions in 4n^2 calls, and
-a kept M^{-1}(q) is exact, being the one `_inverse` would compute again.
+A metric keeps its last few single-point inverses as tuples of rows, keyed
+by q's float64 bytes, for a finite-difference stencil (2n+1 positions in
+4n^2 calls); one point's alpha and H are float sums over a kept M^{-1}.
 
 Everything follows from M^{-1} (indices from 0):
 
@@ -21,9 +21,9 @@ equation separates: p_i^2 = h_i(q_i, alpha) = 2 u_i(q_i) . alpha.  Geodesics
 between opposite corners of a coordinate box are found by solving the n-1
 quadrature constraints for alpha_1..alpha_{n-1} (alpha_0 = 1/2 for unit
 speed); the quadrature of column 0 is the length.  Its nodes are fixed by
-the box: M is evaluated once per solve, at every leg's nodes as one stack,
-and a Newton step only recombines its rows.  All 2^(n-1) great diagonals
-of a box share alpha and the length.
+the box: M is evaluated once per solve, at the nodes and scan points as one
+stack, and each Newton step, on Python floats, only recombines its rows.
+All 2^(n-1) great diagonals of a box share alpha and the length.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ def _polyval(c, t):
     return y
 
 
-def _polyder(c: np.ndarray) -> np.ndarray:
-    """Derivative of every polynomial of a table (np.polyder on the last axis)."""
-    return c[..., :-1] * np.arange(c.shape[-1] - 1, 0, -1)
-
-
 @dataclass
 class StaeckelMetric:
     """Stackel matrix with rows num_i(q_i) / den_i(q_i), plus a coordinate box.
@@ -95,9 +90,9 @@ class StaeckelMetric:
         k = max(len(p) for row in coeffs for p in row)
         self.table = np.array([[[0.0] * (k - len(p)) + p for p in row] for row in coeffs])
         self.num, self.den = self.table[:, :n], self.table[:, n:]
-        self.dtable = _polyder(self.table)
+        self.dtable = self.table[..., :-1] * np.arange(k - 1, 0, -1)   # np.polyder
         self._lists = list(zip(self.table.tolist(), self.dtable.tolist()))
-        self._memo = {}   # q.tobytes() -> read-only M^{-1}(q), see _inverse_at
+        self._memo = {}   # q.tobytes() -> M^{-1}(q) as row tuples, see _inverse_at
 
     def _coords(self, q) -> np.ndarray:
         """q as float64, refused unless its last axis holds n coordinates."""
@@ -119,13 +114,13 @@ class StaeckelMetric:
 
     def _row(self, i: int, t, deriv=False):
         """`_entries` of row i; at one t, the same steps on Python floats,
-        as a list, unless den_i(t) = 0 (the stacked +/-inf or NaN)."""
+        as a list; where den_i(t) = 0, the stacked +/-inf or NaN as a list."""
         if not isinstance(t, float):
             return self._entries(np.asarray(t, dtype=float)[..., None], i, deriv)
         t = float(t)   # np.float64 too
         P = [_polyval(c, t) for c in self._lists[i][0]]
         if P[-1] == 0.0:
-            return self._entries(np.array([t]), i, deriv)
+            return self._entries(np.array([t]), i, deriv).tolist()
         u = [x / P[-1] for x in P[:-1]]
         if deriv:
             dP = [_polyval(c, t) for c in self._lists[i][1]]
@@ -145,9 +140,6 @@ class StaeckelMetric:
 
     def row_deriv(self, i: int, qi) -> np.ndarray:
         return np.asarray(self._row(i, qi, deriv=True))
-
-    def h(self, i: int, qi, alpha):
-        return 2.0 * (self.row(i, qi) @ alpha)
 
     def random_box(self, rng, max_span: float = 0.4):
         """A random coordinate sub-box of the metric's box (moderate spans,
@@ -203,28 +195,21 @@ def _cofactor_inverse(rows):
     return [[x / det for x in col] for col in zip(*C)]
 
 
-def _solve(A, b):
-    """A^{-1} b, by cofactors up to 3 x 3; ZeroDivisionError or LinAlgError if
-    singular.  Lists A and b give a list, on Python floats: 1 x 1 by one division."""
-    if not isinstance(b, list):
-        return np.dot(_cofactor_inverse(A.tolist()), b) if b.size <= 3 else np.linalg.solve(A, b)
+def _solve(A: list, b: list) -> list:
+    """A^{-1} b on Python floats, by cofactors up to 3 x 3 (1 x 1 by one
+    division); ZeroDivisionError or LinAlgError if singular."""
     if len(b) == 1:
         return [b[0] / A[0][0]]
     return [sum(map(mul, r, b)) for r in _cofactor_inverse(A)] if len(b) <= 3 else \
         np.linalg.solve(A, b).tolist()
 
 
-def _inverse(M: np.ndarray, q) -> np.ndarray:
-    """M^{-1}, or one inverse per matrix of a stack M[..., n, n], taken one by
-    one in C order; or SingularStaeckelMatrix at the first that is singular,
-    not finite, or has a column-scaled 1-norm condition number of 1/eps or
-    more.  By cofactors on Python floats for n <= 3, LAPACK beyond."""
-    if M.ndim > 2:
-        n = M.shape[-1]
-        return np.array([_inverse(Mk, qk) for Mk, qk in
-                         zip(M.reshape(-1, n, n), np.reshape(q, (-1, n)))]).reshape(M.shape)
-    scale = [max(map(abs, col)) for col in M.T.tolist()]
-    Ms = [[x / s if s > 0.0 else x for x, s in zip(row, scale)] for row in M.tolist()]
+def _inverse_rows(M: list, q) -> tuple:
+    """M^{-1} of M as lists of Python floats by rows, as row tuples, by
+    cofactors for n <= 3 (LAPACK beyond); SingularStaeckelMatrix if M is
+    singular, not finite, or its column-scaled 1-norm condition is >= 1/eps."""
+    scale = [max(map(abs, col)) or 1.0 for col in zip(*M)]
+    Ms = [list(map(truediv, row, scale)) for row in M]
     norm = [sum(map(abs, col)) for col in zip(*Ms)]
     try:
         Minv = _cofactor_inverse(Ms) if len(Ms) <= 3 else np.linalg.inv(Ms).tolist()
@@ -234,19 +219,23 @@ def _inverse(M: np.ndarray, q) -> np.ndarray:
     # Python's max skips a NaN, which the sums keep
     if not (max(norm) * max(norm_inv) < _COND_MAX and sum(norm) + sum(norm_inv) < np.inf):
         raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {np.asarray(q)}")
-    return np.array([[x / s for x in row] for row, s in zip(Minv, scale)])
+    return tuple([tuple([x / s for x in row]) for row, s in zip(Minv, scale)])
 
 
-def _inverse_at(metric: StaeckelMetric, q: np.ndarray) -> np.ndarray:
-    """`_inverse` at q, a point or a stack; a point's M^{-1} is kept,
-    read-only, in the metric's memo, and a q it refuses is never kept."""
-    if q.ndim > 1:
-        return _inverse(metric.matrix(q), q)
+def _inverse(M: np.ndarray, q) -> np.ndarray:
+    """`_inverse_rows` of M, or of each matrix of a stack M[..., n, n] in C
+    order, refused at the first that is singular."""
+    n = M.shape[-1]
+    return np.array([_inverse_rows(Mk, qk) for Mk, qk in
+                     zip(M.reshape(-1, n, n).tolist(), np.reshape(q, (-1, n)))]).reshape(M.shape)
+
+
+def _inverse_at(metric: StaeckelMetric, q: np.ndarray) -> tuple:
+    """`_inverse_rows` at one point q, kept in the metric's memo unless refused."""
     memo, key = metric._memo, q.tobytes()
     Minv = memo.get(key)
     if Minv is None:
-        Minv = _inverse(metric.matrix(q), q)
-        Minv.flags.writeable = False
+        Minv = _inverse_rows([metric._row(i, t) for i, t in enumerate(q.tolist())], q)
         if len(memo) >= _MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[key] = Minv
@@ -255,32 +244,32 @@ def _inverse_at(metric: StaeckelMetric, q: np.ndarray) -> np.ndarray:
 
 def metric_coeffs(metric: StaeckelMetric, q) -> np.ndarray:
     """g_i(q), or one row per point of a stack q[..., n]."""
-    return _coeffs(_inverse_at(metric, metric._coords(q)))
+    q = metric._coords(q)
+    Minv = _inverse(metric.matrix(q), q) if q.ndim > 1 else np.array(_inverse_at(metric, q))
+    return 1.0 / Minv[..., 0, :]
+
+
+def _alpha(metric: StaeckelMetric, q, p, rows=slice(None)):
+    """alpha(q, p), one row per point of stacks q, p[..., n]; at one point
+    a list of its `rows`, on Python floats from the kept M^{-1}(q)."""
+    q, p = metric._coords(q), np.asarray(p, dtype=float)
+    if p.shape != q.shape:
+        raise InvalidParameters(f"p has shape {p.shape}, q has shape {q.shape}")
+    if q.ndim > 1:
+        return 0.5 * (_inverse(metric.matrix(q), q) @ (p * p)[..., None])[..., 0]
+    p2 = [x * x for x in p.tolist()]
+    return [0.5 * sum(map(mul, row, p2)) for row in _inverse_at(metric, q)[rows]]
 
 
 def integrals_alpha(metric: StaeckelMetric, q, p) -> np.ndarray:
     """alpha(q, p), or one row per point of stacks q, p[..., n]."""
-    q, p = metric._coords(q), np.asarray(p, dtype=float)
-    if p.shape != q.shape:
-        raise InvalidParameters(f"p has shape {p.shape}, q has shape {q.shape}")
-    return _alpha(_inverse_at(metric, q), p)
-
-
-def _coeffs(Minv: np.ndarray) -> np.ndarray:
-    return 1.0 / Minv[..., 0, :]
-
-
-def _alpha(Minv: np.ndarray, p: np.ndarray) -> np.ndarray:
-    p2 = p * p
-    if Minv.ndim == 2 and p2.ndim == 1:   # one point
-        return 0.5 * Minv.dot(p2)
-    return 0.5 * (Minv @ p2[..., None])[..., 0]
+    return np.asarray(_alpha(metric, q, p))
 
 
 def hamiltonian(metric: StaeckelMetric, q, p):
     """H(q, p) = alpha_0, a float, or an array for stacks q, p[..., n]."""
-    h = integrals_alpha(metric, q, p)[..., 0]
-    return float(h) if h.ndim == 0 else h
+    alpha = _alpha(metric, q, p, slice(1))
+    return alpha[0] if isinstance(alpha, list) else alpha[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -288,29 +277,32 @@ def hamiltonian(metric: StaeckelMetric, q, p):
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
+_GL_FRAC = 0.5 * (_GL_NODES + 1.0)   # the Gauss-Legendre nodes mapped to [0, 1]
 
 # h_i is floored where it is <= 0 (alpha outside the admissible set), high
 # enough that h_i^(-3/2) stays finite
 _H_FLOOR = 1e-100
 # acceptance gate of the separation residual, and the cap on Newton steps
 _RESIDUAL_GATE, _MAX_NEWTON = 1e-9, 60
+# the line search's step factors 1, 1/2, ..., 2^-29, and the points of the
+# box's diagonal where each h_i is scanned for its sign
+_HALVINGS, _SCAN = tuple(0.5 ** k for k in range(30)), 64
 
 
-def _leg_nodes(metric: StaeckelMetric, lo, hi) -> tuple:
-    """Weights w[m, i] and matrices M[m] = M(q_m) of the leg rule, free of
-    alpha: q = end +/- s^2 about either end of each leg [lo_i, hi_i] makes
-    1/sqrt(h_i) smooth in s, then Gauss-Legendre in s on both halves.  Node m
-    of every leg forms one point q_m; row i of M[m] is u_i at leg i's node m."""
+def _leg_rule(lo, hi) -> tuple:
+    """Weights w[m, i] and points q[m] of the leg rule: q = end +/- s^2 about
+    either end of each leg [lo_i, hi_i] makes 1/sqrt(h_i) smooth in s, then
+    Gauss-Legendre in s on both halves; row i of M(q_m) is u_i at node m."""
     smax = np.sqrt(0.5 * (hi - lo))
-    s = 0.5 * smax * (_GL_NODES[:, None] + 1.0)
-    w = np.tile(smax * s * _GL_WEIGHTS[:, None], (2, 1))
-    return w, metric.matrix(np.concatenate([lo + s * s, hi - s * s]))
+    s = smax * _GL_FRAC[:, None]
+    w = smax * s * _GL_WEIGHTS[:, None]
+    return np.concatenate([w, w]), np.concatenate([lo + s * s, hi - s * s])
 
 
 def _leg_integrals(w, M, alpha) -> tuple:
     """Q_j = sum_i int u_ij / sqrt(h_i) over the legs, for every column j,
-    on the nodes of `_leg_nodes`, and its exact Jacobian in alpha: as
-    dh_i/dalpha_k = 2 u_ik, entry (j, k) is -sum_i int u_ij u_ik / h_i^(3/2)."""
+    from the rows of M(q) at the points q of `_leg_rule`, in order, and its
+    exact Jacobian: entry (j, k) is -sum_i int u_ij u_ik / h_i^(3/2)."""
     U = M.reshape(-1, M.shape[-1])
     h = np.maximum(2.0 * (U @ alpha), _H_FLOOR)
     f = w.ravel() / np.sqrt(h)
@@ -322,78 +314,90 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
     every coordinate, via the separation constants: Newton on the n-1
     quadrature constraints with their exact Jacobian and a halving line
     search, until a step no longer moves alpha (the residual is then at
-    rounding)."""
+    rounding).  M is evaluated once; the Newton loop runs on Python floats."""
     n = metric.n
     c0, c1 = np.asarray(corner0, dtype=float), np.asarray(corner1, dtype=float)
     if c0.shape != (n,) or c1.shape != (n,):
         raise InvalidParameters(f"corners need {n} coordinates each")
-    if np.array_equal(c0, c1):
+    a, b = c0.tolist(), c1.tolist()
+    for name, c in (("corner0", a), ("corner1", b)):
+        if not all(map(math.isfinite, c)):
+            raise InvalidParameters(f"{name} has a non-finite coordinate: {c}")
+    if a == b:
         return {"alpha": None, "signs": np.ones(n), "length": 0.0, "residual": 0.0}
-    if np.any(c0 == c1):
+    if any(map(eq, a, b)):
         raise InvalidParameters("corners must differ in every coordinate")
     lo, hi = np.minimum(c0, c1), np.maximum(c0, c1)
-    signs = np.sign(c1 - c0)
 
     # first guess: the momenta of the straight coordinate chord at the box
     # midpoint, rescaled to energy 1/2
-    qm = 0.5 * (c0 + c1)
-    Minv = _inverse(metric.matrix(qm), qm)
-    alpha = _alpha(Minv, _coeffs(Minv) * (c1 - c0))
+    qm = [0.5 * (x + y) for x, y in zip(a, b)]
+    Minv = _inverse_rows([metric._row(i, t) for i, t in enumerate(qm)], qm)
+    p2 = [v * v for v in [1.0 / m0 * (y - x) for m0, x, y in zip(Minv[0], a, b)]]
+    alpha = [0.5 * sum(map(mul, row, p2)) for row in Minv]
     if alpha[0] <= 0:
         raise SolverDiverged("chord guess has nonpositive energy")
-    alpha = np.concatenate([[0.5], alpha[1:] * (0.5 / alpha[0])])
+    alpha = [0.5] + [x * (0.5 / alpha[0]) for x in alpha[1:]]
 
-    # M at every leg's nodes, and where h_i is scanned for admissibility
-    w, M = _leg_nodes(metric, lo, hi)
-    M_scan = metric.matrix(np.linspace(lo, hi, 64))
+    # M at every leg's nodes and at the scan points, from one evaluation,
+    # as rows u_i
+    w, q = _leg_rule(lo, hi)
+    U = metric.matrix(np.concatenate([q, np.linspace(lo, hi, _SCAN)])).reshape(-1, n)
+    U, U_scan = U[:-_SCAN * n], U[-_SCAN * n:]
 
-    def fail_if_h_negative():
-        if np.min(M_scan @ alpha) < 0.0:
+    def integrals(x):
+        Q, J = _leg_integrals(w, U, np.array(x))
+        return Q.tolist(), J.tolist()
+
+    def fail(why=None):
+        """NoMonotoneDiagonal if some h_i < 0 on the scan, else SolverDiverged(why)."""
+        if (U_scan @ np.array(alpha)).min() < 0.0:
             raise NoMonotoneDiagonal("no monotone diagonal: h_i turns negative inside a leg")
+        if why:
+            raise SolverDiverged(why)
 
-    def fail(why):
-        fail_if_h_negative()
-        raise SolverDiverged(why)
-
-    # column 0 of Q is the length, columns 1.. are the residuals
-    Q, J = _leg_integrals(w, M, alpha)
-    step = np.zeros(n)    # alpha_0 stays 1/2
+    # column 0 of Q is the length, columns 1.. the residuals, which a step
+    # must lower in the sum of their squares
+    Q, J = integrals(alpha)
     for _ in range(_MAX_NEWTON):
         try:
-            step[1:] = _solve(J[1:, 1:], -Q[1:])
+            step = [0.0, *_solve([r[1:] for r in J[1:]], [-x for x in Q[1:]])]   # alpha_0 stays
         except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
             raise SolverDiverged("singular quadrature Jacobian") from exc
-        if not np.all(np.isfinite(step)):
+        if not all(map(math.isfinite, step)):
             break
-        for lam in 0.5 ** np.arange(30):
-            an = alpha + lam * step
-            if np.array_equal(an, alpha):
+        r2 = sum(x * x for x in Q[1:])
+        for lam in _HALVINGS:
+            an = [x + lam * dx for x, dx in zip(alpha, step)]
+            if an == alpha:
                 break
-            Qn, Jn = _leg_integrals(w, M, an)
-            if np.linalg.norm(Qn[1:]) < np.linalg.norm(Q[1:]):
+            Qn, Jn = integrals(an)
+            if sum(x * x for x in Qn[1:]) < r2:
                 break
             if lam == 1.0:
                 # the nodes where h_i <= 0 and is floored rule the residual;
                 # such a box is rejected now, not after every halving
-                fail_if_h_negative()
+                fail()
         else:
             fail("line search failed in separation solver")
-        if np.array_equal(an, alpha):
+        if an == alpha:
             break
         alpha, Q, J = an, Qn, Jn
-    resid = float(np.max(np.abs(Q[1:]), initial=0.0))
+    resid = max(map(abs, Q[1:]), default=0.0)
     if resid > _RESIDUAL_GATE:
         fail(f"separation residual {resid} > {_RESIDUAL_GATE}")
-    h = 2.0 * (M_scan @ alpha)
-    if np.min(h) < -1e-12:
-        raise NoMonotoneDiagonal(f"h_{np.argmin(np.min(h, axis=0))} vanishes inside the leg")
+    alpha = np.array(alpha)
+    h = 2.0 * (U_scan @ alpha)
+    if h.min() < -1e-12:
+        i = np.argmin(h.reshape(-1, n).min(axis=0))
+        raise NoMonotoneDiagonal(f"h_{i} vanishes inside the leg")
     # a double root of h_i at an endpoint makes the approach asymptotic
     # (logarithmically divergent time); refuse to integrate through it
-    for k, i in np.argwhere(np.abs(h[[0, -1]]) < 1e-12):
-        end = (lo, hi)[k][i]
-        if abs(2.0 * (metric.row_deriv(i, end) @ alpha)) < 1e-10:
-            raise NoMonotoneDiagonal(f"h_{i} has a double root at the endpoint {end}")
-    return {"alpha": alpha, "signs": signs, "length": float(abs(Q[0])), "residual": resid}
+    for ends, h_ends in ((lo, h[:n].tolist()), (hi, h[-n:].tolist())):
+        for i, (end, h_end) in enumerate(zip(ends, h_ends)):
+            if abs(h_end) < 1e-12 and abs(2.0 * (metric.row_deriv(i, end) @ alpha)) < 1e-10:
+                raise NoMonotoneDiagonal(f"h_{i} has a double root at the endpoint {end}")
+    return {"alpha": alpha, "signs": np.sign(c1 - c0), "length": abs(Q[0]), "residual": resid}
 
 
 def ivory_check(metric: StaeckelMetric, box) -> dict:
@@ -406,6 +410,8 @@ def ivory_check(metric: StaeckelMetric, box) -> dict:
     alpha and the length: Ivory's lemma in Stackel form.  Each diagonal
     still gets its own entry in `lengths` and `alphas`.
     """
+    if len(box) != metric.n or any(np.shape(b) != (2,) for b in box):
+        raise InvalidParameters(f"box needs {metric.n} pairs (lo, hi), got {box}")
     sol = geodesic_between(metric, [b[0] for b in box], [b[1] for b in box])
     k = 2 ** (metric.n - 1)
     return {"lengths": [sol["length"]] * k, "alphas": [sol["alpha"]] * k,
@@ -428,12 +434,11 @@ def ivory_check(metric: StaeckelMetric, box) -> dict:
 # relative rounding bound of a sum of the 2 x 80 positive terms of an Abel
 # integral (gamma_N); Abel sums that agree to it are one value
 _SUM_ROUNDING = 2 * _GL_NODES.size * np.finfo(float).eps
-_GL_FRAC = 0.5 * (_GL_NODES + 1.0)   # the Gauss-Legendre nodes mapped to [0, 1]
 
 
 def _abel(metric: StaeckelMetric, i: int, a: float, x: float, alpha, turns) -> np.ndarray:
     """Abel integrals of coordinate i over its path from a to x: the leg rule
-    of `_leg_nodes`, with two changes that keep its digits next to a turning
+    (`_leg_rule`), with two changes that keep its digits next to a turning
     point.  h_i is taken as prod(t - r) quot(t) / den(t) over the real roots
     r of its numerator (`turns`), each factor as (c - r) +/- s^2, where
     sum_j alpha_j u_ij(t) has lost its relative digits to cancellation.  And
@@ -602,10 +607,8 @@ def staeckel_billiard_trajectory(metric: StaeckelMetric, walls, q0, p0,
                for i in range(n) for si in (1.0, -1.0)):
         raise InvalidParameters("every coordinate turns inside the walls")
 
-    t_total = 0.0
-    bounce_times = []
+    t_total, bounce_times, corner_hits = 0.0, [], 0
     states = [(0.0, q.copy(), p.copy())]
-    corner_hits = 0
     while len(bounce_times) < bounces:
         e, at_wall = map(np.array, zip(*map(_next_end, q, s, walls, turns)))
         q, dt = _flight(metric, alpha0, turns, q, s, e)
@@ -714,12 +717,8 @@ def induced_metric_on_face(metric: StaeckelMetric, i: int, c: float) -> Staeckel
     num = metric.num[keep]
     num = (num - num[:, [k]] * (row_c / row_c[k])[:, None])[:, cols]
     rows = list(zip(num, metric.den[keep, 0]))
-    amb = None
-    if metric.ambient is not None:
-        def amb(qface, _i=i, _c=c):
-            qfull = list(qface)
-            qfull.insert(_i, _c)
-            return metric.ambient(np.asarray(qfull))
+    amb = None if metric.ambient is None else \
+        (lambda qface: metric.ambient(np.insert(np.asarray(qface, dtype=float), i, c)))
     return StaeckelMetric(n - 1, rows, [metric.box[j] for j in keep],
                           name=f"{metric.name}|q{i}={c}",
                           ambient=amb, ambient_geometry=metric.ambient_geometry)

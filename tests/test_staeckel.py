@@ -314,7 +314,8 @@ def test_stacked_leg_rule_matches_per_leg(k, start, span, free, turn):
         size = np.abs(u) @ np.abs(alpha)
         alpha[j] -= (u @ alpha) / u[j]
         assert abs(u @ alpha) <= 1e-12 * size
-    Q, J = staeckel._leg_integrals(*staeckel._leg_nodes(m, lo, hi), alpha)
+    w, q = staeckel._leg_rule(lo, hi)
+    Q, J = staeckel._leg_integrals(w, m.matrix(q), alpha)
     Q_ref, J_ref = _per_leg_quadratures(m, lo, hi, alpha)
     assert np.max(np.abs(Q - Q_ref)) <= 1e-13 * np.max(np.abs(Q_ref))
     assert np.max(np.abs(J - J_ref)) <= 1e-13 * np.max(np.abs(J_ref))
@@ -334,6 +335,232 @@ def test_geodesic_matches_a_solve_on_the_per_leg_rule(name, monkeypatch):
         ref = geodesic_between(m, c0, c1)
         assert abs(sol["length"] - ref["length"]) <= 1e-13 * ref["length"]
         assert np.max(np.abs(sol["alpha"] - ref["alpha"])) <= 1e-13 * np.max(np.abs(ref["alpha"]))
+
+
+# ---------------------------------------------------------------------------
+# the separation solver's Newton loop on Python floats, against the numpy loop
+# it replaced, kept here as the oracle
+
+
+def _numpy_geodesic(metric, c0, c1):
+    """geodesic_between with its Newton loop on numpy arrays (one numpy call
+    per operation, M evaluated at the nodes and at the scan separately),
+    for corners that differ in every coordinate; returns alpha and the
+    length, or raises as it did."""
+    n = metric.n
+    c0, c1 = np.asarray(c0, dtype=float), np.asarray(c1, dtype=float)
+    lo, hi = np.minimum(c0, c1), np.maximum(c0, c1)
+    qm = 0.5 * (c0 + c1)
+    Minv = _inverse(metric.matrix(qm), qm)
+    alpha = 0.5 * Minv.dot((1.0 / Minv[0] * (c1 - c0)) ** 2)
+    if alpha[0] <= 0:
+        raise SolverDiverged("chord guess has nonpositive energy")
+    alpha = np.concatenate([[0.5], alpha[1:] * (0.5 / alpha[0])])
+    smax = np.sqrt(0.5 * (hi - lo))
+    s = 0.5 * smax * (staeckel._GL_NODES[:, None] + 1.0)
+    w = np.tile(smax * s * staeckel._GL_WEIGHTS[:, None], (2, 1)).ravel()
+    U = metric.matrix(np.concatenate([lo + s * s, hi - s * s])).reshape(-1, n)
+    M_scan = metric.matrix(np.linspace(lo, hi, 64))
+
+    def leg_integrals(alpha):
+        h = np.maximum(2.0 * (U @ alpha), staeckel._H_FLOOR)
+        f = w / np.sqrt(h)
+        return f @ U, -(U.T * (f / h)) @ U
+
+    def fail(why=None):
+        if np.min(M_scan @ alpha) < 0.0:
+            raise NoMonotoneDiagonal("no monotone diagonal: h_i turns negative inside a leg")
+        if why:
+            raise SolverDiverged(why)
+
+    Q, J = leg_integrals(alpha)
+    step = np.zeros(n)
+    for _ in range(60):
+        try:
+            step[1:] = np.dot(staeckel._cofactor_inverse(J[1:, 1:].tolist()), -Q[1:])
+        except ZeroDivisionError as exc:
+            raise SolverDiverged("singular quadrature Jacobian") from exc
+        if not np.all(np.isfinite(step)):
+            break
+        for lam in 0.5 ** np.arange(30):
+            an = alpha + lam * step
+            if np.array_equal(an, alpha):
+                break
+            Qn, Jn = leg_integrals(an)
+            if np.linalg.norm(Qn[1:]) < np.linalg.norm(Q[1:]):
+                break
+            if lam == 1.0:
+                fail()
+        else:
+            fail("line search failed in separation solver")
+        if np.array_equal(an, alpha):
+            break
+        alpha, Q, J = an, Qn, Jn
+    resid = float(np.max(np.abs(Q[1:]), initial=0.0))
+    if resid > 1e-9:
+        fail(f"separation residual {resid} > 1e-09")
+    h = 2.0 * (M_scan @ alpha)
+    if np.min(h) < -1e-12:
+        raise NoMonotoneDiagonal(f"h_{np.argmin(np.min(h, axis=0))} vanishes inside the leg")
+    for k, i in np.argwhere(np.abs(h[[0, -1]]) < 1e-12):
+        end = (lo, hi)[k][i]
+        if abs(2.0 * (metric.row_deriv(i, end) @ alpha)) < 1e-10:
+            raise NoMonotoneDiagonal(f"h_{i} has a double root at the endpoint {end}")
+    return alpha, float(abs(Q[0]))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_float_newton_matches_the_numpy_newton(name):
+    """800 random boxes per builtin, 200 at each max_span: each is solved or
+    refused as by the numpy loop, with the same exception type; the length
+    and alpha agree to 1e-13 relative."""
+    m = _metric(name)
+    rng = np.random.default_rng([50, ALL_NAMES.index(name)])
+    solved = 0
+    for span in (0.1, 0.3, 0.6, 0.9):
+        for _ in range(200):
+            box = m.random_box(rng, span)
+            c0, c1 = [b[0] for b in box], [b[1] for b in box]
+            try:
+                ref = _numpy_geodesic(m, c0, c1)
+            except (NoMonotoneDiagonal, SolverDiverged) as exc:
+                with pytest.raises(type(exc)):
+                    geodesic_between(m, c0, c1)
+                continue
+            sol = geodesic_between(m, c0, c1)
+            solved += 1
+            assert abs(sol["length"] - ref[1]) <= 1e-13 * ref[1], box
+            assert np.max(np.abs(sol["alpha"] - ref[0])) <= 1e-13 * np.max(np.abs(ref[0])), box
+    assert solved >= 200
+
+
+# a Stackel metric of dimension 4, rows (t^3, t^2, t, 1) / 4 prod(a - t):
+# its inverse takes the LAPACK path
+_POLES4 = (5.0, 4.0, 2.0, 1.0)
+METRIC4 = StaeckelMetric(4, [(np.eye(4), -4.0 * np.poly(_POLES4))] * 4,
+                         [(4.1, 4.9), (2.1, 3.9), (1.1, 1.9), (0.1, 0.9)], name="vandermonde4")
+
+
+@pytest.mark.parametrize("m", [_metric(name) for name in ALL_NAMES] + [
+    induced_metric_on_face(builtin_metric("elliptic_R2", (4.0, 1.0)), 0, 2.5), METRIC4],
+    ids=ALL_NAMES + ["face_n1", "vandermonde_n4"])
+def test_single_point_alpha_matches_the_array_formula(m):
+    """One point's alpha and H, float sums over the kept M^{-1}, against
+    (1/2) M^{-1} p^2 by numpy on the same M^{-1}: within 4 eps of the sum
+    of the terms' magnitudes; g is bitwise 1 / (M^{-1})_0i."""
+    rng = np.random.default_rng(51)
+    eps = np.finfo(float).eps
+    for _ in range(2000):
+        q, p = _random_q(m, rng), rng.normal(size=m.n)
+        Minv = _inverse(m.matrix(q), q)
+        ref, size = 0.5 * Minv.dot(p * p), 0.5 * np.abs(Minv).dot(p * p)
+        alpha = integrals_alpha(m, q, p)
+        assert np.all(np.abs(alpha - ref) <= 4.0 * eps * size)
+        assert abs(hamiltonian(m, q, p) - ref[0]) <= 4.0 * eps * size[0]
+        assert np.array_equal(metric_coeffs(m, q), 1.0 / Minv[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_geodesic_refuses_a_non_finite_corner(bad):
+    # refused as the corner it is, before any M is evaluated (once blamed
+    # on a singular M at the midpoint)
+    m = _metric("elliptic_R2")
+    for c0, c1, which in (([2.2, bad], [2.9, 0.8], "corner0"),
+                          ([2.2, 0.4], [bad, 0.8], "corner1"),
+                          ([bad, 0.4], [bad, 0.4], "corner0")):
+        with pytest.raises(InvalidParameters, match=f"{which} has a non-finite coordinate"):
+            geodesic_between(m, c0, c1)
+    with pytest.raises(InvalidParameters, match="corner1 has a non-finite coordinate"):
+        ivory_check(m, [(2.2, 2.9), (0.4, bad)])
+
+
+@pytest.mark.parametrize("box", [[[2.2, 2.9, 3.0], (0.4, 0.8)], [(2.2, 2.9)],
+                                 [(2.2, 2.9), (0.4, 0.8), (0.1, 0.2)], [(2.2,), (0.4, 0.8)],
+                                 [2.2, (0.4, 0.8)]])
+def test_ivory_check_refuses_a_malformed_box(box):
+    with pytest.raises(InvalidParameters, match=r"box needs 2 pairs \(lo, hi\)"):
+        ivory_check(_metric("elliptic_R2"), box)
+
+
+# refusals of the separation solver that no real box reaches in the tests:
+# _leg_integrals is replaced by Q and J given as functions of alpha
+
+
+def _patched_legs(monkeypatch, Q, J):
+    calls = []
+
+    def legs(w, M, alpha):
+        calls.append(1)
+        return np.array(Q(alpha), dtype=float), np.array(J(alpha), dtype=float)
+
+    monkeypatch.setattr(staeckel, "_leg_integrals", legs)
+    return calls
+
+
+SOLVED_BOXES = [("elliptic_R2", [2.2, 0.4], [2.9, 0.8]),
+                ("ellipsoidal_R3", [2.5, 1.3, 0.2], [2.9, 1.6, 0.5])]
+
+
+@pytest.mark.parametrize("name, c0, c1", SOLVED_BOXES, ids=["n2", "n3"])
+def test_geodesic_refuses_a_singular_quadrature_jacobian(name, c0, c1, monkeypatch):
+    m = _metric(name)
+    _patched_legs(monkeypatch, lambda a: np.ones(m.n), lambda a: np.zeros((m.n, m.n)))
+    with pytest.raises(SolverDiverged, match="^singular quadrature Jacobian$"):
+        geodesic_between(m, c0, c1)
+
+
+def test_geodesic_stops_at_a_non_finite_step(monkeypatch):
+    # J_11 = 1e-310 makes the step -inf: the loop stops before a line search
+    # and the residual, still 1, fails the gate
+    m = _metric("elliptic_R2")
+    calls = _patched_legs(monkeypatch, lambda a: [1.0, 1.0], lambda a: [[1.0, 0.0], [0.0, 1e-310]])
+    with pytest.raises(SolverDiverged, match=r"^separation residual 1\.0 > 1e-09$"):
+        geodesic_between(m, [2.2, 0.4], [2.9, 0.8])
+    assert len(calls) == 1
+
+
+def test_geodesic_refuses_when_the_line_search_fails(monkeypatch):
+    # a residual that no step lowers: the full step and 29 halvings
+    m = _metric("elliptic_R2")
+    calls = _patched_legs(monkeypatch, lambda a: [1.0, 1.0], lambda a: np.eye(2))
+    with pytest.raises(SolverDiverged, match="^line search failed in separation solver$"):
+        geodesic_between(m, [2.2, 0.4], [2.9, 0.8])
+    assert len(calls) == 31
+
+
+def test_geodesic_residual_gate(monkeypatch):
+    m = _metric("elliptic_R2")
+    c0, c1 = [2.2, 0.4], [2.9, 0.8]
+    # a step too small to move alpha, the residual left at 1e-6
+    _patched_legs(monkeypatch, lambda a: [1.0, 1e-6], lambda a: [[1.0, 0.0], [0.0, 1e30]])
+    with pytest.raises(SolverDiverged, match=r"^separation residual 1e-06 > 1e-09$"):
+        geodesic_between(m, c0, c1)
+    # steps of a thousandth of Newton's, each taken in full: after the 60
+    # allowed the residual is still 0.999^60 of the first
+    resid = []
+    calls = _patched_legs(monkeypatch, lambda a: resid.append(a[1] - 1.0) or [1.0, resid[-1]],
+                          lambda a: [[1.0, 0.0], [0.0, 1e3]])
+    with pytest.raises(SolverDiverged, match=r"^separation residual [0-9.]+ > 1e-09$") as err:
+        geodesic_between(m, c0, c1)
+    assert len(calls) == 61 and str(err.value).split()[2] == str(abs(resid[-1]))
+    assert abs(resid[-1]) == pytest.approx(0.999 ** 60 * abs(resid[0]), rel=1e-12)
+
+
+# M = [[1, -1], [2 t^2 - 1/2, 1]]: at alpha = (1/2, a), h_0 = 1 - 2a and
+# h_1(t) = 2 t^2 - 1/2 + 2a, whose double root at t = 0 is the corner q_1 = 0
+# when a = 1/4; a Newton that converges to a = alpha_1 in two steps
+_DOUBLE_ROOT = StaeckelMetric(2, [([[1.0], [-1.0]], [1.0]), ([[2.0, 0.0, -0.5], [1.0]], [1.0])],
+                              [(0.0, 1.0), (0.0, 1.0)])
+
+
+@pytest.mark.parametrize("a, message", [
+    (0.2, "^h_1 vanishes inside the leg$"),
+    (0.25, r"^h_1 has a double root at the endpoint 0\.0$"),
+])
+def test_geodesic_refuses_h_negative_or_a_double_root(a, message, monkeypatch):
+    _patched_legs(monkeypatch, lambda al: [1.0, al[1] - a], lambda al: np.eye(2))
+    with pytest.raises(NoMonotoneDiagonal, match=message):
+        geodesic_between(_DOUBLE_ROOT, [0.2, 0.0], [0.8, 0.5])
 
 
 def test_geodesic_degenerate():
@@ -612,8 +839,8 @@ def test_kept_inverse_is_bitwise_a_fresh_one(fresh):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_stencil_takes_one_inverse_per_position(name, monkeypatch):
     calls = []
-    inverse = staeckel._inverse
-    monkeypatch.setattr(staeckel, "_inverse", lambda M, q: calls.append(1) or inverse(M, q))
+    inverse = staeckel._inverse_rows
+    monkeypatch.setattr(staeckel, "_inverse_rows", lambda M, q: calls.append(1) or inverse(M, q))
     rng = np.random.default_rng(48)
     m = _metric(name)
     for _ in range(3):
@@ -671,7 +898,11 @@ def test_returned_arrays_are_new():
     first = _point_calls(m, q, p)
     for out in first[:2]:
         out[:] = 7.0
-    assert all(not Minv.flags.writeable for Minv in m._memo.values())
+    # the kept inverses are tuples of row tuples, which nothing can change
+    for Minv in m._memo.values():
+        assert type(Minv) is tuple and all(type(row) is tuple for row in Minv)
+        with pytest.raises(TypeError):
+            Minv[0][0] = 7.0
     again, fresh = _point_calls(m, q, p), _point_calls(_metric("sphere_conical"), q, p)
     assert all(np.array_equal(a, b) for a, b in zip(again, fresh))
 
@@ -718,7 +949,7 @@ def test_billiard_alpha_conservation():
     # separation consistency p_i^2 = h_i(q_i, alpha) at the final state
     al = out["alpha_end"]
     for i in range(2):
-        assert abs(out["p"][i] ** 2 - m.h(i, out["q"][i], al)) < 1e-10
+        assert abs(out["p"][i] ** 2 - 2.0 * (m.row(i, out["q"][i]) @ al)) < 1e-10
     assert np.all(np.diff(out["bounce_times"]) > 1e-4)
 
 
