@@ -59,17 +59,9 @@ class OrientedLine:
         object.__setattr__(self, "cs", (math.cos(alpha), math.sin(alpha)))
 
     @property
-    def direction(self) -> np.ndarray:
-        return np.array(self.cs)
-
-    @property
     def normal(self) -> np.ndarray:
         c, s = self.cs
         return np.array((-s, c))
-
-    @property
-    def foot(self) -> np.ndarray:
-        return self.point_at(0.0)
 
     def _at(self, t: float) -> tuple:
         c, s = self.cs
@@ -169,10 +161,6 @@ def _reflected(family: ConfocalFamily, lam: float, point, direction) -> tuple:
     dx, dy = float(direction[0]), float(direction[1])
     k = 2.0 * (dx * nx + dy * ny)
     return dx - k * nx, dy - k * ny
-
-
-def reflect_direction(family: ConfocalFamily, lam: float, point, direction) -> np.ndarray:
-    return np.array(_reflected(family, lam, point, direction))
 
 
 def reflect(family: ConfocalFamily, lam: float, line: OrientedLine, branch="exit"):
@@ -477,12 +465,6 @@ class CausticChart:
         mc = self.B / self.A
         return math.sqrt(self.A) * (_ellipe(th1 - 0.5 * math.pi, mc)
                                     - _ellipe(th0 - 0.5 * math.pi, mc))
-
-
-def canonical_coordinate(family: ConfocalFamily, lam_c: float,
-                         line: OrientedLine, tol: float = 1e-8) -> float:
-    """Canonical coordinate of the tangency point of a line on its caustic."""
-    return CausticChart(family, lam_c).coordinate_of_line(line, tol)
 
 
 def circ_diff(x: float, y: float) -> float:

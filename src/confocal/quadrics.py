@@ -106,14 +106,6 @@ class EllipticCoords:
     degenerate: tuple = field(default=())
 
 
-def confocal_equation(family: ConfocalFamily, lam, point):
-    """Left side minus right side of the secular equation; zero when the
-    lam-member passes through the point."""
-    x = check_on_model(family.geometry, point)
-    rhs = 1.0 if family.geometry.kind is Kind.EUCLIDEAN else 0.0
-    return np.sum(family.geometry.eta * x * x / np.subtract(family.poles, lam)) - rhs
-
-
 def confocal_parameters(family: ConfocalFamily, point, strict: bool = False) -> EllipticCoords:
     """Elliptic coordinates of a point: the n confocal parameters through it.
 
@@ -210,12 +202,6 @@ def point_from_parameters(family: ConfocalFamily, coords: EllipticCoords | tuple
     return x
 
 
-def confocal_gradient(family: ConfocalFamily, lam: float, point) -> np.ndarray:
-    """Ambient gradient 2 J_j x_j / (D_j - lam) of the secular sum of the
-    lam-member at a point."""
-    return 2.0 * family.geometry.eta * np.asarray(point, float) / np.subtract(family.poles, lam)
-
-
 def tangent_parameters_of_line(family: ConfocalFamily, base_point, direction):
     """Parameters of the n-1 confocal quadrics tangent to a Euclidean line.
 
@@ -273,26 +259,3 @@ def ivory_parallelepiped_check(family: ConfocalFamily, intervals, signs=None,
     return {"vertices": dict(zip(bits, points)), "diagonals": diagonals, "spread": spread,
             "passed": spread < tol}
 
-
-def random_interior_point(family: ConfocalFamily, rng) -> np.ndarray:
-    """A generic model point with all coordinates bounded away from zero."""
-    geo = family.geometry
-    if geo.kind is Kind.EUCLIDEAN:
-        while True:
-            x = rng.uniform(0.15, 1.0, size=family.n) * rng.choice([-1.0, 1.0], size=family.n)
-            x *= np.sqrt(np.asarray(family.a)) * rng.uniform(0.3, 0.95)
-            if np.min(np.abs(x)) > 1e-3:
-                return x
-    while True:
-        v = rng.normal(size=geo.ambient_dim)
-        if geo.kind is Kind.SPHERICAL:
-            x = v / np.linalg.norm(v)
-            x[0] = abs(x[0])
-        else:
-            v[0] = 0.0
-            v = 0.7 * v / max(1.0, np.linalg.norm(v))
-            x = np.empty(geo.ambient_dim)
-            x[1:] = v[1:]
-            x[0] = np.sqrt(1.0 + v[1:] @ v[1:])
-        if np.min(np.abs(x)) > 5e-2:
-            return x

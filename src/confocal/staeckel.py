@@ -5,7 +5,7 @@ row i depends only on q_i.  Each row is stored as data, u_i(t) = num_i(t)
 / den_i(t): its n numerators (one per column) and its denominator, high to
 low degree as in np.polyval, in one table (and one of derivatives) for one
 Horner pass.  M^{-1} is the adjugate over the determinant for n <= 3 (LAPACK
-beyond), on Python floats, one point at a time: a stack's point by point.
+beyond), on Python floats, at one point: g, alpha and H take one point q.
 A metric keeps its last few single-point inverses as tuples of rows, keyed
 by q's float64 bytes, for a finite-difference stencil (2n+1 positions in
 4n^2 calls); one point's alpha and H are float sums over a kept M^{-1}.
@@ -95,16 +95,16 @@ class StaeckelMetric:
         self._memo = {}   # q.tobytes() -> M^{-1}(q) as row tuples, see _inverse_at
 
     def _coords(self, q) -> np.ndarray:
-        """q as float64, refused unless its last axis holds n coordinates."""
+        """q as float64, refused unless it is one point of n coordinates."""
         q = np.asarray(q, dtype=float)
-        if q.shape[-1:] != (self.n,):
+        if q.shape != (self.n,):
             raise InvalidParameters(f"q needs {self.n} coordinates, got shape {q.shape}")
         return q
 
     def _entries(self, t, i=slice(None), deriv=False):
         """Entries of row(s) i at t (columns on the last axis) or, with
         deriv, their t-derivatives by the quotient rule."""
-        with np.errstate(invalid="ignore"):   # t = +/-inf: NaN, refused by _inverse
+        with np.errstate(invalid="ignore"):   # t = +/-inf: NaN, refused by _inverse_rows
             P = _polyval(self.table[i], t)
         u = P[..., :-1] / P[..., -1:]
         if not deriv:
@@ -113,11 +113,9 @@ class StaeckelMetric:
         return (dP[..., :-1] - u * dP[..., -1:]) / P[..., -1:]
 
     def _row(self, i: int, t, deriv=False):
-        """`_entries` of row i; at one t, the same steps on Python floats,
-        as a list; where den_i(t) = 0, the stacked +/-inf or NaN as a list."""
-        if not isinstance(t, float):
-            return self._entries(np.asarray(t, dtype=float)[..., None], i, deriv)
-        t = float(t)   # np.float64 too
+        """`_entries` of row i at one t, the same steps on Python floats, as
+        a list; where den_i(t) = 0, the stacked +/-inf or NaN as a list."""
+        t = float(t)
         P = [_polyval(c, t) for c in self._lists[i][0]]
         if P[-1] == 0.0:
             return self._entries(np.array([t]), i, deriv).tolist()
@@ -129,27 +127,17 @@ class StaeckelMetric:
 
     def matrix(self, q) -> np.ndarray:
         """M(q), or one M per point of a stack q[..., n]; a point is bitwise the same, on floats."""
-        q = self._coords(q)
-        if q.ndim == 1:
-            return np.array([self._row(i, t) for i, t in enumerate(q.tolist())])
-        return self._entries(q[..., None])
+        q = np.asarray(q, dtype=float)
+        if q.ndim > 1 and q.shape[-1] == self.n:
+            return self._entries(q[..., None])
+        return np.array([self._row(i, t) for i, t in enumerate(self._coords(q).tolist())])
 
     def row(self, i: int, qi) -> np.ndarray:
-        """Row i at q_i; for an array of q_i the columns go last."""
+        """Row i at one q_i."""
         return np.asarray(self._row(i, qi))
 
     def row_deriv(self, i: int, qi) -> np.ndarray:
         return np.asarray(self._row(i, qi, deriv=True))
-
-    def random_box(self, rng, max_span: float = 0.4):
-        """A random coordinate sub-box of the metric's box (moderate spans,
-        so that chord initial guesses stay in the convergence basin)."""
-        out = []
-        for lo, hi in self.box:
-            span = rng.uniform(0.1, max_span) * (hi - lo)
-            a = rng.uniform(lo, hi - span)
-            out.append((a, a + span))
-        return out
 
 
 @dataclass(frozen=True)
@@ -222,14 +210,6 @@ def _inverse_rows(M: list, q) -> tuple:
     return tuple([tuple([x / s for x in row]) for row, s in zip(Minv, scale)])
 
 
-def _inverse(M: np.ndarray, q) -> np.ndarray:
-    """`_inverse_rows` of M, or of each matrix of a stack M[..., n, n] in C
-    order, refused at the first that is singular."""
-    n = M.shape[-1]
-    return np.array([_inverse_rows(Mk, qk) for Mk, qk in
-                     zip(M.reshape(-1, n, n).tolist(), np.reshape(q, (-1, n)))]).reshape(M.shape)
-
-
 def _inverse_at(metric: StaeckelMetric, q: np.ndarray) -> tuple:
     """`_inverse_rows` at one point q, kept in the metric's memo unless refused."""
     memo, key = metric._memo, q.tobytes()
@@ -243,33 +223,28 @@ def _inverse_at(metric: StaeckelMetric, q: np.ndarray) -> tuple:
 
 
 def metric_coeffs(metric: StaeckelMetric, q) -> np.ndarray:
-    """g_i(q), or one row per point of a stack q[..., n]."""
-    q = metric._coords(q)
-    Minv = _inverse(metric.matrix(q), q) if q.ndim > 1 else np.array(_inverse_at(metric, q))
-    return 1.0 / Minv[..., 0, :]
+    """g_i(q) at one point q."""
+    return 1.0 / np.array(_inverse_at(metric, metric._coords(q))[0])
 
 
-def _alpha(metric: StaeckelMetric, q, p, rows=slice(None)):
-    """alpha(q, p), one row per point of stacks q, p[..., n]; at one point
-    a list of its `rows`, on Python floats from the kept M^{-1}(q)."""
+def _alpha(metric: StaeckelMetric, q, p, rows=slice(None)) -> list:
+    """The `rows` of alpha(q, p) at one point, on Python floats from the
+    kept M^{-1}(q)."""
     q, p = metric._coords(q), np.asarray(p, dtype=float)
     if p.shape != q.shape:
         raise InvalidParameters(f"p has shape {p.shape}, q has shape {q.shape}")
-    if q.ndim > 1:
-        return 0.5 * (_inverse(metric.matrix(q), q) @ (p * p)[..., None])[..., 0]
     p2 = [x * x for x in p.tolist()]
     return [0.5 * sum(map(mul, row, p2)) for row in _inverse_at(metric, q)[rows]]
 
 
 def integrals_alpha(metric: StaeckelMetric, q, p) -> np.ndarray:
-    """alpha(q, p), or one row per point of stacks q, p[..., n]."""
-    return np.asarray(_alpha(metric, q, p))
+    """alpha(q, p) at one point."""
+    return np.array(_alpha(metric, q, p))
 
 
-def hamiltonian(metric: StaeckelMetric, q, p):
-    """H(q, p) = alpha_0, a float, or an array for stacks q, p[..., n]."""
-    alpha = _alpha(metric, q, p, slice(1))
-    return alpha[0] if isinstance(alpha, list) else alpha[..., 0]
+def hamiltonian(metric: StaeckelMetric, q, p) -> float:
+    """H(q, p) = alpha_0 at one point."""
+    return _alpha(metric, q, p, slice(1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +358,10 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
         if an == alpha:
             break
         alpha, Q, J = an, Qn, Jn
-    resid = max(map(abs, Q[1:]), default=0.0)
-    if resid > _RESIDUAL_GATE:
+    # the max keeps a NaN (Python's skips one that is not first), which
+    # then fails the gate
+    resid = max(map(abs, Q[1:]), key=lambda x: (x != x, x), default=0.0)
+    if not resid <= _RESIDUAL_GATE:
         fail(f"separation residual {resid} > {_RESIDUAL_GATE}")
     alpha = np.array(alpha)
     h = 2.0 * (U_scan @ alpha)
@@ -401,20 +378,19 @@ def geodesic_between(metric: StaeckelMetric, corner0, corner1) -> dict:
 
 
 def ivory_check(metric: StaeckelMetric, box) -> dict:
-    """Separation constants and lengths of the 2^(n-1) great diagonals of
-    the box, and the spread of the lengths.
+    """Lengths of the 2^(n-1) great diagonals of the box, and their spread.
 
     One boundary-value problem serves every diagonal.  The separated
     quadratures see a diagonal only through the intervals [lo_i, hi_i],
     not through the corner it starts from, so all great diagonals share
     alpha and the length: Ivory's lemma in Stackel form.  Each diagonal
-    still gets its own entry in `lengths` and `alphas`.
+    still gets its own entry in `lengths`; their alpha is
+    `geodesic_between`'s.
     """
     if len(box) != metric.n or any(np.shape(b) != (2,) for b in box):
         raise InvalidParameters(f"box needs {metric.n} pairs (lo, hi), got {box}")
     sol = geodesic_between(metric, [b[0] for b in box], [b[1] for b in box])
-    k = 2 ** (metric.n - 1)
-    return {"lengths": [sol["length"]] * k, "alphas": [sol["alpha"]] * k,
+    return {"lengths": [sol["length"]] * 2 ** (metric.n - 1),
             "spread": 0.0}    # the lengths are one number
 
 

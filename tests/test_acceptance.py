@@ -23,11 +23,7 @@ from confocal.billiards import (
     reflect,
 )
 from confocal.cli import load_config, main
-from confocal.errors import (
-    NoIntersection,
-    NoMonotoneDiagonal,
-    SolverDiverged,
-)
+from confocal.errors import NoIntersection
 from confocal.geometry import euclidean, geodesic_distance, hyperbolic, spherical
 from confocal.potentials import (
     CurvedEllipsoid,
@@ -47,13 +43,12 @@ from confocal.potentials import (
 from confocal.quadrics import ConfocalFamily
 from confocal.staeckel import (
     builtin_metric,
-    geodesic_between,
     hamiltonian,
     ivory_check,
     metric_coeffs,
     staeckel_billiard_trajectory,
 )
-from test_staeckel import poisson_brackets
+from helpers import poisson_brackets, solved_random_box
 
 FAM = ConfocalFamily(euclidean(2), (4.0, 1.0))
 ALL_METRICS = {
@@ -68,18 +63,6 @@ ALL_METRICS = {
 def _verdict(num: int, label: str, ok: bool):
     print(f"criterion {num:02d} ({label}): {'PASS' if ok else 'FAIL'}")
     assert ok
-
-
-def _solved_random_box(metric, rng, max_span=0.4, max_tries=50):
-    for _ in range(max_tries):
-        box = metric.random_box(rng, max_span=max_span)
-        c0 = np.array([b[0] for b in box])
-        c1 = np.array([b[1] for b in box])
-        try:
-            return box, c0, c1, geodesic_between(metric, c0, c1)
-        except (NoMonotoneDiagonal, SolverDiverged):
-            continue
-    raise AssertionError("no admissible random box found")
 
 
 def test_criterion_01_planar_ivory():
@@ -172,12 +155,12 @@ def test_criterion_06_staeckel_geodesic_oracles():
     ok = True
     m = ALL_METRICS["elliptic_R2"]
     for _ in range(100):
-        _, c0, c1, sol = _solved_random_box(m, rng)
+        _, c0, c1, sol = solved_random_box(m, rng)
         d = np.linalg.norm(m.ambient(c1) - m.ambient(c0))
         ok &= abs(sol["length"] - d) < 1e-8
     m = ALL_METRICS["sphere_conical"]
     for _ in range(100):
-        _, c0, c1, sol = _solved_random_box(m, rng, max_span=0.3)
+        _, c0, c1, sol = solved_random_box(m, rng, max_span=0.3)
         d = geodesic_distance(m.ambient_geometry, m.ambient(c0), m.ambient(c1))
         ok &= abs(sol["length"] - d) < 1e-8
     _verdict(6, "Staeckel geodesic oracles", ok)
@@ -189,7 +172,7 @@ def test_criterion_07_staeckel_ivory():
     for name, m in ALL_METRICS.items():
         max_span = 0.3 if m.n == 3 else 0.4
         for _ in range(50):
-            box, _, _, _ = _solved_random_box(m, rng, max_span=max_span)
+            box, _, _, _ = solved_random_box(m, rng, max_span=max_span)
             res = ivory_check(m, box)
             ok &= res["spread"] < 1e-8
             ok &= len(res["lengths"]) == 2 ** (m.n - 1)
