@@ -7,12 +7,10 @@ failures mark the criterion failed.
 import json
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from confocal.billiards import (
     CausticChart,
-    OrientedLine,
     circ_diff,
     circumscribed_check,
     four_periodic_family,
@@ -22,7 +20,7 @@ from confocal.billiards import (
     poncelet_polygon,
     reflect,
 )
-from confocal.cli import load_config, main
+from confocal.cli import main
 from confocal.errors import NoIntersection
 from confocal.geometry import euclidean, geodesic_distance, hyperbolic, spherical
 from confocal.potentials import (
