@@ -4,11 +4,10 @@ A Stackel metric on a coordinate box is given by an n x n matrix M(q) whose
 row i depends only on q_i.  Each row is stored as data, u_i(t) = num_i(t)
 / den_i(t): its n numerators (one per column) and its denominator, high to
 low degree as in np.polyval, in one table (and one of derivatives) for one
-Horner pass.  M^{-1} is the adjugate over the determinant for n <= 3 (LAPACK
-beyond), on Python floats, at one point: g, alpha and H take one point q.
-A metric keeps its last few single-point inverses as tuples of rows, keyed
-by q's float64 bytes, for a finite-difference stencil (2n+1 positions in
-4n^2 calls); one point's alpha and H are float sums over a kept M^{-1}.
+Horner pass.  g, alpha and H take one point q, on Python floats: M^{-1} is
+the adjugate over the determinant, unrolled for n = 2 and 3 (LAPACK beyond),
+and a metric keeps its last few as tuples of rows, keyed by q's float64
+bytes, for a finite-difference stencil (2n+1 positions in 4n^2 calls).
 
 Everything follows from M^{-1} (indices from 0):
 
@@ -46,7 +45,7 @@ from .geometry import Geometry, euclidean, jacobi_denominators, jacobi_squares, 
 # M is refused as singular when its condition number, after scaling each
 # column to unit max-norm, reaches 1/eps: a test that does not depend on
 # the scale of the metric's parameters or coordinates, as |det M| does
-_COND_MAX = 1.0 / np.finfo(float).eps
+_COND_MAX = 1.0 / math.ulp(1.0)
 # single-point inverses a metric keeps, first in first out: at least the
 # 2n+1 positions of a central-difference stencil
 _MEMO_SIZE = 16
@@ -115,8 +114,12 @@ class StaeckelMetric:
     def _row(self, i: int, t, deriv=False):
         """`_entries` of row i at one t, the same steps on Python floats, as
         a list; where den_i(t) = 0, the stacked +/-inf or NaN as a list."""
-        t = float(t)
-        P = [_polyval(c, t) for c in self._lists[i][0]]
+        t, P = float(t), []
+        for c in self._lists[i][0]:   # `_polyval`'s steps, without its calls
+            y = 0.0
+            for ck in c:
+                y = y * t + ck
+            P.append(y)
         if P[-1] == 0.0:
             return self._entries(np.array([t]), i, deriv).tolist()
         u = [x / P[-1] for x in P[:-1]]
@@ -129,15 +132,25 @@ class StaeckelMetric:
         """M(q), or one M per point of a stack q[..., n]; a point is bitwise the same, on floats."""
         q = np.asarray(q, dtype=float)
         if q.ndim > 1 and q.shape[-1] == self.n:
-            return self._entries(q[..., None])
+            # `_entries` with the points on the last axis (longer numpy steps),
+            # then one transpose
+            with np.errstate(invalid="ignore"):
+                P = _polyval(self.table[:, :, None], q.reshape(-1, self.n).T[:, None])
+            return (P[:, :-1] / P[:, -1:]).transpose(2, 0, 1).reshape(q.shape + (self.n,))
         return np.array([self._row(i, t) for i, t in enumerate(self._coords(q).tolist())])
+
+    def _coord(self, i: int, qi):
+        """q_i, refused unless it is one coordinate."""
+        if np.ndim(qi):
+            raise InvalidParameters(f"q_{i} must be one coordinate, got shape {np.shape(qi)}")
+        return qi
 
     def row(self, i: int, qi) -> np.ndarray:
         """Row i at one q_i."""
-        return np.asarray(self._row(i, qi))
+        return np.asarray(self._row(i, self._coord(i, qi)))
 
     def row_deriv(self, i: int, qi) -> np.ndarray:
-        return np.asarray(self._row(i, qi, deriv=True))
+        return np.asarray(self._row(i, self._coord(i, qi), deriv=True))
 
 
 @dataclass(frozen=True)
@@ -195,19 +208,46 @@ def _solve(A: list, b: list) -> list:
 def _inverse_rows(M: list, q) -> tuple:
     """M^{-1} of M as lists of Python floats by rows, as row tuples, by
     cofactors for n <= 3 (LAPACK beyond); SingularStaeckelMatrix if M is
-    singular, not finite, or its column-scaled 1-norm condition is >= 1/eps."""
-    scale = [max(map(abs, col)) or 1.0 for col in zip(*M)]
-    Ms = [list(map(truediv, row, scale)) for row in M]
-    norm = [sum(map(abs, col)) for col in zip(*Ms)]
-    try:
-        Minv = _cofactor_inverse(Ms) if len(Ms) <= 3 else np.linalg.inv(Ms).tolist()
-        norm_inv = [sum(map(abs, col)) for col in zip(*Minv)]
-    except (ZeroDivisionError, np.linalg.LinAlgError):
-        norm_inv = [np.inf]
-    # Python's max skips a NaN, which the sums keep
-    if not (max(norm) * max(norm_inv) < _COND_MAX and sum(norm) + sum(norm_inv) < np.inf):
-        raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {np.asarray(q)}")
-    return tuple([tuple([x / s for x in row]) for row, s in zip(Minv, scale)])
+    singular, not finite, or its column-scaled 1-norm condition is >= 1/eps.
+    n = 2 and 3 are unrolled on local floats, in the steps and order of the
+    lists of other n; a NaN, which Python's max may skip, fails the sums."""
+    if len(M) == 2:
+        (a, b), (c, d) = M
+        r, s = max(abs(a), abs(c)) or 1.0, max(abs(b), abs(d)) or 1.0   # column scales
+        a, c, b, d = a / r, c / r, b / s, d / s
+        if (det := a * d - b * c) != 0.0:
+            w, x, y, z = d / det, -b / det, -c / det, a / det
+            na, nb, ia, ib = abs(a) + abs(c), abs(b) + abs(d), abs(w) + abs(y), abs(x) + abs(z)
+            if max(na, nb) * max(ia, ib) < _COND_MAX and (na + nb) + (ia + ib) < math.inf:
+                return (w / r, x / r), (y / s, z / s)
+    elif len(M) == 3:
+        (a, b, c), (d, e, f), (g, h, k) = M
+        r, s, t = (max(abs(a), abs(d), abs(g)) or 1.0, max(abs(b), abs(e), abs(h)) or 1.0,
+                   max(abs(c), abs(f), abs(k)) or 1.0)
+        a, d, g, b, e, h, c, f, k = a / r, d / r, g / r, b / s, e / s, h / s, c / t, f / t, k / t
+        A, B, C = e * k - f * h, f * g - d * k, d * h - e * g   # cofactors, cyclic
+        D, E, F = h * c - k * b, k * a - g * c, g * b - h * a
+        G, H, K = b * f - c * e, c * d - a * f, a * e - b * d
+        if (det := a * A + b * B + c * C) != 0.0:
+            A, B, C, D, E, F, G, H, K = (A / det, B / det, C / det, D / det, E / det, F / det,
+                                         G / det, H / det, K / det)
+            na, nb, nc = abs(a) + abs(d) + abs(g), abs(b) + abs(e) + abs(h), abs(c) + abs(f) + abs(k)
+            ia, ib, ic = abs(A) + abs(B) + abs(C), abs(D) + abs(E) + abs(F), abs(G) + abs(H) + abs(K)
+            if max(na, nb, nc) * max(ia, ib, ic) < _COND_MAX and \
+                    (na + nb + nc) + (ia + ib + ic) < math.inf:
+                return (A / r, D / r, G / r), (B / s, E / s, H / s), (C / t, F / t, K / t)
+    else:
+        scale = [max(map(abs, col)) or 1.0 for col in zip(*M)]
+        Ms = [list(map(truediv, row, scale)) for row in M]
+        norm = [sum(map(abs, col)) for col in zip(*Ms)]
+        try:
+            Minv = _cofactor_inverse(Ms) if len(M) == 1 else np.linalg.inv(Ms).tolist()
+            norm_inv = [sum(map(abs, col)) for col in zip(*Minv)]
+        except (ZeroDivisionError, np.linalg.LinAlgError):
+            norm_inv = [math.inf]
+        if max(norm) * max(norm_inv) < _COND_MAX and sum(norm) + sum(norm_inv) < math.inf:
+            return tuple([tuple([x / s for x in row]) for row, s in zip(Minv, scale)])
+    raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {np.asarray(q)}")
 
 
 def _inverse_at(metric: StaeckelMetric, q: np.ndarray) -> tuple:
@@ -227,24 +267,24 @@ def metric_coeffs(metric: StaeckelMetric, q) -> np.ndarray:
     return 1.0 / np.array(_inverse_at(metric, metric._coords(q))[0])
 
 
-def _alpha(metric: StaeckelMetric, q, p, rows=slice(None)) -> list:
-    """The `rows` of alpha(q, p) at one point, on Python floats from the
-    kept M^{-1}(q)."""
+def _kept(metric: StaeckelMetric, q, p) -> tuple:
+    """The kept M^{-1}(q) and p squared, at one point on Python floats."""
     q, p = metric._coords(q), np.asarray(p, dtype=float)
     if p.shape != q.shape:
         raise InvalidParameters(f"p has shape {p.shape}, q has shape {q.shape}")
-    p2 = [x * x for x in p.tolist()]
-    return [0.5 * sum(map(mul, row, p2)) for row in _inverse_at(metric, q)[rows]]
+    return _inverse_at(metric, q), [x * x for x in p.tolist()]
 
 
 def integrals_alpha(metric: StaeckelMetric, q, p) -> np.ndarray:
     """alpha(q, p) at one point."""
-    return np.array(_alpha(metric, q, p))
+    Minv, p2 = _kept(metric, q, p)
+    return np.array([0.5 * sum(map(mul, row, p2)) for row in Minv])
 
 
 def hamiltonian(metric: StaeckelMetric, q, p) -> float:
     """H(q, p) = alpha_0 at one point."""
-    return _alpha(metric, q, p, slice(1))[0]
+    Minv, p2 = _kept(metric, q, p)
+    return 0.5 * sum(map(mul, Minv[0], p2))
 
 
 # ---------------------------------------------------------------------------

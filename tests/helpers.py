@@ -1,11 +1,12 @@
 """Seeded samplers and a finite-difference oracle that several test modules
-share.  The package itself never draws random points."""
+share, and the list kernel of a Stackel M^-1, the oracle of the package's
+unrolled one.  The package itself never draws random points."""
 
 import numpy as np
 
-from confocal.errors import NoMonotoneDiagonal, SolverDiverged
+from confocal.errors import NoMonotoneDiagonal, SingularStaeckelMatrix, SolverDiverged
 from confocal.geometry import Kind
-from confocal.staeckel import geodesic_between, hamiltonian, integrals_alpha
+from confocal.staeckel import _cofactor_inverse, geodesic_between, hamiltonian, integrals_alpha
 
 
 def random_interior_point(family, rng) -> np.ndarray:
@@ -78,3 +79,24 @@ def poisson_brackets(m, q, p, h):
         alpha = np.array([integrals_alpha(m, a, b) for a, b in zip(qs, ps)])
         out.append([np.sum(Hq * Ap - Hp * Aq) for Aq, Ap in map(grad, alpha.T[1:])])
     return np.array(out)
+
+
+def list_inverse_rows(M, q):
+    """M^-1 of M (lists of Python floats by rows) as row tuples, by list
+    passes over every size: the kernel that `staeckel._inverse_rows`
+    unrolls at n = 2 and 3, kept as its oracle.  Each column is scaled to
+    unit max-norm; SingularStaeckelMatrix if M is singular, not finite, or
+    its column-scaled 1-norm condition is >= 1/eps."""
+    scale = [max(map(abs, col)) or 1.0 for col in zip(*M)]
+    Ms = [[x / s for x, s in zip(row, scale)] for row in M]
+    norm = [sum(map(abs, col)) for col in zip(*Ms)]
+    try:
+        Minv = _cofactor_inverse(Ms) if len(Ms) <= 3 else np.linalg.inv(Ms).tolist()
+        norm_inv = [sum(map(abs, col)) for col in zip(*Minv)]
+    except (ZeroDivisionError, np.linalg.LinAlgError):
+        norm_inv = [np.inf]
+    # Python's max skips a NaN, which the sums keep
+    if not (max(norm) * max(norm_inv) < 1.0 / np.finfo(float).eps
+            and sum(norm) + sum(norm_inv) < np.inf):
+        raise SingularStaeckelMatrix(f"singular Stackel matrix at q = {np.asarray(q)}")
+    return tuple([tuple([x / s for x in row]) for row, s in zip(Minv, scale)])

@@ -33,7 +33,7 @@ from confocal.staeckel import (
     momentum,
     staeckel_billiard_trajectory,
 )
-from helpers import poisson_brackets, random_box, solved_random_box
+from helpers import list_inverse_rows, poisson_brackets, random_box, solved_random_box
 
 ALL_NAMES = ["elliptic_R2", "ellipsoidal_R3", "spheroconical_R3",
              "ellipsoid_intrinsic", "sphere_conical"]
@@ -898,6 +898,17 @@ def test_a_stack_of_points_is_refused(fn):
     assert m._memo == {}
 
 
+@pytest.mark.parametrize("qi", [[2.5, 3.0], np.array([2.5]), [[2.5]]])
+def test_row_refuses_a_coordinate_of_another_shape(qi):
+    # one q_i only, refused as the functions of one point refuse a q of
+    # another shape (a bare TypeError or a numpy DeprecationWarning before)
+    m = _metric("elliptic_R2")
+    for fn in (m.row, m.row_deriv):
+        with pytest.raises(InvalidParameters, match=r"q_0 must be one coordinate, got shape"):
+            fn(0, qi)
+    assert np.array_equal(m.row(0, np.float64(2.5)), m.row(0, 2.5))
+
+
 def test_momenta_of_another_shape_are_refused():
     m = _metric("ellipsoidal_R3")
     q = np.array([2.5, 1.5, 0.5])
@@ -1412,6 +1423,13 @@ ORACLE_METRICS = [_metric(name) for name in ALL_NAMES] + [
 ]
 
 
+# ellipsoidal coordinates of E^4 over the poles D: rows (t^3, t^2, t, 1) /
+# -4 prod(t - D)
+FOUR_POLES = (4.0, 3.0, 2.0, 1.0)
+FOUR = StaeckelMetric(4, [(np.eye(4), -4.0 * np.poly(FOUR_POLES))] * 4,
+                      [(3.1, 3.9), (2.1, 2.9), (1.1, 1.9), (0.0, 0.9)])
+
+
 def _assert_matches_cofactors(m, q, p):
     g = metric_coeffs(m, q)
     g_ref = _cofactor_metric_coeffs(m, q)
@@ -1483,14 +1501,84 @@ def test_inverse_matches_mpmath_near_walls(k, frac):
     assert err <= m.n * np.finfo(float).eps * kappa * np.max(np.abs(X))
 
 
+# the five builtins, a face (n = 1, a division) and FOUR (n = 4, LAPACK)
+KERNEL_METRICS = [_metric(name) for name in ALL_NAMES] + [
+    induced_metric_on_face(builtin_metric("ellipsoidal_R3", (4.0, 2.0, 1.0)), 2, 0.0), FOUR]
+# the builtins' poles (each a root of a denominator) and the non-finite values
+_ABSOLUTE = (4.0, 3.0, 2.0, 1.0, 0.8, 0.5, 0.2, 0.0, np.inf, -np.inf, np.nan)
+# one coordinate: a fraction of its box interval (near a wall, anywhere in
+# it, or outside it), or a pole or non-finite value moved by a few ulps
+_coordinate = st.one_of(
+    _fraction.map(lambda f: ("fraction", f)),
+    st.floats(-3.0, 4.0).map(lambda f: ("fraction", f)),
+    st.tuples(st.sampled_from(_ABSOLUTE), st.integers(-3, 3)).map(lambda v: ("ulps", v)))
+
+
+def _kernel_outcome(kernel, M, q):
+    """A kernel's M^-1 as its types and float64 bytes, or its refusal's type
+    and message."""
+    try:
+        Minv = kernel(M, q)
+    except SingularStaeckelMatrix as exc:
+        return type(exc), str(exc)
+    types = [type(Minv), *map(type, Minv), *(type(x) for row in Minv for x in row)]
+    return types, np.array(Minv).tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500)
+@given(k=st.integers(0, len(KERNEL_METRICS) - 1),
+       coords=st.lists(_coordinate, min_size=4, max_size=4),
+       tie=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
+def test_unrolled_inverse_is_bitwise_the_list_kernel(k, coords, tie):
+    # the unrolled n = 2 and 3 kernel against the list kernel it replaced:
+    # the same row tuples to the bit, or the same refusal, near walls and
+    # poles (den -> 0), outside the box, at +/-inf and NaN, and with two
+    # coordinates equal or a few ulps apart (singular, or either side of
+    # the condition gate where their rows share a formula)
+    m = KERNEL_METRICS[k]
+    q = []
+    for (kind, v), (lo, hi) in zip(coords, m.box):
+        if kind == "fraction":
+            q.append(lo + v * (hi - lo))
+        else:
+            q.append(v[0] + v[1] * np.spacing(v[0]) if np.isfinite(v[0]) else v[0])
+    if tie and max(tie[:2]) < m.n:
+        i, j, ulps = tie
+        q[j] = q[i] + ulps * np.spacing(q[i]) if np.isfinite(q[i]) else q[i]
+    q = np.array(q)
+    with np.errstate(divide="ignore", invalid="ignore"):   # den_i(q_i) = 0
+        M = [m._row(i, t) for i, t in enumerate(q.tolist())]
+    assert _kernel_outcome(staeckel._inverse_rows, M, q) == \
+        _kernel_outcome(list_inverse_rows, M, q)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_stacked_matrix_at_the_solves_shape(name):
+    # geodesic_between's one stacked M: the leg rule's nodes and the scan
+    # points of a random box, bitwise each point's M, also with a pole of a
+    # denominator among them (+/-inf entries)
+    rng = np.random.default_rng(49)
+    m = _metric(name)
+    # a root of a denominator of the metric, exact in floats
+    pole = {"elliptic_R2": 4.0, "sphere_conical": 0.2}.get(name, 2.0)
+    for _ in range(5):
+        box = random_box(m, rng)
+        lo, hi = np.array(box).T
+        q = np.concatenate([staeckel._leg_rule(lo, hi)[1], np.linspace(lo, hi, staeckel._SCAN)])
+        for stack in (q, np.where(np.arange(q.size).reshape(q.shape) % 7 == 0, pole, q)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                stacked, single = m.matrix(stack), np.array([m.matrix(x) for x in stack])
+            assert stacked.shape == (len(stack), m.n, m.n)
+            assert stacked.tobytes() == single.tobytes()
+    assert np.isinf(stacked).any()
+
+
 def test_four_coordinates_take_lapack():
     # ellipsoidal coordinates of E^4, rows (t^3, t^2, t, 1) / -4 prod(t - D)
     # over the poles D: M^-1 has no cofactor formula at n = 4 and takes
     # LAPACK, with g still 1 / (M^-1)_0i; the Newton step is 3 x 3.  A
     # diagonal's length is the Euclidean chord
-    poles = (4.0, 3.0, 2.0, 1.0)
-    box = [(3.1, 3.9), (2.1, 2.9), (1.1, 1.9), (0.0, 0.9)]
-    m = StaeckelMetric(4, [(np.eye(4), -4.0 * np.poly(poles))] * 4, box)
+    poles, m = FOUR_POLES, FOUR
     rng = np.random.default_rng(43)
     q = np.array([_random_q(m, rng) for _ in range(20)])
     Minv = np.array([staeckel._inverse_rows(x.tolist(), y) for x, y in zip(m.matrix(q), q)])
